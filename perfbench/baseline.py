@@ -1,14 +1,16 @@
 """Run every workload and record the baseline.
 
-    python3 perfbench/baseline.py [--seeds 10] [--seconds S] [--out FILE]
+    python3 perfbench/baseline.py [--out FILE]
 
 Run from the root of a gthm checkout.  For each workload it makes one
-untraced run per seed (1..N) and one traced run at seed 1, each in its
-own `perfbench/run.py` process, one after another.  It prints every
-end-to-end metric (median over seeds, and the spread: interquartile
-range over median) and every per-layer metric, by name with its unit,
-and writes them with the run environment to `perfbench/baseline.json`.
-`claim` is null: the baseline claims no gain.
+untraced run per seed (1..10) and one traced run at seed 1, each of
+`BENCHMARK.json`'s `run_seconds` and in its own `perfbench/run.py`
+process, one after another.  It prints every end-to-end metric (median
+over seeds, and the spread: interquartile range over median) and every
+per-layer metric, by name with its unit, and writes them to
+`perfbench/baseline.json`, with each run's environment (load average
+at its start included) next to its values.  `claim` is null: the
+baseline claims no gain.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ sys.path.insert(0, str(HERE))
 
 from gen import WORKLOADS  # noqa: E402
 
+SEEDS = range(1, 11)
+ENV = "# env "
+
 
 def one_run(root: Path, workload: str, seed: int, seconds: int,
             trace: int) -> tuple[dict, list[str]]:
@@ -35,6 +40,12 @@ def one_run(root: Path, workload: str, seed: int, seconds: int,
          str(trace)], cwd=root, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     return json.loads(lines[-1]), [ln for ln in lines if ln.startswith("# ")]
+
+
+def env(comments: list[str]) -> dict:
+    """The run environment a run prints on its `# env` line."""
+    line = next(c for c in comments if c.startswith(ENV))
+    return json.loads(line[len(ENV):])
 
 
 def spread(values: list[float]) -> float:
@@ -50,23 +61,19 @@ def main() -> int:
     root = Path.cwd()
     spec = json.loads((root / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
-                        choices=WORKLOADS)
     parser.add_argument("--out", default=str(HERE / "baseline.json"))
     args = parser.parse_args()
 
-    record: dict = {"claim": None, "seconds": args.seconds,
-                    "seeds": list(range(1, args.seeds + 1)), "workloads": {}}
-    for workload in args.workloads:
+    seconds = spec["run_seconds"]
+    record: dict = {"claim": None, "seconds": seconds,
+                    "seeds": list(SEEDS), "workloads": {}}
+    for workload in WORKLOADS:
         runs, notes = [], []
-        for seed in record["seeds"]:
-            result, comments = one_run(root, workload, seed, args.seconds, 0)
+        for seed in SEEDS:
+            result, comments = one_run(root, workload, seed, seconds, 0)
             runs.append(result)
             notes.append(comments)
-            record.setdefault("env", json.loads(comments[0][len("# env "):]))
-        traced, traced_notes = one_run(root, workload, 1, args.seconds, 1)
+        traced, traced_notes = one_run(root, workload, 1, seconds, 1)
         e2e = {}
         for m in spec["end_to_end"]:
             values = [r["metrics"][m["name"]]["value"] for r in runs]
@@ -85,8 +92,10 @@ def main() -> int:
             "largest_self_time": max(own, key=own.get),
             "attempted": sum(r["attempted"] for r in runs + [traced]),
             "failed": sum(r["failed"] for r in runs + [traced]),
+            "env": [env(c) for c in notes],
+            "traced_env": env(traced_notes),
             "notes": [c for c in notes[0] + traced_notes
-                      if not c.startswith("# env ")],
+                      if not c.startswith(ENV)],
         }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}")

@@ -57,6 +57,7 @@ class Result:
     outcome: Outcome
     seconds: float
     stdout: str
+    round: int            # index of the round the request belongs to
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,7 @@ def run_rounds(main, workload: str, seed: int, seconds: float,
             if tracer is not None:
                 tracer.begin(len(results))
             outcome, took, stdout = send(main, req, path)
-            results.append(Result(req, outcome, took, stdout))
+            results.append(Result(req, outcome, took, stdout, rounds))
         rounds += 1
         wall = time.perf_counter() - start
         if wall + 0.5 * wall / rounds >= seconds:
@@ -188,7 +189,8 @@ def repeat_check(main, results: list[Result], seed: int,
         if stdout != first.stdout:
             outcome = Outcome(outcome.status, FAILED,
                               "stdout differs on a repeated request")
-        repeats.append(Result(first.request, outcome, took, stdout))
+        repeats.append(Result(first.request, outcome, took, stdout,
+                              first.round))
     return repeats
 
 
@@ -196,11 +198,12 @@ def repeat_check(main, results: list[Result], seed: int,
 # metrics
 
 
-def tail(latencies: list[float]) -> tuple[float, float]:
-    """(value, percentile) of the highest percentile with at least
-    TAIL_BEYOND requests beyond it.  When that percentile would not lie
-    above the median, too few requests ran to support a tail, and the
-    slowest request stands in for it (reported as p100)."""
+def round_tail(latencies: list[float]) -> tuple[float, float]:
+    """(value, percentile) of the highest percentile of one round with
+    at least TAIL_BEYOND of its requests beyond it.  When that
+    percentile would not lie above the round's median, the round is too
+    small to support a tail, and its slowest request stands in for it
+    (reported as p100)."""
     ordered = sorted(latencies)
     n = len(ordered)
     if n <= 2 * TAIL_BEYOND:
@@ -208,9 +211,23 @@ def tail(latencies: list[float]) -> tuple[float, float]:
     return ordered[n - TAIL_BEYOND - 1], 100.0 * (n - TAIL_BEYOND) / n
 
 
+def tail(results: list[Result]) -> tuple[float, float, int]:
+    """(value, percentile, rounds) of the latency tail: the median over
+    rounds of each round's tail.  Every round of a workload holds the
+    same input classes, so the percentile depends on the workload
+    alone, not on how many rounds a faster or slower program fits into
+    the run."""
+    rounds: dict[int, list[float]] = {}
+    for r in results:
+        rounds.setdefault(r.round, []).append(r.seconds)
+    tails = [round_tail(latencies) for latencies in rounds.values()]
+    return (statistics.median(v for v, _ in tails), tails[0][1],
+            len(tails))
+
+
 def end_to_end(results: list[Result], wall: float, setup_s: float) -> dict:
     latencies = [r.seconds for r in results]
-    tail_s, _ = tail(latencies)
+    tail_s, _, _ = tail(results)
     decided = sum(r.outcome.score == DECIDED for r in results)
     return {
         "throughput_per_s": (len(results) / wall, "1/s"),
@@ -333,12 +350,12 @@ def measure(root: Path, workload: str, seed: int, seconds: float,
               f"{statistics.median(r.seconds for r in rs):.3f} s, "
               f"{sum(r.outcome.score == DECIDED for r in rs)} decided")
     n = len(results)
-    _, tail_pct = tail([r.seconds for r in results])
+    _, tail_pct, rounds = tail(results)
     print(f"# {workload}: {n} timed requests in {wall:.3f} s, "
           f"{len(outcomes) - n} untimed, failed_share "
           f"{sum(o.score == FAILED for o in outcomes) / len(outcomes):.4f}, "
-          f"latency tail at "
-          f"p{tail_pct:.1f} of {n} requests")
+          f"latency tail at p{tail_pct:.1f} of each "
+          f"{n // rounds}-request round, median over {rounds} rounds")
     if tracer is not None:
         print("# absent targets: " + (", ".join(tracer.absent) or "none"))
         print(f"# unreadable results: {tracer.unreadable}")

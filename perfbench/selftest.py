@@ -6,8 +6,10 @@ Run from the root of a gthm checkout.  It sends the smallest input,
 `fixtures/unreachable.gthm` (tens of milliseconds), untraced and
 traced, and checks that every metric `BENCHMARK.json` names is emitted
 with its unit, that the verdict checker scores each ending as the
-benchmark promises, that the generator is deterministic, and that a
-missing trace target is reported as absent instead of failing.
+benchmark promises, that the generator is deterministic, that the
+latency tail's percentile does not depend on how many rounds a run
+fits, and that a missing trace target is reported as absent instead of
+failing.
 """
 
 from __future__ import annotations
@@ -68,6 +70,22 @@ def check_generator(fixtures: dict[str, str]) -> None:
           "a false member has three aux points and a perturbed claim")
 
 
+def check_tail(req: gen.Request) -> None:
+    """The tail's percentile, and its value on identical rounds, must
+    not change with the number of rounds a run fits."""
+    for size in (12, 34):
+        latencies = [0.1 * (i + 1) for i in range(size)]
+        seen = set()
+        for rounds in (1, 2, 6):
+            results = [run.Result(req, None, t, "", k)
+                       for k in range(rounds) for t in latencies]
+            value, percentile, counted = run.tail(results)
+            check(counted == rounds, f"tail counted {counted} rounds")
+            seen.add((value, percentile))
+        check(len(seen) == 1,
+              f"tail of {size}-request rounds varies with rounds: {seen}")
+
+
 def check_metrics(root: Path, fixtures: dict[str, str]) -> None:
     spec = json.loads((root / "BENCHMARK.json").read_text())
     cli = run.load_program(root)
@@ -81,7 +99,7 @@ def check_metrics(root: Path, fixtures: dict[str, str]) -> None:
         outcome, took, stdout = run.send(cli.main, req, path)
         check(outcome.score == UNDECIDED,
               f"unreachable should be undecided, got {outcome}")
-        result = run.Result(req, outcome, took, stdout)
+        result = run.Result(req, outcome, took, stdout, 0)
         e2e = run.end_to_end([result], took, 0.1)
 
         tracer = spans.Tracer()
@@ -135,6 +153,7 @@ def main() -> int:
     check_verdicts()
     check_generator(fixtures)
     check_metrics(root, fixtures)
+    check_tail(gen.make_round("fixtures", 1, 0, fixtures)[0])
     check_absent()
     print("selftest: ok")
     return 0
