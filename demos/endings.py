@@ -11,7 +11,7 @@ fixture for each ending.
 
 from pathlib import Path
 
-from gthm import dsl, emit, graph, scene, verify
+from gthm import emit, prove_file, verify
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -20,34 +20,22 @@ def run(name):
     print("=" * 64)
     print(name)
     print("=" * 64)
-    source = (FIXTURES / name).read_text()
-    model = dsl.validate(dsl.parse(source, name), name)
-    scn = scene.build_scene(model)
-    try:
-        witness = scene.sample_params(scn, seed=42)
-    except scene.DegenerateModel as err:
-        print(f"cannot draw the figure: {err}")
-        print("verdict: INCONCLUSIVE (degenerate hypotheses)")
-        print()
-        return
-    g = graph.grow(model, scn, witness, seed=42)
-    if g is None:
-        detailed = graph.grow_detailed(model, scn, witness, seed=42)
+    result = prove_file(FIXTURES / name)
+    v = result.verdict
+    if result.graph is None:
+        print("cannot draw the figure at any sampled assignment")
+    elif result.graph.pending:
         print("claim dimensions never reached:",
-              ", ".join(d.display for d in detailed.pending))
-        ok = verify.oracle_verdict(model, scn, num_samples=50, seed=42)
+              ", ".join(d.display for d in result.graph.pending))
+        ok = verify.oracle_verdict(result.model, result.scene,
+                                   num_samples=50, seed=42)
         print(f"coordinates alone say the claim is {ok.status}, "
               f"but there is no derivation to certify it")
-        v = verify.verdict(model, scn, None, None)
-        print(f"verdict: {v.status} ({v.reason})")
-        print()
-        return
-    focused = graph.focus(g, graph.topo_order(g))
-    v = verify.verdict(model, scn, g, focused, num_samples=100, seed=42)
-    worst = max(r.claim_residual for r in v.samples)
-    print(f"claim: {emit.claim_text(model)}")
+    else:
+        worst = max(r.claim_residual for r in v.samples)
+        print(f"claim: {emit.claim_text(result.model)}")
+        print(f"worst claim residual across samples: {worst:g}")
     print(f"verdict: {v.status} ({v.reason})")
-    print(f"worst claim residual across samples: {worst:g}")
     print()
 
 

@@ -15,24 +15,17 @@ and schedule annotations number each node's place in the derivation.
 
 from pathlib import Path
 
-from gthm import dsl, graph, scene
+from gthm import emit, prove_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 OUT = Path(__file__).resolve().parent / "out"
 
 
 def export(name):
-    source = (FIXTURES / name).read_text()
-    model = dsl.validate(dsl.parse(source, name), name)
-    scn = scene.build_scene(model)
-    witness = scene.sample_params(scn, seed=42)
-    g = graph.grow_detailed(model, scn, witness, seed=42)
-    schedule = graph.topo_order(g)
-    focused = graph.focus(g, schedule) if schedule is not None else None
-    dot = graph.to_dot(g, focused)
-    stem = name.rsplit(".", 1)[0]
-    target = OUT / f"{stem}.dot"
-    target.write_text(dot)
+    result = prove_file(FIXTURES / name)
+    g, focused = result.graph, result.focused
+    target = OUT / f"{name.rsplit('.', 1)[0]}.dot"
+    target.write_text(emit.render_dot(g, focused))
     n_edges = len({e.group for e in g.edges})
     print(f"{target}  ({len(g.nodes)} nodes, {n_edges} derivations, "
           f"{len(focused) if focused else 0} scheduled)")

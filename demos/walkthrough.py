@@ -51,7 +51,8 @@ for rule_name in sorted(by_rule):
     print(f"    {by_rule[rule_name]:4d}  {rule_name}")
 
 stage("grow the derivation graph from the parameters")
-g = graph.grow(model, scn, witness, seed=42)
+g = graph.grow_detailed(model, scn, witness, seed=42)
+assert not g.pending
 print(f"{len(g.nodes)} nodes reached, {len(g.edges)} sound edges admitted")
 alternatives = sum(1 for d in g.nodes if len(g.in_edges(d)) > 1)
 print(f"{alternatives} nodes have more than one way to be derived")

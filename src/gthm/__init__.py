@@ -26,45 +26,73 @@ from . import dsl, emit, graph, rules, scene, verify
 from .verify import Verdict
 
 __all__ = ["dsl", "scene", "rules", "graph", "verify", "emit",
-           "ProofResult", "prove_file", "prove_text", "Verdict"]
+           "ProofResult", "prove_model", "prove_file", "prove_text",
+           "Verdict"]
 
 __version__ = "0.1.0"
 
 
 @dataclass(frozen=True)
 class ProofResult:
-    """Everything the pipeline produced for one theorem file."""
+    """Everything the pipeline produced for one theorem file.
+
+    A degenerate figure leaves witness and graph None.  `schedule` is
+    the proof, present only when every goal was derived; `focused` is
+    the goals' part of the schedule even when some goal stays pending,
+    which is what the DOT view draws."""
 
     model: dsl.HypothesisModel
+    theorem: Optional[str]
+    scene: scene.Scene
+    witness: Optional[scene.ParamAssignment]
     graph: Optional[graph.DerivationGraph]
+    focused: Optional[tuple]
     schedule: Optional[tuple]
     verdict: Verdict
-    text: str
+
+    @property
+    def text(self) -> str:
+        """The proof script, or the verdict line when there is none."""
+        return emit.render_text(self.model, self.schedule, self.verdict,
+                                self.theorem)
 
 
-def prove_text(source: str, name: str = "<input>", seed: int = 42,
-               samples: int = 100, tol: float = 1e-9) -> ProofResult:
-    """Run the whole pipeline on theorem source text."""
-    model = dsl.validate(dsl.parse(source, name), name)
+def prove_model(model: dsl.HypothesisModel, theorem: Optional[str] = None,
+                *, seed: int = 42, samples: int = 100, tol: float = 1e-9,
+                caps: rules.Caps = rules.DEFAULT_CAPS,
+                rng_range: tuple[Fraction, Fraction] = scene.DEFAULT_RANGE,
+                ) -> ProofResult:
+    """Derive and judge the claim of a validated model: sample a
+    witness, grow the graph, schedule and focus it, and take the
+    verdict.  A figure that cannot be drawn comes back INCONCLUSIVE."""
     scene_ = scene.build_scene(model)
-    witness = scene.sample_params(scene_, seed)
-    g = graph.grow_detailed(model, scene_, witness, seed=seed)
-    full = graph.topo_order(g)
-    focused = graph.focus(g, full) if full is not None else None
-    complete = focused is not None and not g.pending
-    v = verify.verdict(model, scene_, g if complete else None,
-                       focused if complete else None,
-                       num_samples=samples, seed=seed, tol=tol)
-    text = emit.render_text(model, focused if complete else None, v,
-                            theorem=name)
-    return ProofResult(model=model, graph=g,
-                       schedule=tuple(focused) if complete else None,
-                       verdict=v, text=text)
+    try:
+        witness = scene.sample_params(scene_, seed, rng_range)
+        g = graph.grow_detailed(model, scene_, witness, caps=caps,
+                                seed=seed, rng_range=rng_range)
+        full = graph.topo_order(g)
+        focused = tuple(graph.focus(g, full)) if full is not None else None
+        schedule = focused if not g.pending else None
+        v = verify.verdict(model, scene_, g, schedule, num_samples=samples,
+                           seed=seed, tol=tol, rng_range=rng_range)
+    except scene.DegenerateModel as err:
+        witness = g = focused = schedule = None
+        v = Verdict(status=verify.STATUS_INCONCLUSIVE, samples=(),
+                    reason=f"degenerate hypotheses: {err}")
+    return ProofResult(model=model, theorem=theorem, scene=scene_,
+                       witness=witness, graph=g, focused=focused,
+                       schedule=schedule, verdict=v)
 
 
-def prove_file(path, seed: int = 42, samples: int = 100,
-               tol: float = 1e-9) -> ProofResult:
-    """Run the whole pipeline on a .gthm file."""
+def prove_text(source: str, name: str = "<input>", **settings) -> ProofResult:
+    """Run the whole pipeline on theorem source text; `settings` are
+    the keyword arguments of prove_model."""
+    model = dsl.validate(dsl.parse(source, name), name)
+    return prove_model(model, name, **settings)
+
+
+def prove_file(path, **settings) -> ProofResult:
+    """Run the whole pipeline on a .gthm file; `settings` are the
+    keyword arguments of prove_model."""
     p = Path(path)
-    return prove_text(p.read_text(), name=p.stem, seed=seed,
-                      samples=samples, tol=tol)
+    return prove_text(p.read_text(), name=p.stem, **settings)

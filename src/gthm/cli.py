@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import dsl, emit, graph as gr, scene as sc, verify as vf
+from . import ProofResult, dsl, emit, prove_model, scene as sc, verify as vf
 from .rules import Caps
 
 EXIT_PROVED = 0
@@ -49,7 +49,7 @@ class RunConfig:
     tol: float = 1e-9
     caps: Caps = Caps()
     emit_format: str = "text"
-    rng_range: tuple[Fraction, Fraction] = (Fraction(1), Fraction(10))
+    rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE
 
 
 class UsageError(Exception):
@@ -136,60 +136,34 @@ def _load_model(cfg: RunConfig):
     return dsl.validate(dsl.parse(text, name), name)
 
 
-def _derive(cfg: RunConfig, model):
-    """Grow the graph and schedule it; None parts where impossible."""
-    scene_ = sc.build_scene(model)
-    witness = sc.sample_params(scene_, cfg.seed, cfg.rng_range)
-    g = gr.grow_detailed(model, scene_, witness, caps=cfg.caps,
-                         seed=cfg.seed)
-    schedule = gr.topo_order(g)
-    focused = gr.focus(g, schedule) if schedule is not None else None
-    complete = focused is not None and not g.pending
-    return scene_, g, focused, complete
+def _prove(cfg: RunConfig) -> ProofResult:
+    return prove_model(_load_model(cfg), cfg.input_path.stem, seed=cfg.seed,
+                       samples=cfg.samples, tol=cfg.tol, caps=cfg.caps,
+                       rng_range=cfg.rng_range)
 
 
 def cmd_prove(cfg: RunConfig) -> int:
-    model = _load_model(cfg)
-    theorem = cfg.input_path.stem
-    try:
-        scene_, g, focused, complete = _derive(cfg, model)
-        v = vf.verdict(model, scene_, g if complete else None,
-                       focused if complete else None,
-                       num_samples=cfg.samples, seed=cfg.seed, tol=cfg.tol,
-                       rng_range=cfg.rng_range)
-    except sc.DegenerateModel as err:
-        v = vf.Verdict(status=vf.STATUS_INCONCLUSIVE, samples=(),
-                       reason=f"degenerate hypotheses: {err}")
-        sys.stdout.write(emit.render_text(model, None, v, theorem))
-        return EXIT_INCONCLUSIVE
-    if cfg.emit_format == "text":
-        out = emit.render_text(model, focused if complete else None, v,
-                               theorem)
-    elif cfg.emit_format == "json":
-        out = emit.render_json(model, focused if complete else None, v,
-                               theorem)
+    r = _prove(cfg)
+    if cfg.emit_format == "json":
+        out = emit.render_json(r.model, r.schedule, r.verdict, r.theorem)
+    elif cfg.emit_format == "text" or r.graph is None:
+        # a degenerate figure has no graph or witness to draw
+        out = r.text
     elif cfg.emit_format == "dot":
-        out = emit.render_dot(g, focused)
+        out = emit.render_dot(r.graph, r.focused)
     else:
-        witness = sc.sample_params(scene_, cfg.seed, cfg.rng_range)
-        out = emit.render_scene(model, scene_, witness, theorem)
+        out = emit.render_scene(r.model, r.scene, r.witness, r.theorem)
     sys.stdout.write(out)
-    return _STATUS_EXIT[v.status]
+    return _STATUS_EXIT[r.verdict.status]
 
 
 def cmd_graph(cfg: RunConfig) -> int:
-    model = _load_model(cfg)
-    try:
-        scene_, g, focused, complete = _derive(cfg, model)
-        v = vf.verdict(model, scene_, g if complete else None,
-                       focused if complete else None,
-                       num_samples=cfg.samples, seed=cfg.seed, tol=cfg.tol,
-                       rng_range=cfg.rng_range)
-    except sc.DegenerateModel as err:
-        sys.stderr.write(f"gthm: degenerate hypotheses: {err}\n")
-        return EXIT_INCONCLUSIVE
-    sys.stdout.write(emit.render_dot(g, focused))
-    return _STATUS_EXIT[v.status]
+    r = _prove(cfg)
+    if r.graph is None:
+        sys.stderr.write(f"gthm: {r.verdict.reason}\n")
+    else:
+        sys.stdout.write(emit.render_dot(r.graph, r.focused))
+    return _STATUS_EXIT[r.verdict.status]
 
 
 def cmd_check(cfg: RunConfig) -> int:

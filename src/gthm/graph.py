@@ -12,6 +12,7 @@ the smallest-labeled in-edge that is fully sourced at that moment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from . import dsl, scene as sc
@@ -65,12 +66,16 @@ def goal_dims(model: dsl.HypothesisModel) -> tuple[Dim, ...]:
 
 def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
                   witness: sc.ParamAssignment, caps: Caps = DEFAULT_CAPS,
-                  seed: int = 42) -> DerivationGraph:
+                  seed: int = 42,
+                  rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
+                  ) -> DerivationGraph:
     """Forward closure from the parameters, kept even when a goal is
-    unreachable so the partial graph can be inspected."""
+    unreachable so the partial graph can be inspected; a goal it never
+    reaches is listed in `pending`.  Edges are validated at samples
+    drawn from `rng_range`."""
     reports: list[str] = []
     pool = discover(model, scene_, witness, caps, report=reports)
-    pool = validate_edges(pool, model, scene_, seed)
+    pool = validate_edges(pool, model, scene_, seed, rng_range)
 
     params = tuple(length(*pair) for _, pair in scene_.param_dims)
     goals = goal_dims(model)
@@ -121,14 +126,6 @@ def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
             nodes[g] = Node(dim=g, index=len(nodes), is_goal=True)
     return DerivationGraph(model=model, nodes=nodes, edges=admitted,
                            goals=goals, pending=pending, reports=reports)
-
-
-def grow(model: dsl.HypothesisModel, scene_: sc.Scene,
-         witness: sc.ParamAssignment, caps: Caps = DEFAULT_CAPS,
-         seed: int = 42) -> Optional[DerivationGraph]:
-    """The derivation graph, or None when some goal is underivable."""
-    g = grow_detailed(model, scene_, witness, caps, seed)
-    return None if g.pending else g
 
 
 def topo_order(graph: DerivationGraph) -> Optional[list[ScheduleStep]]:

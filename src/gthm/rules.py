@@ -558,9 +558,10 @@ def _pick_mode(pick: dsl.Pick, p: str, q: str) -> Optional[str]:
 
 def ratio_solve_rule(known_ratios: list[tuple[Dim, Scalar]],
                      known_lengths: list[tuple[Dim, Scalar]]) -> list[Hyperedge]:
-    """Linear moves on ratios: a ratio plus one of its sides gives the
-    other side, and a plain/composite ratio pair that is linear in two
-    unknown lengths solves for both (2x2 elimination)."""
+    """A plain/composite ratio pair that is linear in two unknown
+    lengths solves for both (2x2 elimination).  Every plain ratio comes
+    from similar_triangles_rule, which already emits the edges that
+    turn the ratio plus one side into the other side."""
     edges: list[Optional[Hyperedge]] = []
     known_length_dims = {d for d, _ in known_lengths}
     plain = []
@@ -570,14 +571,6 @@ def ratio_solve_rule(known_ratios: list[tuple[Dim, Scalar]],
             continue
         if r.num.kind == "length" and r.den.kind == "length":
             plain.append((r, val))
-            edges.append(_edge([r, r.den], r.num, "ratio-solve",
-                               f"the ratio {r.display} and the side "
-                               f"{r.den.display} determine {r.num.display}",
-                               ("mul", r, r.den), subpriority=1))
-            edges.append(_edge([r, r.num], r.den, "ratio-solve",
-                               f"the ratio {r.display} and the side "
-                               f"{r.num.display} determine {r.den.display}",
-                               ("div", r.num, r), subpriority=1))
         elif r.num.kind == "composite" and r.den.kind == "length":
             comps.append((r, val))
     for (r2, v2) in comps:
@@ -776,13 +769,21 @@ def _with_values(w: _Witness, dims) -> list[tuple[Dim, Scalar]]:
     return out
 
 
+# fresh samples every edge is replayed at, and the relative error it may show
+VALIDATION_SAMPLES = 20
+VALIDATION_TOL = 1e-9
+
+
 def validate_edges(edges: list[Hyperedge], model: dsl.HypothesisModel,
-                   scene_: sc.Scene, seed: int, samples: int = 20,
-                   tol: float = 1e-9) -> list[Hyperedge]:
-    """Replay every edge at fresh samples and drop any whose formula
-    fails to reproduce the oracle value of its target; this is what
-    catches relations that only held by coincidence at the witness."""
-    assignments = [sc.sample_params(scene_, seed * 7919 + j) for j in range(samples)]
+                   scene_: sc.Scene, seed: int,
+                   rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
+                   ) -> list[Hyperedge]:
+    """Replay every edge at fresh samples drawn from `rng_range` and
+    drop any whose formula fails to reproduce the oracle value of its
+    target; this is what catches relations that only held by
+    coincidence at the witness."""
+    assignments = [sc.sample_params(scene_, seed * 7919 + j, rng_range)
+                   for j in range(VALIDATION_SAMPLES)]
     evaluations = [sc.evaluate(scene_, a) for a in assignments]
     kept = []
     for e in edges:
@@ -795,7 +796,7 @@ def validate_edges(edges: list[Hyperedge], model: dsl.HypothesisModel,
             except (NumericFailure, sc.GeometryError, ZeroDivisionError):
                 ok = False
                 break
-            if rel_err(got, want) > tol:
+            if rel_err(got, want) > VALIDATION_TOL:
                 ok = False
                 break
         if ok:

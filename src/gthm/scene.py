@@ -25,6 +25,9 @@ Coord = tuple[Scalar, Scalar]
 
 PRED_TOL = 1e-9  # relative tolerance for float-valued geometric predicates
 
+# parameters are drawn from [lo, hi] unless a run asks for another range
+DEFAULT_RANGE = (Fraction(1), Fraction(10))
+
 
 class GeometryError(Exception):
     """A construction step failed under the current assignment."""
@@ -557,7 +560,7 @@ def foot_of_perpendicular(p: Coord, l: Line) -> Coord:
 
 
 def sample_params(scene: Scene, seed: int,
-                  rng_range: tuple[Fraction, Fraction] = (Fraction(1), Fraction(10)),
+                  rng_range: tuple[Fraction, Fraction] = DEFAULT_RANGE,
                   retry_cap: int = 100) -> ParamAssignment:
     rng = random.Random(seed)
     lo, hi = rng_range

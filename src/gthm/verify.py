@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import scene as sc
 from .exactnum import Scalar, add, as_float, exact_eq, mul, rel_err
-from .graph import DerivationGraph, ScheduleStep
+from .graph import DerivationGraph, ScheduleStep, goal_dims
 from .rules import Dim, NumericFailure, apply_edge, length
 
 STATUS_PROVED = "PROVED"
@@ -135,15 +135,21 @@ def _claim_residual(lhs: Scalar, rhs: Scalar) -> float:
     return abs(fl - fr) / scale
 
 
-def _claim_dims(model) -> list[Dim]:
-    dims = []
-    for stmt in model.claims:
+def _claim_check(model, values: dict[Dim, Scalar]
+                 ) -> tuple[Scalar, Scalar, float]:
+    """The first claim's two sides, which reports name, and the worst
+    residual over all claims."""
+    worst = 0.0
+    lhs_val: Scalar = Fraction(0)
+    rhs_val: Scalar = Fraction(0)
+    for pos, stmt in enumerate(model.claims):
         eq = stmt.payload
-        for term in eq.lhs + eq.rhs:
-            d = length(term.p, term.q)
-            if d not in dims:
-                dims.append(d)
-    return dims
+        lv = _claim_side(eq.lhs, values)
+        rv = _claim_side(eq.rhs, values)
+        if pos == 0:
+            lhs_val, rhs_val = lv, rv
+        worst = max(worst, _claim_residual(lv, rv))
+    return lhs_val, rhs_val, worst
 
 
 def _sample_report(model, scene_, graph, schedule, assignment,
@@ -154,18 +160,7 @@ def _sample_report(model, scene_, graph, schedule, assignment,
     max_resid = 0.0
     for dim, v in values.items():
         max_resid = max(max_resid, rel_err(v, oracle[dim]))
-    # the first claim names the reported sides; the residual covers all
-    worst = 0.0
-    lhs_val: Scalar = Fraction(0)
-    rhs_val: Scalar = Fraction(0)
-    for pos, stmt in enumerate(model.claims):
-        eq = stmt.payload
-        lv = _claim_side(eq.lhs, values)
-        rv = _claim_side(eq.rhs, values)
-        r = _claim_residual(lv, rv)
-        if pos == 0:
-            lhs_val, rhs_val = lv, rv
-        worst = max(worst, r)
+    lhs_val, rhs_val, worst = _claim_check(model, values)
     return SampleReport(index=index, seed=seed, assignment=assignment,
                         node_values=values, oracle_values=oracle,
                         max_node_residual=max_resid,
@@ -196,7 +191,7 @@ def _degree_bound(model, schedule: list[ScheduleStep]) -> int:
             assert op in _DEG_MAX, f"unknown recipe op {op!r}"
             deg[step.dim] = max(srcs)
     # clearing denominators of a sum of terms multiplies degrees at worst
-    return sum(deg[d] for d in _claim_dims(model) if d in deg)
+    return sum(deg[d] for d in goal_dims(model) if d in deg)
 
 
 def _sample_space(rng_range: tuple[Fraction, Fraction]) -> int:
@@ -258,7 +253,7 @@ def _certificate(model, scene_, schedule, num_samples: int,
 def verdict(model, scene_: sc.Scene, graph: Optional[DerivationGraph],
             schedule: Optional[list[ScheduleStep]],
             num_samples: int = 100, seed: int = 42, tol: float = 1e-9,
-            rng_range: tuple[Fraction, Fraction] = (Fraction(1), Fraction(10)),
+            rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
             ) -> Verdict:
     """Judge the claim by executing the schedule at random samples.
 
@@ -328,8 +323,7 @@ def verdict(model, scene_: sc.Scene, graph: Optional[DerivationGraph],
 
 def oracle_verdict(model, scene_: sc.Scene, num_samples: int = 100,
                    seed: int = 42, tol: float = 1e-9,
-                   rng_range: tuple[Fraction, Fraction] = (Fraction(1),
-                                                           Fraction(10)),
+                   rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
                    ) -> Verdict:
     """Judge the claim from coordinates alone, with no derivation.
 
@@ -343,22 +337,8 @@ def oracle_verdict(model, scene_: sc.Scene, num_samples: int = 100,
         s_seed = seed * _SAMPLE_STRIDE + i
         assignment = sc.sample_params(scene_, s_seed, rng_range)
         ev = sc.evaluate(scene_, assignment)
-        values = {}
-        for stmt in model.claims:
-            eq = stmt.payload
-            for term in eq.lhs + eq.rhs:
-                d = length(term.p, term.q)
-                values[d] = sc._dim_value(ev, d)
-        worst = 0.0
-        lhs_val: Scalar = Fraction(0)
-        rhs_val: Scalar = Fraction(0)
-        for pos, stmt in enumerate(model.claims):
-            eq = stmt.payload
-            lv = _claim_side(eq.lhs, values)
-            rv = _claim_side(eq.rhs, values)
-            if pos == 0:
-                lhs_val, rhs_val = lv, rv
-            worst = max(worst, _claim_residual(lv, rv))
+        values = {d: sc._dim_value(ev, d) for d in goal_dims(model)}
+        lhs_val, rhs_val, worst = _claim_check(model, values)
         reports.append(SampleReport(
             index=i, seed=s_seed, assignment=assignment,
             node_values=dict(values), oracle_values=dict(values),

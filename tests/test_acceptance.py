@@ -33,8 +33,8 @@ def load(name):
 def pipeline(name, seed=42, samples=100):
     model, scn = load(name)
     witness = sc.sample_params(scn, seed)
-    g = gr.grow(model, scn, witness, seed=seed)
-    assert g is not None, f"{name}: no derivation graph"
+    g = gr.grow_detailed(model, scn, witness, seed=seed)
+    assert not g.pending, f"{name}: goals left pending"
     schedule = gr.topo_order(g)
     assert schedule is not None, f"{name}: no schedule"
     focused = gr.focus(g, schedule)
@@ -108,7 +108,7 @@ def test_04_wrong_claim_refuted_with_margin_at_every_sample():
 def test_05_underivable_claim_is_absent_and_inconclusive(capsys):
     model, scn = load("unreachable.gthm")
     witness = sc.sample_params(scn, 42)
-    assert gr.grow(model, scn, witness, seed=42) is None
+    assert gr.grow_detailed(model, scn, witness, seed=42).pending
     code = cli.main(["prove", str(FIXTURES / "unreachable.gthm"),
                      "--samples", "5"])
     capsys.readouterr()

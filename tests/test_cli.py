@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gthm import cli
+from gthm import cli, prove_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -51,6 +51,32 @@ def test_prove_degenerate_exits_two(capsys):
                          "--samples", "5")
     assert code == 2
     assert "degenerate hypotheses" in out
+
+
+def test_prove_degenerate_emits_json(capsys):
+    code, out, err = run(capsys, "prove", fx("degenerate.gthm"),
+                         "--samples", "5", "--emit", "json")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "INCONCLUSIVE"
+    assert doc["reason"].startswith("degenerate hypotheses: ")
+    assert doc["steps"] == []
+
+
+def test_graph_degenerate_reports_on_stderr(capsys):
+    code, out, err = run(capsys, "graph", fx("degenerate.gthm"),
+                         "--samples", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gthm: degenerate hypotheses: ")
+
+
+def test_prove_file_degenerate_is_inconclusive():
+    result = prove_file(FIXTURES / "degenerate.gthm", samples=5)
+    assert result.verdict.status == "INCONCLUSIVE"
+    assert result.verdict.reason.startswith("degenerate hypotheses: ")
+    assert result.graph is None and result.schedule is None
+    assert result.text.endswith(f"INCONCLUSIVE: {result.verdict.reason}\n")
 
 
 def test_missing_file_exits_three(capsys):

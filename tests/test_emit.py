@@ -21,7 +21,8 @@ def load(name):
 def para():
     model, scn = load("parallelogram.gthm")
     witness = sc.sample_params(scn, 42)
-    g = gr.grow(model, scn, witness, seed=42)
+    g = gr.grow_detailed(model, scn, witness, seed=42)
+    assert not g.pending
     focused = gr.focus(g, gr.topo_order(g))
     v = vf.verdict(model, scn, g, focused, num_samples=100, seed=42)
     return model, scn, g, focused, v
@@ -30,8 +31,8 @@ def para():
 def render(name, samples=100, seed=42):
     model, scn = load(name)
     witness = sc.sample_params(scn, seed)
-    g = gr.grow(model, scn, witness, seed=seed)
-    schedule = gr.topo_order(g) if g else None
+    g = gr.grow_detailed(model, scn, witness, seed=seed)
+    schedule = gr.topo_order(g) if not g.pending else None
     focused = gr.focus(g, schedule) if schedule else None
     v = vf.verdict(model, scn, g, focused, num_samples=samples, seed=seed)
     stem = name.rsplit(".", 1)[0]
@@ -93,7 +94,7 @@ def test_refuted_script_footer():
 def test_missing_schedule_renders_header_and_reason_only():
     model, scn = load("unreachable.gthm")
     witness = sc.sample_params(scn, 42)
-    assert gr.grow(model, scn, witness, seed=42) is None
+    assert gr.grow_detailed(model, scn, witness, seed=42).pending
     v = vf.verdict(model, scn, None, None)
     text = emit.render_text(model, None, v, theorem="unreachable")
     assert text == ("Theorem: unreachable\n"

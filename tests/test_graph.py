@@ -1,6 +1,7 @@
 """Graph growth, scheduling, focusing, and DOT output."""
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,8 @@ def load(name):
 def pipeline(name, seed=42):
     model, scn = load(name)
     witness = sc.sample_params(scn, seed)
-    g = gr.grow(model, scn, witness, seed=seed)
-    assert g is not None
+    g = gr.grow_detailed(model, scn, witness, seed=seed)
+    assert not g.pending
     schedule = gr.topo_order(g)
     assert schedule is not None
     return g, schedule, gr.focus(g, schedule)
@@ -94,12 +95,28 @@ def test_imo_uses_line_circle_for_the_cut_points():
 def test_unreachable_goal_returns_absent():
     model, scn = load("unreachable.gthm")
     witness = sc.sample_params(scn, 42)
-    assert gr.grow(model, scn, witness) is None
     g = gr.grow_detailed(model, scn, witness)
     assert [d.display for d in g.pending] == ["BZ"]
     schedule = gr.topo_order(g)
     assert schedule is not None  # pending goals are excused from coverage
     assert all(s.dim.display != "BZ" for s in schedule)
+
+
+def test_edge_validation_samples_from_the_run_range(monkeypatch):
+    model, scn = load("parallelogram.gthm")
+    lo, hi = Fraction(100), Fraction(200)
+    witness = sc.sample_params(scn, 42, (lo, hi))
+    real = sc.sample_params
+    draws = []
+
+    def spy(*args, **kwargs):
+        draws.append(real(*args, **kwargs))
+        return draws[-1]
+
+    monkeypatch.setattr(sc, "sample_params", spy)
+    gr.grow_detailed(model, scn, witness, rng_range=(lo, hi))
+    assert draws
+    assert all(lo <= v <= hi for a in draws for _, v in a.items)
 
 
 def test_node_cap_stops_growth():

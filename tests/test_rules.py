@@ -231,6 +231,13 @@ def test_dedup_by_sources_target_rule(para):
     assert len(keys) == len(set(keys))
 
 
+@pytest.mark.parametrize("figure", ["para", "imo"])
+def test_no_rule_reemits_another_rules_edge(figure, request):
+    pool = request.getfixturevalue(figure)[3]
+    keys = [(e.sources, e.target, e.recipe) for e in pool]
+    assert len(keys) == len(set(keys))
+
+
 def test_group_labels_contiguous_from_one(para):
     model, scn, a, pool = para
     labels = sorted({e.group for e in pool})

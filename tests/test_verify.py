@@ -24,8 +24,8 @@ def load(name):
 def pipeline(name, seed=42):
     model, scn = load(name)
     witness = sc.sample_params(scn, seed)
-    g = gr.grow(model, scn, witness, seed=seed)
-    assert g is not None
+    g = gr.grow_detailed(model, scn, witness, seed=seed)
+    assert not g.pending
     schedule = gr.topo_order(g)
     assert schedule is not None
     return model, scn, g, gr.focus(g, schedule)
@@ -222,8 +222,8 @@ def test_missing_schedule_is_inconclusive():
 def test_unreachable_fixture_reaches_no_verdict():
     model, scn = load("unreachable.gthm")
     witness = sc.sample_params(scn, 42)
-    g = gr.grow(model, scn, witness, seed=42)
-    assert g is None
+    g = gr.grow_detailed(model, scn, witness, seed=42)
+    assert g.pending
     v = vf.verdict(model, scn, g, None, num_samples=5, seed=42)
     assert v.status == vf.STATUS_INCONCLUSIVE
 
