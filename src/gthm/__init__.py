@@ -77,8 +77,7 @@ def prove_model(model: dsl.HypothesisModel, theorem: Optional[str] = None,
                            seed=seed, tol=tol, rng_range=rng_range)
     except scene.DegenerateModel as err:
         witness = g = focused = schedule = None
-        v = Verdict(status=verify.STATUS_INCONCLUSIVE, samples=(),
-                    reason=f"degenerate hypotheses: {err}")
+        v = verify.degenerate_verdict(err)
     return ProofResult(model=model, theorem=theorem, scene=scene_,
                        witness=witness, graph=g, focused=focused,
                        schedule=schedule, verdict=v)

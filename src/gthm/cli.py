@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--max-nodes", type=int, default=512)
         p.add_argument("--max-edges", type=int, default=4096)
-        p.add_argument("--max-pairs", type=int, default=10000)
         p.add_argument("--emit", default=None,
                        choices=("text", "json", "dot", "scene"))
         p.add_argument("--range", default="1:10", metavar="LO:HI",
@@ -119,13 +118,12 @@ def _config(args) -> RunConfig:
         raise UsageError("--samples must be at least 1")
     if not args.tol > 0:
         raise UsageError("--tol must be positive")
-    if min(args.max_nodes, args.max_edges, args.max_pairs) < 1:
+    if min(args.max_nodes, args.max_edges) < 1:
         raise UsageError("caps must be positive")
     seed = args.seed if args.seed is not None else _env_seed()
     return RunConfig(input_path=Path(args.input), seed=seed,
                      samples=args.samples, tol=args.tol,
-                     caps=Caps(args.max_nodes, args.max_edges,
-                               args.max_pairs),
+                     caps=Caps(args.max_nodes, args.max_edges),
                      emit_format=emit_format,
                      rng_range=_parse_range(args.range))
 
@@ -175,8 +173,7 @@ def cmd_check(cfg: RunConfig) -> int:
                               seed=cfg.seed, tol=cfg.tol,
                               rng_range=cfg.rng_range)
     except sc.DegenerateModel as err:
-        v = vf.Verdict(status=vf.STATUS_INCONCLUSIVE, samples=(),
-                       reason=f"degenerate hypotheses: {err}")
+        v = vf.degenerate_verdict(err)
     if cfg.emit_format == "json":
         out = emit.render_json(model, None, v, theorem)
     else:

@@ -14,6 +14,7 @@ origin point; feet are declared points, never invented ones.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -49,6 +50,15 @@ class Dim:
 
     def __repr__(self) -> str:
         return f"Dim({self.display})"
+
+    def __hash__(self) -> int:
+        # the generated hash re-walks nested dims on every dict and set
+        # lookup, which dominated edge validation; same value, computed once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.kind, self.points, self.num, self.den, self.far, self.near))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 def length(p: str, q: str) -> Dim:
@@ -109,7 +119,6 @@ PRIORITY = {
 class Caps:
     max_nodes: int = 512
     max_edges: int = 4096
-    max_pairs: int = 10000
 
 
 DEFAULT_CAPS = Caps()
@@ -169,7 +178,6 @@ class _Witness:
     def __init__(self, model: dsl.HypothesisModel, scene_: sc.Scene,
                  witness: sc.ParamAssignment):
         self.model = model
-        self.scene = scene_
         self.ev = sc.evaluate(scene_, witness)
         self.names: list[str] = list(self.ev.points)
         self.coords = self.ev.points
@@ -200,9 +208,6 @@ class _Witness:
             if sc.perpendicular(sc.vsub(pc, vc), self.axis.direction):
                 out.append(v)
         return out
-
-    def axis_offset(self, p: str, foot: str) -> Scalar:
-        return sc.distance(self.coords[p], self.coords[foot])
 
     def axis_side(self, p: str) -> int:
         c = sc.cross(self.axis.direction, sc.vsub(self.coords[p], self.axis.anchor))
@@ -368,37 +373,62 @@ def _distance_formula(w: _Witness) -> list[Optional[Hyperedge]]:
     return edges
 
 
-def similar_triangles_rule(model: dsl.HypothesisModel, scene_: sc.Scene,
-                           witness: sc.ParamAssignment,
-                           caps: Caps = DEFAULT_CAPS,
-                           report: Optional[list] = None) -> list[Hyperedge]:
-    """Triangle pairs whose angle triples agree at the witness.
+# a triangle's shape bucket bins the ratios of its two smaller squared
+# sides to the largest at this width
+_SHAPE_BIN = 1e-6
 
-    Per corresponding side pair the rule emits the ratio-creating edge
-    in each triangle, the cross-triangle fused form (sides of one
-    triangle give the other's ratio directly), the equal-ratio
-    transfer both ways, and the multiply-through edges that turn a
-    ratio plus one side into the other side."""
+
+def similar_triangles_rule(model: dsl.HypothesisModel, scene_: sc.Scene,
+                           witness: sc.ParamAssignment) -> list[Hyperedge]:
+    """Triangle pairs whose sides are proportional at the witness, each
+    triangle compared only with those in its own or a neighbouring shape
+    bucket.  Per corresponding side pair the rule emits the
+    ratio-creating edge in each triangle, the cross-triangle fused form
+    (sides of one triangle give the other's ratio directly), the
+    equal-ratio transfer both ways, and the multiply-through edges that
+    turn a ratio plus one side into the other side.  Pairs are emitted
+    in point-triple scan order, which picks the justification finalize
+    keeps among tied edges."""
     w = _Witness(model, scene_, witness)
-    tris: list[tuple[tuple[str, str, str], tuple[float, float, float]]] = []
+    sq = {(p, q): sc.sq_norm(sc.vsub(w.coords[p], w.coords[q]))
+          for p, q in itertools.combinations(w.names, 2)}
+    buckets: dict[tuple[int, int], list[int]] = {}
+    tris: list[tuple[tuple[str, str, str], tuple[Scalar, Scalar, Scalar]]] = []
+    matches = []
     for a, b, c in itertools.combinations(w.names, 3):
-        angles = sc.triangle_angles(w.coords[a], w.coords[b], w.coords[c])
-        if angles is not None:
-            tris.append(((a, b, c), angles))
-    edges: list[Optional[Hyperedge]] = []
-    scanned = 0
-    for (t1, ang1), (t2, ang2) in itertools.combinations(tris, 2):
-        scanned += 1
-        if scanned > caps.max_pairs:
-            if report is not None:
-                report.append(
-                    f"similar-triangles scan truncated at {caps.max_pairs} "
-                    f"triangle pairs")
-            break
-        for perm in itertools.permutations(range(3)):
-            if all(abs(ang1[i] - ang2[perm[i]]) <= 1e-9 for i in range(3)):
-                edges.extend(_similarity_edges(t1, t2, perm))
-    return [e for e in edges if e is not None]
+        if sc.points_collinear(w.coords[a], w.coords[b], w.coords[c]):
+            continue
+        opposite = (sq[(b, c)], sq[(a, c)], sq[(a, b)])  # side facing each corner
+        lo, mid, hi = sorted(as_float(s) for s in opposite)
+        kx, ky = int(lo / hi // _SHAPE_BIN), int(mid / hi // _SHAPE_BIN)
+        for dx, dy in itertools.product((-1, 0, 1), repeat=2):
+            for other in buckets.get((kx + dx, ky + dy), ()):
+                matches.extend((other, len(tris), perm)
+                               for perm in itertools.permutations(range(3))
+                               if _proportional(tris[other][1], opposite, perm))
+        buckets.setdefault((kx, ky), []).append(len(tris))
+        tris.append(((a, b, c), opposite))
+    edges: list[Hyperedge] = []
+    emitted: set = set()
+    for i, j, perm in sorted(matches):
+        for e in _similarity_edges(tris[i][0], tris[j][0], perm):
+            if e is None:
+                continue
+            k = (e.sources, e.target, e.recipe, e.subpriority)
+            if k not in emitted:  # finalize would keep only the first
+                emitted.add(k)
+                edges.append(e)
+    return edges
+
+
+def _proportional(sides1: tuple, sides2: tuple, perm: tuple[int, int, int]) -> bool:
+    """Is sides1[i] : sides2[perm[i]] the same for every i?  Exact when
+    all six squared sides are rational, else within a relative 1e-9."""
+    (a0, b0), *rest = [(sides1[i], sides2[perm[i]]) for i in range(3)]
+    if all(isinstance(s, Fraction) for s in sides1 + sides2):
+        return all(a * b0 == a0 * b for a, b in rest)
+    return all(math.isclose(as_float(a) * as_float(b0), as_float(a0) * as_float(b),
+                            rel_tol=1e-9) for a, b in rest)
 
 
 def _similarity_edges(t1: tuple[str, str, str], t2: tuple[str, str, str],
@@ -715,32 +745,22 @@ def discover(model: dsl.HypothesisModel, scene_: sc.Scene,
              witness: sc.ParamAssignment, caps: Caps = DEFAULT_CAPS,
              report: Optional[list] = None) -> list[Hyperedge]:
     """Union of all rule outputs, deduplicated and deterministically
-    ordered, with group labels assigned.  Ratio-dependent rules rerun
-    until the edge set stops growing."""
+    ordered, with group labels assigned.
+
+    One pass suffices: the segment chains rewrite the plain ratios the
+    other rules produced, ratio solving then reads those rewrites, and
+    it only targets lengths, which feed neither step again."""
     w = _Witness(model, scene_, witness)
     pool: list[Hyperedge] = []
-    pool.extend(segment_chain_rule(model, scene_, witness))
     pool.extend(parallel_transfer_rule(model, scene_, witness))
     pool.extend(pythagoras_rule(model, scene_, witness))
-    pool.extend(similar_triangles_rule(model, scene_, witness, caps, report))
+    pool.extend(similar_triangles_rule(model, scene_, witness))
     pool.extend(line_circle_rule(model, scene_, witness))
-
-    for _round in range(6):
-        dims = _all_dims(pool)
-        ratio_dims = sorted((d for d in dims if d.kind == "ratio"),
-                            key=lambda d: d.display)
-        length_dims = sorted((d for d in dims if d.kind == "length"),
-                             key=lambda d: d.display)
-        known_ratios = _with_values(w, ratio_dims)
-        known_lengths = _with_values(w, length_dims)
-        fresh = ratio_solve_rule(known_ratios, known_lengths)
-        fresh += segment_chain_rule(model, scene_, witness,
-                                    ratio_dims=tuple(r for r, _ in known_ratios))
-        before = len({e.key() for e in pool})
-        pool.extend(fresh)
-        after = len({e.key() for e in pool})
-        if after == before:
-            break
+    ratios = _with_values(w, _dims_of_kind(pool, "ratio"))
+    pool.extend(segment_chain_rule(model, scene_, witness,
+                                   ratio_dims=tuple(r for r, _ in ratios)))
+    pool.extend(ratio_solve_rule(_with_values(w, _dims_of_kind(pool, "ratio")),
+                                 _with_values(w, _dims_of_kind(pool, "length"))))
 
     ordered = finalize(pool)
     if len(ordered) > caps.max_edges:
@@ -751,12 +771,12 @@ def discover(model: dsl.HypothesisModel, scene_: sc.Scene,
     return ordered
 
 
-def _all_dims(edges: list[Hyperedge]) -> set[Dim]:
+def _dims_of_kind(edges: list[Hyperedge], kind: str) -> list[Dim]:
+    """Every dimension of that kind the edges mention, by display name."""
     out: set[Dim] = set()
     for e in edges:
-        out.add(e.target)
-        out.update(e.sources)
-    return out
+        out.update(d for d in (e.target, *e.sources) if d.kind == kind)
+    return sorted(out, key=lambda d: d.display)
 
 
 def _with_values(w: _Witness, dims) -> list[tuple[Dim, Scalar]]:
@@ -781,24 +801,27 @@ def validate_edges(edges: list[Hyperedge], model: dsl.HypothesisModel,
     """Replay every edge at fresh samples drawn from `rng_range` and
     drop any whose formula fails to reproduce the oracle value of its
     target; this is what catches relations that only held by
-    coincidence at the witness."""
-    assignments = [sc.sample_params(scene_, seed * 7919 + j, rng_range)
-                   for j in range(VALIDATION_SAMPLES)]
-    evaluations = [sc.evaluate(scene_, a) for a in assignments]
-    kept = []
-    for e in edges:
-        ok = True
-        for ev in evaluations:
+    coincidence at the witness.  Each sample is evaluated right after
+    it is drawn and each dimension once per sample."""
+    kept = list(edges)
+    for j in range(VALIDATION_SAMPLES):
+        ev = sc.evaluate(scene_, sc.sample_params(scene_, seed * 7919 + j, rng_range))
+        values: dict[Dim, Scalar] = {}
+        for d in {d for e in kept for d in (e.target, *e.sources)}:
             try:
-                vals = {d: sc._dim_value(ev, d) for d in e.sources}
-                got = apply_edge(e, vals)
-                want = sc._dim_value(ev, e.target)
-            except (NumericFailure, sc.GeometryError, ZeroDivisionError):
-                ok = False
-                break
-            if rel_err(got, want) > VALIDATION_TOL:
-                ok = False
-                break
-        if ok:
-            kept.append(e)
+                values[d] = sc._dim_value(ev, d)
+            except (sc.GeometryError, ZeroDivisionError):
+                pass  # every edge that needs this value fails here
+        kept = [e for e in kept if _replays(e, values)]
     return kept
+
+
+def _replays(e: Hyperedge, values: dict[Dim, Scalar]) -> bool:
+    """Does the edge reproduce its target's value from its sources'?"""
+    if not all(d in values for d in (e.target, *e.sources)):
+        return False
+    try:
+        got = apply_edge(e, {d: values[d] for d in e.sources})
+    except (NumericFailure, sc.GeometryError, ZeroDivisionError):
+        return False
+    return rel_err(got, values[e.target]) <= VALIDATION_TOL

@@ -218,25 +218,6 @@ def coincident(a: Coord, b: Coord) -> bool:
     return near_zero(sub(a[0], b[0]), scale) and near_zero(sub(a[1], b[1]), scale)
 
 
-def triangle_angles(a: Coord, b: Coord, c: Coord) -> Optional[tuple[float, float, float]]:
-    """Interior angles at a, b, c in radians, or None when degenerate."""
-    fa = (as_float(a[0]), as_float(a[1]))
-    fb = (as_float(b[0]), as_float(b[1]))
-    fc = (as_float(c[0]), as_float(c[1]))
-    area2 = abs((fb[0] - fa[0]) * (fc[1] - fa[1]) - (fb[1] - fa[1]) * (fc[0] - fa[0]))
-    if area2 < 1e-12:
-        return None
-
-    def angle(p, q, r):
-        ux, uy = q[0] - p[0], q[1] - p[1]
-        vx, vy = r[0] - p[0], r[1] - p[1]
-        nu, nv = math.hypot(ux, uy), math.hypot(vx, vy)
-        cosv = (ux * vx + uy * vy) / (nu * nv)
-        return math.acos(max(-1.0, min(1.0, cosv)))
-
-    return (angle(fa, fb, fc), angle(fb, fc, fa), angle(fc, fa, fb))
-
-
 # ---------------------------------------------------------------------------
 # build
 
@@ -345,19 +326,16 @@ def _order_param_dims(model: dsl.HypothesisModel,
 # evaluation
 
 
-_EVAL_MEMO: "WeakKeyDictionary[Scene, dict[ParamAssignment, Evaluation]]" = WeakKeyDictionary()
+# the last evaluation per scene: callers evaluate a sample right after
+# sample_params has, and every discovery rule evaluates the same witness
+_LAST_EVAL: "WeakKeyDictionary[Scene, tuple[ParamAssignment, Evaluation]]" = WeakKeyDictionary()
 
 
 def evaluate(scene: Scene, a: ParamAssignment) -> Evaluation:
-    per_scene = _EVAL_MEMO.setdefault(scene, {})
-    hit = per_scene.get(a)
-    if hit is not None:
-        return hit
-    ev = _evaluate(scene, a)
-    if len(per_scene) > 4096:
-        per_scene.clear()
-    per_scene[a] = ev
-    return ev
+    last = _LAST_EVAL.get(scene)
+    if last is None or last[0] != a:
+        last = _LAST_EVAL[scene] = (a, _evaluate(scene, a))
+    return last[1]
 
 
 def _evaluate(scene: Scene, a: ParamAssignment) -> Evaluation:

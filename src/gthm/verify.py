@@ -284,12 +284,8 @@ def verdict(model, scene_: sc.Scene, graph: Optional[DerivationGraph],
                 schedule=tuple(schedule))
         reports.append(report)
 
-    checked = [cross_check(r, tol) for r in reports]
-    claim_ok = [r.claim_residual <= tol for r in reports]
-    refuting = [r for r, c in zip(reports, checked)
-                if c and r.claim_residual >= REFUTE_MARGIN * tol]
-
-    if all(checked) and all(claim_ok):
+    failure = _failure(reports, tol)
+    if failure is None:
         cert = _certificate(model, scene_, schedule, num_samples, rng_range)
         if cert.kind == "exact-identity":
             reason = (f"claim holds exactly at {num_samples} rational "
@@ -300,25 +296,42 @@ def verdict(model, scene_: sc.Scene, graph: Optional[DerivationGraph],
         return Verdict(status=STATUS_PROVED, samples=tuple(reports),
                        reason=reason, schedule=tuple(schedule),
                        certificate=cert)
+    status, reason = failure
+    return Verdict(status=status, samples=tuple(reports), reason=reason,
+                   schedule=tuple(schedule))
+
+
+def _failure(reports: list[SampleReport], tol: float
+             ) -> Optional[tuple[str, str]]:
+    """REFUTED or INCONCLUSIVE, with the reason, when some sample fails
+    the cross-check or the claim; None when every sample passes."""
+    checked = [cross_check(r, tol) for r in reports]
+    claim_ok = [r.claim_residual <= tol for r in reports]
+    if all(checked) and all(claim_ok):
+        return None
+    refuting = [r for r, c in zip(reports, checked)
+                if c and r.claim_residual >= REFUTE_MARGIN * tol]
     if refuting:
         worst = max(refuting, key=lambda r: r.claim_residual)
-        return Verdict(
-            status=STATUS_REFUTED, samples=tuple(reports),
-            reason=(f"claim fails with relative residual "
-                    f"{worst.claim_residual:.6g} at sample {worst.index} "
-                    f"(threshold {REFUTE_MARGIN * tol:g})"),
-            schedule=tuple(schedule))
+        return STATUS_REFUTED, (
+            f"claim fails with relative residual "
+            f"{worst.claim_residual:.6g} at sample {worst.index} "
+            f"(threshold {REFUTE_MARGIN * tol:g})")
     if not all(checked):
         bad = checked.index(False)
-        reason = (f"schedule disagrees with coordinates at sample {bad} "
-                  f"(max node residual {reports[bad].max_node_residual:.6g})")
-    else:
-        bad = claim_ok.index(False)
-        reason = (f"claim residual {reports[bad].claim_residual:.6g} at "
-                  f"sample {bad} exceeds tolerance without reaching the "
-                  f"refutation margin")
-    return Verdict(status=STATUS_INCONCLUSIVE, samples=tuple(reports),
-                   reason=reason, schedule=tuple(schedule))
+        return STATUS_INCONCLUSIVE, (
+            f"schedule disagrees with coordinates at sample {bad} "
+            f"(max node residual {reports[bad].max_node_residual:.6g})")
+    bad = claim_ok.index(False)
+    return STATUS_INCONCLUSIVE, (
+        f"claim residual {reports[bad].claim_residual:.6g} at sample {bad} "
+        f"exceeds tolerance without reaching the refutation margin")
+
+
+def degenerate_verdict(err: sc.DegenerateModel) -> Verdict:
+    """The INCONCLUSIVE verdict of a figure the sampler cannot draw."""
+    return Verdict(status=STATUS_INCONCLUSIVE, samples=(),
+                   reason=f"degenerate hypotheses: {err}")
 
 
 def oracle_verdict(model, scene_: sc.Scene, num_samples: int = 100,
@@ -344,26 +357,13 @@ def oracle_verdict(model, scene_: sc.Scene, num_samples: int = 100,
             node_values=dict(values), oracle_values=dict(values),
             max_node_residual=0.0, claim_lhs=lhs_val, claim_rhs=rhs_val,
             claim_residual=worst))
-    claim_ok = [r.claim_residual <= tol for r in reports]
-    if all(claim_ok):
+    failure = _failure(reports, tol)
+    if failure is None:
         return Verdict(status=STATUS_PROVED, samples=tuple(reports),
                        reason=(f"claim holds at {num_samples} coordinate "
                                f"samples (oracle only, no derivation)"))
-    refuting = [r for r in reports
-                if r.claim_residual >= REFUTE_MARGIN * tol]
-    if refuting:
-        worst_r = max(refuting, key=lambda r: r.claim_residual)
-        return Verdict(
-            status=STATUS_REFUTED, samples=tuple(reports),
-            reason=(f"claim fails with relative residual "
-                    f"{worst_r.claim_residual:.6g} at sample "
-                    f"{worst_r.index} (threshold {REFUTE_MARGIN * tol:g})"))
-    bad = claim_ok.index(False)
-    return Verdict(
-        status=STATUS_INCONCLUSIVE, samples=tuple(reports),
-        reason=(f"claim residual {reports[bad].claim_residual:.6g} at "
-                f"sample {bad} exceeds tolerance without reaching the "
-                f"refutation margin"))
+    status, reason = failure
+    return Verdict(status=status, samples=tuple(reports), reason=reason)
 
 
 def verdict_summary(v: Verdict) -> dict:

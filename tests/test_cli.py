@@ -220,7 +220,8 @@ def test_bad_env_seed_is_an_input_error(capsys, monkeypatch):
                                    ("--max-nodes", "0"),
                                    ("--range", "5:1"),
                                    ("--range", "0:4"),
-                                   ("--range", "nonsense")])
+                                   ("--range", "nonsense"),
+                                   ("--max-pairs", "1000000")])  # retired
 def test_invalid_flag_values_exit_three(capsys, flags):
     code, out, err = run(capsys, "prove", fx("parallelogram.gthm"), *flags)
     assert code == 3

@@ -5,13 +5,15 @@ every coordinate is a small rational: O=(0,0), A=(4,0), E=(1,0),
 B=(1,2), C=(5,2), D=(5/2,1), F=(5/2,0), G=(5,0).
 """
 
+import itertools
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gthm import dsl, rules, scene as sc
+from gthm import dsl, prove_text, rules, scene as sc
 from gthm.exactnum import as_float, rel_err
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -264,13 +266,90 @@ def test_edge_cap_truncates_prefix(para):
     assert any("truncated" in r for r in report)
 
 
-def test_pair_cap_reports():
-    model, scn = load("imo2012.gthm")
-    a = fixed(a=1, h=2, q="1/2")
-    report = []
-    rules.similar_triangles_rule(model, scn, a, rules.Caps(max_pairs=5),
-                                 report=report)
-    assert any("5" in r for r in report)
+# --- similar triangles against a brute-force reference ----------------------
+
+# the parallelogram fixture plus five feet and meets: 13 points, 286
+# triangles, 40,755 triangle pairs
+THIRTEEN_AUX = (
+    "aux point P1 = foot(B, through(O,C))",
+    "aux point P2 = foot(A, through(O,C))",
+    "aux point P3 = foot(E, through(A,B))",
+    "aux point P4 = meet(through(E,C), through(O,B))",
+    "aux point P5 = foot(D, through(O,B))",
+)
+
+
+def thirteen_points(aux=THIRTEEN_AUX):
+    lines = (FIXTURES / "parallelogram.gthm").read_text().splitlines()
+    claim = [ln for ln in lines if ln.startswith("claim")]
+    body = [ln for ln in lines if not ln.startswith("claim")]
+    return "\n".join(body + list(aux) + claim) + "\n"
+
+
+def brute_force_similar(model, scn, a):
+    """Every triangle pair under every vertex correspondence, emitted in
+    scan order; sides are compared by squared length, exactly when all
+    six are rational."""
+    coords = sc.evaluate(scn, a).points
+    names = list(coords)
+
+    def sq(p, q):
+        return sc.sq_norm(sc.vsub(coords[p], coords[q]))
+
+    tris = []
+    for t in itertools.combinations(names, 3):
+        ab, ac, bc = sq(t[0], t[1]), sq(t[0], t[2]), sq(t[1], t[2])
+        # Heron: 16 area^2 = (ab + ac + bc)^2 - 2 (ab^2 + ac^2 + bc^2)
+        if all(isinstance(s, F) for s in (ab, ac, bc)):
+            flat = (ab + ac + bc) ** 2 == 2 * (ab * ab + ac * ac + bc * bc)
+        else:
+            x, y, z = (as_float(s) for s in (ab, ac, bc))
+            flat = abs((x + y + z) ** 2 - 2 * (x * x + y * y + z * z)) <= \
+                1e-9 * max(x, y, z) ** 2
+        if not flat:
+            tris.append((t, (bc, ac, ab)))
+    out = []
+    for (t1, s1), (t2, s2) in itertools.combinations(tris, 2):
+        exact = all(isinstance(s, F) for s in s1 + s2)
+        for perm in itertools.permutations(range(3)):
+            lhs = [s1[i] * s2[perm[0]] if exact else as_float(s1[i]) * as_float(s2[perm[0]])
+                   for i in range(3)]
+            rhs = [s1[0] * s2[perm[i]] if exact else as_float(s1[0]) * as_float(s2[perm[i]])
+                   for i in range(3)]
+            if exact and lhs == rhs or not exact and all(
+                    math.isclose(u, v, rel_tol=1e-9) for u, v in zip(lhs, rhs)):
+                out.extend(rules._similarity_edges(t1, t2, perm))
+    return [e for e in out if e is not None]
+
+
+def similar_fixture(name):
+    if name == "para":
+        model, scn = load("parallelogram.gthm")
+        return model, scn, fixed(x=4, y=1, z=2)
+    if name == "imo":  # rational triangles similar to radical ones
+        model, scn = load("imo2012.gthm")
+        return model, scn, fixed(a=1, h=2, q="1/2")
+    model = dsl.validate(dsl.parse(thirteen_points(), "p13"), "p13")
+    scn = sc.build_scene(model)
+    return model, scn, sc.sample_params(scn, 42)
+
+
+@pytest.mark.parametrize("figure", ["para", "imo", "thirteen"])
+def test_similar_triangles_match_brute_force(figure):
+    model, scn, a = similar_fixture(figure)
+    got = rules.similar_triangles_rule(model, scn, a)
+    want = brute_force_similar(model, scn, a)
+    assert got
+    assert {(e.sources, e.target, e.recipe, e.subpriority) for e in got} == \
+        {(e.sources, e.target, e.recipe, e.subpriority) for e in want}
+    assert rules.finalize(got) == rules.finalize(want)
+
+
+@pytest.mark.parametrize("aux", [THIRTEEN_AUX, THIRTEEN_AUX[::-1]],
+                         ids=["declared", "reversed"])
+def test_thirteen_point_parallelogram_proved_at_defaults(aux):
+    result = prove_text(thirteen_points(aux), "p13")
+    assert result.verdict.status == "PROVED"
 
 
 def test_validate_edges_keeps_sound_and_drops_special_case(para):
