@@ -163,12 +163,9 @@ def div(a: Scalar, b: Scalar) -> Scalar:
 
 
 def exact_eq(a: Scalar, b: Scalar) -> bool:
-    """True iff both values are exact and provably equal."""
-    if not (is_exact(a) and is_exact(b)):
-        return False
-    sa = 1 if isinstance(a, Rad) else (0 if a == 0 else (1 if a > 0 else -1))
-    sb = 1 if isinstance(b, Rad) else (0 if b == 0 else (1 if b > 0 else -1))
-    return sa == sb and square(a) == square(b)
+    """True iff both values are exact and provably equal.  A ``Rad`` is
+    irrational, so it never equals a ``Fraction``."""
+    return is_exact(a) and is_exact(b) and a == b
 
 
 def rel_err(a: Scalar, b: Scalar) -> float:

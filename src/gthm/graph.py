@@ -71,11 +71,11 @@ def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
                   ) -> DerivationGraph:
     """Forward closure from the parameters, kept even when a goal is
     unreachable so the partial graph can be inspected; a goal it never
-    reaches is listed in `pending`.  Edges are validated at samples
-    drawn from `rng_range`."""
+    reaches is listed in `pending`.  An edge is validated, at samples
+    drawn from `rng_range`, in the ring that first reaches it; one that
+    fails is never tried again."""
     reports: list[str] = []
     pool = discover(model, scene_, witness, caps, report=reports)
-    pool = validate_edges(pool, model, scene_, seed, rng_range)
 
     params = tuple(length(*pair) for _, pair in scene_.param_dims)
     goals = goal_dims(model)
@@ -87,23 +87,20 @@ def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
 
     param_set = set(params)
     known: set[Dim] = set(params)
+    untried = [e for e in pool if e.target not in param_set]
     admitted: list[Hyperedge] = []
-    admitted_keys: set = set()
     capped = False
     while True:
         # strict BFS ring: only edges sourced entirely in earlier rings
         # fire now, so node indices reflect hop distance from the params
-        ring_sources = set(known)
+        reached: list[Hyperedge] = []
+        rest: list[Hyperedge] = []
+        for e in untried:
+            (reached if known.issuperset(e.sources) else rest).append(e)
+        untried = rest
         progress = False
-        for e in pool:
-            if capped:
-                break
-            if e.key() in admitted_keys or e.target in param_set:
-                continue
-            if not all(s in ring_sources for s in e.sources):
-                continue
+        for e in validate_edges(reached, model, scene_, seed, rng_range):
             admitted.append(e)
-            admitted_keys.add(e.key())
             progress = True
             if e.target not in known:
                 if e.target not in nodes:

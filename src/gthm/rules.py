@@ -5,7 +5,8 @@ Each rule inspects the witness coordinates for a geometric relation
 cuts), and emits hyperedges: a set of source dimensions from which one
 target dimension can be computed by a fixed formula.  Relations are
 detected at a single witness sample; spurious coincidences are culled
-later by replaying every edge at fresh samples (validate_edges).
+when growth first reaches an edge, by replaying it at fresh samples
+(validate_edges).
 
 Positions along the reference axis are always measured from the
 origin point; feet are declared points, never invented ones.
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
+from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from . import dsl, scene as sc
 from .exactnum import Scalar, add, as_float, div, mul, rel_err, sqrt_scalar, sub
@@ -31,8 +33,12 @@ class NumericFailure(Exception):
 # dimensions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dim:
+    """A dimension of the figure.  Built only by length, composite and
+    make_ratio, which intern it: equal dims are one object, so they
+    compare and hash by identity."""
+
     kind: str  # "length" | "ratio" | "composite"
     points: tuple[str, str] = ()
     num: Optional["Dim"] = None
@@ -51,27 +57,28 @@ class Dim:
     def __repr__(self) -> str:
         return f"Dim({self.display})"
 
-    def __hash__(self) -> int:
-        # the generated hash re-walks nested dims on every dict and set
-        # lookup, which dominated edge validation; same value, computed once
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.kind, self.points, self.num, self.den, self.far, self.near))
-            object.__setattr__(self, "_hash", h)
-        return h
+
+_DIMS: "WeakValueDictionary[tuple, Dim]" = WeakValueDictionary()
+
+
+def _intern(kind: str, points: tuple[str, str] = (), num: Optional[Dim] = None,
+            den: Optional[Dim] = None, far: tuple[str, str] = (),
+            near: tuple[str, str] = ()) -> Dim:
+    key = (kind, points, num, den, far, near)
+    d = _DIMS.get(key)
+    if d is None:
+        d = _DIMS[key] = Dim(kind, points, num, den, far, near)
+    return d
 
 
 def length(p: str, q: str) -> Dim:
     if p == q:
         raise ValueError(f"length needs two distinct points, got {p!r} twice")
-    lo, hi = (p, q) if p < q else (q, p)
-    return Dim(kind="length", points=(lo, hi))
+    return _intern("length", points=(p, q) if p < q else (q, p))
 
 
 def composite(far: tuple[str, str], near: tuple[str, str]) -> Dim:
-    f = tuple(sorted(far))
-    n = tuple(sorted(near))
-    return Dim(kind="composite", far=f, near=n)
+    return _intern("composite", far=tuple(sorted(far)), near=tuple(sorted(near)))
 
 
 def make_ratio(a: Dim, b: Dim) -> tuple[Dim, bool]:
@@ -81,8 +88,8 @@ def make_ratio(a: Dim, b: Dim) -> tuple[Dim, bool]:
     if a.display == b.display:
         raise ValueError("ratio of a dimension with itself")
     if a.display < b.display:
-        return Dim(kind="ratio", num=a, den=b), False
-    return Dim(kind="ratio", num=b, den=a), True
+        return _intern("ratio", num=a, den=b), False
+    return _intern("ratio", num=b, den=a), True
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +800,11 @@ def _with_values(w: _Witness, dims) -> list[tuple[Dim, Scalar]]:
 VALIDATION_SAMPLES = 20
 VALIDATION_TOL = 1e-9
 
+# per scene, the validation samples of the last (seed, range) it was
+# validated at: each evaluation with the dimension values computed there
+_SAMPLES: "WeakKeyDictionary[sc.Scene, tuple[tuple, list]]" = WeakKeyDictionary()
+_FAILED = object()  # the dimension has no value at that sample
+
 
 def validate_edges(edges: list[Hyperedge], model: dsl.HypothesisModel,
                    scene_: sc.Scene, seed: int,
@@ -801,27 +813,53 @@ def validate_edges(edges: list[Hyperedge], model: dsl.HypothesisModel,
     """Replay every edge at fresh samples drawn from `rng_range` and
     drop any whose formula fails to reproduce the oracle value of its
     target; this is what catches relations that only held by
-    coincidence at the witness.  Each sample is evaluated right after
-    it is drawn and each dimension once per sample."""
+    coincidence at the witness.  The samples are drawn once per scene,
+    seed and range, and each dimension is valued once per sample, so
+    validating a pool piece by piece costs no more than all at once."""
     kept = list(edges)
-    for j in range(VALIDATION_SAMPLES):
-        ev = sc.evaluate(scene_, sc.sample_params(scene_, seed * 7919 + j, rng_range))
-        values: dict[Dim, Scalar] = {}
-        for d in {d for e in kept for d in (e.target, *e.sources)}:
-            try:
-                values[d] = sc._dim_value(ev, d)
-            except (sc.GeometryError, ZeroDivisionError):
-                pass  # every edge that needs this value fails here
-        kept = [e for e in kept if _replays(e, values)]
+    for ev, values in _validation_samples(scene_, seed, rng_range):
+        kept = [e for e in kept if _replays(e, ev, values)]
     return kept
 
 
-def _replays(e: Hyperedge, values: dict[Dim, Scalar]) -> bool:
+def _validation_samples(scene_: sc.Scene, seed: int,
+                        rng_range: tuple[Fraction, Fraction]) -> list:
+    key = (seed, rng_range)
+    last = _SAMPLES.get(scene_)
+    if last is None or last[0] != key:
+        samples = [(sc.evaluate(scene_, sc.sample_params(scene_, seed * 7919 + j,
+                                                         rng_range)), {})
+                   for j in range(VALIDATION_SAMPLES)]
+        last = _SAMPLES[scene_] = (key, samples)
+    return last[1]
+
+
+def _sample_value(ev: sc.Evaluation, values: dict, d: Dim):
+    """The oracle value of d at the sample, or _FAILED; computed once
+    per sample, a ratio from its numerator's and denominator's."""
+    v = values.get(d)
+    if v is None:
+        try:
+            if d.kind == "ratio":
+                num = _sample_value(ev, values, d.num)
+                den = _sample_value(ev, values, d.den)
+                v = _FAILED if num is _FAILED or den is _FAILED else div(num, den)
+            else:
+                v = sc._dim_value(ev, d)
+        except (sc.GeometryError, ZeroDivisionError):
+            v = _FAILED  # every edge that needs this value fails here
+        values[d] = v
+    return v
+
+
+def _replays(e: Hyperedge, ev: sc.Evaluation, values: dict) -> bool:
     """Does the edge reproduce its target's value from its sources'?"""
-    if not all(d in values for d in (e.target, *e.sources)):
+    target = _sample_value(ev, values, e.target)
+    sources = {d: _sample_value(ev, values, d) for d in e.sources}
+    if target is _FAILED or any(v is _FAILED for v in sources.values()):
         return False
     try:
-        got = apply_edge(e, {d: values[d] for d in e.sources})
+        got = apply_edge(e, sources)
     except (NumericFailure, sc.GeometryError, ZeroDivisionError):
         return False
-    return rel_err(got, values[e.target]) <= VALIDATION_TOL
+    return rel_err(got, target) <= VALIDATION_TOL

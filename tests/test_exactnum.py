@@ -103,3 +103,37 @@ def test_rad_products_stay_exact(p, q):
     prod = ex.mul(a, b)
     assert ex.is_exact(prod)
     assert ex.square(prod) == p * q
+
+
+def exact_eq_reference(a, b):
+    """The square-and-sign definition exact_eq had before it compared
+    the values directly."""
+    if not (ex.is_exact(a) and ex.is_exact(b)):
+        return False
+    sa = 1 if isinstance(a, Rad) else (0 if a == 0 else (1 if a > 0 else -1))
+    sb = 1 if isinstance(b, Rad) else (0 if b == 0 else (1 if b > 0 else -1))
+    return sa == sb and ex.square(a) == ex.square(b)
+
+
+scalars = st.one_of(
+    rationals,  # zero and negatives included
+    pos_rationals.map(ex.sqrt_exact),  # a Rad unless the radicand is square
+    st.floats(min_value=-50, max_value=50, allow_nan=False))
+
+
+def _partner(a, how):
+    """A value equal to a, its negation, or its square, rebuilt apart."""
+    if how == "negated":
+        return ex.mul(a, Fraction(-1))
+    if how == "squared":
+        return ex.square(a)
+    if isinstance(a, Rad):
+        return ex.sqrt_exact(Fraction(a.radicand))
+    return Fraction(a) if isinstance(a, Fraction) else float(a)
+
+
+@given(scalars, scalars, st.sampled_from(["other", "equal", "negated", "squared"]))
+def test_exact_eq_matches_square_and_sign_reference(a, other, how):
+    b = other if how == "other" else _partner(a, how)
+    assert ex.exact_eq(a, b) == exact_eq_reference(a, b)
+    assert ex.exact_eq(b, a) == exact_eq_reference(b, a)

@@ -127,6 +127,112 @@ def test_node_cap_stops_growth():
     assert any("cap" in r for r in g.reports)
 
 
+# --- admission-time validation ------------------------------------------------
+
+
+def grow_reference(model, scn, witness, seed=42, caps=rules.DEFAULT_CAPS):
+    """Validate the whole discovered pool, then grow by plain BFS rings:
+    each ring admits, in pool order, every edge sourced in earlier rings."""
+    reports = []
+    pool = rules.discover(model, scn, witness, caps, report=reports)
+    pool = rules.validate_edges(pool, model, scn, seed)
+    params = [rules.length(*pair) for _, pair in scn.param_dims]
+    goals = gr.goal_dims(model)
+    nodes = {d: gr.Node(dim=d, index=i, is_param=True, is_goal=d in goals)
+             for i, d in enumerate(params)}
+    known, edges = set(params), []
+    while True:
+        ring = set(known)
+        fired = [e for e in pool if e not in edges and e.target not in params
+                 and all(s in ring for s in e.sources)]
+        for e in fired:
+            edges.append(e)
+            if e.target not in nodes:
+                if len(nodes) >= caps.max_nodes:
+                    reports.append(
+                        f"node admission stopped at the {caps.max_nodes} cap")
+                    return nodes, edges, known, reports
+                nodes[e.target] = gr.Node(dim=e.target, index=len(nodes),
+                                          is_goal=e.target in goals)
+            known.add(e.target)
+        if not fired or all(g in known for g in goals):
+            return nodes, edges, known, reports
+
+
+def thirteen_points():
+    """The 13-point parallelogram of tests/test_rules.py."""
+    lines = (FIXTURES / "parallelogram.gthm").read_text().splitlines()
+    aux = ["aux point P1 = foot(B, through(O,C))",
+           "aux point P2 = foot(A, through(O,C))",
+           "aux point P3 = foot(E, through(A,B))",
+           "aux point P4 = meet(through(E,C), through(O,B))",
+           "aux point P5 = foot(D, through(O,B))"]
+    return "\n".join([ln for ln in lines if not ln.startswith("claim")] + aux
+                     + [ln for ln in lines if ln.startswith("claim")]) + "\n"
+
+
+def figure(name):
+    """Model, a scene and a witness; each call builds a fresh scene."""
+    if name == "thirteen":
+        model = dsl.validate(dsl.parse(thirteen_points(), "p13"), "p13")
+        scn = sc.build_scene(model)
+        return model, scn, sc.sample_params(scn, 42)
+    model, scn = load(f"{name.split('-')[0]}.gthm")
+    if name.startswith("parallelogram"):
+        # x=4, y=1, z=2 carries coincidences that validation must drop
+        return model, scn, sc.ParamAssignment(
+            (("x", Fraction(4)), ("y", Fraction(1)), ("z", Fraction(2))))
+    return model, scn, sc.sample_params(scn, 42)
+
+
+@pytest.mark.parametrize("name", ["parallelogram", "parallelogram-capped",
+                                  "imo2012", "thirteen"])
+def test_admission_time_validation_matches_validate_then_grow(name):
+    caps = rules.Caps(max_nodes=8) if name.endswith("capped") else rules.DEFAULT_CAPS
+    model, scn, witness = figure(name)
+    # the reference gets a scene of its own, so it shares no samples
+    nodes, edges, known, reports = grow_reference(*figure(name), caps=caps)
+    g = gr.grow_detailed(model, scn, witness, caps=caps, seed=42)
+    assert edges
+    assert bool(reports) == name.endswith("capped")
+    assert g.edges == edges
+    assert g.reports == reports
+    assert g.pending == tuple(d for d in g.goals if d not in known)
+    assert {d: n for d, n in g.nodes.items() if d not in g.pending} == nodes
+    if name.startswith("parallelogram"):
+        pool = rules.discover(model, scn, witness)
+        bogus = [e for e in pool if e.rule == "pythagoras"
+                 and e.target.display == "BG"
+                 and sorted(s.display for s in e.sources) == ["BO", "GO"]]
+        assert bogus and bogus[0] not in g.edges
+
+
+def test_growth_validates_each_reached_edge_once(monkeypatch):
+    model, scn = load("parallelogram.gthm")
+    witness = sc.sample_params(scn, 42)
+    pool = rules.discover(model, scn, witness)
+    passed, calls, draws = [], [], []
+    real_validate, real_sample = gr.validate_edges, sc.sample_params
+
+    def spy_validate(edges, *args, **kwargs):
+        calls.append(len(edges))
+        passed.extend(edges)
+        return real_validate(edges, *args, **kwargs)
+
+    def spy_sample(*args, **kwargs):
+        draws.append(args)
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(gr, "validate_edges", spy_validate)
+    monkeypatch.setattr(sc, "sample_params", spy_sample)
+    g = gr.grow_detailed(model, scn, witness, seed=42)
+    assert not g.pending
+    assert len(calls) > 1  # one call per ring
+    assert len({e.key() for e in passed}) == len(passed)
+    assert len(passed) < len(pool)
+    assert len(draws) == rules.VALIDATION_SAMPLES
+
+
 # --- determinism and DOT ------------------------------------------------------
 
 

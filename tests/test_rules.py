@@ -5,6 +5,7 @@ every coordinate is a small rational: O=(0,0), A=(4,0), E=(1,0),
 B=(1,2), C=(5,2), D=(5/2,1), F=(5/2,0), G=(5,0).
 """
 
+import ast
 import itertools
 import math
 from fractions import Fraction as F
@@ -80,6 +81,52 @@ def test_composite_sorts_into_numerator():
     r, inv = rules.make_ratio(rules.length("D", "F"), comp)
     assert r.num == comp and inv is True
     assert r.display == "(AO-FO)/DF"
+
+
+def test_dims_are_interned():
+    assert rules.length("A", "B") is rules.length("B", "A")
+    ag, cg = rules.length("A", "G"), rules.length("C", "G")
+    assert rules.make_ratio(ag, cg)[0] is rules.make_ratio(cg, ag)[0]
+    comp = rules.composite(("O", "A"), ("O", "F"))
+    assert comp is rules.composite(("A", "O"), ("F", "O"))
+    assert rules.make_ratio(rules.length("D", "F"), comp)[0] is \
+        rules.make_ratio(comp, rules.length("F", "D"))[0]
+
+
+def test_edge_key_is_the_same_for_dims_built_apart():
+    def edge():
+        ae = rules.length("A", "E")
+        return rules.Hyperedge(sources=(ae,), target=rules.length("C", "G"),
+                               rule="parallel-transfer", justification="",
+                               recipe=("copy", ae))
+    e1, e2 = edge(), edge()
+    assert e1.key() == (frozenset(e1.sources), e1.target, e1.rule)
+    assert e1.key() == e2.key() and hash(e1.key()) == hash(e2.key())
+    assert e1 == e2
+
+
+def test_dims_are_built_only_by_the_interning_factories():
+    """Identity equality holds only if every Dim comes from _intern, and
+    _intern is reached only through length, composite and make_ratio."""
+    src = Path(rules.__file__).parent
+    callers = {"Dim": set(), "_intern": set()}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                        and node.func.id in callers:
+                    callers[node.func.id].add((path.name, fn.name))
+        top_level = [n for n in tree.body if not isinstance(
+            n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        assert not any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                       and c.func.id in callers
+                       for n in top_level for c in ast.walk(n)), path.name
+    assert callers["Dim"] == {("rules.py", "_intern")}
+    assert callers["_intern"] == {("rules.py", f)
+                                  for f in ("length", "composite", "make_ratio")}
 
 
 # --- individual rules at the frozen parallelogram ---------------------------
