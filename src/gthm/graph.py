@@ -11,6 +11,7 @@ the smallest-labeled in-edge that is fully sourced at that moment.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -129,30 +130,41 @@ def topo_order(graph: DerivationGraph) -> Optional[list[ScheduleStep]]:
     """Schedule every derivable node, or None when some goal the graph
     claims reachable cannot be covered.  Parameters come first in
     declaration order, then the hyperedge sweep described in the
-    module docstring."""
-    scheduled: set[Dim] = set()
-    steps: list[ScheduleStep] = []
-    for d in graph.param_dims:
-        steps.append(ScheduleStep(dim=d, edge=None))
-        scheduled.add(d)
+    module docstring, kept linear by a count of unscheduled sources per
+    edge and a heap of the ready nodes."""
+    steps = [ScheduleStep(dim=d, edge=None) for d in graph.param_dims]
+    scheduled = {s.dim for s in steps}
 
-    in_edges: dict[Dim, list[Hyperedge]] = {}
-    for e in graph.edges:
-        in_edges.setdefault(e.target, []).append(e)
+    in_edges: dict[Dim, list[tuple[int, Hyperedge]]] = {}
+    waiting: dict[Dim, list[int]] = {}  # source -> edges that still need it
+    missing: list[int] = []  # per edge, its sources not yet scheduled
+    ready: list[tuple[int, str, Dim]] = []
+    queued: set[Dim] = set()
 
-    remaining = {d for d in in_edges if d not in scheduled}
-    while remaining:
-        ready = [d for d in remaining
-                 if any(all(s in scheduled for s in e.sources) for e in in_edges[d])]
-        if not ready:
-            break
-        nxt = min(ready, key=lambda d: (graph.nodes[d].index, d.display))
-        sourced = [e for e in in_edges[nxt]
-                   if all(s in scheduled for s in e.sources)]
+    def reach(d: Dim) -> None:
+        if d not in scheduled and d not in queued:
+            queued.add(d)
+            heapq.heappush(ready, (graph.nodes[d].index, d.display, d))
+
+    for pos, e in enumerate(graph.edges):
+        in_edges.setdefault(e.target, []).append((pos, e))
+        unscheduled = [s for s in e.sources if s not in scheduled]
+        for s in unscheduled:
+            waiting.setdefault(s, []).append(pos)
+        missing.append(len(unscheduled))
+        if not unscheduled:
+            reach(e.target)
+
+    while ready:
+        nxt = heapq.heappop(ready)[2]
+        sourced = [e for pos, e in in_edges[nxt] if not missing[pos]]
         chosen = min(sourced, key=lambda e: e.group)
         steps.append(ScheduleStep(dim=nxt, edge=chosen))
         scheduled.add(nxt)
-        remaining.discard(nxt)
+        for pos in waiting.get(nxt, ()):
+            missing[pos] -= 1
+            if not missing[pos]:
+                reach(graph.edges[pos].target)
     if any(g not in scheduled for g in graph.goals if g not in graph.pending):
         return None
     return steps

@@ -225,7 +225,7 @@ class _Witness:
         return 1 if as_float(d) > 0 else -1
 
     def value(self, dim: Dim) -> Scalar:
-        return sc._dim_value(self.ev, dim)
+        return sc.dim_value(self.ev, dim)
 
 
 def _chain_triples(w: _Witness) -> list[tuple[str, str, str]]:
@@ -801,9 +801,8 @@ VALIDATION_SAMPLES = 20
 VALIDATION_TOL = 1e-9
 
 # per scene, the validation samples of the last (seed, range) it was
-# validated at: each evaluation with the dimension values computed there
+# validated at; each evaluation memoizes the dimension values met there
 _SAMPLES: "WeakKeyDictionary[sc.Scene, tuple[tuple, list]]" = WeakKeyDictionary()
-_FAILED = object()  # the dimension has no value at that sample
 
 
 def validate_edges(edges: list[Hyperedge], model: dsl.HypothesisModel,
@@ -817,8 +816,8 @@ def validate_edges(edges: list[Hyperedge], model: dsl.HypothesisModel,
     seed and range, and each dimension is valued once per sample, so
     validating a pool piece by piece costs no more than all at once."""
     kept = list(edges)
-    for ev, values in _validation_samples(scene_, seed, rng_range):
-        kept = [e for e in kept if _replays(e, ev, values)]
+    for ev in _validation_samples(scene_, seed, rng_range):
+        kept = [e for e in kept if _replays(e, ev)]
     return kept
 
 
@@ -827,38 +826,18 @@ def _validation_samples(scene_: sc.Scene, seed: int,
     key = (seed, rng_range)
     last = _SAMPLES.get(scene_)
     if last is None or last[0] != key:
-        samples = [(sc.evaluate(scene_, sc.sample_params(scene_, seed * 7919 + j,
-                                                         rng_range)), {})
+        samples = [sc.evaluate(scene_, sc.sample_params(scene_, seed * 7919 + j,
+                                                        rng_range))
                    for j in range(VALIDATION_SAMPLES)]
         last = _SAMPLES[scene_] = (key, samples)
     return last[1]
 
 
-def _sample_value(ev: sc.Evaluation, values: dict, d: Dim):
-    """The oracle value of d at the sample, or _FAILED; computed once
-    per sample, a ratio from its numerator's and denominator's."""
-    v = values.get(d)
-    if v is None:
-        try:
-            if d.kind == "ratio":
-                num = _sample_value(ev, values, d.num)
-                den = _sample_value(ev, values, d.den)
-                v = _FAILED if num is _FAILED or den is _FAILED else div(num, den)
-            else:
-                v = sc._dim_value(ev, d)
-        except (sc.GeometryError, ZeroDivisionError):
-            v = _FAILED  # every edge that needs this value fails here
-        values[d] = v
-    return v
-
-
-def _replays(e: Hyperedge, ev: sc.Evaluation, values: dict) -> bool:
+def _replays(e: Hyperedge, ev: sc.Evaluation) -> bool:
     """Does the edge reproduce its target's value from its sources'?"""
-    target = _sample_value(ev, values, e.target)
-    sources = {d: _sample_value(ev, values, d) for d in e.sources}
-    if target is _FAILED or any(v is _FAILED for v in sources.values()):
-        return False
     try:
+        target = sc.dim_value(ev, e.target)
+        sources = {d: sc.dim_value(ev, d) for d in e.sources}
         got = apply_edge(e, sources)
     except (NumericFailure, sc.GeometryError, ZeroDivisionError):
         return False

@@ -14,12 +14,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 from weakref import WeakKeyDictionary
 
 from . import dsl
-from .exactnum import (Scalar, add, as_float, div, exact_eq, is_exact, mul,
-                       sqrt_scalar, sub)
+from .exactnum import (Scalar, add, as_float, div, is_exact, mul, sqrt_scalar,
+                       sub)
 
 Coord = tuple[Scalar, Scalar]
 
@@ -69,12 +69,6 @@ class ParamAssignment:
     def values(self) -> dict[str, Fraction]:
         return dict(self.items)
 
-    def __getitem__(self, name: str) -> Fraction:
-        for key, val in self.items:
-            if key == name:
-                return val
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class Line:
@@ -103,19 +97,29 @@ class Scene:
 
 
 class Evaluation:
-    """Coordinates and carrier lines under one assignment."""
+    """Coordinates and carrier lines under one assignment.
+
+    Evaluation records every line it meets, with its label; the
+    deduplicated `carriers` are built only when read.  Dimension values
+    are memoized here by `dim_value`, so each is computed once per
+    evaluation."""
 
     def __init__(self) -> None:
         self.points: dict[str, Coord] = {}
         self.named_lines: dict[str, Line] = {}
-        self.carriers: list[tuple[str, Line]] = []  # deduplicated, with labels
+        self.lines: list[tuple[str, Line]] = []  # in encounter order
+        self.values: dict = {}  # dim or point pair -> value, by dim_value
         self._inline_counter = 0
 
-    def add_carrier(self, label: str, line: Line) -> None:
-        for _, have in self.carriers:
-            if _same_carrier(have, line):
-                return
-        self.carriers.append((label, line))
+    @property
+    def carriers(self) -> list[tuple[str, Line]]:
+        """The distinct carrier lines in encounter order; of lines with
+        one carrier, the first met keeps its label."""
+        out: list[tuple[str, Line]] = []
+        for label, line in self.lines:
+            if not any(_same_carrier(have, line) for _, have in out):
+                out.append((label, line))
+        return out
 
     def next_inline_label(self) -> str:
         self._inline_counter += 1
@@ -349,7 +353,7 @@ def _evaluate(scene: Scene, a: ParamAssignment) -> Evaluation:
             ev.named_lines[stmt.name] = line
         else:
             ev.points[stmt.name] = _eval_point(stmt, ev, params, model)
-    # carriers appearing only inside point expressions were collected
+    # lines appearing only inside point expressions were collected
     # during evaluation; order is deterministic (plan order, then
     # encounter order within a statement)
     return ev
@@ -393,7 +397,7 @@ def _eval_line_arg(arg: dsl.LineArg, ev: Evaluation, params: dict[str, Fraction]
         assert isinstance(arg, dsl.ThroughParallel)
         base = _eval_line_arg(arg.base, ev, params)
         line = Line(ev.points[arg.p], base.direction)
-    ev.add_carrier(label if label is not None else ev.next_inline_label(), line)
+    ev.lines.append((label if label is not None else ev.next_inline_label(), line))
     return line
 
 
@@ -569,63 +573,45 @@ def sample_params(scene: Scene, seed: int,
         f"no valid assignment in {retry_cap} draws; last failure: {last_err}")
 
 
-def oracle_dimension(scene: Scene, a: ParamAssignment, dim) -> Scalar:
-    """Evaluate a dimension expression straight from coordinates.
+_NO_VALUE = object()  # memo entry of a ratio whose denominator is zero
+
+
+def dim_value(ev: Evaluation, dim) -> Scalar:
+    """The value of a dimension, straight from the coordinates of ev.
 
     Dimensions are dispatched structurally on their `kind` field:
     length (a point pair), ratio (two sub-dimensions), or composite
-    (difference of two collinear lengths from a shared endpoint).
+    (difference of two collinear lengths from a shared endpoint).  Each
+    value is computed once per evaluation and memoized on it, a ratio
+    from its numerator's and denominator's memoized values; a ratio
+    with a zero denominator raises DivisionByZero at every call.
     """
-    ev = evaluate(scene, a)
-    return _dim_value(ev, dim)
-
-
-def _dim_value(ev: Evaluation, dim) -> Scalar:
     kind = dim.kind
     if kind == "length":
-        p, q = dim.points
-        return distance(ev.points[p], ev.points[q])
-    if kind == "ratio":
-        num = _dim_value(ev, dim.num)
-        den = _dim_value(ev, dim.den)
-        try:
-            return div(num, den)
-        except ZeroDivisionError:
-            raise DivisionByZero(f"zero denominator in {dim.display}") from None
-    if kind == "composite":
-        far = distance(ev.points[dim.far[0]], ev.points[dim.far[1]])
-        near = distance(ev.points[dim.near[0]], ev.points[dim.near[1]])
-        return sub(far, near)
-    raise AssertionError(f"unhandled dimension kind {kind!r}")
+        return _length(ev, dim.points)
+    memo = ev.values
+    v = memo.get(dim)
+    if v is None:
+        if kind == "ratio":
+            num = dim_value(ev, dim.num)
+            den = dim_value(ev, dim.den)
+            try:
+                v = div(num, den)
+            except ZeroDivisionError:
+                v = _NO_VALUE
+        elif kind == "composite":
+            v = sub(_length(ev, dim.far), _length(ev, dim.near))
+        else:
+            raise AssertionError(f"unhandled dimension kind {kind!r}")
+        memo[dim] = v
+    if v is _NO_VALUE:
+        raise DivisionByZero(f"zero denominator in {dim.display}")
+    return v
 
 
-# ---------------------------------------------------------------------------
-# JSON debugging view
-
-
-def scene_json(scene: Scene, a: Optional[ParamAssignment] = None) -> dict:
-    steps = []
-    for step in scene.plan:
-        entry = {"name": step.name, "kind": step.kind, "radical": step.radical}
-        steps.append(entry)
-    out = {
-        "params": list(scene.model.params),
-        "plan": steps,
-        "parameter_dimensions": [
-            {"param": p, "segment": list(pair)} for p, pair in scene.param_dims],
-    }
-    if a is not None:
-        ev = evaluate(scene, a)
-        out["assignment"] = {k: str(v) for k, v in a.items}
-        out["coordinates"] = {
-            name: [_scalar_json(c[0]), _scalar_json(c[1])]
-            for name, c in ev.points.items()}
-    return out
-
-
-def _scalar_json(s: Scalar) -> Union[str, float]:
-    if isinstance(s, Fraction):
-        return str(s)
-    if is_exact(s):
-        return repr(s)
-    return float(s)
+def _length(ev: Evaluation, pair: tuple[str, str]) -> Scalar:
+    """The distance between a pair of points, memoized by the pair."""
+    v = ev.values.get(pair)
+    if v is None:
+        v = ev.values[pair] = distance(ev.points[pair[0]], ev.points[pair[1]])
+    return v

@@ -156,7 +156,7 @@ def _sample_report(model, scene_, graph, schedule, assignment,
                    index: int, seed: int, redraws: int) -> SampleReport:
     values = execute_schedule(graph, schedule, assignment, scene_)
     ev = sc.evaluate(scene_, assignment)
-    oracle = {dim: sc._dim_value(ev, dim) for dim in values}
+    oracle = {dim: sc.dim_value(ev, dim) for dim in values}
     max_resid = 0.0
     for dim, v in values.items():
         max_resid = max(max_resid, rel_err(v, oracle[dim]))
@@ -350,7 +350,7 @@ def oracle_verdict(model, scene_: sc.Scene, num_samples: int = 100,
         s_seed = seed * _SAMPLE_STRIDE + i
         assignment = sc.sample_params(scene_, s_seed, rng_range)
         ev = sc.evaluate(scene_, assignment)
-        values = {d: sc._dim_value(ev, d) for d in goal_dims(model)}
+        values = {d: sc.dim_value(ev, d) for d in goal_dims(model)}
         lhs_val, rhs_val, worst = _claim_check(model, values)
         reports.append(SampleReport(
             index=i, seed=s_seed, assignment=assignment,

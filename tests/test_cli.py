@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, flags, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -270,3 +271,31 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PROVED" in proc.stdout
+
+
+_EVERY_PROOF = """\
+import sys
+from gthm import cli
+for name in sys.argv[1:]:
+    for emit in ("text", "dot"):
+        print(cli.main(["prove", name, "--emit", emit]), flush=True)
+"""
+
+
+def test_output_bytes_independent_of_hash_seed():
+    # dims hash by identity, so a set or dict of dims iterated without
+    # sorting would make the output depend on the hash seed
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _EVERY_PROOF, fx("parallelogram.gthm"),
+             fx("imo2012.gthm")], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"digraph derivation") == 2
+    assert outs[0].count(b"... PROVED") == 2

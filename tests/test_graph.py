@@ -233,6 +233,49 @@ def test_growth_validates_each_reached_edge_once(monkeypatch):
     assert len(draws) == rules.VALIDATION_SAMPLES
 
 
+def topo_reference(graph):
+    """The quadratic sweep: at each step rescan every unscheduled node
+    for a fully sourced in-edge, pop the lowest (index, name), and
+    commit to its lowest-group fully sourced in-edge."""
+    scheduled = set(graph.param_dims)
+    steps = [gr.ScheduleStep(d, None) for d in graph.param_dims]
+    in_edges = {}
+    for e in graph.edges:
+        in_edges.setdefault(e.target, []).append(e)
+    remaining = {d for d in in_edges if d not in scheduled}
+    while remaining:
+        ready = [d for d in remaining
+                 if any(scheduled.issuperset(e.sources) for e in in_edges[d])]
+        if not ready:
+            break
+        nxt = min(ready, key=lambda d: (graph.nodes[d].index, d.display))
+        sourced = [e for e in in_edges[nxt] if scheduled.issuperset(e.sources)]
+        steps.append(gr.ScheduleStep(nxt, min(sourced, key=lambda e: e.group)))
+        scheduled.add(nxt)
+        remaining.discard(nxt)
+    if any(g not in scheduled for g in graph.goals if g not in graph.pending):
+        return None
+    return steps
+
+
+@pytest.mark.parametrize("seed", [42, 1, 2])
+@pytest.mark.parametrize("name", ["parallelogram", "parallelogram_bd",
+                                  "parallelogram_bad", "imo2012",
+                                  "unreachable", "thirteen"])
+def test_topo_order_matches_quadratic_sweep(name, seed):
+    if name == "thirteen":
+        model = dsl.validate(dsl.parse(thirteen_points(), "p13"), "p13")
+        scn = sc.build_scene(model)
+    else:
+        model, scn = load(f"{name}.gthm")
+    g = gr.grow_detailed(model, scn, sc.sample_params(scn, seed), seed=seed)
+    got, want = gr.topo_order(g), topo_reference(g)
+    assert got is not None and want is not None
+    assert [s.dim for s in got] == [s.dim for s in want]
+    assert [s.edge for s in got] == [s.edge for s in want]
+    assert len(got) > len(g.param_dims)
+
+
 # --- determinism and DOT ------------------------------------------------------
 
 

@@ -176,7 +176,8 @@ def test_pythagoras_edges(para):
     assert e is not None
     got = rules.apply_edge(e, {rules.length("D", "F"): F(1),
                                rules.length("F", "O"): F(5, 2)})
-    assert rel_err(got, sc.oracle_dimension(scn, a, rules.length("D", "O"))) == 0.0
+    want = sc.dim_value(sc.evaluate(scn, a), rules.length("D", "O"))
+    assert rel_err(got, want) == 0.0
     leg = has_edge(pool, ["DO", "FO"], "DF", "pythagoras")
     assert leg is not None
 
@@ -188,7 +189,7 @@ def test_distance_formula_edge(para):
     vals = {rules.length("G", "O"): F(5), rules.length("F", "O"): F(5, 2),
             rules.length("C", "G"): F(2), rules.length("D", "F"): F(1)}
     got = rules.apply_edge(e, vals)
-    want = sc.oracle_dimension(scn, a, rules.length("C", "D"))
+    want = sc.dim_value(sc.evaluate(scn, a), rules.length("C", "D"))
     assert rel_err(got, want) == 0.0
 
 
@@ -251,9 +252,9 @@ def test_line_circle_edges(imo):
 def test_line_circle_reproduces_oracle(imo):
     model, scn, a, pool = imo
     e = has_edge(pool, ["AB", "AD", "AX", "BC"], "AN", "line-circle")
-    vals = {d: sc.oracle_dimension(scn, a, d) for d in e.sources}
+    vals = {d: sc.dim_value(sc.evaluate(scn, a), d) for d in e.sources}
     got = rules.apply_edge(e, vals)
-    want = sc.oracle_dimension(scn, a, rules.length("A", "N"))
+    want = sc.dim_value(sc.evaluate(scn, a), rules.length("A", "N"))
     assert rel_err(got, want) <= 1e-12
 
 
@@ -429,6 +430,31 @@ def test_validate_edges_drops_coincidences(para):
     assert kept == []
 
 
+def test_zero_denominator_fails_every_call_and_every_edge_needing_it():
+    ev = sc.Evaluation()
+    ev.points.update(A=(F(0), F(0)), B=(F(1), F(0)), E=(F(0), F(1)),
+                     C=(F(2), F(1)), D=(F(2), F(1)))  # C and D coincide
+    ab, ae = rules.length("A", "B"), rules.length("A", "E")
+    cd = rules.length("C", "D")
+    r, _ = rules.make_ratio(ab, cd)
+    nested, _ = rules.make_ratio(r, ae)
+    assert r.den is cd
+    raised = []
+    for dim in (r, r, nested, r):
+        with pytest.raises(sc.DivisionByZero,
+                           match="zero denominator in AB/CD") as info:
+            sc.dim_value(ev, dim)
+        raised.append(info.value)
+    assert len({id(e) for e in raised}) == len(raised)  # fresh each time
+    sound = rules._edge([ae], ab, "segment-chain", "AB = AE", ("copy", ae))
+    needing = [
+        rules._edge([r], nested, "segment-chain", "from r", ("copy", r)),
+        rules._edge([ab], r, "segment-chain", "onto r", ("copy", ab)),
+        rules._edge([nested], ab, "segment-chain", "from nested", ("copy", nested)),
+    ]
+    assert [e for e in [sound, *needing] if rules._replays(e, ev)] == [sound]
+
+
 def test_recipe_failure_raises_numeric_failure(para):
     model, scn, a, pool = para
     e = has_edge(pool, ["DO", "FO"], "DF", "pythagoras")
@@ -445,6 +471,6 @@ def test_every_edge_reproduces_oracle_at_random_samples(seed):
     pool = rules.discover(model, scn, a)
     ev = sc.evaluate(scn, a)
     for e in pool[:80]:
-        vals = {d: sc._dim_value(ev, d) for d in e.sources}
+        vals = {d: sc.dim_value(ev, d) for d in e.sources}
         got = rules.apply_edge(e, vals)
-        assert rel_err(got, sc._dim_value(ev, e.target)) <= 1e-9
+        assert rel_err(got, sc.dim_value(ev, e.target)) <= 1e-9

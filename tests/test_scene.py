@@ -1,5 +1,8 @@
 """Coordinate oracle checks against hand-computed values."""
 
+import itertools
+import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gthm import dsl, scene as sc
+from gthm import dsl, emit, scene as sc
 from gthm.exactnum import Rad, as_float, exact_eq
+from gthm.rules import length
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -88,25 +92,18 @@ def test_imo_coordinates():
 
 
 def test_oracle_lengths_parallelogram():
-    para = load("parallelogram.gthm")
-
-    class Dim:
-        kind = "length"
-
-        def __init__(self, p, q):
-            self.points = (p, q)
-
-    od = sc.oracle_dimension(para, PARA, Dim("O", "D"))
-    cd = sc.oracle_dimension(para, PARA, Dim("C", "D"))
+    ev = sc.evaluate(load("parallelogram.gthm"), PARA)
+    od = sc.dim_value(ev, length("O", "D"))
+    cd = sc.dim_value(ev, length("C", "D"))
     assert isinstance(od, Rad) and od.radicand == F(29, 4)
     assert exact_eq(od, cd)
-    assert sc.oracle_dimension(para, PARA, Dim("O", "O")) == 0
-    assert sc.oracle_dimension(para, PARA, Dim("C", "G")) == F(2)
-    assert sc.oracle_dimension(para, PARA, Dim("A", "G")) == F(1)
-    assert sc.oracle_dimension(para, PARA, Dim("O", "G")) == F(5)
-    assert sc.oracle_dimension(para, PARA, Dim("A", "E")) == F(3)
-    assert sc.oracle_dimension(para, PARA, Dim("D", "F")) == F(1)
-    assert sc.oracle_dimension(para, PARA, Dim("O", "F")) == F(5, 2)
+    assert sc.distance(ev.points["O"], ev.points["O"]) == 0
+    assert sc.dim_value(ev, length("C", "G")) == F(2)
+    assert sc.dim_value(ev, length("A", "G")) == F(1)
+    assert sc.dim_value(ev, length("O", "G")) == F(5)
+    assert sc.dim_value(ev, length("A", "E")) == F(3)
+    assert sc.dim_value(ev, length("D", "F")) == F(1)
+    assert sc.dim_value(ev, length("O", "F")) == F(5, 2)
 
 
 def test_imo_geometric_mean_exact():
@@ -222,6 +219,71 @@ def test_carriers_deduplicated():
     assert len(labels) == 6  # base, OB, AC-side, BC-side, AB, OC
 
 
+def met_lines(scene, ev):
+    """Every line evaluation meets, with its label, in encounter order,
+    rebuilt from the plan and the evaluated points."""
+    out, inline = [], itertools.count(1)
+
+    def walk(arg, label=None):
+        if isinstance(arg, dsl.LineRef):
+            return ev.named_lines[arg.name]
+        if isinstance(arg, dsl.ThroughParallel):
+            line = sc.Line(ev.points[arg.p], walk(arg.base).direction)
+        else:
+            p = ev.points[arg.p]
+            line = sc.Line(p, sc.vsub(ev.points[arg.q], p))
+        out.append((label if label is not None else f"_l{next(inline)}", line))
+        return line
+
+    for step in scene.plan:
+        payload = step.statement.payload
+        if step.kind == "line":
+            walk(payload, step.name)
+            continue
+        for attr in ("line", "l1", "l2"):  # the order _eval_point reads them
+            if hasattr(payload, attr):
+                walk(getattr(payload, attr))
+    return out
+
+
+def eager_carriers(lines):
+    """Deduplicate as lines are met: a line on a carrier already kept
+    is dropped, so the first label of each carrier wins."""
+    carriers = []
+    for label, line in lines:
+        if not any(sc._same_carrier(have, line) for _, have in carriers):
+            carriers.append((label, line))
+    return carriers
+
+
+def generated(family, k):
+    sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    text = gen.family_member(family, k, True, random.Random(0), nested=True)
+    return sc.build_scene(dsl.validate(dsl.parse(text)))
+
+
+# degenerate.gthm is left out: no assignment evaluates
+@pytest.mark.parametrize("name", ["imo2012", "parallelogram",
+                                  "parallelogram_bad", "parallelogram_bd",
+                                  "unreachable", "parallelogram+9",
+                                  "right_triangle+6"])
+def test_carriers_match_eager_deduplication(name):
+    if "+" in name:
+        family, k = name.split("+")
+        scn = generated(family, int(k))
+    else:
+        scn = load(f"{name}.gthm")
+    for seed in (42, 1):
+        ev = sc.evaluate(scn, sc.sample_params(scn, seed))
+        lines = met_lines(scn, ev)
+        assert ev.lines == lines
+        assert ev.carriers == eager_carriers(lines)
+
+
 def test_unconstructible_guard():
     stmts = dsl.parse(
         "param x\npoint O = origin\npoint A = baseline(O, x)\nclaim len(O,A) = len(O,A)\n")
@@ -234,13 +296,13 @@ def test_unconstructible_guard():
         sc.build_scene(broken)
 
 
-def test_scene_json_shape():
+def test_scene_view_shape():
     para = load("parallelogram.gthm")
-    out = sc.scene_json(para, PARA)
-    assert out["params"] == ["x", "y", "z"]
-    assert [s["name"] for s in out["plan"]][:2] == ["O", "A"]
-    assert out["coordinates"]["D"] == ["5/2", "1"]
-    assert all(s["radical"] is False for s in out["plan"])
+    assert all(para.radical[s.name] is False for s in para.plan)  # lines too
+    text = emit.render_scene(para.model, para, PARA, theorem="parallelogram")
+    assert [ln for ln in text.splitlines() if ln.startswith("param ")] == [
+        "param x = 4", "param y = 1", "param z = 2"]
+    assert "point D = (5/2, 1)" in text
 
 
 @settings(max_examples=60, deadline=None)

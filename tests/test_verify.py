@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gthm import dsl, graph as gr, scene as sc, verify as vf
+from gthm import cli, dsl, graph as gr, scene as sc, verify as vf
 from gthm.exactnum import Rad, as_float, mul, square
 from gthm.rules import NumericFailure, length, make_ratio
 
@@ -128,6 +128,60 @@ def test_sample_report_fields_and_invariants(para):
         assert vf.cross_check(r, float("inf"))
 
 
+def _dim_pairs(dim):
+    """The point pairs whose distances make up a dimension's value."""
+    if dim.kind == "length":
+        return {dim.points}
+    if dim.kind == "composite":
+        return {dim.far, dim.near}
+    return _dim_pairs(dim.num) | _dim_pairs(dim.den)
+
+
+def test_sample_report_measures_each_length_once(monkeypatch, para):
+    model, scn, g, focused = para
+    scheduled = {s.dim for s in focused}
+    # a ratio whose numerator and denominator are scheduled lengths too
+    assert any(d.kind == "ratio" and d.num in scheduled and d.den in scheduled
+               for d in scheduled)
+    assert any(d.kind == "ratio" and d.num.kind == "composite" for d in scheduled)
+    a = sc.sample_params(scn, 123_457)  # a fresh evaluation, nothing memoized
+    ev = sc.evaluate(scn, a)
+    names = {coord: name for name, coord in ev.points.items()}
+    measured = []
+    real = sc.distance
+
+    def spy(p, q):
+        measured.append(frozenset((names[p], names[q])))
+        return real(p, q)
+
+    monkeypatch.setattr(sc, "distance", spy)
+    report = vf._sample_report(model, scn, g, focused, a, 0, 123_457, 0)
+    assert report.max_node_residual == 0.0
+    assert len(measured) == len(set(measured))  # no length measured twice
+    assert set(measured) == {frozenset(p) for d in scheduled
+                             for p in _dim_pairs(d)}
+
+
+def test_oracle_and_verdict_leave_carriers_alone(monkeypatch, capsys, para):
+    model, scn, g, focused = para
+    calls = []
+    real = sc._same_carrier
+
+    def spy(l1, l2):
+        calls.append((l1, l2))
+        return real(l1, l2)
+
+    monkeypatch.setattr(sc, "_same_carrier", spy)
+    for name in ("parallelogram.gthm", "imo2012.gthm"):
+        assert cli.main(["check", str(FIXTURES / name), "--samples", "20"]) == 0
+    capsys.readouterr()
+    v = vf.verdict(model, scn, g, focused, num_samples=20, seed=7)
+    assert v.status == vf.STATUS_PROVED
+    assert calls == []
+    # reading the carriers is what deduplicates them
+    assert sc.evaluate(scn, v.samples[-1].assignment).carriers and calls
+
+
 def test_cross_check_fails_on_a_corrupted_rule(para):
     model, scn, g, focused = para
     be = length("B", "E")
@@ -142,7 +196,7 @@ def test_cross_check_fails_on_a_corrupted_rule(para):
     ev = sc.evaluate(scn, a)
     cg = next(s.dim for s in focused if s.dim.display == "CG")
     assert as_float(vals[cg]) == pytest.approx(
-        2 * as_float(sc._dim_value(ev, cg)))
+        2 * as_float(sc.dim_value(ev, cg)))
 
 
 def test_verdict_inconclusive_when_derivation_disagrees(para):
