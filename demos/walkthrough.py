@@ -67,7 +67,7 @@ print("    " + ", ".join(s.dim.display for s in focused))
 stage("execute the schedule at the worked figure x=4, y=1, z=2")
 a = scene.ParamAssignment((("x", Fraction(4)), ("y", Fraction(1)),
                            ("z", Fraction(2))))
-values = verify.execute_schedule(g, focused, a, scn)
+values = verify.execute_schedule(scn, focused, a)
 for step in focused:
     v = values[step.dim]
     how = "parameter" if step.edge is None else step.edge.rule

@@ -59,7 +59,6 @@ class ProofResult:
 
 def prove_model(model: dsl.HypothesisModel, theorem: Optional[str] = None,
                 *, seed: int = 42, samples: int = 100, tol: float = 1e-9,
-                caps: rules.Caps = rules.DEFAULT_CAPS,
                 rng_range: tuple[Fraction, Fraction] = scene.DEFAULT_RANGE,
                 ) -> ProofResult:
     """Derive and judge the claim of a validated model: sample a
@@ -68,8 +67,8 @@ def prove_model(model: dsl.HypothesisModel, theorem: Optional[str] = None,
     scene_ = scene.build_scene(model)
     try:
         witness = scene.sample_params(scene_, seed, rng_range)
-        g = graph.grow_detailed(model, scene_, witness, caps=caps,
-                                seed=seed, rng_range=rng_range)
+        g = graph.grow_detailed(model, scene_, witness, seed=seed,
+                                rng_range=rng_range)
         full = graph.topo_order(g)
         focused = tuple(graph.focus(g, full)) if full is not None else None
         schedule = focused if not g.pending else None

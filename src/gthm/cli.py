@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Optional
 
 from . import ProofResult, dsl, emit, prove_model, scene as sc, verify as vf
-from .rules import Caps
 
 EXIT_PROVED = 0
 EXIT_REFUTED = 1
@@ -47,7 +46,6 @@ class RunConfig:
     seed: int = 42
     samples: int = 100
     tol: float = 1e-9
-    caps: Caps = Caps()
     emit_format: str = "text"
     rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE
 
@@ -99,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sampling seed (default: $GRAATP_SEED or 42)")
         p.add_argument("--samples", type=int, default=100)
         p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--max-nodes", type=int, default=512)
-        p.add_argument("--max-edges", type=int, default=4096)
         p.add_argument("--emit", default=None,
                        choices=("text", "json", "dot", "scene"))
         p.add_argument("--range", default="1:10", metavar="LO:HI",
@@ -118,12 +114,9 @@ def _config(args) -> RunConfig:
         raise UsageError("--samples must be at least 1")
     if not args.tol > 0:
         raise UsageError("--tol must be positive")
-    if min(args.max_nodes, args.max_edges) < 1:
-        raise UsageError("caps must be positive")
     seed = args.seed if args.seed is not None else _env_seed()
     return RunConfig(input_path=Path(args.input), seed=seed,
                      samples=args.samples, tol=args.tol,
-                     caps=Caps(args.max_nodes, args.max_edges),
                      emit_format=emit_format,
                      rng_range=_parse_range(args.range))
 
@@ -136,7 +129,7 @@ def _load_model(cfg: RunConfig):
 
 def _prove(cfg: RunConfig) -> ProofResult:
     return prove_model(_load_model(cfg), cfg.input_path.stem, seed=cfg.seed,
-                       samples=cfg.samples, tol=cfg.tol, caps=cfg.caps,
+                       samples=cfg.samples, tol=cfg.tol,
                        rng_range=cfg.rng_range)
 
 

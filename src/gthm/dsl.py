@@ -17,6 +17,9 @@ from typing import Optional, Union
 
 MAX_FILE_BYTES = 1 << 20
 MAX_LINE_CHARS = 1000
+# rule discovery is polynomial in the point count; past this many
+# points a file is refused before any figure is built
+MAX_POINTS = 32
 
 
 @dataclass(frozen=True)
@@ -722,6 +725,9 @@ def _validate(stmts: list[Statement]) -> HypothesisModel:
         if s.kind == "param-decl":
             scope.declare(s.name, "param", s.span)
         elif s.kind == "point-construction":
+            if point_count == MAX_POINTS:
+                raise LimitExceeded(
+                    f"point count exceeds the limit of {MAX_POINTS}", s.span)
             pe = s.payload
             assert isinstance(pe, (Origin, Baseline, OnSegment, OffsetPerp, Meet, MeetCircle, Foot))
             _check_point_expr(pe, scope)

@@ -17,8 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import dsl, scene as sc
-from .rules import (Caps, DEFAULT_CAPS, Dim, Hyperedge, discover, length,
-                    validate_edges)
+from .rules import Dim, Hyperedge, discover, length, validate_edges
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class DerivationGraph:
     edges: list[Hyperedge]  # admitted, in label order
     goals: tuple[Dim, ...]
     pending: tuple[Dim, ...]  # goals forward closure never reached
-    reports: list[str] = field(default_factory=list)
+    reports: list[str] = field(default_factory=list)  # nothing writes one yet
 
     @property
     def param_dims(self) -> tuple[Dim, ...]:
@@ -66,8 +65,7 @@ def goal_dims(model: dsl.HypothesisModel) -> tuple[Dim, ...]:
 
 
 def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
-                  witness: sc.ParamAssignment, caps: Caps = DEFAULT_CAPS,
-                  seed: int = 42,
+                  witness: sc.ParamAssignment, seed: int = 42,
                   rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
                   ) -> DerivationGraph:
     """Forward closure from the parameters, kept even when a goal is
@@ -75,8 +73,7 @@ def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
     reaches is listed in `pending`.  An edge is validated, at samples
     drawn from `rng_range`, in the ring that first reaches it; one that
     fails is never tried again."""
-    reports: list[str] = []
-    pool = discover(model, scene_, witness, caps, report=reports)
+    pool = discover(model, scene_, witness)
 
     params = tuple(length(*pair) for _, pair in scene_.param_dims)
     goals = goal_dims(model)
@@ -90,7 +87,6 @@ def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
     known: set[Dim] = set(params)
     untried = [e for e in pool if e.target not in param_set]
     admitted: list[Hyperedge] = []
-    capped = False
     while True:
         # strict BFS ring: only edges sourced entirely in earlier rings
         # fire now, so node indices reflect hop distance from the params
@@ -104,18 +100,12 @@ def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
             admitted.append(e)
             progress = True
             if e.target not in known:
-                if e.target not in nodes:
-                    if len(nodes) >= caps.max_nodes:
-                        reports.append(
-                            f"node admission stopped at the {caps.max_nodes} cap")
-                        capped = True
-                        break
-                    # index records first reach, so goal nodes sort by
-                    # when the closure actually derived them
-                    nodes[e.target] = Node(dim=e.target, index=len(nodes),
-                                           is_goal=e.target in goal_set)
+                # index records first reach, so goal nodes sort by
+                # when the closure actually derived them
+                nodes[e.target] = Node(dim=e.target, index=len(nodes),
+                                       is_goal=e.target in goal_set)
                 known.add(e.target)
-        if capped or not progress or all(g in known for g in goals):
+        if not progress or all(g in known for g in goals):
             break
 
     pending = tuple(g for g in goals if g not in known)
@@ -123,7 +113,7 @@ def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
         if g not in nodes:
             nodes[g] = Node(dim=g, index=len(nodes), is_goal=True)
     return DerivationGraph(model=model, nodes=nodes, edges=admitted,
-                           goals=goals, pending=pending, reports=reports)
+                           goals=goals, pending=pending)
 
 
 def topo_order(graph: DerivationGraph) -> Optional[list[ScheduleStep]]:

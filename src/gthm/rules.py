@@ -122,15 +122,6 @@ PRIORITY = {
 }
 
 
-@dataclass(frozen=True)
-class Caps:
-    max_nodes: int = 512
-    max_edges: int = 4096
-
-
-DEFAULT_CAPS = Caps()
-
-
 def _edge(sources, target, rule, justification, recipe, subpriority=0, bond=None):
     srcs = tuple(sorted(set(sources), key=lambda d: d.display))
     if target in srcs or not srcs:
@@ -749,8 +740,7 @@ def _apply_line_circle(recipe: tuple, v: dict[Dim, Scalar]) -> Scalar:
 
 
 def discover(model: dsl.HypothesisModel, scene_: sc.Scene,
-             witness: sc.ParamAssignment, caps: Caps = DEFAULT_CAPS,
-             report: Optional[list] = None) -> list[Hyperedge]:
+             witness: sc.ParamAssignment) -> list[Hyperedge]:
     """Union of all rule outputs, deduplicated and deterministically
     ordered, with group labels assigned.
 
@@ -769,13 +759,7 @@ def discover(model: dsl.HypothesisModel, scene_: sc.Scene,
     pool.extend(ratio_solve_rule(_with_values(w, _dims_of_kind(pool, "ratio")),
                                  _with_values(w, _dims_of_kind(pool, "length"))))
 
-    ordered = finalize(pool)
-    if len(ordered) > caps.max_edges:
-        if report is not None:
-            report.append(
-                f"edge list truncated from {len(ordered)} to {caps.max_edges}")
-        ordered = ordered[:caps.max_edges]
-    return ordered
+    return finalize(pool)
 
 
 def _dims_of_kind(edges: list[Hyperedge], kind: str) -> list[Dim]:

@@ -83,10 +83,8 @@ class Verdict:
     certificate: Optional[Certificate] = None
 
 
-def execute_schedule(graph: DerivationGraph,
-                     schedule: list[ScheduleStep],
-                     assignment: sc.ParamAssignment,
-                     scene_: Optional[sc.Scene] = None) -> dict[Dim, Scalar]:
+def execute_schedule(scene_: sc.Scene, schedule: list[ScheduleStep],
+                     assignment: sc.ParamAssignment) -> dict[Dim, Scalar]:
     """Run the schedule under one assignment, without the oracle.
 
     Parameter steps read their value from the assignment; every other
@@ -94,8 +92,6 @@ def execute_schedule(graph: DerivationGraph,
     values.  Raises NumericFailure when a recipe cannot produce a value
     (division by zero, negative leg, no usable intersection root).
     """
-    if scene_ is None:
-        scene_ = sc.build_scene(graph.model)
     by_name = dict(assignment.items)
     param_value = {length(p, q): by_name[name]
                    for name, (p, q) in scene_.param_dims}
@@ -152,9 +148,9 @@ def _claim_check(model, values: dict[Dim, Scalar]
     return lhs_val, rhs_val, worst
 
 
-def _sample_report(model, scene_, graph, schedule, assignment,
+def _sample_report(model, scene_, schedule, assignment,
                    index: int, seed: int, redraws: int) -> SampleReport:
-    values = execute_schedule(graph, schedule, assignment, scene_)
+    values = execute_schedule(scene_, schedule, assignment)
     ev = sc.evaluate(scene_, assignment)
     oracle = {dim: sc.dim_value(ev, dim) for dim in values}
     max_resid = 0.0
@@ -271,8 +267,8 @@ def verdict(model, scene_: sc.Scene, graph: Optional[DerivationGraph],
             s_seed = seed * _SAMPLE_STRIDE + i + attempt * _REDRAW_STRIDE
             assignment = sc.sample_params(scene_, s_seed, rng_range)
             try:
-                report = _sample_report(model, scene_, graph, schedule,
-                                        assignment, i, s_seed, attempt)
+                report = _sample_report(model, scene_, schedule, assignment,
+                                        i, s_seed, attempt)
             except NumericFailure:
                 continue
             break

@@ -207,8 +207,8 @@ def test_08_scaling_parameters_scales_lengths_and_fixes_ratios(para, imo):
             k = ks[i % len(ks)]
             scaled = sc.ParamAssignment(
                 tuple((n, val * k) for n, val in base.items))
-            v1 = vf.execute_schedule(g, focused, base, scn)
-            v2 = vf.execute_schedule(g, focused, scaled, scn)
+            v1 = vf.execute_schedule(scn, focused, base)
+            v2 = vf.execute_schedule(scn, focused, scaled)
             for dim, val in v1.items():
                 want = val if dim.kind == "ratio" else mul(k, val)
                 got = as_float(v2[dim])

@@ -119,22 +119,13 @@ def test_edge_validation_samples_from_the_run_range(monkeypatch):
     assert all(lo <= v <= hi for a in draws for _, v in a.items)
 
 
-def test_node_cap_stops_growth():
-    model, scn = load("parallelogram.gthm")
-    witness = sc.sample_params(scn, 42)
-    g = gr.grow_detailed(model, scn, witness, caps=rules.Caps(max_nodes=8))
-    assert len(g.nodes) <= 8 + len(g.pending)
-    assert any("cap" in r for r in g.reports)
-
-
 # --- admission-time validation ------------------------------------------------
 
 
-def grow_reference(model, scn, witness, seed=42, caps=rules.DEFAULT_CAPS):
+def grow_reference(model, scn, witness, seed=42):
     """Validate the whole discovered pool, then grow by plain BFS rings:
     each ring admits, in pool order, every edge sourced in earlier rings."""
-    reports = []
-    pool = rules.discover(model, scn, witness, caps, report=reports)
+    pool = rules.discover(model, scn, witness)
     pool = rules.validate_edges(pool, model, scn, seed)
     params = [rules.length(*pair) for _, pair in scn.param_dims]
     goals = gr.goal_dims(model)
@@ -148,15 +139,11 @@ def grow_reference(model, scn, witness, seed=42, caps=rules.DEFAULT_CAPS):
         for e in fired:
             edges.append(e)
             if e.target not in nodes:
-                if len(nodes) >= caps.max_nodes:
-                    reports.append(
-                        f"node admission stopped at the {caps.max_nodes} cap")
-                    return nodes, edges, known, reports
                 nodes[e.target] = gr.Node(dim=e.target, index=len(nodes),
                                           is_goal=e.target in goals)
             known.add(e.target)
         if not fired or all(g in known for g in goals):
-            return nodes, edges, known, reports
+            return nodes, edges, known
 
 
 def thirteen_points():
@@ -177,29 +164,26 @@ def figure(name):
         model = dsl.validate(dsl.parse(thirteen_points(), "p13"), "p13")
         scn = sc.build_scene(model)
         return model, scn, sc.sample_params(scn, 42)
-    model, scn = load(f"{name.split('-')[0]}.gthm")
-    if name.startswith("parallelogram"):
+    model, scn = load(f"{name}.gthm")
+    if name == "parallelogram":
         # x=4, y=1, z=2 carries coincidences that validation must drop
         return model, scn, sc.ParamAssignment(
             (("x", Fraction(4)), ("y", Fraction(1)), ("z", Fraction(2))))
     return model, scn, sc.sample_params(scn, 42)
 
 
-@pytest.mark.parametrize("name", ["parallelogram", "parallelogram-capped",
-                                  "imo2012", "thirteen"])
+@pytest.mark.parametrize("name", ["parallelogram", "imo2012", "thirteen"])
 def test_admission_time_validation_matches_validate_then_grow(name):
-    caps = rules.Caps(max_nodes=8) if name.endswith("capped") else rules.DEFAULT_CAPS
     model, scn, witness = figure(name)
     # the reference gets a scene of its own, so it shares no samples
-    nodes, edges, known, reports = grow_reference(*figure(name), caps=caps)
-    g = gr.grow_detailed(model, scn, witness, caps=caps, seed=42)
+    nodes, edges, known = grow_reference(*figure(name))
+    g = gr.grow_detailed(model, scn, witness, seed=42)
     assert edges
-    assert bool(reports) == name.endswith("capped")
     assert g.edges == edges
-    assert g.reports == reports
+    assert g.reports == []
     assert g.pending == tuple(d for d in g.goals if d not in known)
     assert {d: n for d, n in g.nodes.items() if d not in g.pending} == nodes
-    if name.startswith("parallelogram"):
+    if name == "parallelogram":
         pool = rules.discover(model, scn, witness)
         bogus = [e for e in pool if e.rule == "pythagoras"
                  and e.target.display == "BG"

@@ -306,14 +306,6 @@ def test_no_self_loops(para):
     assert all(e.target not in e.sources for e in pool)
 
 
-def test_edge_cap_truncates_prefix(para):
-    model, scn, a, pool = para
-    report = []
-    small = rules.discover(model, scn, a, rules.Caps(max_edges=50), report=report)
-    assert small == pool[:50]
-    assert any("truncated" in r for r in report)
-
-
 # --- similar triangles against a brute-force reference ----------------------
 
 # the parallelogram fixture plus five feet and meets: 13 points, 286

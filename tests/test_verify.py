@@ -54,7 +54,7 @@ def by_display(values):
 
 def test_execute_parallelogram_worked_figure(para):
     model, scn, g, focused = para
-    vals = by_display(vf.execute_schedule(g, focused, assign(x=4, y=1, z=2), scn))
+    vals = by_display(vf.execute_schedule(scn, focused, assign(x=4, y=1, z=2)))
     assert vals["CG"] == 2
     assert vals["AG/CG"] == Fraction(1, 2)
     assert vals["AG"] == 1
@@ -71,15 +71,8 @@ def test_execute_parallelogram_worked_figure(para):
 
 def test_execute_covers_every_scheduled_node(para):
     model, scn, g, focused = para
-    vals = vf.execute_schedule(g, focused, assign(x=4, y=1, z=2), scn)
+    vals = vf.execute_schedule(scn, focused, assign(x=4, y=1, z=2))
     assert set(vals) == {s.dim for s in focused}
-
-
-def test_execute_rebuilds_scene_when_not_given(para):
-    model, scn, g, focused = para
-    a = assign(x=4, y=1, z=2)
-    assert vf.execute_schedule(g, focused, a) == vf.execute_schedule(
-        g, focused, a, scn)
 
 
 def test_execute_propagates_numeric_failure(para):
@@ -91,7 +84,7 @@ def test_execute_propagates_numeric_failure(para):
     broken[-1] = gr.ScheduleStep(
         last.dim, dataclasses.replace(last.edge, recipe=("sub", ao, go)))
     with pytest.raises(NumericFailure):
-        vf.execute_schedule(g, broken, assign(x=4, y=1, z=2), scn)
+        vf.execute_schedule(scn, broken, assign(x=4, y=1, z=2))
 
 
 @settings(max_examples=25, deadline=None)
@@ -101,8 +94,8 @@ def test_execute_is_homogeneous_of_degree_one(para, k):
     model, scn, g, focused = para
     base = assign(x=4, y=1, z=2)
     scaled = sc.ParamAssignment(tuple((n, v * k) for n, v in base.items))
-    v1 = vf.execute_schedule(g, focused, base, scn)
-    v2 = vf.execute_schedule(g, focused, scaled, scn)
+    v1 = vf.execute_schedule(scn, focused, base)
+    v2 = vf.execute_schedule(scn, focused, scaled)
     for dim, v in v1.items():
         if dim.kind == "ratio":
             want = v
@@ -155,7 +148,7 @@ def test_sample_report_measures_each_length_once(monkeypatch, para):
         return real(p, q)
 
     monkeypatch.setattr(sc, "distance", spy)
-    report = vf._sample_report(model, scn, g, focused, a, 0, 123_457, 0)
+    report = vf._sample_report(model, scn, focused, a, 0, 123_457, 0)
     assert report.max_node_residual == 0.0
     assert len(measured) == len(set(measured))  # no length measured twice
     assert set(measured) == {frozenset(p) for d in scheduled
@@ -192,7 +185,7 @@ def test_cross_check_fails_on_a_corrupted_rule(para):
     broken[idx] = gr.ScheduleStep(
         step.dim, dataclasses.replace(step.edge, recipe=("add", be, be)))
     a = sc.sample_params(scn, 99)
-    vals = vf.execute_schedule(g, broken, a, scn)
+    vals = vf.execute_schedule(scn, broken, a)
     ev = sc.evaluate(scn, a)
     cg = next(s.dim for s in focused if s.dim.display == "CG")
     assert as_float(vals[cg]) == pytest.approx(
