@@ -74,7 +74,7 @@ for step in focused:
     print(f"    {step.dim.display:>12} = {str(v):>10}   ({how})")
 
 stage("verdict over 100 random figures")
-v = verify.verdict(model, scn, g, focused, num_samples=100, seed=42)
+v = verify.verdict(model, scn, focused, num_samples=100, seed=42)
 print(f"status       {v.status}")
 print(f"reason       {v.reason}")
 print(f"certificate  {v.certificate.note}")

@@ -72,7 +72,7 @@ def prove_model(model: dsl.HypothesisModel, theorem: Optional[str] = None,
         full = graph.topo_order(g)
         focused = tuple(graph.focus(g, full)) if full is not None else None
         schedule = focused if not g.pending else None
-        v = verify.verdict(model, scene_, g, schedule, num_samples=samples,
+        v = verify.verdict(model, scene_, schedule, num_samples=samples,
                            seed=seed, tol=tol, rng_range=rng_range)
     except scene.DegenerateModel as err:
         witness = g = focused = schedule = None

@@ -6,6 +6,13 @@ a length between rational points), and ``float`` once a computation
 leaves that tower.  Arithmetic degrades to float silently; equality and
 residuals stay exact whenever both operands are exact, which is what
 lets a rational-coordinate theorem close with residual exactly zero.
+
+The operations dispatch on the operand types.  Two floats take a fast
+path first, which computes exactly what the general formula does.
+``sqrt_exact`` and ``Rad`` equality compare integer numerators and
+denominators rather than going through ``Fraction``'s rich comparison.
+Construction steps on all-rational coordinates do not use these
+operations at all: they run on the integer kernel in ``scene``.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ class Rad:
         return f"Rad({self.radicand})"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Rad) and self.radicand == other.radicand
+        return (isinstance(other, Rad) and self.radicand.as_integer_ratio()
+                == other.radicand.as_integer_ratio())
 
     def __hash__(self) -> int:
         return hash(("Rad", self.radicand))
@@ -44,25 +52,19 @@ class Rad:
 Scalar = Union[Fraction, Rad, float]
 
 
-def _perfect_sqrt(q: Fraction) -> Fraction | None:
-    # math.isqrt is exact on arbitrary ints; a rational is square iff
-    # numerator and denominator both are.
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def sqrt_exact(q: Fraction) -> Scalar:
     """Square root of a nonnegative rational, exact when possible."""
-    if q < 0:
+    n, d = q.as_integer_ratio()
+    if n < 0:
         raise ValueError(f"square root of negative rational {q}")
-    if q == 0:
+    if n == 0:
         return Fraction(0)
-    root = _perfect_sqrt(q)
-    if root is not None:
-        return root
+    # math.isqrt is exact on arbitrary ints; a rational in lowest terms
+    # is square iff numerator and denominator both are
+    rn = math.isqrt(n)
+    rd = math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
     return Rad(q)
 
 
@@ -71,6 +73,8 @@ def is_exact(v: Scalar) -> bool:
 
 
 def as_float(v: Scalar) -> float:
+    if type(v) is float:
+        return v
     if isinstance(v, Fraction):
         return float(v)
     if isinstance(v, Rad):
@@ -98,6 +102,8 @@ def sqrt_scalar(v: Scalar) -> Scalar:
 
 
 def add(a: Scalar, b: Scalar) -> Scalar:
+    if type(a) is float and type(b) is float:
+        return a + b
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
     if isinstance(a, Rad) and isinstance(b, Rad):
@@ -112,6 +118,8 @@ def add(a: Scalar, b: Scalar) -> Scalar:
 
 
 def sub(a: Scalar, b: Scalar) -> Scalar:
+    if type(a) is float and type(b) is float:
+        return a - b
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a - b
     if isinstance(a, Rad) and isinstance(b, Rad):
@@ -124,6 +132,8 @@ def sub(a: Scalar, b: Scalar) -> Scalar:
 
 
 def mul(a: Scalar, b: Scalar) -> Scalar:
+    if type(a) is float and type(b) is float:
+        return a * b
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
     if isinstance(a, Rad) and isinstance(b, Rad):
@@ -140,6 +150,10 @@ def mul(a: Scalar, b: Scalar) -> Scalar:
 
 
 def div(a: Scalar, b: Scalar) -> Scalar:
+    if type(a) is float and type(b) is float:
+        if b == 0.0:
+            raise ZeroDivisionError("division by zero")
+        return a / b
     if isinstance(b, Fraction) and b == 0:
         raise ZeroDivisionError("division by exact zero")
     if isinstance(a, Fraction) and isinstance(b, Fraction):

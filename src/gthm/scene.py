@@ -2,10 +2,19 @@
 
 A Scene fixes the evaluation plan for a validated model.  Given a
 parameter assignment it computes coordinates for every point, keeping
-exact rationals wherever the construction never passes through a
-line-circle intersection, and it can evaluate any dimension expression
-directly from coordinates.  Everything downstream (rule discovery,
-schedule execution, the verdict) checks itself against this module.
+exact rationals wherever the construction never passes through an
+irrational line-circle intersection, and it can evaluate any dimension
+expression directly from coordinates.  Everything downstream (rule
+discovery, schedule execution, the verdict) checks itself against this
+module.
+
+Each construction step, distance and predicate chooses its arithmetic
+from the types of the coordinates it reads.  When all of them are
+Fractions it runs on an integer kernel: integer numerators over a
+common denominator, exact integer zero tests for degeneracy, and one
+Fraction built per coordinate it stores.  When one of them is a Rad or
+a float, it runs on the Scalar arithmetic of `exactnum`.  Both paths
+give the same value of the same type and fail with the same error.
 """
 
 from __future__ import annotations
@@ -18,8 +27,8 @@ from typing import Optional
 from weakref import WeakKeyDictionary
 
 from . import dsl
-from .exactnum import (Scalar, add, as_float, div, is_exact, mul, sqrt_scalar,
-                       sub)
+from .exactnum import (Rad, Scalar, add, as_float, div, is_exact, mul, square,
+                       sqrt_scalar, sub)
 
 Coord = tuple[Scalar, Scalar]
 
@@ -127,6 +136,48 @@ class Evaluation:
 
 
 # ---------------------------------------------------------------------------
+# the integer kernel
+#
+# A step whose coordinates are all Fractions runs on integers: each
+# point or vector it reads becomes (x, y, w) with value (x/w, y/w) and
+# w > 0, degeneracy is an exact zero test on an integer, and the step
+# builds one Fraction per coordinate it stores.  Fractions are
+# canonical, so the result equals the Scalar path's in value and type;
+# a step that reads a Rad or a float takes the Scalar path.
+
+
+def _rational(p: Coord) -> bool:
+    return type(p[0]) is Fraction and type(p[1]) is Fraction
+
+
+def _hom(p: Coord) -> tuple[int, int, int]:
+    """Integers (x, y, w), w > 0, with p = (x/w, y/w); p is rational."""
+    xn, xd = p[0].as_integer_ratio()
+    yn, yd = p[1].as_integer_ratio()
+    if xd == yd:
+        return xn, yn, xd
+    return xn * yd, yn * xd, xd * yd
+
+
+def _hom_sub(p: tuple[int, int, int], q: tuple[int, int, int]
+             ) -> tuple[int, int, int]:
+    """p - q in the (x, y, w) form."""
+    px, py, pw = p
+    qx, qy, qw = q
+    if pw == qw:
+        return px - qx, py - qy, pw
+    return px * qw - qx * pw, py * qw - qy * pw, pw * qw
+
+
+def _along(a: tuple[int, int, int], num: int, den: int, ux: int, uy: int
+           ) -> Coord:
+    """The point a + (num/den) (ux, uy), den != 0, as two Fractions."""
+    ax, ay, aw = a
+    w = aw * den
+    return Fraction(ax * den + num * ux * aw, w), Fraction(ay * den + num * uy * aw, w)
+
+
+# ---------------------------------------------------------------------------
 # scalar/vector helpers shared with rule discovery
 
 
@@ -138,6 +189,14 @@ def near_zero(value: Scalar, scale: Scalar) -> bool:
         return False  # an irrational radical is never zero
     s = abs(as_float(scale))
     return abs(as_float(value)) <= PRED_TOL * max(s, 1.0)
+
+
+def _near_zero_across(value: Scalar, u: Coord, v: Coord) -> bool:
+    """near_zero of a product of u and v, relative to both vectors'
+    float scales; the scales are computed only for an inexact value."""
+    if is_exact(value):
+        return near_zero(value, 1.0)
+    return near_zero(value, _vec_scale(u) * _vec_scale(v))
 
 
 def scalar_positive(value: Scalar) -> bool:
@@ -171,6 +230,13 @@ def sq_norm(v: Coord) -> Scalar:
 
 
 def distance(a: Coord, b: Coord) -> Scalar:
+    if _rational(a) and _rational(b):
+        x, y, w = _hom_sub(_hom(a), _hom(b))
+        s = x * x + y * y
+        r = math.isqrt(s)
+        if r * r == s:
+            return Fraction(r, w)
+        return Rad(Fraction(s, w * w))  # sqrt(s) is irrational
     return sqrt_scalar(sq_norm(vsub(a, b)))
 
 
@@ -179,12 +245,13 @@ def _vec_scale(v: Coord) -> Scalar:
 
 
 def points_collinear(a: Coord, b: Coord, c: Coord) -> bool:
+    if _rational(a) and _rational(b) and _rational(c):
+        ha = _hom(a)
+        ux, uy, _ = _hom_sub(_hom(b), ha)
+        vx, vy, _ = _hom_sub(_hom(c), ha)
+        return ux * vy == uy * vx
     u, v = vsub(b, a), vsub(c, a)
-    return near_zero(cross(u, v), mul_float(_vec_scale(u), _vec_scale(v)))
-
-
-def mul_float(a: float, b: float) -> float:
-    return a * b
+    return _near_zero_across(cross(u, v), u, v)
 
 
 def strictly_between(a: Coord, m: Coord, b: Coord) -> bool:
@@ -199,18 +266,30 @@ def strictly_between(a: Coord, m: Coord, b: Coord) -> bool:
 
 
 def perpendicular(u: Coord, v: Coord) -> bool:
-    return near_zero(dot(u, v), mul_float(_vec_scale(u), _vec_scale(v)))
+    if _rational(u) and _rational(v):
+        ux, uy, _ = _hom(u)
+        vx, vy, _ = _hom(v)
+        return ux * vx + uy * vy == 0
+    return _near_zero_across(dot(u, v), u, v)
 
 
 def lines_parallel(l1: Line, l2: Line) -> bool:
-    return near_zero(cross(l1.direction, l2.direction),
-                     mul_float(_vec_scale(l1.direction), _vec_scale(l2.direction)))
+    u, v = l1.direction, l2.direction
+    if _rational(u) and _rational(v):
+        ux, uy, _ = _hom(u)
+        vx, vy, _ = _hom(v)
+        return ux * vy == uy * vx
+    return _near_zero_across(cross(u, v), u, v)
 
 
 def on_line(p: Coord, l: Line) -> bool:
-    u = vsub(p, l.anchor)
-    return near_zero(cross(u, l.direction),
-                     mul_float(max(_vec_scale(u), 1.0), _vec_scale(l.direction)))
+    a, v = l.anchor, l.direction
+    if _rational(p) and _rational(a) and _rational(v):
+        ux, uy, _ = _hom_sub(_hom(p), _hom(a))
+        vx, vy, _ = _hom(v)
+        return ux * vy == uy * vx
+    u = vsub(p, a)
+    return _near_zero_across(cross(u, v), u, v)
 
 
 def _same_carrier(l1: Line, l2: Line) -> bool:
@@ -218,8 +297,14 @@ def _same_carrier(l1: Line, l2: Line) -> bool:
 
 
 def coincident(a: Coord, b: Coord) -> bool:
+    if _rational(a) and _rational(b):
+        return (a[0].as_integer_ratio() == b[0].as_integer_ratio()
+                and a[1].as_integer_ratio() == b[1].as_integer_ratio())
+    dx, dy = sub(a[0], b[0]), sub(a[1], b[1])
+    if is_exact(dx) and is_exact(dy):
+        return near_zero(dx, 1.0) and near_zero(dy, 1.0)
     scale = max(_vec_scale(a), _vec_scale(b))
-    return near_zero(sub(a[0], b[0]), scale) and near_zero(sub(a[1], b[1]), scale)
+    return near_zero(dx, scale) and near_zero(dy, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +474,11 @@ def _eval_line_arg(arg: dsl.LineArg, ev: Evaluation, params: dict[str, Fraction]
     if isinstance(arg, dsl.LineRef):
         return ev.named_lines[arg.name]
     if isinstance(arg, (dsl.ThroughPoints, dsl.ExtendRay)):
-        p, q = ev.points[arg.p], ev.points[arg.q]
-        if coincident(p, q):
+        p = ev.points[arg.p]
+        direction = through_direction(p, ev.points[arg.q])
+        if direction is None:
             raise DegenerateLine(f"line through coincident points {arg.p}, {arg.q}")
-        line = Line(p, vsub(q, p))
+        line = Line(p, direction)
     else:
         assert isinstance(arg, dsl.ThroughParallel)
         base = _eval_line_arg(arg.base, ev, params)
@@ -404,45 +490,25 @@ def _eval_line_arg(arg: dsl.LineArg, ev: Evaluation, params: dict[str, Fraction]
 def _eval_point(stmt: dsl.Statement, ev: Evaluation, params: dict[str, Fraction],
                 model: dsl.HypothesisModel) -> Coord:
     pe = stmt.payload
-    zero = Fraction(0)
     if isinstance(pe, dsl.Origin):
-        return (zero, zero)
+        return (Fraction(0), Fraction(0))
     if isinstance(pe, dsl.Baseline):
         base = ev.points[pe.p]
-        if not near_zero(base[1], max(_vec_scale(base), 1.0)):
+        if not near_zero(base[1], 1.0 if is_exact(base[1]) else _vec_scale(base)):
             raise GeometryError(f"baseline anchor {pe.p!r} is off the reference axis")
         d = _eval_expr(pe.dist, ev, params)
         if near_zero(d, 1.0):
             raise GeometryError("baseline displacement is zero")
         if stmt.name == model.base_point and not scalar_positive(d):
             raise GeometryError("the frame baseline point must sit on the positive axis")
-        return (add(base[0], d), zero)
+        return (add(base[0], d), Fraction(0))
     if isinstance(pe, dsl.OnSegment):
         p, q = ev.points[pe.p], ev.points[pe.q]
-        d = _eval_expr(pe.dist, ev, params)
-        seg = vsub(q, p)
-        length = sqrt_scalar(sq_norm(seg))
-        if near_zero(length, 1.0):
-            raise DegenerateLine("zero-length segment")
-        if not scalar_positive(d) or not scalar_positive(sub(length, d)):
-            raise GeometryError("on_segment displacement must fall strictly inside")
-        t = div(d, length)
-        return vadd(p, vscale(t, seg))
+        return on_segment(p, q, _eval_expr(pe.dist, ev, params))
     if isinstance(pe, dsl.OffsetPerp):
         p = ev.points[pe.p]
         line = _eval_line_arg(pe.line, ev, params)
-        d = _eval_expr(pe.dist, ev, params)
-        if near_zero(d, 1.0):
-            raise GeometryError("offset_perp displacement is zero")
-        dx, dy = line.direction
-        length = sqrt_scalar(sq_norm(line.direction))
-        if near_zero(length, 1.0):
-            raise DegenerateLine("zero-direction line")
-        # counter-clockwise normal: positive d lands on the left of the
-        # direction, which is "above" for the frame axis
-        t = div(d, length)
-        normal = (sub(Fraction(0), dy), dx)
-        return vadd(p, vscale(t, normal))
+        return offset_perp(p, line, _eval_expr(pe.dist, ev, params))
     if isinstance(pe, dsl.Meet):
         l1 = _eval_line_arg(pe.l1, ev, params)
         l2 = _eval_line_arg(pe.l2, ev, params)
@@ -474,9 +540,84 @@ def _resolve_pick(pick: dsl.Pick, ev: Evaluation):
 # geometric primitives
 
 
+def through_direction(p: Coord, q: Coord) -> Optional[Coord]:
+    """q - p, the direction of the line through p and q; None when the
+    points coincide."""
+    if _rational(p) and _rational(q):
+        x, y, w = _hom_sub(_hom(q), _hom(p))
+        if not x and not y:
+            return None
+        return Fraction(x, w), Fraction(y, w)
+    if coincident(p, q):
+        return None
+    return vsub(q, p)
+
+
+def on_segment(p: Coord, q: Coord, d: Scalar) -> Coord:
+    """The point at distance d from p toward q, strictly inside pq."""
+    if type(d) is Fraction and _rational(p) and _rational(q):
+        hp = _hom(p)
+        sx, sy, sw = _hom_sub(_hom(q), hp)
+        s = sx * sx + sy * sy
+        r = math.isqrt(s)  # |pq| = r/sw when rational
+        if r * r == s:
+            if not r:
+                raise DegenerateLine("zero-length segment")
+            dn, dd = d.as_integer_ratio()
+            if dn <= 0 or r * dd - dn * sw <= 0:
+                raise GeometryError("on_segment displacement must fall strictly inside")
+            # p + (d/|pq|) (q - p), where d/|pq| = dn sw / (dd r)
+            return _along(hp, dn, dd * r, sx, sy)
+    seg = vsub(q, p)
+    length = sqrt_scalar(sq_norm(seg))
+    if near_zero(length, 1.0):
+        raise DegenerateLine("zero-length segment")
+    if not scalar_positive(d) or not scalar_positive(sub(length, d)):
+        raise GeometryError("on_segment displacement must fall strictly inside")
+    t = div(d, length)
+    return vadd(p, vscale(t, seg))
+
+
+def offset_perp(p: Coord, l: Line, d: Scalar) -> Coord:
+    """The point at signed distance d from p along the normal of l."""
+    if near_zero(d, 1.0):
+        raise GeometryError("offset_perp displacement is zero")
+    u = l.direction
+    if type(d) is Fraction and _rational(p) and _rational(u):
+        ux, uy, uw = _hom(u)
+        s = ux * ux + uy * uy
+        r = math.isqrt(s)  # |u| = r/uw when rational
+        if r * r == s:
+            if not r:
+                raise DegenerateLine("zero-direction line")
+            # p + (d/|u|) (-uy, ux)/uw, where d/|u| = dn uw / (dd r)
+            dn, dd = d.as_integer_ratio()
+            return _along(_hom(p), dn, dd * r, -uy, ux)
+    dx, dy = u
+    length = sqrt_scalar(sq_norm(u))
+    if near_zero(length, 1.0):
+        raise DegenerateLine("zero-direction line")
+    # counter-clockwise normal: positive d lands on the left of the
+    # direction, which is "above" for the frame axis
+    t = div(d, length)
+    normal = (sub(Fraction(0), dy), dx)
+    return vadd(p, vscale(t, normal))
+
+
 def intersect_lines(l1: Line, l2: Line) -> Coord:
-    denom = cross(l1.direction, l2.direction)
-    if near_zero(denom, mul_float(_vec_scale(l1.direction), _vec_scale(l2.direction))):
+    a, u, b, v = l1.anchor, l1.direction, l2.anchor, l2.direction
+    if _rational(a) and _rational(u) and _rational(b) and _rational(v):
+        ux, uy, _ = _hom(u)
+        vx, vy, _ = _hom(v)
+        den = ux * vy - uy * vx
+        if not den:
+            raise ParallelLines("lines are parallel under this assignment")
+        ha = _hom(a)
+        ox, oy, ow = _hom_sub(_hom(b), ha)
+        # a + t u with t = cross(b - a, v) / cross(u, v)
+        return _along(ha, ox * vy - oy * vx, ow * den, ux, uy)
+    denom = cross(u, v)
+    if _near_zero_across(denom, u, v):
         raise ParallelLines("lines are parallel under this assignment")
     offset = vsub(l2.anchor, l1.anchor)
     t = div(cross(offset, l2.direction), denom)
@@ -485,11 +626,27 @@ def intersect_lines(l1: Line, l2: Line) -> Coord:
 
 def line_circle_meet(l: Line, center: Coord, radius: Scalar, pick) -> Coord:
     d = l.direction
-    rel = vsub(l.anchor, center)
-    qa = sq_norm(d)
-    qb = mul(Fraction(2), dot(d, rel))
-    qc = sub(sq_norm(rel), mul(radius, radius))
-    disc = sub(mul(qb, qb), mul(mul(Fraction(4), qa), qc))
+    rr = square(radius)
+    if type(rr) is Fraction and _rational(l.anchor) and _rational(d) and _rational(center):
+        # the quadratic |anchor + t d - center|^2 = rr in t, on integers
+        dx, dy, dw = _hom(d)
+        rx, ry, rw = _hom_sub(_hom(l.anchor), _hom(center))
+        dd = dx * dx + dy * dy
+        dr = dx * rx + dy * ry
+        cr = dx * ry - dy * rx
+        rn, rd = rr.as_integer_ratio()
+        qa = Fraction(dd, dw * dw)
+        qb = Fraction(2 * dr, dw * rw)
+        # qb^2 - 4 qa qc = 4 (dd rw^2 rr - cr^2) / (dw rw)^2, since
+        # dr^2 - dd (rx^2 + ry^2) = -cr^2
+        m = dw * rw
+        disc = Fraction(4 * (dd * rw * rw * rn - cr * cr * rd), m * m * rd)
+    else:
+        rel = vsub(l.anchor, center)
+        qa = sq_norm(d)
+        qb = mul(Fraction(2), dot(d, rel))
+        qc = sub(sq_norm(rel), rr)
+        disc = sub(mul(qb, qb), mul(mul(Fraction(4), qa), qc))
     fdisc = as_float(disc)
     if fdisc < 0:
         raise NoIntersection("the line misses the circle")
@@ -504,7 +661,13 @@ def line_circle_meet(l: Line, center: Coord, radius: Scalar, pick) -> Coord:
 
 
 def _line_param(l: Line, p: Coord) -> Scalar:
-    return div(dot(vsub(p, l.anchor), l.direction), sq_norm(l.direction))
+    a, u = l.anchor, l.direction
+    if _rational(p) and _rational(a) and _rational(u):
+        ux, uy, uw = _hom(u)
+        wx, wy, ww = _hom_sub(_hom(p), _hom(a))
+        # dot(p - a, u) / |u|^2
+        return Fraction((wx * ux + wy * uy) * uw, ww * (ux * ux + uy * uy))
+    return div(dot(vsub(p, a), u), sq_norm(u))
 
 
 def _pick_root(l: Line, t1: Scalar, t2: Scalar, pick) -> Scalar:
@@ -531,6 +694,16 @@ def _pick_root(l: Line, t1: Scalar, t2: Scalar, pick) -> Scalar:
 
 
 def foot_of_perpendicular(p: Coord, l: Line) -> Coord:
+    a, u = l.anchor, l.direction
+    if _rational(p) and _rational(a) and _rational(u):
+        ux, uy, _ = _hom(u)
+        s = ux * ux + uy * uy
+        if not s:
+            raise DegenerateLine("line with zero direction")
+        ha = _hom(a)
+        wx, wy, ww = _hom_sub(_hom(p), ha)
+        # a + t u with t = dot(p - a, u) / |u|^2
+        return _along(ha, wx * ux + wy * uy, ww * s, ux, uy)
     if near_zero(sq_norm(l.direction), 1.0):
         raise DegenerateLine("line with zero direction")
     t = _line_param(l, p)
@@ -546,6 +719,8 @@ def sample_params(scene: Scene, seed: int,
                   retry_cap: int = 100) -> ParamAssignment:
     rng = random.Random(seed)
     lo, hi = rng_range
+    lo_num, lo_den = lo.as_integer_ratio()
+    hi_num, hi_den = hi.as_integer_ratio()
     last_err: Optional[Exception] = None
     for _ in range(retry_cap):
         items = []
@@ -553,8 +728,8 @@ def sample_params(scene: Scene, seed: int,
             value = None
             for _denom_try in range(64):
                 denom = rng.randint(1, 64)
-                lo_n = math.ceil(lo * denom)
-                hi_n = math.floor(hi * denom)
+                lo_n = -(-lo_num * denom // lo_den)  # ceil(lo * denom)
+                hi_n = hi_num * denom // hi_den  # floor(hi * denom)
                 if lo_n > hi_n:
                     continue  # this denominator admits no value in range
                 value = Fraction(rng.randint(lo_n, hi_n), denom)

@@ -21,6 +21,7 @@ labeled numerically certified instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from typing import Optional
 
 from . import scene as sc
 from .exactnum import Scalar, add, as_float, exact_eq, mul, rel_err
-from .graph import DerivationGraph, ScheduleStep, goal_dims
+from .graph import ScheduleStep, goal_dims
 from .rules import Dim, NumericFailure, apply_edge, length
 
 STATUS_PROVED = "PROVED"
@@ -83,22 +84,31 @@ class Verdict:
     certificate: Optional[Certificate] = None
 
 
+def param_names(scene_: sc.Scene) -> dict[Dim, str]:
+    """The parameter each parameter dim of the scene measures."""
+    return {length(p, q): name for name, (p, q) in scene_.param_dims}
+
+
 def execute_schedule(scene_: sc.Scene, schedule: list[ScheduleStep],
-                     assignment: sc.ParamAssignment) -> dict[Dim, Scalar]:
+                     assignment: sc.ParamAssignment, *,
+                     params: Optional[dict[Dim, str]] = None,
+                     ) -> dict[Dim, Scalar]:
     """Run the schedule under one assignment, without the oracle.
 
     Parameter steps read their value from the assignment; every other
     step applies its chosen hyperedge recipe to already-computed source
-    values.  Raises NumericFailure when a recipe cannot produce a value
-    (division by zero, negative leg, no usable intersection root).
+    values.  `params` is the scene's `param_names`, built here when the
+    caller has not built it once for many assignments.  Raises
+    NumericFailure when a recipe cannot produce a value (division by
+    zero, negative leg, no usable intersection root).
     """
+    if params is None:
+        params = param_names(scene_)
     by_name = dict(assignment.items)
-    param_value = {length(p, q): by_name[name]
-                   for name, (p, q) in scene_.param_dims}
     values: dict[Dim, Scalar] = {}
     for step in schedule:
         if step.edge is None:
-            values[step.dim] = param_value[step.dim]
+            values[step.dim] = by_name[params[step.dim]]
         else:
             values[step.dim] = apply_edge(step.edge, values)
     return values
@@ -148,9 +158,9 @@ def _claim_check(model, values: dict[Dim, Scalar]
     return lhs_val, rhs_val, worst
 
 
-def _sample_report(model, scene_, schedule, assignment,
+def _sample_report(model, scene_, schedule, params, assignment,
                    index: int, seed: int, redraws: int) -> SampleReport:
-    values = execute_schedule(scene_, schedule, assignment)
+    values = execute_schedule(scene_, schedule, assignment, params=params)
     ev = sc.evaluate(scene_, assignment)
     oracle = {dim: sc.dim_value(ev, dim) for dim in values}
     max_resid = 0.0
@@ -190,14 +200,35 @@ def _degree_bound(model, schedule: list[ScheduleStep]) -> int:
     return sum(deg[d] for d in goal_dims(model) if d in deg)
 
 
+def _prime_factors(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _sample_space(rng_range: tuple[Fraction, Fraction]) -> int:
-    """Count the distinct rationals the sampler can draw for one slot."""
+    """Count the distinct rationals the sampler can draw for one slot:
+    per denominator d, the numerators in range coprime to d, counted by
+    inclusion-exclusion over the distinct primes of d."""
     lo, hi = rng_range
     total = 0
     for d in range(1, 65):
         lo_n = math.ceil(lo * d)
         hi_n = math.floor(hi * d)
-        total += sum(1 for n in range(lo_n, hi_n + 1) if math.gcd(n, d) == 1)
+        if lo_n > hi_n:
+            continue
+        primes = _prime_factors(d)
+        for r in range(len(primes) + 1):
+            for subset in itertools.combinations(primes, r):
+                m = math.prod(subset)
+                total += (-1) ** r * (hi_n // m - (lo_n - 1) // m)
     return total
 
 
@@ -246,8 +277,7 @@ def _certificate(model, scene_, schedule, num_samples: int,
 # the verdict
 
 
-def verdict(model, scene_: sc.Scene, graph: Optional[DerivationGraph],
-            schedule: Optional[list[ScheduleStep]],
+def verdict(model, scene_: sc.Scene, schedule: Optional[list[ScheduleStep]],
             num_samples: int = 100, seed: int = 42, tol: float = 1e-9,
             rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
             ) -> Verdict:
@@ -257,9 +287,10 @@ def verdict(model, scene_: sc.Scene, graph: Optional[DerivationGraph],
     sample whose execution hits a NumericFailure is redrawn with a
     fresh seed, at most REDRAW_CAP times per slot.
     """
-    if graph is None or schedule is None:
+    if schedule is None:
         return Verdict(status=STATUS_INCONCLUSIVE, samples=(),
                        reason="no derivation schedule")
+    params = param_names(scene_)
     reports: list[SampleReport] = []
     for i in range(num_samples):
         report = None
@@ -267,8 +298,8 @@ def verdict(model, scene_: sc.Scene, graph: Optional[DerivationGraph],
             s_seed = seed * _SAMPLE_STRIDE + i + attempt * _REDRAW_STRIDE
             assignment = sc.sample_params(scene_, s_seed, rng_range)
             try:
-                report = _sample_report(model, scene_, schedule, assignment,
-                                        i, s_seed, attempt)
+                report = _sample_report(model, scene_, schedule, params,
+                                        assignment, i, s_seed, attempt)
             except NumericFailure:
                 continue
             break

@@ -38,7 +38,7 @@ def pipeline(name, seed=42, samples=100):
     schedule = gr.topo_order(g)
     assert schedule is not None, f"{name}: no schedule"
     focused = gr.focus(g, schedule)
-    v = vf.verdict(model, scn, g, focused, num_samples=samples, seed=seed)
+    v = vf.verdict(model, scn, focused, num_samples=samples, seed=seed)
     return model, scn, g, focused, v
 
 

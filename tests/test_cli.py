@@ -266,10 +266,13 @@ def test_output_bytes_stable_across_runs(capsys, emit):
 
 
 def test_module_entry_point_runs():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gthm.cli", "prove",
          fx("parallelogram.gthm"), "--samples", "5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "PROVED" in proc.stdout
 

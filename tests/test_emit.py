@@ -24,7 +24,7 @@ def para():
     g = gr.grow_detailed(model, scn, witness, seed=42)
     assert not g.pending
     focused = gr.focus(g, gr.topo_order(g))
-    v = vf.verdict(model, scn, g, focused, num_samples=100, seed=42)
+    v = vf.verdict(model, scn, focused, num_samples=100, seed=42)
     return model, scn, g, focused, v
 
 
@@ -34,7 +34,7 @@ def render(name, samples=100, seed=42):
     g = gr.grow_detailed(model, scn, witness, seed=seed)
     schedule = gr.topo_order(g) if not g.pending else None
     focused = gr.focus(g, schedule) if schedule else None
-    v = vf.verdict(model, scn, g, focused, num_samples=samples, seed=seed)
+    v = vf.verdict(model, scn, focused, num_samples=samples, seed=seed)
     stem = name.rsplit(".", 1)[0]
     return model, focused, v, stem
 
@@ -95,7 +95,7 @@ def test_missing_schedule_renders_header_and_reason_only():
     model, scn = load("unreachable.gthm")
     witness = sc.sample_params(scn, 42)
     assert gr.grow_detailed(model, scn, witness, seed=42).pending
-    v = vf.verdict(model, scn, None, None)
+    v = vf.verdict(model, scn, None)
     text = emit.render_text(model, None, v, theorem="unreachable")
     assert text == ("Theorem: unreachable\n"
                     "Claim: BZ = AB\n"

@@ -1,8 +1,9 @@
 import math
+import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gthm import exactnum as ex
 from gthm.exactnum import Rad
@@ -137,3 +138,165 @@ def test_exact_eq_matches_square_and_sign_reference(a, other, how):
     b = other if how == "other" else _partner(a, how)
     assert ex.exact_eq(a, b) == exact_eq_reference(a, b)
     assert ex.exact_eq(b, a) == exact_eq_reference(b, a)
+
+
+# ---------------------------------------------------------------------------
+# the fast paths against the general formulas they skip: the operations
+# as they read before two floats took a path of their own, and before
+# exact comparisons went to integer numerators and denominators
+
+
+def _as_float_ref(v):
+    if isinstance(v, Fraction):
+        return float(v)
+    if isinstance(v, Rad):
+        return float(v)
+    return v
+
+
+def _sqrt_exact_ref(q):
+    if q < 0:
+        raise ValueError(f"square root of negative rational {q}")
+    if q == 0:
+        return Fraction(0)
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return Rad(q)
+
+
+def _add_ref(a, b):
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a + b
+    if isinstance(a, Rad) and isinstance(b, Rad):
+        if a.radicand == b.radicand:
+            return Rad(4 * a.radicand)
+        return float(a) + float(b)
+    if isinstance(a, Fraction) and a == 0:
+        return b
+    if isinstance(b, Fraction) and b == 0:
+        return a
+    return _as_float_ref(a) + _as_float_ref(b)
+
+
+def _sub_ref(a, b):
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a - b
+    if isinstance(a, Rad) and isinstance(b, Rad):
+        if a.radicand == b.radicand:
+            return Fraction(0)
+        return float(a) - float(b)
+    if isinstance(b, Fraction) and b == 0:
+        return a
+    return _as_float_ref(a) - _as_float_ref(b)
+
+
+def _mul_ref(a, b):
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a * b
+    if isinstance(a, Rad) and isinstance(b, Rad):
+        return _sqrt_exact_ref(a.radicand * b.radicand)
+    if isinstance(a, Fraction) and isinstance(b, Rad):
+        a, b = b, a
+    if isinstance(a, Rad) and isinstance(b, Fraction):
+        if b == 0:
+            return Fraction(0)
+        if b > 0:
+            return Rad(b * b * a.radicand)
+        return -float(a) * float(-b)
+    return _as_float_ref(a) * _as_float_ref(b)
+
+
+def _div_ref(a, b):
+    if isinstance(b, Fraction) and b == 0:
+        raise ZeroDivisionError("division by exact zero")
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a / b
+    if isinstance(a, Rad) and isinstance(b, Rad):
+        return _sqrt_exact_ref(a.radicand / b.radicand)
+    if isinstance(a, Fraction) and isinstance(b, Rad):
+        if a == 0:
+            return Fraction(0)
+        if a > 0:
+            return _sqrt_exact_ref(a * a / b.radicand)
+        return -math.sqrt(float(a * a) / float(b.radicand))
+    if isinstance(a, Rad) and isinstance(b, Fraction):
+        if b > 0:
+            return Rad(a.radicand / (b * b))
+        return -float(a) / float(-b)
+    fb = _as_float_ref(b)
+    if fb == 0.0:
+        raise ZeroDivisionError("division by zero")
+    return _as_float_ref(a) / fb
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, ValueError) as err:
+        return ("raised", type(err), str(err))
+
+
+def _same(x, y) -> bool:
+    """Equal in type and value; floats bit for bit, so -0.0 != 0.0."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, float):
+        return struct.pack("<d", x) == struct.pack("<d", y)
+    if isinstance(x, Rad):
+        return _same(x.radicand, y.radicand)
+    return x == y
+
+
+any_floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf]))
+any_scalars = st.one_of(any_floats, rationals, pos_rationals.map(ex.sqrt_exact))
+
+_OPS = [(ex.add, _add_ref), (ex.sub, _sub_ref), (ex.mul, _mul_ref),
+        (ex.div, _div_ref)]
+
+
+@given(any_floats, any_floats)
+def test_float_fast_paths_match_the_general_formulas(a, b):
+    for op, ref in _OPS:
+        assert _same(_result(op, a, b), _result(ref, a, b)), op.__name__
+    assert _same(ex.as_float(a), _as_float_ref(a))
+
+
+def test_float_division_by_zero_keeps_its_error():
+    for zero in (0.0, -0.0):
+        for a in (1.0, -0.0, math.inf):
+            with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+                ex.div(a, zero)
+
+
+@given(any_scalars, any_scalars)
+def test_scalar_ops_match_the_general_formulas(a, b):
+    for op, ref in _OPS:
+        assert _same(_result(op, a, b), _result(ref, a, b)), op.__name__
+    assert _same(ex.as_float(a), _as_float_ref(a))
+
+
+@given(st.fractions(min_value=Fraction(-50), max_value=Fraction(50)))
+@example(Fraction(-1, 3))
+@example(Fraction(0))
+@example(Fraction(4, 9))
+def test_sqrt_exact_matches_the_rich_comparison_form(q):
+    assert _same(_result(ex.sqrt_exact, q), _result(_sqrt_exact_ref, q))
+    assert _same(_result(ex.sqrt_exact, q * q), _result(_sqrt_exact_ref, q * q))
+
+
+@given(any_scalars, any_scalars)
+def test_rad_eq_matches_the_rich_comparison_form(a, b):
+    if isinstance(a, Rad):
+        want = isinstance(b, Rad) and a.radicand == b.radicand
+        assert (a == b) == want
+        assert (a == Rad(Fraction(a.radicand))) is True
+
+
+@given(st.integers(1, 50), st.integers(1, 50), st.integers(1, 50),
+       st.integers(1, 50))
+def test_rad_eq_compares_numerator_and_denominator(n1, d1, n2, d2):
+    a, b = Rad(Fraction(n1, d1)), Rad(Fraction(n2, d2))
+    assert (a == b) == (Fraction(n1, d1) == Fraction(n2, d2))
+    assert (Rad(Fraction(n1, d1)) == Rad(Fraction(n1, d1 + 1))) is False

@@ -110,7 +110,7 @@ def test_execute_is_homogeneous_of_degree_one(para, k):
 
 def test_sample_report_fields_and_invariants(para):
     model, scn, g, focused = para
-    v = vf.verdict(model, scn, g, focused, num_samples=3, seed=7)
+    v = vf.verdict(model, scn, focused, num_samples=3, seed=7)
     assert len(v.samples) == 3
     for r in v.samples:
         assert set(r.node_values) == set(r.oracle_values) == {
@@ -128,6 +128,35 @@ def _dim_pairs(dim):
     if dim.kind == "composite":
         return {dim.far, dim.near}
     return _dim_pairs(dim.num) | _dim_pairs(dim.den)
+
+
+def test_verdict_builds_the_parameter_map_once(monkeypatch, imo):
+    model, scn, g, focused = imo
+    built, passed = [], []
+    real_names, real_execute = vf.param_names, vf.execute_schedule
+
+    def names_spy(scene_):
+        built.append(scene_)
+        return real_names(scene_)
+
+    def execute_spy(scene_, schedule, assignment, **kw):
+        got = real_execute(scene_, schedule, assignment, **kw)
+        passed.append((kw["params"], assignment, got))
+        return got
+
+    monkeypatch.setattr(vf, "param_names", names_spy)
+    monkeypatch.setattr(vf, "execute_schedule", execute_spy)
+    v = vf.verdict(model, scn, focused, num_samples=10, seed=42)
+    monkeypatch.undo()
+    assert v.status == vf.STATUS_PROVED
+    assert built == [scn]
+    assert len(passed) == 10
+    params = passed[0][0]
+    assert params == {length(p, q): name for name, (p, q) in scn.param_dims}
+    for got_params, assignment, got in passed:
+        assert got_params is params
+        # the map built once serves each sample as one built per call
+        assert got == vf.execute_schedule(scn, focused, assignment)
 
 
 def test_sample_report_measures_each_length_once(monkeypatch, para):
@@ -148,7 +177,8 @@ def test_sample_report_measures_each_length_once(monkeypatch, para):
         return real(p, q)
 
     monkeypatch.setattr(sc, "distance", spy)
-    report = vf._sample_report(model, scn, focused, a, 0, 123_457, 0)
+    report = vf._sample_report(model, scn, focused, vf.param_names(scn), a,
+                               0, 123_457, 0)
     assert report.max_node_residual == 0.0
     assert len(measured) == len(set(measured))  # no length measured twice
     assert set(measured) == {frozenset(p) for d in scheduled
@@ -168,7 +198,7 @@ def test_oracle_and_verdict_leave_carriers_alone(monkeypatch, capsys, para):
     for name in ("parallelogram.gthm", "imo2012.gthm"):
         assert cli.main(["check", str(FIXTURES / name), "--samples", "20"]) == 0
     capsys.readouterr()
-    v = vf.verdict(model, scn, g, focused, num_samples=20, seed=7)
+    v = vf.verdict(model, scn, focused, num_samples=20, seed=7)
     assert v.status == vf.STATUS_PROVED
     assert calls == []
     # reading the carriers is what deduplicates them
@@ -200,7 +230,7 @@ def test_verdict_inconclusive_when_derivation_disagrees(para):
     step = broken[idx]
     broken[idx] = gr.ScheduleStep(
         step.dim, dataclasses.replace(step.edge, recipe=("add", be, be)))
-    v = vf.verdict(model, scn, g, broken, num_samples=5, seed=42)
+    v = vf.verdict(model, scn, broken, num_samples=5, seed=42)
     assert v.status == vf.STATUS_INCONCLUSIVE
     assert "disagrees with coordinates" in v.reason
 
@@ -210,7 +240,7 @@ def test_verdict_inconclusive_when_derivation_disagrees(para):
 
 def test_parallelogram_proved_with_exactly_zero_residuals(para):
     model, scn, g, focused = para
-    v = vf.verdict(model, scn, g, focused, num_samples=100, seed=42)
+    v = vf.verdict(model, scn, focused, num_samples=100, seed=42)
     assert v.status == vf.STATUS_PROVED
     assert len(v.samples) == 100
     assert all(r.claim_residual == 0.0 for r in v.samples)
@@ -220,7 +250,7 @@ def test_parallelogram_proved_with_exactly_zero_residuals(para):
 
 def test_parallelogram_certificate_is_an_exact_identity(para):
     model, scn, g, focused = para
-    v = vf.verdict(model, scn, g, focused, num_samples=100, seed=42)
+    v = vf.verdict(model, scn, focused, num_samples=100, seed=42)
     c = v.certificate
     assert c.kind == "exact-identity"
     assert c.certified
@@ -231,14 +261,14 @@ def test_parallelogram_certificate_is_an_exact_identity(para):
 
 def test_second_claim_fixture_proved():
     model, scn, g, focused = pipeline("parallelogram_bd.gthm")
-    v = vf.verdict(model, scn, g, focused, num_samples=100, seed=42)
+    v = vf.verdict(model, scn, focused, num_samples=100, seed=42)
     assert v.status == vf.STATUS_PROVED
     assert all(r.claim_residual == 0.0 for r in v.samples)
 
 
 def test_imo_proved_numerically(imo):
     model, scn, g, focused = imo
-    v = vf.verdict(model, scn, g, focused, num_samples=100, seed=42)
+    v = vf.verdict(model, scn, focused, num_samples=100, seed=42)
     assert v.status == vf.STATUS_PROVED
     assert max(r.max_node_residual for r in v.samples) <= 1e-9
     assert v.certificate.kind == "numerically-certified"
@@ -247,7 +277,7 @@ def test_imo_proved_numerically(imo):
 
 def test_bad_claim_refuted_with_margin_at_every_sample():
     model, scn, g, focused = pipeline("parallelogram_bad.gthm")
-    v = vf.verdict(model, scn, g, focused, num_samples=100, seed=42)
+    v = vf.verdict(model, scn, focused, num_samples=100, seed=42)
     assert v.status == vf.STATUS_REFUTED
     assert len(v.samples) == 100
     # OD = CD, so claiming OD = 2 CD misses by the whole smaller side
@@ -259,7 +289,7 @@ def test_bad_claim_refuted_with_margin_at_every_sample():
 
 
 def test_missing_schedule_is_inconclusive():
-    v = vf.verdict(None, None, None, None, num_samples=5, seed=1)
+    v = vf.verdict(None, None, None, num_samples=5, seed=1)
     assert v.status == vf.STATUS_INCONCLUSIVE
     assert v.reason == "no derivation schedule"
     assert v.samples == ()
@@ -271,7 +301,7 @@ def test_unreachable_fixture_reaches_no_verdict():
     witness = sc.sample_params(scn, 42)
     g = gr.grow_detailed(model, scn, witness, seed=42)
     assert g.pending
-    v = vf.verdict(model, scn, g, None, num_samples=5, seed=42)
+    v = vf.verdict(model, scn, None, num_samples=5, seed=42)
     assert v.status == vf.STATUS_INCONCLUSIVE
 
 
@@ -286,14 +316,14 @@ def test_verdict_status_is_seed_stable(seed):
     for name, want in (("parallelogram.gthm", vf.STATUS_PROVED),
                        ("imo2012.gthm", vf.STATUS_PROVED)):
         model, scn, g, focused = pipeline(name, seed=seed)
-        v = vf.verdict(model, scn, g, focused, num_samples=20, seed=seed)
+        v = vf.verdict(model, scn, focused, num_samples=20, seed=seed)
         assert v.status == want, name
 
 
 def test_same_seed_reproduces_the_same_samples(para):
     model, scn, g, focused = para
-    v1 = vf.verdict(model, scn, g, focused, num_samples=10, seed=5)
-    v2 = vf.verdict(model, scn, g, focused, num_samples=10, seed=5)
+    v1 = vf.verdict(model, scn, focused, num_samples=10, seed=5)
+    v2 = vf.verdict(model, scn, focused, num_samples=10, seed=5)
     assert [r.assignment for r in v1.samples] == [
         r.assignment for r in v2.samples]
     assert [r.seed for r in v1.samples] == [r.seed for r in v2.samples]
@@ -307,7 +337,7 @@ def test_redraw_exhaustion_is_reported(para):
     last = broken[-1]
     broken[-1] = gr.ScheduleStep(
         last.dim, dataclasses.replace(last.edge, recipe=("sub", ao, go)))
-    v = vf.verdict(model, scn, g, broken, num_samples=3, seed=42)
+    v = vf.verdict(model, scn, broken, num_samples=3, seed=42)
     assert v.status == vf.STATUS_INCONCLUSIVE
     assert "redraws" in v.reason
 
@@ -315,12 +345,41 @@ def test_redraw_exhaustion_is_reported(para):
 # --- certificate arithmetic --------------------------------------------------
 
 
-def test_sample_space_matches_the_totient_count():
-    def phi(n):
-        return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+def _phi(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
-    want = 1 + 9 * sum(phi(d) for d in range(1, 65))
+
+def test_sample_space_matches_the_totient_count():
+    want = 1 + 9 * sum(_phi(d) for d in range(1, 65))
     assert vf._sample_space((Fraction(1), Fraction(10))) == want
+
+
+def _sample_space_brute_force(rng_range):
+    """Every numerator of every denominator, tested for coprimality."""
+    lo, hi = rng_range
+    return sum(1 for d in range(1, 65)
+               for n in range(math.ceil(lo * d), math.floor(hi * d) + 1)
+               if math.gcd(n, d) == 1)
+
+
+_BOUNDS = sorted({Fraction(n, d) for n in range(-7, 8) for d in (1, 2, 3, 7)})
+
+
+@pytest.mark.parametrize("lo", _BOUNDS[::3])
+def test_sample_space_matches_brute_force(lo):
+    for hi in _BOUNDS:
+        if hi >= lo:
+            assert (vf._sample_space((lo, hi))
+                    == _sample_space_brute_force((lo, hi))), (lo, hi)
+    # a narrow range that admits no numerator for some denominators
+    narrow = (lo + Fraction(1, 97), lo + Fraction(2, 97))
+    assert vf._sample_space(narrow) == _sample_space_brute_force(narrow)
+
+
+def test_sample_space_of_a_huge_range_is_immediate():
+    # the totient count again, at a size no per-numerator loop finishes
+    want = 1 + (10**12 - 1) * sum(_phi(d) for d in range(1, 65))
+    assert vf._sample_space((Fraction(1), Fraction(10**12))) == want
 
 
 def test_sample_space_shrinks_with_the_range():
@@ -338,14 +397,14 @@ def test_degree_bound_grows_through_products(para):
 
 def test_verdict_summary_shape(para):
     model, scn, g, focused = para
-    v = vf.verdict(model, scn, g, focused, num_samples=5, seed=42)
+    v = vf.verdict(model, scn, focused, num_samples=5, seed=42)
     out = vf.verdict_summary(v)
     assert out["status"] == "PROVED"
     assert out["samples"]["count"] == 5
     assert out["samples"]["max_claim_residual"] == 0.0
     assert out["schedule"][-2:] == ["CD", "DO"]
     assert out["certificate"]["kind"] == "exact-identity"
-    empty = vf.verdict_summary(vf.verdict(None, None, None, None))
+    empty = vf.verdict_summary(vf.verdict(None, None, None))
     assert empty == {"status": "INCONCLUSIVE",
                      "reason": "no derivation schedule",
                      "samples": {"count": 0}}
