@@ -6,7 +6,10 @@ cuts), and emits hyperedges: a set of source dimensions from which one
 target dimension can be computed by a fixed formula.  Relations are
 detected at a single witness sample; spurious coincidences are culled
 when growth first reaches an edge, by replaying it at fresh samples
-(validate_edges).
+(validate_edges).  A replay whose values are all exact and positive
+first checks the edge's relation on squared values by integer
+cross-multiplication; every other replay, and every one that check
+does not confirm, recomputes the target on the Scalar arithmetic.
 
 Positions along the reference axis are always measured from the
 origin point; feet are declared points, never invented ones.
@@ -797,8 +800,12 @@ def validate_edges(edges: list[Hyperedge], model: dsl.HypothesisModel,
     drop any whose formula fails to reproduce the oracle value of its
     target; this is what catches relations that only held by
     coincidence at the witness.  The samples are drawn once per scene,
-    seed and range, and each dimension is valued once per sample, so
-    validating a pool piece by piece costs no more than all at once."""
+    seed and range, and each dimension is valued and squared once per
+    sample, so validating a pool piece by piece costs no more than all
+    at once.  A copy, inv, div, mul or Pythagoras edge over exact
+    positive values is kept when its relation holds exactly on the
+    squares; the Scalar replay decides every other case, and only it
+    drops an edge or applies VALIDATION_TOL."""
     kept = list(edges)
     for ev in _validation_samples(scene_, seed, rng_range):
         kept = [e for e in kept if _replays(e, ev)]
@@ -817,8 +824,18 @@ def _validation_samples(scene_: sc.Scene, seed: int,
     return last[1]
 
 
+# recipe ops whose relation between exact positive values is one
+# between their squares, checked by _holds_on_squares
+_SQUARE_OPS = frozenset({"copy", "inv", "div", "mul", "pyth_hyp", "pyth_leg"})
+
+
 def _replays(e: Hyperedge, ev: sc.Evaluation) -> bool:
-    """Does the edge reproduce its target's value from its sources'?"""
+    """Does the edge reproduce its target's value from its sources'?
+    An exact relation on squared values answers yes at once; anything
+    else is replayed on the Scalar arithmetic, the only path that drops
+    an edge or applies VALIDATION_TOL."""
+    if _holds_on_squares(e, ev):
+        return True
     try:
         target = sc.dim_value(ev, e.target)
         sources = {d: sc.dim_value(ev, d) for d in e.sources}
@@ -826,3 +843,41 @@ def _replays(e: Hyperedge, ev: sc.Evaluation) -> bool:
     except (NumericFailure, sc.GeometryError, ZeroDivisionError):
         return False
     return rel_err(got, target) <= VALIDATION_TOL
+
+
+def _holds_on_squares(e: Hyperedge, ev: sc.Evaluation) -> bool:
+    """Is the edge's relation exactly true on the squared values of its
+    target and sources, checked by integer cross-multiplication?  Only
+    for the ops of _SQUARE_OPS, only when the recipe reads every source,
+    and only when every value involved is exact and positive; there
+    exactnum computes the recipe exactly, so the Scalar replay would
+    find its result equal to the target.  False means "not decided
+    here", never "drop"."""
+    recipe = e.recipe
+    op = recipe[0]
+    # the recipe's operands are among the sources, so equal counts mean
+    # they are the sources
+    if op not in _SQUARE_OPS or len(e.sources) != len(recipe) - 1:
+        return False
+    square = sc.dim_square
+    t = square(ev, e.target)
+    a = square(ev, recipe[1])
+    if not t or not a:
+        return False
+    nt, dt = t
+    na, da = a
+    if op == "copy":  # t = a
+        return na * dt == nt * da
+    if op == "inv":  # t = 1/a
+        return na * nt == da * dt
+    b = square(ev, recipe[2])
+    if not b:
+        return False
+    nb, db = b
+    if op == "div":  # t = a/b
+        return na * dt * db == nt * nb * da
+    if op == "mul":  # t = a*b
+        return na * nb * dt == nt * da * db
+    if op == "pyth_hyp":  # t^2 = a^2 + b^2
+        return nt * da * db == dt * (na * db + nb * da)
+    return nt * da * db == dt * (na * db - nb * da)  # pyth_leg: t^2 = a^2 - b^2

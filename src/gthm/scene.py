@@ -110,14 +110,15 @@ class Evaluation:
 
     Evaluation records every line it meets, with its label; the
     deduplicated `carriers` are built only when read.  Dimension values
-    are memoized here by `dim_value`, so each is computed once per
-    evaluation."""
+    are memoized here by `dim_value`, and their squares by `dim_square`,
+    so each is computed once per evaluation."""
 
     def __init__(self) -> None:
         self.points: dict[str, Coord] = {}
         self.named_lines: dict[str, Line] = {}
         self.lines: list[tuple[str, Line]] = []  # in encounter order
         self.values: dict = {}  # dim or point pair -> value, by dim_value
+        self.squares: dict = {}  # dim -> squared value, by dim_square
         self._inline_counter = 0
 
     @property
@@ -714,15 +715,19 @@ def foot_of_perpendicular(p: Coord, l: Line) -> Coord:
 # sampling and the dimension oracle
 
 
+# draws sample_params makes before it calls the figure degenerate
+RETRY_CAP = 100
+
+
 def sample_params(scene: Scene, seed: int,
                   rng_range: tuple[Fraction, Fraction] = DEFAULT_RANGE,
-                  retry_cap: int = 100) -> ParamAssignment:
+                  ) -> ParamAssignment:
     rng = random.Random(seed)
     lo, hi = rng_range
     lo_num, lo_den = lo.as_integer_ratio()
     hi_num, hi_den = hi.as_integer_ratio()
     last_err: Optional[Exception] = None
-    for _ in range(retry_cap):
+    for _ in range(RETRY_CAP):
         items = []
         for name in scene.model.params:
             value = None
@@ -745,7 +750,7 @@ def sample_params(scene: Scene, seed: int,
             continue
         return a
     raise DegenerateModel(
-        f"no valid assignment in {retry_cap} draws; last failure: {last_err}")
+        f"no valid assignment in {RETRY_CAP} draws; last failure: {last_err}")
 
 
 _NO_VALUE = object()  # memo entry of a ratio whose denominator is zero
@@ -782,6 +787,36 @@ def dim_value(ev: Evaluation, dim) -> Scalar:
     if v is _NO_VALUE:
         raise DivisionByZero(f"zero denominator in {dim.display}")
     return v
+
+
+def dim_square(ev: Evaluation, dim) -> tuple[int, int] | tuple[()]:
+    """The square of a dimension's value as an integer pair (n, d),
+    meaning n/d, when that value is exact and positive; the empty tuple
+    for a float, zero, negative or undefined value.
+
+    A Fraction p/q gives (p*p, q*q) and a Rad gives its radicand's
+    integer ratio.  A ratio crosses its numerator's and denominator's
+    pairs, so it is never divided out; the pairs need not be in lowest
+    terms.  Memoized per evaluation, like dim_value.
+    """
+    memo = ev.squares
+    sq = memo.get(dim)
+    if sq is None:
+        if dim.kind == "ratio":
+            num = dim_square(ev, dim.num)
+            den = dim_square(ev, dim.den)
+            sq = (num[0] * den[1], num[1] * den[0]) if num and den else ()
+        else:
+            v = dim_value(ev, dim)
+            if isinstance(v, Fraction):
+                n, d = v.numerator, v.denominator
+                sq = (n * n, d * d) if n > 0 else ()
+            elif isinstance(v, Rad):
+                sq = v.radicand.as_integer_ratio()
+            else:
+                sq = ()
+        memo[dim] = sq
+    return sq
 
 
 def _length(ev: Evaluation, pair: tuple[str, str]) -> Scalar:

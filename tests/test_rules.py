@@ -8,14 +8,21 @@ B=(1,2), C=(5,2), D=(5/2,1), F=(5/2,0), G=(5,0).
 import ast
 import itertools
 import math
+import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gthm import dsl, prove_text, rules, scene as sc
+from gthm import dsl, graph, prove_text, rules, scene as sc
 from gthm.exactnum import as_float, rel_err
+from test_point_limit import para_plus
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from gen import family_member  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -453,6 +460,200 @@ def test_recipe_failure_raises_numeric_failure(para):
     vals = {rules.length("D", "O"): F(1), rules.length("F", "O"): F(5)}
     with pytest.raises(rules.NumericFailure):
         rules.apply_edge(e, vals)  # leg longer than hypotenuse
+
+
+# --- validation on squared values against the Scalar replay -----------------
+
+
+def reference_replays(e, ev):
+    """The Scalar replay alone: recompute the target from the sources on
+    exactnum arithmetic and compare within VALIDATION_TOL."""
+    try:
+        target = sc.dim_value(ev, e.target)
+        sources = {d: sc.dim_value(ev, d) for d in e.sources}
+        got = rules.apply_edge(e, sources)
+    except (rules.NumericFailure, sc.GeometryError, ZeroDivisionError):
+        return False
+    return rel_err(got, target) <= rules.VALIDATION_TOL
+
+
+def check_replays(e, ev):
+    """Assert the squared-value check never keeps what the reference
+    drops and the whole replay agrees with the reference; return
+    whether the squared-value check answered."""
+    want = reference_replays(e, ev)
+    answered = rules._holds_on_squares(e, ev)
+    assert want or not answered, (e, "kept on squares, dropped by the reference")
+    assert rules._replays(e, ev) == want, e
+    return answered
+
+
+# the six fixtures, para+14, and nested generator members: 8 to 22 points
+GROWN = ["parallelogram", "parallelogram_bd", "parallelogram_bad", "imo2012",
+         "unreachable", "degenerate", "para+14", "parallelogram+4",
+         "parallelogram+8", "right_triangle+2", "right_triangle+5"]
+
+
+def grown_text(figure):
+    if figure == "para+14":
+        return para_plus(14)
+    if "+" in figure:
+        family, k = figure.split("+")
+        return family_member(family, int(k), True, random.Random(0), nested=True)
+    return (FIXTURES / f"{figure}.gthm").read_text()
+
+
+@pytest.mark.parametrize("seed", [42, 5])
+@pytest.mark.parametrize("figure", GROWN)
+def test_replays_match_the_scalar_reference_on_every_grown_edge(
+        figure, seed, monkeypatch):
+    tested = []
+    real = graph.validate_edges
+
+    def spy(edges, model, scn, *sampling):
+        tested.append((list(edges), scn, sampling))
+        return real(edges, model, scn, *sampling)
+
+    monkeypatch.setattr(graph, "validate_edges", spy)
+    prove_text(grown_text(figure), figure, seed=seed)
+    if figure == "degenerate":
+        assert tested == []  # no figure, so no growth
+        return
+    answered = 0
+    for edges, scn, sampling in tested:
+        for ev in rules._validation_samples(scn, *sampling):
+            answered += sum(check_replays(e, ev) for e in edges)
+    assert answered
+
+
+def crafted_evaluation():
+    """A hand-made figure: rational and radical lengths from O, a point
+    coinciding with A, a float point standing for a circle cut, and two
+    lengths 10^12 and 10^12 + 1 that agree within VALIDATION_TOL."""
+    ev = sc.Evaluation()
+    ev.points.update(
+        O=(F(0), F(0)), A=(F(2), F(0)), B=(F(0), F(3)), C=(F(1), F(1)),
+        D=(F(2), F(2)), E=(F(6), F(0)), G=(F(4), F(0)), H=(F(0), F(1)),
+        K=(F(-1), F(1)), P=(F(2), F(0)), Q=(F(2), F(3)), R=(F(1), F(3)),
+        S=(F(0), F(2)), X=(2.0, 0.0), M=(F(10**12), F(0)), N=(F(0), F(1)),
+        W=(F(10**12 + 1), F(1)))
+    return ev
+
+
+L = rules.length
+
+
+def crafted_edges():
+    """(name, edge, kept by the reference, kept on squares) for edges
+    built by hand over crafted_evaluation: OA=2, OB=3, OC=sqrt(2),
+    OD=sqrt(8), OE=6, OG=4, OH=1, OK=sqrt(2), OQ=sqrt(13), OR=sqrt(10),
+    OS=2, AP=0, OX=2.0, OM=10^12, NW=10^12+1."""
+    neg = rules.composite(("O", "A"), ("O", "E"))  # OA - OE = -4
+    zero, _ = rules.make_ratio(L("O", "A"), L("A", "P"))  # OA/AP, AP = 0
+    two, _ = rules.make_ratio(L("O", "A"), L("O", "H"))  # OA/OH = 2
+    also_two, _ = rules.make_ratio(L("O", "G"), L("O", "S"))  # OG/OS = 2
+    half, _ = rules.make_ratio(L("O", "C"), L("O", "D"))  # OC/OD = 1/2
+    root2, _ = rules.make_ratio(L("O", "D"), L("O", "S"))  # OD/OS = sqrt(2)
+    one, _ = rules.make_ratio(L("O", "C"), L("O", "K"))  # OC/OK = 1
+    assert (zero.den, two.num, also_two.num, half.num, root2.num) == \
+        (L("A", "P"), L("O", "A"), L("O", "G"), L("O", "C"), L("O", "D"))
+
+    def edge(name, sources, target, recipe, ref, squares):
+        return name, rules._edge(sources, target, "segment-chain", name,
+                                 recipe), ref, squares
+
+    return [
+        edge("negative composite copied", [neg], L("O", "G"),
+             ("copy", neg), False, False),
+        edge("negative composite inverted", [neg], L("O", "G"),
+             ("inv", neg), False, False),
+        edge("zero-length denominator copied", [zero], L("O", "A"),
+             ("copy", zero), False, False),
+        edge("ratio over a zero length", [L("O", "A"), L("A", "P")], zero,
+             ("div", L("O", "A"), L("A", "P")), False, False),
+        edge("zero length times a ratio", [zero, L("A", "P")], L("O", "A"),
+             ("mul", zero, L("A", "P")), False, False),
+        edge("rational ratio inverted", [half], two, ("inv", half), True, True),
+        edge("equal ratios inverted", [two], also_two, ("inv", two),
+             False, False),
+        edge("equal ratios copied", [two], also_two, ("copy", two), True, True),
+        edge("ratio copied onto its product", [two], one, ("copy", two),
+             False, False),
+        edge("radical ratio times a rational side", [root2, L("O", "S")],
+             L("O", "D"), ("mul", root2, L("O", "S")), True, True),
+        edge("radicals divided to a rational ratio", [L("O", "C"), L("O", "D")],
+             half, ("div", L("O", "C"), L("O", "D")), True, True),
+        edge("radical side from a ratio", [root2, L("O", "D")], L("O", "S"),
+             ("div", L("O", "D"), root2), True, True),
+        edge("radical copied onto a rational", [L("O", "C")], L("O", "H"),
+             ("copy", L("O", "C")), False, False),
+        edge("rational legs, radical hypotenuse", [L("O", "A"), L("O", "B")],
+             L("O", "Q"), ("pyth_hyp", L("O", "A"), L("O", "B")), True, True),
+        edge("radical legs, radical hypotenuse", [L("O", "C"), L("O", "D")],
+             L("O", "R"), ("pyth_hyp", L("O", "C"), L("O", "D")), True, True),
+        edge("radical hypotenuse, rational leg", [L("O", "Q"), L("O", "A")],
+             L("O", "B"), ("pyth_leg", L("O", "Q"), L("O", "A")), True, True),
+        edge("leg longer than the hypotenuse", [L("O", "A"), L("O", "Q")],
+             L("O", "B"), ("pyth_leg", L("O", "A"), L("O", "Q")), False, False),
+        edge("wrong hypotenuse", [L("O", "A"), L("O", "B")], L("O", "R"),
+             ("pyth_hyp", L("O", "A"), L("O", "B")), False, False),
+        edge("float copied onto its rational", [L("O", "X")], L("O", "A"),
+             ("copy", L("O", "X")), True, False),
+        edge("rational copied onto a float", [L("O", "A")], L("O", "X"),
+             ("copy", L("O", "A")), True, False),
+        edge("float over a rational", [L("O", "X"), L("O", "H")], two,
+             ("div", L("O", "X"), L("O", "H")), True, False),
+        edge("distinct rationals within the tolerance", [L("M", "O")],
+             L("N", "W"), ("copy", L("M", "O")), True, False),
+        edge("addition is left to the Scalar replay", [L("O", "A"), L("O", "G")],
+             L("O", "E"), ("add", L("O", "A"), L("O", "G")), True, False),
+    ]
+
+
+@pytest.mark.parametrize("name,e,ref,squares", crafted_edges(),
+                         ids=[c[0] for c in crafted_edges()])
+def test_crafted_edges_replay_as_the_scalar_reference(name, e, ref, squares):
+    ev = crafted_evaluation()
+    assert reference_replays(e, ev) == ref
+    assert check_replays(e, ev) == squares
+
+
+def test_squares_are_exact_positive_pairs_and_ratios_are_crossed():
+    ev = crafted_evaluation()
+    half, _ = rules.make_ratio(L("O", "C"), L("O", "D"))
+    cases = {L("O", "A"): (4, 1), L("O", "C"): (2, 1), L("O", "X"): (),
+             L("A", "P"): (), rules.composite(("O", "A"), ("O", "E")): (),
+             rules.composite(("O", "E"), ("O", "A")): (16, 1),
+             half: (2 * 1, 1 * 8)}
+    for dim, want in cases.items():
+        assert sc.dim_square(ev, dim) == want, dim
+        assert ev.squares[dim] == want  # memoized
+
+
+def test_exact_ratio_edges_never_reach_the_scalar_replay(monkeypatch):
+    # every value growth meets on this all-rational figure is exact and
+    # positive, so each copy, inv, div and mul edge it tests is settled
+    # on squared values
+    ops, tested = [], []
+    real_apply, real_validate = rules.apply_edge, graph.validate_edges
+
+    def spy_apply(e, values):
+        ops.append(e.recipe[0])
+        return real_apply(e, values)
+
+    def spy_validate(edges, *args):
+        tested.extend(e.recipe[0] for e in edges)
+        monkeypatch.setattr(rules, "apply_edge", spy_apply)
+        try:
+            return real_validate(edges, *args)
+        finally:
+            monkeypatch.setattr(rules, "apply_edge", real_apply)
+
+    monkeypatch.setattr(graph, "validate_edges", spy_validate)
+    result = prove_text((FIXTURES / "parallelogram.gthm").read_text(), "p")
+    assert result.verdict.status == "PROVED"
+    assert {"copy", "inv", "div", "mul"} <= set(tested)
+    assert ops and not {"copy", "inv", "div", "mul"} & set(ops)
 
 
 @settings(max_examples=60, deadline=None)
