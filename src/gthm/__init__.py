@@ -93,4 +93,4 @@ def prove_file(path, **settings) -> ProofResult:
     """Run the whole pipeline on a .gthm file; `settings` are the
     keyword arguments of prove_model."""
     p = Path(path)
-    return prove_text(p.read_text(), name=p.stem, **settings)
+    return prove_text(dsl.read_source(p, p.stem), name=p.stem, **settings)

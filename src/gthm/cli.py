@@ -122,8 +122,8 @@ def _config(args) -> RunConfig:
 
 
 def _load_model(cfg: RunConfig):
-    text = cfg.input_path.read_text()
     name = str(cfg.input_path)
+    text = dsl.read_source(cfg.input_path, name)
     return dsl.validate(dsl.parse(text, name), name)
 
 
@@ -187,7 +187,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as err:
         sys.stderr.write(f"gthm: {err}\n")
         return EXIT_INPUT_ERROR
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         sys.stderr.write(f"gthm: cannot read input: {err}\n")
         return EXIT_INPUT_ERROR
     except dsl.DslError as err:

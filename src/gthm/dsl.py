@@ -549,6 +549,17 @@ class _LineParser:
         return ClaimTerm(coef=coef, p=p.value, q=q.value, span=t.span)
 
 
+def read_source(path, filename: str) -> str:
+    """A theorem file's text, decoded as UTF-8.  At most MAX_FILE_BYTES
+    + 1 bytes are read, so an oversized or endless input is refused
+    without reading it all; undecodable bytes raise UnicodeDecodeError."""
+    with open(path, "rb") as f:
+        data = f.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise LimitExceeded("input exceeds the file size limit", Span(1, 1, 1, 1), filename)
+    return data.decode("utf-8")
+
+
 def parse(text: str, filename: str = "<input>") -> list[Statement]:
     """Tokenize and parse a theorem file into statements, in file order."""
     if len(text.encode("utf-8", errors="replace")) > MAX_FILE_BYTES:

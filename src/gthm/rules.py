@@ -3,7 +3,14 @@
 Each rule inspects the witness coordinates for a geometric relation
 (collinearity, parallels, right angles, similar triangles, circle
 cuts), and emits hyperedges: a set of source dimensions from which one
-target dimension can be computed by a fixed formula.  Relations are
+target dimension can be computed by a fixed formula.  The rules of one
+discover call share a point-pair index of the witness: for each pair,
+whether the points are distinct, their squared distance, and the exact
+direction class of their difference when it is rational.  A line is
+then the set of points sharing a class at an anchor, and a right angle
+a pair of perpendicular classes at a corner; only differences with a
+radical or float component are compared one by one with the scene's
+predicates.  Relations are
 detected at a single witness sample; spurious coincidences are culled
 when growth first reaches an edge, by replaying it at fresh samples
 (validate_edges).  A replay whose values are all exact and positive
@@ -19,7 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 from weakref import WeakKeyDictionary, WeakValueDictionary
@@ -48,14 +56,7 @@ class Dim:
     den: Optional["Dim"] = None
     far: tuple[str, str] = ()
     near: tuple[str, str] = ()
-
-    @property
-    def display(self) -> str:
-        if self.kind == "length":
-            return "".join(self.points)
-        if self.kind == "ratio":
-            return f"{self.num.display}/{self.den.display}"
-        return f"({''.join(self.far)}-{''.join(self.near)})"
+    display: str = ""
 
     def __repr__(self) -> str:
         return f"Dim({self.display})"
@@ -70,7 +71,13 @@ def _intern(kind: str, points: tuple[str, str] = (), num: Optional[Dim] = None,
     key = (kind, points, num, den, far, near)
     d = _DIMS.get(key)
     if d is None:
-        d = _DIMS[key] = Dim(kind, points, num, den, far, near)
+        if kind == "length":
+            display = "".join(points)
+        elif kind == "ratio":
+            display = f"{num.display}/{den.display}"
+        else:
+            display = f"({''.join(far)}-{''.join(near)})"
+        d = _DIMS[key] = Dim(kind, points, num, den, far, near, display)
     return d
 
 
@@ -125,8 +132,11 @@ PRIORITY = {
 }
 
 
+_display = operator.attrgetter("display")
+
+
 def _edge(sources, target, rule, justification, recipe, subpriority=0, bond=None):
-    srcs = tuple(sorted(set(sources), key=lambda d: d.display))
+    srcs = tuple(sorted(set(sources), key=_display))
     if target in srcs or not srcs:
         return None
     return Hyperedge(sources=srcs, target=target, rule=rule,
@@ -143,7 +153,7 @@ def _recipe_key(recipe: tuple) -> tuple:
 
 def _sort_key(e: Hyperedge):
     return (PRIORITY[e.rule], e.subpriority, e.target.display,
-            tuple(s.display for s in e.sources), _recipe_key(e.recipe))
+            tuple(map(_display, e.sources)), _recipe_key(e.recipe))
 
 
 def finalize(edges: list[Hyperedge]) -> list[Hyperedge]:
@@ -165,7 +175,8 @@ def finalize(edges: list[Hyperedge]) -> list[Hyperedge]:
             next_label += 1
             if e.bond is not None:
                 bonds[e.bond] = label
-        labeled.append(replace(e, group=label))
+        labeled.append(Hyperedge(e.sources, e.target, e.rule, e.justification,
+                                 e.recipe, label, e.subpriority, e.bond))
     return labeled
 
 
@@ -174,11 +185,27 @@ def finalize(edges: list[Hyperedge]) -> list[Hyperedge]:
 
 
 class _Witness:
-    """Everything the rules need to look at one evaluated sample."""
+    """One evaluated sample and the point-pair index every rule of a
+    discover call reads.
+
+    Points are indexed in declaration order.  For each pair i < j the
+    index holds whether the points are distinct (`apart`, one
+    scene.coincident call per pair), the squared distance (`sq`: its
+    numerator and denominator in lowest terms when rational, and its
+    float) and the direction class of the difference (`klass`): its
+    integer components over their gcd, sign-normalised, when both
+    components are Fractions; (0, 0) for a zero difference; None when a
+    component is a Rad or a float.  Classes are exact, so they decide
+    collinearity and right angles as the scene's integer predicates do;
+    a vector without a class is compared with the others at its anchor
+    by the scene predicate itself, unless a float screen
+    (scene.surely_not_parallel / surely_not_perpendicular) shows the
+    predicate's answer is no."""
 
     def __init__(self, model: dsl.HypothesisModel, scene_: sc.Scene,
                  witness: sc.ParamAssignment):
         self.model = model
+        self.scene = scene_
         self.ev = sc.evaluate(scene_, witness)
         self.names: list[str] = list(self.ev.points)
         self.coords = self.ev.points
@@ -187,6 +214,61 @@ class _Witness:
         self.axis = sc.Line(origin, sc.vsub(base, origin))
         self.on_axis = [n for n in self.names if sc.on_line(self.coords[n], self.axis)]
         self.off_axis = [n for n in self.names if n not in set(self.on_axis)]
+        self.pos = {name: i for i, name in enumerate(self.names)}
+        self.points = pts = [self.coords[name] for name in self.names]
+        n = len(pts)
+        self.apart = [[False] * n for _ in range(n)]
+        self.klass: list[list[Optional[tuple[int, int]]]] = [[None] * n for _ in range(n)]
+        self.sq: dict[tuple[int, int], tuple[Optional[tuple[int, int]], float]] = {}
+        for i, j in itertools.combinations(range(n), 2):
+            p, q = pts[i], pts[j]
+            self.apart[i][j] = self.apart[j][i] = not sc.coincident(p, q)
+            diff = sc.exact_difference(p, q)
+            if diff is None:
+                s = sc.sq_norm(sc.vsub(p, q))
+                exact = s.as_integer_ratio() if isinstance(s, Fraction) else None
+                self.sq[i, j] = (exact, as_float(s))
+                continue
+            x, y, d = diff
+            num, den = x * x + y * y, d * d
+            g = math.gcd(num, den)
+            self.sq[i, j] = ((num // g, den // g), num / den)
+            self.klass[i][j] = self.klass[j][i] = _direction(x, y)
+        self.collinear_triples = self._collinear_triples()
+
+    def _collinear_triples(self) -> list[tuple[int, int, int]]:
+        """Every index triple i < j < k that scene.points_collinear
+        calls collinear, coincident points included, in
+        combinations order.  At anchor i, j and k are collinear when
+        either coincides with i or they share a class; a pair with a
+        classless vector asks the predicate."""
+        pts, n = self.points, len(self.points)
+        out = []
+        for i in range(n):
+            row = self.klass[i]
+            classes: dict[tuple[int, int], list[int]] = {}
+            loose = []
+            for j in range(i + 1, n):
+                (loose if row[j] is None else classes.setdefault(row[j], [])).append(j)
+            zero = classes.pop((0, 0), [])
+            found = set()
+            for js in classes.values():
+                found.update(itertools.combinations(js, 2))
+            for j in zero:
+                found.update((min(j, k), max(j, k)) for k in range(i + 1, n) if k != j)
+            screened = {x: sc.screen(sc.vsub(pts[x], pts[i]))
+                        for x in range(i + 1, n)} if loose else {}
+            for j in loose:
+                for k in range(i + 1, n):
+                    if k == j or (k < j and row[k] is None) or row[k] == (0, 0):
+                        continue
+                    if sc.surely_not_parallel(screened[j], screened[k]):
+                        continue
+                    a, b = min(j, k), max(j, k)
+                    if sc.points_collinear(pts[i], pts[a], pts[b]):
+                        found.add((a, b))
+            out.extend((i, j, k) for j, k in sorted(found))
+        return out
 
     def collinear(self, a: str, b: str, c: str) -> bool:
         return sc.points_collinear(self.coords[a], self.coords[b], self.coords[c])
@@ -195,7 +277,7 @@ class _Witness:
         return sc.strictly_between(self.coords[a], self.coords[m], self.coords[b])
 
     def distinct(self, a: str, b: str) -> bool:
-        return not sc.coincident(self.coords[a], self.coords[b])
+        return self.apart[self.pos[a]][self.pos[b]]
 
     def axis_feet(self, p: str) -> list[str]:
         """Declared points on the axis that are the perpendicular foot
@@ -203,10 +285,9 @@ class _Witness:
         pc = self.coords[p]
         out = []
         for v in self.on_axis:
-            vc = self.coords[v]
-            if sc.coincident(pc, vc):
+            if not self.distinct(p, v):
                 continue
-            if sc.perpendicular(sc.vsub(pc, vc), self.axis.direction):
+            if sc.perpendicular(sc.vsub(pc, self.coords[v]), self.axis.direction):
                 out.append(v)
         return out
 
@@ -222,14 +303,24 @@ class _Witness:
         return sc.dim_value(self.ev, dim)
 
 
+def _direction(x: int, y: int) -> tuple[int, int]:
+    """The class of the vector (x, y): over the gcd, first nonzero
+    component positive; (0, 0) stays itself."""
+    g = math.gcd(x, y)
+    if g == 0:
+        return 0, 0
+    x, y = x // g, y // g
+    return (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
+
+
 def _chain_triples(w: _Witness) -> list[tuple[str, str, str]]:
     """(end, middle, end) for every strictly-between collinear triple."""
+    names, apart = w.names, w.apart
     out = []
-    for a, b, c in itertools.combinations(w.names, 3):
-        if not (w.distinct(a, b) and w.distinct(b, c) and w.distinct(a, c)):
+    for i, j, k in w.collinear_triples:
+        if not (apart[i][j] and apart[j][k] and apart[i][k]):
             continue
-        if not w.collinear(a, b, c):
-            continue
+        a, b, c = names[i], names[j], names[k]
         if w.between(a, b, c):
             out.append((a, b, c))
         elif w.between(b, a, c):
@@ -239,18 +330,59 @@ def _chain_triples(w: _Witness) -> list[tuple[str, str, str]]:
     return out
 
 
+def _right_angles(w: _Witness) -> list[tuple[str, str, str]]:
+    """(corner, p, r), p declared before r, for every right angle at a
+    corner of three distinct points, in the order of the triple in
+    combinations order and then of the corner within it.  At a corner,
+    classes meet at a right angle when each is the other turned by 90
+    degrees; a classless vector asks scene.perpendicular."""
+    pts, n, apart = w.points, len(w.points), w.apart
+    vectors: dict[tuple[int, int], tuple] = {}
+
+    def towards(p: int, corner: int) -> tuple:
+        """The vector corner -> p, and its screen."""
+        v = vectors.get((p, corner))
+        if v is None:
+            u = sc.vsub(pts[p], pts[corner])
+            v = vectors[p, corner] = (u, sc.screen(u))
+        return v
+
+    found = []
+    for c in range(n):
+        row = w.klass[c]
+        classes: dict[tuple[int, int], list[int]] = {}
+        loose = []
+        for x in range(n):
+            if x != c and apart[c][x]:
+                (loose if row[x] is None else classes.setdefault(row[x], [])).append(x)
+        for k, ps in classes.items():
+            turned = _direction(-k[1], k[0])
+            if k < turned:
+                found.extend((c, min(p, r), max(p, r))
+                             for p in ps for r in classes.get(turned, ()))
+        others = [x for xs in classes.values() for x in xs]
+        for p in loose:
+            for r in others + [x for x in loose if x > p]:
+                a, b = min(p, r), max(p, r)
+                if not apart[a][b]:
+                    continue
+                (u, su), (v, sv) = towards(a, c), towards(b, c)
+                if not sc.surely_not_perpendicular(su, sv) and sc.perpendicular(u, v):
+                    found.append((c, a, b))
+    # corners of triple (a, b, c) come in the order a, b, c
+    found.sort(key=lambda t: (*sorted(t), sorted(t).index(t[0])))
+    return [(w.names[c], w.names[p], w.names[r]) for c, p, r in found]
+
+
 # ---------------------------------------------------------------------------
 # the rules
 
 
-def segment_chain_rule(model: dsl.HypothesisModel, scene_: sc.Scene,
-                       witness: sc.ParamAssignment,
-                       ratio_dims: tuple[Dim, ...] = ()) -> list[Hyperedge]:
+def segment_chain_rule(w: _Witness, ratio_dims: tuple[Dim, ...] = ()) -> list[Hyperedge]:
     """Lengths add along a line.  For each strictly-between triple
     (P, M, Q) emit the three add/subtract edges.  When ratio dimensions
     are supplied, also rewrite their numerators as origin-anchored
     differences (AF becomes OA - OF), which prepares ratio solving."""
-    w = _Witness(model, scene_, witness)
     edges: list[Optional[Hyperedge]] = []
     for a, m, b in _chain_triples(w):
         am, mb, ab = length(a, m), length(m, b), length(a, b)
@@ -258,7 +390,7 @@ def segment_chain_rule(model: dsl.HypothesisModel, scene_: sc.Scene,
         edges.append(_edge([am, mb], ab, "segment-chain", just, ("add", am, mb)))
         edges.append(_edge([ab, am], mb, "segment-chain", just, ("sub", ab, am)))
         edges.append(_edge([ab, mb], am, "segment-chain", just, ("sub", ab, mb)))
-    origin = model.origin
+    origin = w.model.origin
     for r in ratio_dims:
         if r.kind != "ratio" or r.num.kind != "length":
             continue
@@ -285,11 +417,9 @@ def segment_chain_rule(model: dsl.HypothesisModel, scene_: sc.Scene,
     return [e for e in edges if e is not None]
 
 
-def parallel_transfer_rule(model: dsl.HypothesisModel, scene_: sc.Scene,
-                           witness: sc.ParamAssignment) -> list[Hyperedge]:
+def parallel_transfer_rule(w: _Witness) -> list[Hyperedge]:
     """Perpendicular offsets between the same two parallel carriers are
     equal, so either transfers to the other."""
-    w = _Witness(model, scene_, witness)
     carriers = w.ev.carriers
     edges: list[Optional[Hyperedge]] = []
     for (la, l1), (lb, l2) in itertools.combinations(carriers, 2):
@@ -302,7 +432,7 @@ def parallel_transfer_rule(model: dsl.HypothesisModel, scene_: sc.Scene,
                 continue
             for v in w.names:
                 cv = w.coords[v]
-                if u == v or not sc.on_line(cv, l2) or sc.coincident(cu, cv):
+                if u == v or not sc.on_line(cv, l2) or not w.distinct(u, v):
                     continue
                 if sc.perpendicular(sc.vsub(cu, cv), l1.direction):
                     offsets.append((u, v))
@@ -317,30 +447,21 @@ def parallel_transfer_rule(model: dsl.HypothesisModel, scene_: sc.Scene,
     return [e for e in edges if e is not None]
 
 
-def pythagoras_rule(model: dsl.HypothesisModel, scene_: sc.Scene,
-                    witness: sc.ParamAssignment) -> list[Hyperedge]:
+def pythagoras_rule(w: _Witness) -> list[Hyperedge]:
     """Right angles detected at the witness give the three Pythagoras
     edges per triple; point pairs with declared feet on the reference
     axis additionally give the four-source distance-formula edge."""
-    w = _Witness(model, scene_, witness)
     edges: list[Optional[Hyperedge]] = []
-    for a, b, c in itertools.combinations(w.names, 3):
-        if not (w.distinct(a, b) and w.distinct(b, c) and w.distinct(a, c)):
-            continue
-        for corner, p, r in ((a, b, c), (b, a, c), (c, a, b)):
-            u = sc.vsub(w.coords[p], w.coords[corner])
-            v = sc.vsub(w.coords[r], w.coords[corner])
-            if not sc.perpendicular(u, v):
-                continue
-            leg1, leg2 = length(corner, p), length(corner, r)
-            hyp = length(p, r)
-            just = f"the angle at {corner} in triangle {p}{corner}{r} is a right angle"
-            edges.append(_edge([leg1, leg2], hyp, "pythagoras", just,
-                               ("pyth_hyp", leg1, leg2)))
-            edges.append(_edge([hyp, leg1], leg2, "pythagoras", just,
-                               ("pyth_leg", hyp, leg1)))
-            edges.append(_edge([hyp, leg2], leg1, "pythagoras", just,
-                               ("pyth_leg", hyp, leg2)))
+    for corner, p, r in _right_angles(w):
+        leg1, leg2 = length(corner, p), length(corner, r)
+        hyp = length(p, r)
+        just = f"the angle at {corner} in triangle {p}{corner}{r} is a right angle"
+        edges.append(_edge([leg1, leg2], hyp, "pythagoras", just,
+                           ("pyth_hyp", leg1, leg2)))
+        edges.append(_edge([hyp, leg1], leg2, "pythagoras", just,
+                           ("pyth_leg", hyp, leg1)))
+        edges.append(_edge([hyp, leg2], leg1, "pythagoras", just,
+                           ("pyth_leg", hyp, leg2)))
     edges.extend(_distance_formula(w))
     return [e for e in edges if e is not None]
 
@@ -378,9 +499,10 @@ def _distance_formula(w: _Witness) -> list[Optional[Hyperedge]]:
 # sides to the largest at this width
 _SHAPE_BIN = 1e-6
 
+_PERMS = tuple(itertools.permutations(range(3)))
 
-def similar_triangles_rule(model: dsl.HypothesisModel, scene_: sc.Scene,
-                           witness: sc.ParamAssignment) -> list[Hyperedge]:
+
+def similar_triangles_rule(w: _Witness) -> list[Hyperedge]:
     """Triangle pairs whose sides are proportional at the witness, each
     triangle compared only with those in its own or a neighbouring shape
     bucket.  Per corresponding side pair the rule emits the
@@ -390,25 +512,26 @@ def similar_triangles_rule(model: dsl.HypothesisModel, scene_: sc.Scene,
     turn a ratio plus one side into the other side.  Pairs are emitted
     in point-triple scan order, which picks the justification finalize
     keeps among tied edges."""
-    w = _Witness(model, scene_, witness)
-    sq = {(p, q): sc.sq_norm(sc.vsub(w.coords[p], w.coords[q]))
-          for p, q in itertools.combinations(w.names, 2)}
+    sq, names = w.sq, w.names
+    flat = set(w.collinear_triples)
     buckets: dict[tuple[int, int], list[int]] = {}
-    tris: list[tuple[tuple[str, str, str], tuple[Scalar, Scalar, Scalar]]] = []
+    tris: list[tuple[tuple[str, str, str], tuple, Optional[tuple]]] = []
     matches = []
-    for a, b, c in itertools.combinations(w.names, 3):
-        if sc.points_collinear(w.coords[a], w.coords[b], w.coords[c]):
+    for t in itertools.combinations(range(len(names)), 3):
+        if t in flat:
             continue
-        opposite = (sq[(b, c)], sq[(a, c)], sq[(a, b)])  # side facing each corner
-        lo, mid, hi = sorted(as_float(s) for s in opposite)
+        a, b, c = t
+        opposite = (sq[b, c], sq[a, c], sq[a, b])  # side facing each corner
+        tri = ((names[a], names[b], names[c]), tuple(s[1] for s in opposite),
+               _shape([s[0] for s in opposite]))
+        lo, mid, hi = sorted(tri[1])
         kx, ky = int(lo / hi // _SHAPE_BIN), int(mid / hi // _SHAPE_BIN)
         for dx, dy in itertools.product((-1, 0, 1), repeat=2):
             for other in buckets.get((kx + dx, ky + dy), ()):
-                matches.extend((other, len(tris), perm)
-                               for perm in itertools.permutations(range(3))
-                               if _proportional(tris[other][1], opposite, perm))
+                matches.extend((other, len(tris), perm) for perm in _PERMS
+                               if _proportional(tris[other], tri, perm))
         buckets.setdefault((kx, ky), []).append(len(tris))
-        tris.append(((a, b, c), opposite))
+        tris.append(tri)
     edges: list[Hyperedge] = []
     emitted: set = set()
     for i, j, perm in sorted(matches):
@@ -422,14 +545,29 @@ def similar_triangles_rule(model: dsl.HypothesisModel, scene_: sc.Scene,
     return edges
 
 
-def _proportional(sides1: tuple, sides2: tuple, perm: tuple[int, int, int]) -> bool:
-    """Is sides1[i] : sides2[perm[i]] the same for every i?  Exact when
-    all six squared sides are rational, else within a relative 1e-9."""
-    (a0, b0), *rest = [(sides1[i], sides2[perm[i]]) for i in range(3)]
-    if all(isinstance(s, Fraction) for s in sides1 + sides2):
-        return all(a * b0 == a0 * b for a, b in rest)
-    return all(math.isclose(as_float(a) * as_float(b0), as_float(a0) * as_float(b),
-                            rel_tol=1e-9) for a, b in rest)
+def _shape(sides: list) -> Optional[tuple[int, int, int]]:
+    """Three positive rational squared sides, as (numerator,
+    denominator) pairs, scaled to the coprime integers proportional to
+    them; None when a side is not rational.  Two triangles' sides are
+    proportional exactly when their shapes are equal."""
+    if not all(sides):
+        return None
+    lcm = math.lcm(*(d for _, d in sides))
+    scaled = [n * (lcm // d) for n, d in sides]
+    g = math.gcd(*scaled)
+    return tuple(x // g for x in scaled)
+
+
+def _proportional(tri1: tuple, tri2: tuple, perm: tuple[int, int, int]) -> bool:
+    """Is side i of tri1 to side perm[i] of tri2 the same ratio for
+    every i?  Exact, on the shapes, when all six squared sides are
+    rational; else on their floats within a relative 1e-9."""
+    (_, f1, shape1), (_, f2, shape2) = tri1, tri2
+    if shape1 and shape2:
+        return all(shape1[i] == shape2[perm[i]] for i in range(3))
+    b0 = f2[perm[0]]
+    return all(math.isclose(f1[i] * b0, f1[0] * f2[perm[i]], rel_tol=1e-9)
+               for i in (1, 2))
 
 
 def _similarity_edges(t1: tuple[str, str, str], t2: tuple[str, str, str],
@@ -486,14 +624,13 @@ def _similarity_edges(t1: tuple[str, str, str], t2: tuple[str, str, str],
     return out
 
 
-def line_circle_rule(model: dsl.HypothesisModel, scene_: sc.Scene,
-                     witness: sc.ParamAssignment) -> list[Hyperedge]:
+def line_circle_rule(w: _Witness) -> list[Hyperedge]:
     """Points cut from a line by a circle whose center sits on the
     reference axis.  When the line is anchored on the axis and aimed at
     an off-axis point with a declared foot, the intersection parameter
     solves a quadratic whose coefficients are known lengths, which
     prices both the cut point's axis position and its height."""
-    w = _Witness(model, scene_, witness)
+    model = w.model
     edges: list[Optional[Hyperedge]] = []
     on_axis = set(w.on_axis)
     for stmt in model.constructions:
@@ -510,7 +647,7 @@ def line_circle_rule(model: dsl.HypothesisModel, scene_: sc.Scene,
             continue
         if not (w.distinct(p, q) and w.distinct(p, center)):
             continue
-        radius_dim = _radius_dim(pe.radius, scene_)
+        radius_dim = _radius_dim(pe.radius, w.scene)
         if radius_dim is None:
             continue
         qfeet = w.axis_feet(q)
@@ -751,31 +888,32 @@ def discover(model: dsl.HypothesisModel, scene_: sc.Scene,
     other rules produced, ratio solving then reads those rewrites, and
     it only targets lengths, which feed neither step again."""
     w = _Witness(model, scene_, witness)
-    pool: list[Hyperedge] = []
-    pool.extend(parallel_transfer_rule(model, scene_, witness))
-    pool.extend(pythagoras_rule(model, scene_, witness))
-    pool.extend(similar_triangles_rule(model, scene_, witness))
-    pool.extend(line_circle_rule(model, scene_, witness))
-    ratios = _with_values(w, _dims_of_kind(pool, "ratio"))
-    pool.extend(segment_chain_rule(model, scene_, witness,
-                                   ratio_dims=tuple(r for r, _ in ratios)))
-    pool.extend(ratio_solve_rule(_with_values(w, _dims_of_kind(pool, "ratio")),
-                                 _with_values(w, _dims_of_kind(pool, "length"))))
-
+    pool = [*parallel_transfer_rule(w), *pythagoras_rule(w),
+            *similar_triangles_rule(w), *line_circle_rule(w)]
+    dims: dict[str, set[Dim]] = {"ratio": set(), "length": set(), "composite": set()}
+    _collect_dims(pool, dims)
+    ratios = _with_values(w, dims["ratio"])
+    chain = segment_chain_rule(w, ratio_dims=tuple(r for r, _ in ratios))
+    _collect_dims(chain, dims)
+    pool.extend(chain)
+    pool.extend(ratio_solve_rule(_with_values(w, dims["ratio"]),
+                                 _with_values(w, dims["length"])))
     return finalize(pool)
 
 
-def _dims_of_kind(edges: list[Hyperedge], kind: str) -> list[Dim]:
-    """Every dimension of that kind the edges mention, by display name."""
-    out: set[Dim] = set()
+def _collect_dims(edges: list[Hyperedge], dims: dict[str, set[Dim]]) -> None:
+    """Add every dimension the edges mention to its kind's set."""
     for e in edges:
-        out.update(d for d in (e.target, *e.sources) if d.kind == kind)
-    return sorted(out, key=lambda d: d.display)
+        dims[e.target.kind].add(e.target)
+        for d in e.sources:
+            dims[d.kind].add(d)
 
 
 def _with_values(w: _Witness, dims) -> list[tuple[Dim, Scalar]]:
+    """The dims by display name, each with its witness value; a ratio
+    over a zero length is left out."""
     out = []
-    for d in dims:
+    for d in sorted(dims, key=_display):
         try:
             out.append((d, w.value(d)))
         except (sc.DivisionByZero, ZeroDivisionError):

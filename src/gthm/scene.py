@@ -241,8 +241,44 @@ def distance(a: Coord, b: Coord) -> Scalar:
     return sqrt_scalar(sq_norm(vsub(a, b)))
 
 
+def exact_difference(p: Coord, q: Coord) -> Optional[tuple[int, int, int]]:
+    """q - p as integers (x, y, w), w > 0, when both its components are
+    Fractions; None when one is a Rad or a float.  Either order of p and
+    q gives Fractions or neither, so the answer is symmetric up to sign."""
+    if _rational(p) and _rational(q):
+        return _hom_sub(_hom(q), _hom(p))
+    v = vsub(q, p)
+    return _hom(v) if _rational(v) else None
+
+
 def _vec_scale(v: Coord) -> Scalar:
     return max(abs(as_float(v[0])), abs(as_float(v[1])), 1.0)
+
+
+# A float dot or cross product of two vectors differs from the one the
+# predicates compute on the same Scalars by a few units in the last
+# place of the vectors' scales, far below this share of them; past it,
+# the product is nonzero however the predicate computes it.
+SCREEN_TOL = 1e-6
+
+
+def screen(v: Coord) -> tuple[float, float, float]:
+    """v's components as floats and its scale, for the `surely_not_*`
+    tests that spare a Scalar predicate call."""
+    x, y = as_float(v[0]), as_float(v[1])
+    return x, y, max(abs(x), abs(y), 1.0)
+
+
+def surely_not_perpendicular(u: tuple[float, float, float],
+                             v: tuple[float, float, float]) -> bool:
+    """perpendicular() of the screened vectors is False."""
+    return abs(u[0] * v[0] + u[1] * v[1]) > SCREEN_TOL * u[2] * v[2]
+
+
+def surely_not_parallel(u: tuple[float, float, float],
+                        v: tuple[float, float, float]) -> bool:
+    """points_collinear() of a, a + u, a + v (u, v screened) is False."""
+    return abs(u[0] * v[1] - u[1] * v[0]) > SCREEN_TOL * u[2] * v[2]
 
 
 def points_collinear(a: Coord, b: Coord, c: Coord) -> bool:
@@ -257,6 +293,17 @@ def points_collinear(a: Coord, b: Coord, c: Coord) -> bool:
 
 def strictly_between(a: Coord, m: Coord, b: Coord) -> bool:
     """m strictly inside segment ab; assumes collinearity was checked."""
+    if _rational(a) and _rational(m) and _rational(b):
+        ha = _hom(a)
+        ux, uy, uw = _hom_sub(_hom(m), ha)
+        vx, vy, vw = _hom_sub(_hom(b), ha)
+        t_den = vx * vx + vy * vy
+        if t_den == 0:
+            return False
+        # the two floats the Scalar path divides: each a correctly
+        # rounded quotient of integers, as float() of a Fraction is
+        t = ((ux * vx + uy * vy) / (uw * vw)) / (t_den / (vw * vw))
+        return PRED_TOL < t < 1 - PRED_TOL
     u, v = vsub(m, a), vsub(b, a)
     t_num = dot(u, v)
     t_den = sq_norm(v)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gthm import cli, prove_file
+from gthm import cli, dsl, prove_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -84,6 +84,49 @@ def test_missing_file_exits_three(capsys):
     code, out, err = run(capsys, "prove", "no_such_file.gthm")
     assert code == 3
     assert err.startswith("gthm: cannot read input")
+
+
+@pytest.mark.parametrize("command", ["prove", "graph", "check"])
+def test_undecodable_input_exits_three(command, tmp_path, capsys):
+    bad = tmp_path / "bad.gthm"
+    bad.write_bytes(b"\xff\xfe param x\n")
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("gthm: cannot read input: ")
+    assert "utf-8" in err
+
+
+def test_oversized_file_is_refused_at_the_limit(tmp_path, capsys):
+    big = tmp_path / "big.gthm"
+    big.write_bytes(b"# filler\n" * (dsl.MAX_FILE_BYTES // 9 + 1))
+    code, out, err = run(capsys, "prove", str(big))
+    assert code == 3
+    assert err == f"gthm: {big}:1:1: input exceeds the file size limit\n"
+    with pytest.raises(dsl.LimitExceeded):
+        prove_file(big)
+
+
+_READ_ENDLESS = """\
+import resource, sys
+cap = 256 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from gthm import cli
+sys.exit(cli.main(["prove", "/dev/zero"]))
+"""
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+def test_endless_input_is_refused_after_a_bounded_read():
+    # an unbounded read runs out of the capped address space (exit 1)
+    # instead of reaching the size limit (exit 3)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _READ_ENDLESS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr[-500:]
+    assert proc.stderr == "gthm: /dev/zero:1:1: input exceeds the file size limit\n"
 
 
 def test_parse_error_exits_three(tmp_path, capsys):

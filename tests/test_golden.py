@@ -6,6 +6,12 @@ intended output change, from the repository root:
 
     PYTHONPATH=src python -m gthm.cli prove fixtures/parallelogram.gthm \
         --seed 42 --emit text > tests/golden/parallelogram.prove-text.txt
+
+The fixtures have at most 11 points.  Two 16-point figures, the nested
+true members parallelogram+8 and right_triangle+5 of `perfbench/gen.py`
+(the first has a radical point, the second eight float points), are
+stored next to their outputs as `tests/golden/<name>.gthm`, so that
+discovery's point-pair index is pinned where it does the most work.
 """
 
 from pathlib import Path
@@ -23,6 +29,8 @@ EXIT_CODES = {"degenerate": 2, "imo2012": 0, "parallelogram": 0,
 CASES = [(f, "prove", fmt) for f in EXIT_CODES for fmt in ("text", "json", "dot")]
 CASES += [(f, "check", "text") for f in EXIT_CODES]
 
+GENERATED = ("parallelogram_k8", "right_triangle_k5")
+
 
 @pytest.mark.parametrize("fixture,command,fmt", CASES,
                          ids=[f"{f}.{c}-{fmt}" for f, c, fmt in CASES])
@@ -35,3 +43,13 @@ def test_stdout_matches_golden(capsys, fixture, command, fmt):
     # unreachable's claim is true, so the oracle-only check proves it
     expected = 0 if (fixture, command) == ("unreachable", "check") else EXIT_CODES[fixture]
     assert code == expected
+
+
+@pytest.mark.parametrize("fmt", ["text", "dot"])
+@pytest.mark.parametrize("figure", GENERATED)
+def test_sixteen_point_stdout_matches_golden(capsys, figure, fmt):
+    code = cli.main(["prove", str(GOLDEN / f"{figure}.gthm"),
+                     "--seed", "42", "--emit", fmt])
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / f"{figure}.prove-{fmt}.txt").read_bytes()
+    assert code == 0

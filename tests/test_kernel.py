@@ -48,6 +48,15 @@ def ref_points_collinear(a, b, c):
     return sc.near_zero(sc.cross(u, v), _scale(u) * _scale(v))
 
 
+def ref_strictly_between(a, m, b):
+    u, v = sc.vsub(m, a), sc.vsub(b, a)
+    t_den = sc.sq_norm(v)
+    if sc.near_zero(t_den, 1.0):
+        return False
+    t = as_float(sc.dot(u, v)) / as_float(t_den)
+    return sc.PRED_TOL < t < 1 - sc.PRED_TOL
+
+
 def ref_perpendicular(u, v):
     return sc.near_zero(sc.dot(u, v), _scale(u) * _scale(v))
 
@@ -137,6 +146,7 @@ REFERENCE = {
     "coincident": ref_coincident,
     "points_collinear": ref_points_collinear,
     "perpendicular": ref_perpendicular,
+    "strictly_between": ref_strictly_between,
     "lines_parallel": ref_lines_parallel,
     "on_line": ref_on_line,
     "distance": ref_distance,
@@ -305,6 +315,8 @@ def test_discovery_predicates_match_reference(monkeypatch, name):
             out = [sc.coincident(p, q) for p, q in itertools.combinations(pts, 2)]
             for a, b, c in itertools.combinations(pts, 3):
                 out.append(sc.points_collinear(a, b, c))
+                out += [sc.strictly_between(a, b, c), sc.strictly_between(b, a, c),
+                        sc.strictly_between(a, c, b)]
                 for corner, p, r in ((a, b, c), (b, a, c), (c, a, b)):
                     out.append(sc.perpendicular(sc.vsub(p, corner),
                                                 sc.vsub(r, corner)))

@@ -384,7 +384,7 @@ def similar_fixture(name):
 @pytest.mark.parametrize("figure", ["para", "imo", "thirteen"])
 def test_similar_triangles_match_brute_force(figure):
     model, scn, a = similar_fixture(figure)
-    got = rules.similar_triangles_rule(model, scn, a)
+    got = rules.similar_triangles_rule(rules._Witness(model, scn, a))
     want = brute_force_similar(model, scn, a)
     assert got
     assert {(e.sources, e.target, e.recipe, e.subpriority) for e in got} == \
@@ -667,3 +667,156 @@ def test_every_edge_reproduces_oracle_at_random_samples(seed):
         vals = {d: sc.dim_value(ev, d) for d in e.sources}
         got = rules.apply_edge(e, vals)
         assert rel_err(got, sc.dim_value(ev, e.target)) <= 1e-9
+
+
+# --- the pair index against the all-triples scans it replaced --------------
+
+
+class ScanWitness:
+    """The witness as the all-triples scans read it: every predicate is
+    a fresh scene call."""
+
+    def __init__(self, model, scn, a):
+        self.model = model
+        self.coords = sc.evaluate(scn, a).points
+        self.names = list(self.coords)
+        origin, base = self.coords[model.origin], self.coords[model.base_point]
+        self.axis = sc.Line(origin, sc.vsub(base, origin))
+        self.on_axis = [n for n in self.names if sc.on_line(self.coords[n], self.axis)]
+        self.off_axis = [n for n in self.names if n not in self.on_axis]
+
+    def distinct(self, p, q):
+        return not sc.coincident(self.coords[p], self.coords[q])
+
+    def collinear(self, p, q, r):
+        return sc.points_collinear(self.coords[p], self.coords[q], self.coords[r])
+
+    def between(self, p, m, q):
+        return sc.strictly_between(self.coords[p], self.coords[m], self.coords[q])
+
+    def axis_feet(self, p):
+        return [v for v in self.on_axis if self.distinct(p, v) and sc.perpendicular(
+            sc.vsub(self.coords[p], self.coords[v]), self.axis.direction)]
+
+    def axis_side(self, p):
+        c = sc.cross(self.axis.direction, sc.vsub(self.coords[p], self.axis.anchor))
+        return 1 if as_float(c) > 0 else -1
+
+    def axis_pos_sign(self, p, ref):
+        d = sc.dot(self.axis.direction, sc.vsub(self.coords[p], self.coords[ref]))
+        return 1 if as_float(d) > 0 else -1
+
+
+def scan_chain_edges(w):
+    """segment_chain_rule's between-triple edges from every C(n,3) triple."""
+    edges = []
+    for a, b, c in itertools.combinations(w.names, 3):
+        if not (w.distinct(a, b) and w.distinct(b, c) and w.distinct(a, c)):
+            continue
+        if not w.collinear(a, b, c):
+            continue
+        if w.between(a, b, c):
+            t = (a, b, c)
+        elif w.between(b, a, c):
+            t = (b, a, c)
+        elif w.between(a, c, b):
+            t = (a, c, b)
+        else:
+            continue
+        a_, m, b_ = t
+        am, mb, ab = L(a_, m), L(m, b_), L(a_, b_)
+        just = f"{m} lies between {a_} and {b_} on a straight line"
+        edges += [rules._edge([am, mb], ab, "segment-chain", just, ("add", am, mb)),
+                  rules._edge([ab, am], mb, "segment-chain", just, ("sub", ab, am)),
+                  rules._edge([ab, mb], am, "segment-chain", just, ("sub", ab, mb))]
+    return edges
+
+
+def scan_pythagoras_edges(w):
+    """pythagoras_rule from every C(n,3) triple and corner, then the
+    distance-formula edges."""
+    edges = []
+    for a, b, c in itertools.combinations(w.names, 3):
+        if not (w.distinct(a, b) and w.distinct(b, c) and w.distinct(a, c)):
+            continue
+        for corner, p, r in ((a, b, c), (b, a, c), (c, a, b)):
+            if not sc.perpendicular(sc.vsub(w.coords[p], w.coords[corner]),
+                                    sc.vsub(w.coords[r], w.coords[corner])):
+                continue
+            leg1, leg2, hyp = L(corner, p), L(corner, r), L(p, r)
+            just = f"the angle at {corner} in triangle {p}{corner}{r} is a right angle"
+            edges += [rules._edge([leg1, leg2], hyp, "pythagoras", just,
+                                  ("pyth_hyp", leg1, leg2)),
+                      rules._edge([hyp, leg1], leg2, "pythagoras", just,
+                                  ("pyth_leg", hyp, leg1)),
+                      rules._edge([hyp, leg2], leg1, "pythagoras", just,
+                                  ("pyth_leg", hyp, leg2))]
+    origin = w.model.origin
+    feet = {u: w.axis_feet(u) for u in w.off_axis}
+    for u1, u2 in itertools.combinations(w.off_axis, 2):
+        if not w.distinct(u1, u2) or w.axis_side(u1) != w.axis_side(u2):
+            continue
+        for v1 in feet[u1]:
+            for v2 in feet[u2]:
+                if v1 == v2 or not w.distinct(v1, v2) or origin in (v1, v2):
+                    continue
+                if not (w.distinct(origin, v1) and w.distinct(origin, v2)):
+                    continue
+                if w.axis_pos_sign(v1, origin) != w.axis_pos_sign(v2, origin):
+                    continue
+                d1, d2, o1, o2 = L(origin, v1), L(origin, v2), L(u1, v1), L(u2, v2)
+                just = (f"{u1} and {u2} stand over the reference axis at "
+                        f"feet {v1} and {v2} with known offsets")
+                edges.append(rules._edge([d1, d2, o1, o2], L(u1, u2), "distance-formula",
+                                         just, ("dist4", d1, d2, o1, o2)))
+    return [e for e in edges if e is not None]
+
+
+# the fixtures with a figure (degenerate.gthm has none), para+14, and
+# nested generator members with radical (parallelogram+8) and float
+# (right_triangle+5/+6) points
+INDEXED = ["parallelogram", "parallelogram_bd", "parallelogram_bad", "imo2012",
+           "unreachable", "para+14", "parallelogram+8", "right_triangle+5",
+           "right_triangle+6"]
+
+
+@pytest.mark.parametrize("seed", [42, 5])
+@pytest.mark.parametrize("figure", INDEXED)
+def test_indexed_rules_match_all_triples_scans(figure, seed):
+    model = dsl.validate(dsl.parse(grown_text(figure), figure), figure)
+    scn = sc.build_scene(model)
+    a = sc.sample_params(scn, seed)
+    w, ref = rules._Witness(model, scn, a), ScanWitness(model, scn, a)
+    chain = rules.segment_chain_rule(w)
+    pyth = rules.pythagoras_rule(w)
+    assert chain and pyth
+    # Hyperedge equality takes in the justification, so this is in
+    # order and edge for edge
+    assert chain == scan_chain_edges(ref)
+    assert pyth == scan_pythagoras_edges(ref)
+
+
+def test_discover_builds_one_witness_and_one_coincidence_test_per_pair(monkeypatch):
+    model = dsl.validate(dsl.parse(para_plus(14), "para+14"), "para+14")
+    scn = sc.build_scene(model)
+    a = sc.sample_params(scn, 42)
+    pairs, witnesses = [], []
+    real_coincident, real_init = sc.coincident, rules._Witness.__init__
+
+    def spy_coincident(p, q):
+        pairs.append(frozenset((p, q)))
+        return real_coincident(p, q)
+
+    def spy_init(self, *args):
+        witnesses.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(sc, "coincident", spy_coincident)
+    monkeypatch.setattr(rules._Witness, "__init__", spy_init)
+    assert rules.discover(model, scn, a)
+    assert len(witnesses) == 1
+    n = len(witnesses[0].names)
+    assert n == 22
+    assert len(set(witnesses[0].points)) == n  # so coordinates name a pair
+    assert len(pairs) <= n * (n - 1) // 2
+    assert len(set(pairs)) == len(pairs)
