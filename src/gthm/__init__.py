@@ -69,8 +69,7 @@ def prove_model(model: dsl.HypothesisModel, theorem: Optional[str] = None,
         witness = scene.sample_params(scene_, seed, rng_range)
         g = graph.grow_detailed(model, scene_, witness, seed=seed,
                                 rng_range=rng_range)
-        full = graph.topo_order(g)
-        focused = tuple(graph.focus(g, full)) if full is not None else None
+        focused = tuple(graph.focus(g, graph.topo_order(g)))
         schedule = focused if not g.pending else None
         v = verify.verdict(model, scene_, schedule, num_samples=samples,
                            seed=seed, tol=tol, rng_range=rng_range)

@@ -1,20 +1,18 @@
 """Derivation graph growth and scheduling.
 
 Nodes are dimensions, hyperedges are validated rule instances.  The
-graph grows by forward closure from the parameter dimensions; a goal
-that closure never reaches is reported as pending.  Scheduling is a
-Kahn-style topological sweep generalized to hyperedges: a node becomes
-ready once any one of its in-edges has every source scheduled, nodes
-pop in (admission index, name) order, and each popped node commits to
-the smallest-labeled in-edge that is fully sourced at that moment.
+graph grows by forward closure from the parameter dimensions in BFS
+rings: a ring admits the edges sourced entirely in earlier rings, and
+each node is numbered when first reached.  A goal the closure never
+reaches is pending.  Growth alone decides order: the schedule lists
+the nodes by number, each derived by an in-edge from lower numbers.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import dsl, scene as sc
 from .rules import Dim, Hyperedge, discover, length, validate_edges
@@ -23,7 +21,7 @@ from .rules import Dim, Hyperedge, discover, length, validate_edges
 @dataclass(frozen=True)
 class Node:
     dim: Dim
-    index: int  # admission order; parameters first, then goals, then derived
+    index: int  # parameters, then each node at first reach, pending goals last
     is_param: bool = False
     is_goal: bool = False
 
@@ -36,9 +34,8 @@ class ScheduleStep:
 
 @dataclass
 class DerivationGraph:
-    model: dsl.HypothesisModel
     nodes: dict[Dim, Node]
-    edges: list[Hyperedge]  # admitted, in label order
+    edges: list[Hyperedge]  # admitted, ring by ring
     goals: tuple[Dim, ...]
     pending: tuple[Dim, ...]  # goals forward closure never reached
     reports: list[str] = field(default_factory=list)  # nothing writes one yet
@@ -64,99 +61,77 @@ def goal_dims(model: dsl.HypothesisModel) -> tuple[Dim, ...]:
     return tuple(out)
 
 
-def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
-                  witness: sc.ParamAssignment, seed: int = 42,
-                  rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
-                  ) -> DerivationGraph:
-    """Forward closure from the parameters, kept even when a goal is
-    unreachable so the partial graph can be inspected; a goal it never
-    reaches is listed in `pending`.  An edge is validated, at samples
-    drawn from `rng_range`, in the ring that first reaches it; one that
-    fails is never tried again."""
-    pool = discover(model, scene_, witness)
-
-    params = tuple(length(*pair) for _, pair in scene_.param_dims)
-    goals = goal_dims(model)
+def grow(pool: list[Hyperedge], params: tuple[Dim, ...],
+         goals: tuple[Dim, ...], admit: Callable[[list], list],
+         ) -> DerivationGraph:
+    """Forward closure over `pool` from `params`, stopping once every
+    goal is reached or a ring admits nothing.  Each ring hands `admit`
+    the untried edges sourced entirely in earlier rings, in pool order,
+    and admits what it returns; an edge it drops is never tried again.
+    A goal never reached is listed in `pending` and numbered last."""
     goal_set = set(goals)
-    nodes: dict[Dim, Node] = {}
-    for d in params:
-        nodes[d] = Node(dim=d, index=len(nodes), is_param=True,
-                        is_goal=d in goal_set)
-
-    param_set = set(params)
+    nodes = {d: Node(dim=d, index=i, is_param=True, is_goal=d in goal_set)
+             for i, d in enumerate(params)}
     known: set[Dim] = set(params)
-    untried = [e for e in pool if e.target not in param_set]
+    untried = [e for e in pool if e.target not in known]
     admitted: list[Hyperedge] = []
     while True:
-        # strict BFS ring: only edges sourced entirely in earlier rings
-        # fire now, so node indices reflect hop distance from the params
         reached: list[Hyperedge] = []
         rest: list[Hyperedge] = []
         for e in untried:
             (reached if known.issuperset(e.sources) else rest).append(e)
         untried = rest
-        progress = False
-        for e in validate_edges(reached, model, scene_, seed, rng_range):
-            admitted.append(e)
-            progress = True
+        ring = admit(reached)
+        admitted.extend(ring)
+        for e in ring:
             if e.target not in known:
-                # index records first reach, so goal nodes sort by
-                # when the closure actually derived them
+                # numbered after its sources: topo_order reads this
                 nodes[e.target] = Node(dim=e.target, index=len(nodes),
                                        is_goal=e.target in goal_set)
                 known.add(e.target)
-        if not progress or all(g in known for g in goals):
+        if not ring or goal_set <= known:
             break
 
     pending = tuple(g for g in goals if g not in known)
     for g in pending:
-        if g not in nodes:
-            nodes[g] = Node(dim=g, index=len(nodes), is_goal=True)
-    return DerivationGraph(model=model, nodes=nodes, edges=admitted,
-                           goals=goals, pending=pending)
+        nodes[g] = Node(dim=g, index=len(nodes), is_goal=True)
+    return DerivationGraph(nodes=nodes, edges=admitted, goals=goals,
+                           pending=pending)
 
 
-def topo_order(graph: DerivationGraph) -> Optional[list[ScheduleStep]]:
-    """Schedule every derivable node, or None when some goal the graph
-    claims reachable cannot be covered.  Parameters come first in
-    declaration order, then the hyperedge sweep described in the
-    module docstring, kept linear by a count of unscheduled sources per
-    edge and a heap of the ready nodes."""
+def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
+                  witness: sc.ParamAssignment, seed: int = 42,
+                  rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
+                  ) -> DerivationGraph:
+    """Grow the closure of the rules discovered at `witness`, each
+    ring's edges validated at samples drawn from `rng_range`."""
+    return grow(discover(model, scene_, witness),
+                tuple(length(*pair) for _, pair in scene_.param_dims),
+                goal_dims(model),
+                lambda ring: validate_edges(ring, model, scene_, seed,
+                                            rng_range))
+
+
+def topo_order(graph: DerivationGraph) -> list[ScheduleStep]:
+    """Parameters first, in index order, then every other node that is
+    not pending, in index order, each by its lowest-group admitted
+    in-edge whose sources all have a smaller index.  Growth guarantees
+    that edge: it numbers a node when first reached, after the sources
+    of the edge that reached it.  A graph without it raises ValueError."""
+    index = {d: n.index for d, n in graph.nodes.items()}
+    chosen: dict[Dim, Hyperedge] = {}
+    for e in graph.edges:
+        best = chosen.get(e.target)
+        if (best is None or e.group < best.group) and all(
+                index[s] < index[e.target] for s in e.sources):
+            chosen[e.target] = e
     steps = [ScheduleStep(dim=d, edge=None) for d in graph.param_dims]
-    scheduled = {s.dim for s in steps}
-
-    in_edges: dict[Dim, list[tuple[int, Hyperedge]]] = {}
-    waiting: dict[Dim, list[int]] = {}  # source -> edges that still need it
-    missing: list[int] = []  # per edge, its sources not yet scheduled
-    ready: list[tuple[int, str, Dim]] = []
-    queued: set[Dim] = set()
-
-    def reach(d: Dim) -> None:
-        if d not in scheduled and d not in queued:
-            queued.add(d)
-            heapq.heappush(ready, (graph.nodes[d].index, d.display, d))
-
-    for pos, e in enumerate(graph.edges):
-        in_edges.setdefault(e.target, []).append((pos, e))
-        unscheduled = [s for s in e.sources if s not in scheduled]
-        for s in unscheduled:
-            waiting.setdefault(s, []).append(pos)
-        missing.append(len(unscheduled))
-        if not unscheduled:
-            reach(e.target)
-
-    while ready:
-        nxt = heapq.heappop(ready)[2]
-        sourced = [e for pos, e in in_edges[nxt] if not missing[pos]]
-        chosen = min(sourced, key=lambda e: e.group)
-        steps.append(ScheduleStep(dim=nxt, edge=chosen))
-        scheduled.add(nxt)
-        for pos in waiting.get(nxt, ()):
-            missing[pos] -= 1
-            if not missing[pos]:
-                reach(graph.edges[pos].target)
-    if any(g not in scheduled for g in graph.goals if g not in graph.pending):
-        return None
+    for node in sorted(graph.nodes.values(), key=lambda n: n.index):
+        if not node.is_param and node.dim not in graph.pending:
+            if node.dim not in chosen:
+                raise ValueError(f"{node.dim.display} has no in-edge from "
+                                 f"lower-indexed nodes")
+            steps.append(ScheduleStep(dim=node.dim, edge=chosen[node.dim]))
     return steps
 
 

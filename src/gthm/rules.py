@@ -725,33 +725,30 @@ def _pick_mode(pick: dsl.Pick, p: str, q: str) -> Optional[str]:
 
 
 def ratio_solve_rule(known_ratios: list[tuple[Dim, Scalar]],
-                     known_lengths: list[tuple[Dim, Scalar]]) -> list[Hyperedge]:
+                     known_lengths: set[Dim]) -> list[Hyperedge]:
     """A plain/composite ratio pair that is linear in two unknown
     lengths solves for both (2x2 elimination).  Every plain ratio comes
     from similar_triangles_rule, which already emits the edges that
     turn the ratio plus one side into the other side."""
     edges: list[Optional[Hyperedge]] = []
-    known_length_dims = {d for d, _ in known_lengths}
-    plain = []
+    plain: dict[frozenset, list[tuple[Dim, Scalar]]] = {}  # by {num, den}
     comps = []
     for r, val in known_ratios:
-        if r.kind != "ratio":
+        if r.kind != "ratio" or r.den.kind != "length":
             continue
-        if r.num.kind == "length" and r.den.kind == "length":
-            plain.append((r, val))
-        elif r.num.kind == "composite" and r.den.kind == "length":
+        if r.num.kind == "length":
+            plain.setdefault(frozenset((r.num, r.den)), []).append((r, val))
+        elif r.num.kind == "composite":
             comps.append((r, val))
     for (r2, v2) in comps:
         m_dim = length(*r2.num.far)
         s_dim = length(*r2.num.near)
         z_dim = r2.den
-        if m_dim not in known_length_dims:
+        if m_dim not in known_lengths:
             continue
         if s_dim == z_dim:
             continue
-        for (r1, v1) in plain:
-            if {r1.num, r1.den} != {s_dim, z_dim}:
-                continue
+        for (r1, v1) in plain.get(frozenset((s_dim, z_dim)), ()):
             r1_num_is_s = r1.num == s_dim
             # unknowns S and Z: S + r2*Z = M, and S = r1*Z or Z = r1*S
             det = add(mul(v1, Fraction(1)), v2) if r1_num_is_s else \
@@ -897,7 +894,7 @@ def discover(model: dsl.HypothesisModel, scene_: sc.Scene,
     _collect_dims(chain, dims)
     pool.extend(chain)
     pool.extend(ratio_solve_rule(_with_values(w, dims["ratio"]),
-                                 _with_values(w, dims["length"])))
+                                 dims["length"]))
     return finalize(pool)
 
 

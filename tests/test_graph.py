@@ -1,6 +1,7 @@
 """Graph growth, scheduling, focusing, and DOT output."""
 
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gthm import dsl, graph as gr, rules, scene as sc
+from test_point_limit import para_plus
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from gen import SCALING_K, family_member  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -24,7 +30,6 @@ def pipeline(name, seed=42):
     g = gr.grow_detailed(model, scn, witness, seed=seed)
     assert not g.pending
     schedule = gr.topo_order(g)
-    assert schedule is not None
     return g, schedule, gr.focus(g, schedule)
 
 
@@ -98,7 +103,7 @@ def test_unreachable_goal_returns_absent():
     g = gr.grow_detailed(model, scn, witness)
     assert [d.display for d in g.pending] == ["BZ"]
     schedule = gr.topo_order(g)
-    assert schedule is not None  # pending goals are excused from coverage
+    assert gr.validate_schedule(g, schedule)  # pending goals are excused
     assert all(s.dim.display != "BZ" for s in schedule)
 
 
@@ -290,43 +295,118 @@ def test_dot_pending_goal_is_dashed():
     assert '"BZ"' in dot
 
 
-# --- synthetic hypergraphs: scheduler properties ------------------------------
+# --- the index invariant of grown graphs -----------------------------------
+
+
+def grown_model(figure):
+    """A fixture, para+14, or a nested generator member `family+k:truth`."""
+    if figure == "para+14":
+        text = para_plus(14)
+    elif "+" in figure:
+        family, rest = figure.split("+")
+        k, truth = rest.split(":")
+        text = family_member(family, int(k), truth == "true",
+                             random.Random(0), nested=True)
+    else:
+        text = (FIXTURES / f"{figure}.gthm").read_text()
+    return dsl.validate(dsl.parse(text, figure), figure)
+
+
+# every fixture with a figure at seeds 1-3, para+14, and the nested
+# members the benchmark's `scaling` workload proves, true and false
+INVARIANT = [(name, seed) for name in ("parallelogram", "parallelogram_bd",
+                                       "parallelogram_bad", "imo2012",
+                                       "unreachable")
+             for seed in (1, 2, 3)]
+INVARIANT += [("para+14", 42)]
+INVARIANT += [(f"{family}+{k}:{truth}", 42) for family, ks in SCALING_K.items()
+              for k in ks for truth in ("true", "false")]
+
+
+@pytest.mark.parametrize("figure,seed", INVARIANT)
+def test_every_derived_node_has_an_in_edge_from_lower_indices(figure, seed):
+    # the invariant topo_order reads the schedule off; growth changes
+    # must keep it
+    model = grown_model(figure)
+    scn = sc.build_scene(model)
+    g = gr.grow_detailed(model, scn, sc.sample_params(scn, seed), seed=seed)
+    by_index = sorted(g.nodes.values(), key=lambda n: n.index)
+    assert [n.index for n in by_index] == list(range(len(g.nodes)))
+    assert [n.dim for n in by_index if n.is_param] == \
+        [n.dim for n in by_index[:len(g.param_dims)]]
+    assert tuple(n.dim for n in by_index[len(g.nodes) - len(g.pending):]) \
+        == g.pending
+    derived = [n for n in by_index if not n.is_param and n.dim not in g.pending]
+    assert derived
+    for node in derived:
+        assert any(all(g.nodes[s].index < node.index for s in e.sources)
+                   for e in g.in_edges(node.dim)), node.dim.display
+
+
+def test_topo_order_raises_without_the_index_invariant():
+    a, b, c = _name(0), _name(1), _name(2)
+    edge = rules.Hyperedge(sources=(c,), target=b, rule="segment-chain",
+                           justification="synthetic", recipe=("copy", c),
+                           group=1)
+    back = rules.Hyperedge(sources=(a,), target=c, rule="segment-chain",
+                           justification="synthetic", recipe=("copy", a),
+                           group=2)
+    nodes = {a: gr.Node(a, 0, is_param=True), b: gr.Node(b, 1),
+             c: gr.Node(c, 2, is_goal=True)}
+    graph = gr.DerivationGraph(nodes=nodes, edges=[edge, back], goals=(c,),
+                               pending=())
+    with pytest.raises(ValueError, match=b.display):
+        gr.topo_order(graph)
+
+
+# --- synthetic pools grown through the closure --------------------------------
 
 
 def _name(i: int) -> rules.Dim:
     return rules.length("N", f"{i:02d}")
 
 
-def random_hypergraph(seed: int):
-    """A small random AND-OR graph over synthetic length dims."""
+def random_pool(seed: int):
+    """A small random AND-OR pool over synthetic length dims, with its
+    parameters and goals; the pool is shuffled out of label order."""
     rng = random.Random(seed)
     n = rng.randint(2, 30)
     dims = [_name(i) for i in range(n)]
     n_params = rng.randint(1, min(3, n - 1))
-    nodes = {}
-    for i, d in enumerate(dims):
-        nodes[d] = gr.Node(dim=d, index=i, is_param=i < n_params)
-    edges = []
+    pool = []
     for label in range(1, rng.randint(1, 40) + 1):
         target = rng.choice(dims[n_params:])
         k = rng.randint(1, min(3, n - 1))
         sources = rng.sample([d for d in dims if d != target], k)
-        edges.append(rules.Hyperedge(
+        pool.append(rules.Hyperedge(
             sources=tuple(sorted(sources, key=lambda d: d.display)),
             target=target, rule="segment-chain", justification="synthetic",
             recipe=("copy", sources[0]), group=label))
     goals = tuple(rng.sample(dims, rng.randint(1, 2)))
-    graph = gr.DerivationGraph(model=None, nodes=nodes, edges=edges,
-                               goals=goals, pending=())
-    return graph
+    rng.shuffle(pool)
+    return pool, tuple(dims[:n_params]), goals
 
 
-def forward_closure(graph):
-    known = {d for d, node in graph.nodes.items() if node.is_param}
+def admissible(edge) -> bool:
+    """The synthetic validation: every sixth label fails."""
+    return edge.group % 6 != 0
+
+
+def random_hypergraph(seed: int):
+    """A random pool grown through the closure, with its goals, and the
+    edges the synthetic validation keeps."""
+    pool, params, goals = random_pool(seed)
+    graph = gr.grow(pool, params, goals,
+                    lambda ring: [e for e in ring if admissible(e)])
+    return graph, params, [e for e in pool if admissible(e)]
+
+
+def forward_closure(edges, params):
+    known = set(params)
     changed = True
     while changed:
         changed = False
-        for e in graph.edges:
+        for e in edges:
             if e.target not in known and all(s in known for s in e.sources):
                 known.add(e.target)
                 changed = True
@@ -336,14 +416,21 @@ def forward_closure(graph):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_topo_valid_and_absent_iff_unreachable(seed):
-    graph = random_hypergraph(seed)
+    graph, params, kept = random_hypergraph(seed)
     schedule = gr.topo_order(graph)
-    reachable = forward_closure(graph)
-    if all(g in reachable for g in graph.goals):
-        assert schedule is not None
-        assert gr.validate_schedule(graph, schedule)
-    else:
-        assert schedule is None
+    reachable = forward_closure(kept, params)
+    assert graph.pending == tuple(g for g in graph.goals if g not in reachable)
+    assert gr.validate_schedule(graph, schedule)
+    assert not gr.covers(schedule) & set(graph.pending)
+
+
+def test_topo_order_matches_quadratic_sweep_on_random_pools():
+    for seed in range(1000):
+        graph, _, _ = random_hypergraph(seed)
+        got, want = gr.topo_order(graph), topo_reference(graph)
+        assert want is not None, f"seed {seed}"
+        assert [(s.dim, s.edge) for s in got] == \
+            [(s.dim, s.edge) for s in want], f"seed {seed}"
 
 
 def kahn_reference(graph):
@@ -363,22 +450,26 @@ def kahn_reference(graph):
     return order
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=100_000))
-def test_matches_textbook_kahn_on_plain_digraphs(seed):
+def random_tree(seed: int):
+    """A random tree rooted at one parameter, grown through the closure
+    from a shuffled pool up to its last node."""
     rng = random.Random(seed)
     n = rng.randint(2, 20)
     dims = [_name(i) for i in range(n)]
-    nodes = {d: gr.Node(dim=d, index=i, is_param=i == 0)
-             for i, d in enumerate(dims)}
-    edges = []
+    pool = []
     for i in range(1, n):
         parent = dims[rng.randrange(i)]
-        edges.append(rules.Hyperedge(
+        pool.append(rules.Hyperedge(
             sources=(parent,), target=dims[i], rule="segment-chain",
             justification="synthetic", recipe=("copy", parent), group=i))
-    graph = gr.DerivationGraph(model=None, nodes=nodes, edges=edges,
-                               goals=(dims[-1],), pending=())
+    rng.shuffle(pool)
+    return gr.grow(pool, dims[:1], dims[-1:], list)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_matches_textbook_kahn_on_plain_digraphs(seed):
+    graph = random_tree(seed)
+    assert not graph.pending
     schedule = gr.topo_order(graph)
-    assert schedule is not None
     assert [s.dim for s in schedule] == kahn_reference(graph)

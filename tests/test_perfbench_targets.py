@@ -1,14 +1,19 @@
-"""Every function the benchmark's traced run wraps still exists.
+"""Every function the benchmark's traced run wraps still exists, and
+every result it reads a count from still has the fields it reads.
 
-The tracer records a renamed or moved target as absent and carries on,
-which would blank that layer's metrics without failing anything; this
-test turns such a rename into a failure.
+The tracer records a renamed or moved target as absent, and a result
+it cannot read as unreadable, and carries on; either would blank that
+layer's metrics without failing anything.  These tests turn both into
+failures.
 """
 
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from gthm import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from spans import Tracer  # noqa: E402
 
@@ -20,3 +25,26 @@ def test_every_traced_target_is_present():
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+def test_a_traced_run_reads_every_result(capsys):
+    # an INCONCLUSIVE and a PROVED proof, and an oracle-only check
+    runs = [("prove", "unreachable.gthm"), ("prove", "parallelogram.gthm"),
+            ("check", "parallelogram_bad.gthm")]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for request, (command, name) in enumerate(runs):
+            tracer.begin(request)
+            cli.main([command, str(ROOT / "fixtures" / name),
+                      "--samples", "10"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.absent == []
+    assert tracer.unreadable == 0
+    traced = {span[0] for span in tracer.spans}
+    assert {"graph.grow_detailed", "graph.topo_order", "graph.focus",
+            "verify.verdict", "verify.oracle_verdict"} <= traced
+    assert tracer.counts["graph.pending"] == 1
+    assert tracer.counts["graph.schedule_len"] > 0

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gthm import dsl, graph, prove_text, rules, scene as sc
-from gthm.exactnum import as_float, rel_err
+from gthm.exactnum import add, as_float, mul, rel_err
 from test_point_limit import para_plus
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -820,3 +820,51 @@ def test_discover_builds_one_witness_and_one_coincidence_test_per_pair(monkeypat
     assert len(set(witnesses[0].points)) == n  # so coordinates name a pair
     assert len(pairs) <= n * (n - 1) // 2
     assert len(set(pairs)) == len(pairs)
+
+
+def nested_ratio_solve(known_ratios, known_lengths):
+    """ratio_solve_rule by scanning every plain ratio for each composite."""
+    plain = [(r, v) for r, v in known_ratios if r.kind == "ratio"
+             and r.num.kind == "length" and r.den.kind == "length"]
+    comps = [(r, v) for r, v in known_ratios if r.kind == "ratio"
+             and r.num.kind == "composite" and r.den.kind == "length"]
+    edges = []
+    for r2, v2 in comps:
+        m_dim, s_dim, z_dim = L(*r2.num.far), L(*r2.num.near), r2.den
+        if m_dim not in known_lengths or s_dim == z_dim:
+            continue
+        for r1, v1 in plain:
+            if {r1.num, r1.den} != {s_dim, z_dim}:
+                continue
+            s_first = r1.num == s_dim
+            det = add(mul(v1, F(1)), v2) if s_first else add(F(1), mul(v1, v2))
+            if abs(as_float(det)) < 1e-9:
+                continue
+            just = (f"solve {s_dim.display} and {z_dim.display} from "
+                    f"{r1.display} and {r2.display} given {m_dim.display}")
+            bond = f"solve2:{r1.display}:{r2.display}"
+            for target, which in ((s_dim, "S"), (z_dim, "Z")):
+                edges.append(rules._edge(
+                    [r1, r2, m_dim], target, "ratio-solve", just,
+                    ("solve2", r1, r2, m_dim, s_first, which),
+                    subpriority=0, bond=bond))
+    return [e for e in edges if e is not None]
+
+
+@pytest.mark.parametrize("seed", [42, 5])
+@pytest.mark.parametrize("figure", INDEXED[:6])
+def test_ratio_solve_matches_the_nested_scan(figure, seed, monkeypatch):
+    model = dsl.validate(dsl.parse(grown_text(figure), figure), figure)
+    scn = sc.build_scene(model)
+    calls, real = [], rules.ratio_solve_rule
+
+    def spy(known_ratios, known_lengths):
+        calls.append((known_ratios, known_lengths,
+                      real(known_ratios, known_lengths)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(rules, "ratio_solve_rule", spy)
+    rules.discover(model, scn, sc.sample_params(scn, seed))
+    (known_ratios, known_lengths, got), = calls
+    assert got or figure == "unreachable"
+    assert got == nested_ratio_solve(known_ratios, known_lengths)

@@ -26,9 +26,7 @@ def pipeline(name, seed=42):
     witness = sc.sample_params(scn, seed)
     g = gr.grow_detailed(model, scn, witness, seed=seed)
     assert not g.pending
-    schedule = gr.topo_order(g)
-    assert schedule is not None
-    return model, scn, g, gr.focus(g, schedule)
+    return model, scn, g, gr.focus(g, gr.topo_order(g))
 
 
 @pytest.fixture(scope="module")
