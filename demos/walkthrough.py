@@ -53,7 +53,7 @@ for rule_name in sorted(by_rule):
 stage("grow the derivation graph from the parameters")
 g = graph.grow_detailed(model, scn, witness, seed=42)
 assert not g.pending
-print(f"{len(g.nodes)} nodes reached, {len(g.edges)} sound edges admitted")
+print(f"{len(g.nodes)} nodes reached, {len(g.edges)} edges admitted at the witness")
 alternatives = sum(1 for d in g.nodes if len(g.in_edges(d)) > 1)
 print(f"{alternatives} nodes have more than one way to be derived")
 

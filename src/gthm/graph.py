@@ -1,11 +1,15 @@
 """Derivation graph growth and scheduling.
 
-Nodes are dimensions, hyperedges are validated rule instances.  The
-graph grows by forward closure from the parameter dimensions in BFS
-rings: a ring admits the edges sourced entirely in earlier rings, and
-each node is numbered when first reached.  A goal the closure never
-reaches is pending.  Growth alone decides order: the schedule lists
-the nodes by number, each derived by an in-edge from lower numbers.
+Nodes are dimensions, hyperedges are rule instances discovered at the
+witness, where each one holds.  The graph grows by forward closure
+from the parameter dimensions in BFS rings: a ring admits the edges
+sourced entirely in earlier rings, and each node is numbered when
+first reached.  A goal the closure never reaches is pending.  Growth
+alone decides order: the schedule lists the nodes by number, each
+derived by an in-edge from lower numbers.  Fresh samples validate the
+edges of the schedule focused on the goals, and after a failure the
+edges that number the nodes; the other admitted edges may hold only
+at the witness, and `to_dot(graph, None)` draws them.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ class ScheduleStep:
 @dataclass
 class DerivationGraph:
     nodes: dict[Dim, Node]
-    edges: list[Hyperedge]  # admitted, ring by ring
+    edges: list[Hyperedge]  # admitted at the witness, ring by ring; only
+    # grow_detailed's focused steps (and numbering edges) are validated
     goals: tuple[Dim, ...]
     pending: tuple[Dim, ...]  # goals forward closure never reached
     reports: list[str] = field(default_factory=list)  # nothing writes one yet
@@ -103,13 +108,58 @@ def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
                   witness: sc.ParamAssignment, seed: int = 42,
                   rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
                   ) -> DerivationGraph:
-    """Grow the closure of the rules discovered at `witness`, each
-    ring's edges validated at samples drawn from `rng_range`."""
-    return grow(discover(model, scene_, witness),
-                tuple(length(*pair) for _, pair in scene_.param_dims),
-                goal_dims(model),
-                lambda ring: validate_edges(ring, model, scene_, seed,
-                                            rng_range))
+    """Grow the closure of the rules discovered at `witness`, where each
+    one holds, and validate the edges of its focused schedule at
+    samples drawn from `rng_range`.  An edge that fails leaves the pool
+    and the closure grows again: a counterexample-guided refinement.  A
+    failure shows the witness has coincidences, so from then on growth
+    also validates the first edge to reach each node, which numbers it,
+    and on failure the next one.  Each further round removes an edge,
+    so the loop ends, and no edge is validated twice."""
+    discovered = discover(model, scene_, witness)
+    params = tuple(length(*pair) for _, pair in scene_.param_dims)
+    goals = goal_dims(model)
+    # validation verdicts by edge id; `discovered` keeps every edge alive
+    holds: dict[int, bool] = {}
+
+    def check(edges: list[Hyperedge]) -> None:
+        kept = {id(e) for e in validate_edges(edges, model, scene_, seed,
+                                              rng_range)}
+        for e in edges:
+            holds[id(e)] = id(e) in kept
+
+    def numbering_checked() -> Callable[[list], list]:
+        """An admit for one growth that validates the first edge of the
+        ring to reach each new node, and on failure the next one."""
+        known = set(params)  # as grow numbers them: the targets admitted
+
+        def admit(ring: list[Hyperedge]) -> list[Hyperedge]:
+            while True:
+                first: dict[Dim, Hyperedge] = {}
+                for e in ring:
+                    if e.target not in known and holds.get(id(e), True):
+                        first.setdefault(e.target, e)
+                unchecked = [e for e in first.values() if id(e) not in holds]
+                if not unchecked:
+                    break
+                check(unchecked)
+            known.update(first)
+            return [e for e in ring
+                    if e.target in known and holds.get(id(e), True)]
+        return admit
+
+    pool, admit = discovered, list
+    while True:
+        g = grow(pool, params, goals, admit)
+        fresh = [s.edge for s in focus(g, topo_order(g))
+                 if s.edge is not None and id(s.edge) not in holds]
+        if not fresh:
+            return g
+        check(fresh)
+        if all(holds[id(e)] for e in fresh):
+            return g
+        pool = [e for e in discovered if holds.get(id(e), True)]
+        admit = numbering_checked()
 
 
 def topo_order(graph: DerivationGraph) -> list[ScheduleStep]:

@@ -200,7 +200,12 @@ class _Witness:
     a vector without a class is compared with the others at its anchor
     by the scene predicate itself, unless a float screen
     (scene.surely_not_parallel / surely_not_perpendicular) shows the
-    predicate's answer is no."""
+    predicate's answer is no.  The screens come from the index too
+    (`screens[i][j]` screens pts[j] - pts[i]): a rational difference's
+    floats are its integer components over their denominator, the
+    correctly rounded value as_float gives, and any other difference is
+    taken once per pair and negated for the other orientation, which
+    float subtraction does exactly."""
 
     def __init__(self, model: dsl.HypothesisModel, scene_: sc.Scene,
                  witness: sc.ParamAssignment):
@@ -220,20 +225,28 @@ class _Witness:
         self.apart = [[False] * n for _ in range(n)]
         self.klass: list[list[Optional[tuple[int, int]]]] = [[None] * n for _ in range(n)]
         self.sq: dict[tuple[int, int], tuple[Optional[tuple[int, int]], float]] = {}
+        self.screens: list[list[Optional[tuple]]] = [[None] * n for _ in range(n)]
+        screen = sc.screen
         for i, j in itertools.combinations(range(n), 2):
             p, q = pts[i], pts[j]
             self.apart[i][j] = self.apart[j][i] = not sc.coincident(p, q)
             diff = sc.exact_difference(p, q)
             if diff is None:
-                s = sc.sq_norm(sc.vsub(p, q))
+                v = sc.vsub(p, q)
+                s = sc.sq_norm(v)
                 exact = s.as_integer_ratio() if isinstance(s, Fraction) else None
                 self.sq[i, j] = (exact, as_float(s))
+                x, y = as_float(v[0]), as_float(v[1])
+                self.screens[j][i] = screen((x, y))
+                self.screens[i][j] = screen((0.0 - x, 0.0 - y))
                 continue
             x, y, d = diff
             num, den = x * x + y * y, d * d
             g = math.gcd(num, den)
             self.sq[i, j] = ((num // g, den // g), num / den)
             self.klass[i][j] = self.klass[j][i] = _direction(x, y)
+            self.screens[i][j] = screen((x / d, y / d))
+            self.screens[j][i] = screen((-x / d, -y / d))
         self.collinear_triples = self._collinear_triples()
 
     def _collinear_triples(self) -> list[tuple[int, int, int]]:
@@ -256,8 +269,7 @@ class _Witness:
                 found.update(itertools.combinations(js, 2))
             for j in zero:
                 found.update((min(j, k), max(j, k)) for k in range(i + 1, n) if k != j)
-            screened = {x: sc.screen(sc.vsub(pts[x], pts[i]))
-                        for x in range(i + 1, n)} if loose else {}
+            screened = self.screens[i]
             for j in loose:
                 for k in range(i + 1, n):
                     if k == j or (k < j and row[k] is None) or row[k] == (0, 0):
@@ -337,16 +349,6 @@ def _right_angles(w: _Witness) -> list[tuple[str, str, str]]:
     classes meet at a right angle when each is the other turned by 90
     degrees; a classless vector asks scene.perpendicular."""
     pts, n, apart = w.points, len(w.points), w.apart
-    vectors: dict[tuple[int, int], tuple] = {}
-
-    def towards(p: int, corner: int) -> tuple:
-        """The vector corner -> p, and its screen."""
-        v = vectors.get((p, corner))
-        if v is None:
-            u = sc.vsub(pts[p], pts[corner])
-            v = vectors[p, corner] = (u, sc.screen(u))
-        return v
-
     found = []
     for c in range(n):
         row = w.klass[c]
@@ -366,8 +368,9 @@ def _right_angles(w: _Witness) -> list[tuple[str, str, str]]:
                 a, b = min(p, r), max(p, r)
                 if not apart[a][b]:
                     continue
-                (u, su), (v, sv) = towards(a, c), towards(b, c)
-                if not sc.surely_not_perpendicular(su, sv) and sc.perpendicular(u, v):
+                if sc.surely_not_perpendicular(w.screens[c][a], w.screens[c][b]):
+                    continue
+                if sc.perpendicular(sc.vsub(pts[a], pts[c]), sc.vsub(pts[b], pts[c])):
                     found.append((c, a, b))
     # corners of triple (a, b, c) come in the order a, b, c
     found.sort(key=lambda t: (*sorted(t), sorted(t).index(t[0])))
@@ -934,13 +937,15 @@ def validate_edges(edges: list[Hyperedge], model: dsl.HypothesisModel,
     """Replay every edge at fresh samples drawn from `rng_range` and
     drop any whose formula fails to reproduce the oracle value of its
     target; this is what catches relations that only held by
-    coincidence at the witness.  The samples are drawn once per scene,
-    seed and range, and each dimension is valued and squared once per
-    sample, so validating a pool piece by piece costs no more than all
-    at once.  A copy, inv, div, mul or Pythagoras edge over exact
-    positive values is kept when its relation holds exactly on the
-    squares; the Scalar replay decides every other case, and only it
-    drops an edge or applies VALIDATION_TOL."""
+    coincidence at the witness.  Growth hands it the focused schedule's
+    edges, and after a failure the first edge to reach each node, never
+    one edge twice.  The samples are drawn once per scene, seed and range, and each
+    dimension is valued and squared once per sample, so validating
+    edges piece by piece costs no more than all at once.  A copy, inv,
+    div, mul or Pythagoras edge over exact positive values is kept when
+    its relation holds exactly on the squares; the Scalar replay
+    decides every other case, and only it drops an edge or applies
+    VALIDATION_TOL."""
     kept = list(edges)
     for ev in _validation_samples(scene_, seed, rng_range):
         kept = [e for e in kept if _replays(e, ev)]

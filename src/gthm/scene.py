@@ -345,14 +345,28 @@ def _same_carrier(l1: Line, l2: Line) -> bool:
 
 
 def coincident(a: Coord, b: Coord) -> bool:
+    """Do a and b coincide?  Symmetric in its arguments: a component
+    whose difference is exact in either order is judged exactly."""
     if _rational(a) and _rational(b):
         return (a[0].as_integer_ratio() == b[0].as_integer_ratio()
                 and a[1].as_integer_ratio() == b[1].as_integer_ratio())
-    dx, dy = sub(a[0], b[0]), sub(a[1], b[1])
+    dx, dy = _either_way(a[0], b[0]), _either_way(a[1], b[1])
     if is_exact(dx) and is_exact(dy):
         return near_zero(dx, 1.0) and near_zero(dy, 1.0)
     scale = max(_vec_scale(a), _vec_scale(b))
     return near_zero(dx, scale) and near_zero(dy, scale)
+
+
+def _either_way(x: Scalar, y: Scalar) -> Scalar:
+    """x - y, or y - x when only that is exact (x - 0 keeps a Rad that
+    0 - x turns into a float); a float operand makes both floats.
+    Float differences in the two orders are negatives of each other,
+    so their size does not depend on it."""
+    d = sub(x, y)
+    if is_exact(d) or not (is_exact(x) and is_exact(y)):
+        return d
+    e = sub(y, x)
+    return e if is_exact(e) else d
 
 
 # ---------------------------------------------------------------------------

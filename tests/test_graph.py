@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gthm import dsl, graph as gr, rules, scene as sc
+from gthm import dsl, graph as gr, rules, scene as sc, verify as vf
 from test_point_limit import para_plus
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -177,23 +177,42 @@ def figure(name):
     return model, scn, sc.sample_params(scn, 42)
 
 
+def grow_ring_validated(model, scn, witness, seed=42, admit=None):
+    """The reference growth: the closure of the discovered pool with
+    each BFS ring's edges validated when reached (`admit`, by default
+    rules.validate_edges at `seed`)."""
+    if admit is None:
+        def admit(ring):
+            return rules.validate_edges(ring, model, scn, seed)
+    return gr.grow(rules.discover(model, scn, witness), params_of(scn),
+                   gr.goal_dims(model), admit)
+
+
+def params_of(scn):
+    return tuple(rules.length(*pair) for _, pair in scn.param_dims)
+
+
 @pytest.mark.parametrize("name", ["parallelogram", "imo2012", "thirteen"])
 def test_admission_time_validation_matches_validate_then_grow(name):
     model, scn, witness = figure(name)
     # the reference gets a scene of its own, so it shares no samples
     nodes, edges, known = grow_reference(*figure(name))
-    g = gr.grow_detailed(model, scn, witness, seed=42)
+    pool = rules.discover(model, scn, witness)
+    validated = rules.validate_edges(pool, model, scn, 42)
+    g = grow_ring_validated(model, scn, witness)
     assert edges
     assert g.edges == edges
-    assert g.reports == []
+    assert gr.grow(validated, params_of(scn), gr.goal_dims(model), list).edges \
+        == edges
+    assert gr.grow_detailed(model, scn, witness, seed=42).reports == []
     assert g.pending == tuple(d for d in g.goals if d not in known)
     assert {d: n for d, n in g.nodes.items() if d not in g.pending} == nodes
     if name == "parallelogram":
-        pool = rules.discover(model, scn, witness)
         bogus = [e for e in pool if e.rule == "pythagoras"
                  and e.target.display == "BG"
                  and sorted(s.display for s in e.sources) == ["BO", "GO"]]
         assert bogus and bogus[0] not in g.edges
+        assert bogus[0] not in validated
 
 
 def test_growth_validates_each_reached_edge_once(monkeypatch):
@@ -201,20 +220,19 @@ def test_growth_validates_each_reached_edge_once(monkeypatch):
     witness = sc.sample_params(scn, 42)
     pool = rules.discover(model, scn, witness)
     passed, calls, draws = [], [], []
-    real_validate, real_sample = gr.validate_edges, sc.sample_params
+    real_sample = sc.sample_params
 
-    def spy_validate(edges, *args, **kwargs):
-        calls.append(len(edges))
-        passed.extend(edges)
-        return real_validate(edges, *args, **kwargs)
+    def spy_validate(ring):
+        calls.append(len(ring))
+        passed.extend(ring)
+        return rules.validate_edges(ring, model, scn, 42)
 
     def spy_sample(*args, **kwargs):
         draws.append(args)
         return real_sample(*args, **kwargs)
 
-    monkeypatch.setattr(gr, "validate_edges", spy_validate)
     monkeypatch.setattr(sc, "sample_params", spy_sample)
-    g = gr.grow_detailed(model, scn, witness, seed=42)
+    g = grow_ring_validated(model, scn, witness, admit=spy_validate)
     assert not g.pending
     assert len(calls) > 1  # one call per ring
     assert len({e.key() for e in passed}) == len(passed)
@@ -329,7 +347,12 @@ def test_every_derived_node_has_an_in_edge_from_lower_indices(figure, seed):
     # must keep it
     model = grown_model(figure)
     scn = sc.build_scene(model)
-    g = gr.grow_detailed(model, scn, sc.sample_params(scn, seed), seed=seed)
+    check_index_invariant(gr.grow_detailed(model, scn,
+                                           sc.sample_params(scn, seed),
+                                           seed=seed))
+
+
+def check_index_invariant(g):
     by_index = sorted(g.nodes.values(), key=lambda n: n.index)
     assert [n.index for n in by_index] == list(range(len(g.nodes)))
     assert [n.dim for n in by_index if n.is_param] == \
@@ -357,6 +380,193 @@ def test_topo_order_raises_without_the_index_invariant():
                                pending=())
     with pytest.raises(ValueError, match=b.display):
         gr.topo_order(graph)
+
+
+# --- growth at the witness, validation of the focused schedule -------------
+
+
+def focused_of(g):
+    return gr.focus(g, gr.topo_order(g))
+
+
+def steps(schedule):
+    return [(s.dim, s.edge, s.edge and s.edge.group, s.edge and s.edge.rule)
+            for s in schedule]
+
+
+def assert_same_proof(g, ref):
+    """The same focused steps and pending goals as the ring-validated
+    reference."""
+    assert steps(focused_of(g)) == steps(focused_of(ref))
+    assert g.pending == ref.pending
+
+
+def assert_same_numbering(g, ref):
+    """The node numbers and schedule order of the reference too, which
+    growth matches once it validates the edges that number the nodes."""
+    assert_same_proof(g, ref)
+    assert g.nodes == ref.nodes
+    assert [s.dim for s in gr.topo_order(g)] == \
+        [s.dim for s in gr.topo_order(ref)]
+
+
+@pytest.mark.parametrize("figure,seed", INVARIANT)
+def test_schedule_validation_matches_ring_validation(figure, seed):
+    # the reference gets a scene of its own, so it shares no samples
+    model = grown_model(figure)
+    scn, ref_scn = sc.build_scene(model), sc.build_scene(model)
+    witness = sc.sample_params(scn, seed)
+    ref = grow_ring_validated(model, ref_scn, witness, seed)
+    g = gr.grow_detailed(model, scn, witness, seed=seed)
+    assert_same_proof(g, ref)
+    schedules = [None if h.pending else tuple(focused_of(h)) for h in (g, ref)]
+    verdicts = [vf.verdict(model, s, schedule, seed=seed)
+                for s, schedule in zip((scn, ref_scn), schedules)]
+    assert verdicts[0] == verdicts[1]
+
+
+def spy_validation(monkeypatch, rejected=lambda e: False):
+    """Replace growth's validation by the real one less `rejected`
+    edges; return the list of the edge lists it is handed."""
+    calls, real = [], gr.validate_edges
+
+    def validate(edges, *args):
+        calls.append(list(edges))
+        return [e for e in real(edges, *args) if not rejected(e)]
+
+    monkeypatch.setattr(gr, "validate_edges", validate)
+    return calls
+
+
+def test_without_a_failure_only_the_focused_steps_are_validated(monkeypatch):
+    model, scn = load("parallelogram.gthm")
+    witness = sc.sample_params(scn, 42)
+    calls = spy_validation(monkeypatch)
+    g = gr.grow_detailed(model, scn, witness, seed=42)
+    assert calls == [[s.edge for s in focused_of(g) if s.edge is not None]]
+    assert len(calls[0]) == 12
+    assert g.edges == gr.grow(rules.discover(model, scn, witness),
+                              params_of(scn), gr.goal_dims(model), list).edges
+
+
+def test_the_witness_closure_admits_a_coincidence_no_schedule_uses():
+    # x=4, y=1, z=2 makes BO, GO -> BG a right triangle that is none at
+    # other samples: growth at the witness admits it, validation never
+    # meets it, and ring validation drops it
+    model, scn, witness = figure("parallelogram")
+    g = gr.grow_detailed(model, scn, witness, seed=42)
+    ref = grow_ring_validated(*figure("parallelogram"))
+    bogus = [e for e in rules.discover(model, scn, witness)
+             if e.rule == "pythagoras" and e.target.display == "BG"
+             and sorted(s.display for s in e.sources) == ["BO", "GO"]]
+    assert bogus and bogus[0] in g.edges and bogus[0] not in ref.edges
+    for h in (g, ref):
+        assert all(s.edge != bogus[0] for s in gr.topo_order(h))
+    assert_same_proof(g, ref)
+
+
+@pytest.mark.parametrize("dim", ["FO", "DO"])
+def test_a_failed_schedule_edge_is_dropped_and_growth_runs_again(
+        dim, monkeypatch):
+    model, scn = load("parallelogram.gthm")
+    witness = sc.sample_params(scn, 42)
+    pool = rules.discover(model, scn, witness)
+    first = gr.grow_detailed(model, scn, witness, seed=42)
+    bad = next(s.edge for s in focused_of(first) if s.dim.display == dim)
+    grown = []
+    real_grow = gr.grow
+
+    def grow(*args):
+        grown.append(real_grow(*args))
+        return grown[-1]
+
+    monkeypatch.setattr(gr, "grow", grow)
+    calls = spy_validation(monkeypatch, lambda e: e == bad)
+    g = gr.grow_detailed(model, scn, witness, seed=42)
+    tested = [e for c in calls for e in c]
+    assert len(grown) == 2 and g is grown[1]  # a second round runs
+    assert calls[0] == [s.edge for s in focused_of(grown[0]) if s.edge]
+    assert bad in calls[0]
+    assert len(set(tested)) == len(tested)  # no edge validated twice
+    monkeypatch.setattr(gr, "grow", real_grow)
+    ref_scn = sc.build_scene(model)
+    ref = gr.grow([e for e in pool if e != bad], params_of(ref_scn),
+                  gr.goal_dims(model),
+                  lambda ring: rules.validate_edges(ring, model, ref_scn, 42))
+    assert bad not in g.edges
+    assert_same_numbering(g, ref)
+    assert steps(focused_of(g)) != steps(focused_of(first))
+    assert not g.pending
+    check_index_invariant(g)
+
+
+@pytest.mark.parametrize("every", [2, 3, 5, 11])
+@pytest.mark.parametrize("name", ["parallelogram", "imo2012", "thirteen"])
+def test_after_a_failure_growth_gives_the_ring_validated_proof(
+        name, every, monkeypatch):
+    # a synthetic validation that fails the first focused step of the
+    # witness closure, and every `every`-th label besides, failing
+    # numbering edges and schedule edges alike, round after round
+    model, scn, witness = figure(name)
+    closure = gr.grow(rules.discover(model, scn, witness), params_of(scn),
+                      gr.goal_dims(model), list)
+    victim = next(s.edge for s in focused_of(closure) if s.edge is not None)
+
+    def rejected(e):
+        return e == victim or e.group % every == 0
+
+    ref_model, ref_scn, _ = figure(name)
+    ref = grow_ring_validated(
+        ref_model, ref_scn, witness,
+        admit=lambda ring: [e for e in rules.validate_edges(
+            ring, ref_model, ref_scn, 42) if not rejected(e)])
+    calls = spy_validation(monkeypatch, rejected)
+    g = gr.grow_detailed(model, scn, witness, seed=42)
+    tested = [e for c in calls for e in c]
+    assert len(set(tested)) == len(tested)
+    assert_same_numbering(g, ref)
+    if not g.pending:
+        check_index_invariant(g)
+
+
+def test_a_coincidence_rich_witness_costs_no_more_than_ring_validation(
+        monkeypatch):
+    # at a = h the right triangle is isosceles: discovery proposes about
+    # 16,000 edges, and ring validation drops most it reaches.  Refining
+    # the closure one failed schedule edge at a time took over a
+    # thousand regrowths here; validating the numbering edges after the
+    # first failure takes one
+    model = grown_model("right_triangle+5:true")
+    scn, ref_scn = sc.build_scene(model), sc.build_scene(model)
+    witness = sc.ParamAssignment((("a", Fraction(9)), ("h", Fraction(9)),
+                                  ("q", Fraction(15, 2))))
+    reached = []
+    ref = grow_ring_validated(
+        model, ref_scn, witness,
+        admit=lambda ring: reached.extend(ring) or rules.validate_edges(
+            ring, model, ref_scn, 42))
+    grown = []
+    real_grow = gr.grow
+    monkeypatch.setattr(gr, "grow",
+                        lambda *args: grown.append(1) or real_grow(*args))
+    calls = spy_validation(monkeypatch)
+    g = gr.grow_detailed(model, scn, witness, seed=42)
+    tested = [e for c in calls for e in c]
+    assert len(grown) <= 3
+    assert len(set(tested)) == len(tested) < len(reached)
+    assert len(reached) - len(ref.edges) > 1000  # edges validation drops
+    assert_same_numbering(g, ref)
+
+
+def test_refinement_ends_when_validation_rejects_everything(monkeypatch):
+    model, scn = load("parallelogram.gthm")
+    witness = sc.sample_params(scn, 42)
+    calls = spy_validation(monkeypatch, lambda e: True)
+    g = gr.grow_detailed(model, scn, witness, seed=42)
+    tested = [e for c in calls for e in c]
+    assert all(calls) and len(set(tested)) == len(tested)
+    assert g.edges == []  # the regrown first ring admits nothing
+    assert g.pending == g.goals
 
 
 # --- synthetic pools grown through the closure --------------------------------

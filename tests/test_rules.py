@@ -507,23 +507,31 @@ def grown_text(figure):
 @pytest.mark.parametrize("figure", GROWN)
 def test_replays_match_the_scalar_reference_on_every_grown_edge(
         figure, seed, monkeypatch):
+    # growth validates only its schedule's edges, so the replays are
+    # checked on the whole pool it grows from
     tested = []
     real = graph.validate_edges
 
-    def spy(edges, model, scn, *sampling):
-        tested.append((list(edges), scn, sampling))
-        return real(edges, model, scn, *sampling)
+    def spy(edges, *args):
+        tested.extend(edges)
+        return real(edges, *args)
 
     monkeypatch.setattr(graph, "validate_edges", spy)
-    prove_text(grown_text(figure), figure, seed=seed)
+    result = prove_text(grown_text(figure), figure, seed=seed)
     if figure == "degenerate":
         assert tested == []  # no figure, so no growth
         return
+    model, scn = result.model, result.scene
+    pool = rules.discover(model, scn, result.witness)
+    assert set(tested) <= set(pool)
+    kept = rules.validate_edges(pool, model, scn, seed)
+    samples = rules._validation_samples(scn, seed, sc.DEFAULT_RANGE)
     answered = 0
-    for edges, scn, sampling in tested:
-        for ev in rules._validation_samples(scn, *sampling):
-            answered += sum(check_replays(e, ev) for e in edges)
+    for ev in samples:
+        answered += sum(check_replays(e, ev) for e in pool)
     assert answered
+    assert kept == [e for e in pool
+                    if all(reference_replays(e, ev) for ev in samples)]
 
 
 def crafted_evaluation():
@@ -632,26 +640,23 @@ def test_squares_are_exact_positive_pairs_and_ratios_are_crossed():
 
 def test_exact_ratio_edges_never_reach_the_scalar_replay(monkeypatch):
     # every value growth meets on this all-rational figure is exact and
-    # positive, so each copy, inv, div and mul edge it tests is settled
-    # on squared values
-    ops, tested = [], []
-    real_apply, real_validate = rules.apply_edge, graph.validate_edges
+    # positive, so each copy, inv, div and mul edge of the closure grown
+    # at the witness is settled on squared values.  (Two copy edges the
+    # closure never reaches read (CO-DO), a difference of two radicals
+    # that exactnum.sub leaves as a float.)
+    result = prove_text((FIXTURES / "parallelogram.gthm").read_text(), "p")
+    assert result.verdict.status == "PROVED"
+    closure = result.graph.edges
+    tested = [e.recipe[0] for e in closure]
+    ops, real_apply = [], rules.apply_edge
 
     def spy_apply(e, values):
         ops.append(e.recipe[0])
         return real_apply(e, values)
 
-    def spy_validate(edges, *args):
-        tested.extend(e.recipe[0] for e in edges)
-        monkeypatch.setattr(rules, "apply_edge", spy_apply)
-        try:
-            return real_validate(edges, *args)
-        finally:
-            monkeypatch.setattr(rules, "apply_edge", real_apply)
-
-    monkeypatch.setattr(graph, "validate_edges", spy_validate)
-    result = prove_text((FIXTURES / "parallelogram.gthm").read_text(), "p")
-    assert result.verdict.status == "PROVED"
+    monkeypatch.setattr(rules, "apply_edge", spy_apply)
+    assert rules.validate_edges(closure, result.model, result.scene,
+                                42) == closure
     assert {"copy", "inv", "div", "mul"} <= set(tested)
     assert ops and not {"copy", "inv", "div", "mul"} & set(ops)
 
@@ -820,6 +825,47 @@ def test_discover_builds_one_witness_and_one_coincidence_test_per_pair(monkeypat
     assert len(set(witnesses[0].points)) == n  # so coordinates name a pair
     assert len(pairs) <= n * (n - 1) // 2
     assert len(set(pairs)) == len(pairs)
+
+
+def fresh_screens(w):
+    """Every screen as the scans took it: from a fresh scene.vsub."""
+    pts = w.points
+    return [[None if i == j else sc.screen(sc.vsub(q, p))
+             for j, q in enumerate(pts)] for i, p in enumerate(pts)]
+
+
+class FreshScreenWitness(rules._Witness):
+    """The witness with its indexed screens replaced by fresh ones
+    before the collinear triples are read off."""
+
+    def _collinear_triples(self):
+        self.screens = fresh_screens(self)
+        return super()._collinear_triples()
+
+
+def bits(screens):
+    return [[s and tuple(x.hex() for x in s) for s in row] for row in screens]
+
+
+@pytest.mark.parametrize("seed", [42, 5])
+@pytest.mark.parametrize("figure", INDEXED)
+def test_indexed_screens_are_the_fresh_screens_bit_for_bit(figure, seed):
+    model = dsl.validate(dsl.parse(grown_text(figure), figure), figure)
+    scn = sc.build_scene(model)
+    w = rules._Witness(model, scn, sc.sample_params(scn, seed))
+    assert bits(w.screens) == bits(fresh_screens(w))
+
+
+@pytest.mark.parametrize("seed", [42, 5])
+@pytest.mark.parametrize("figure", ["parallelogram+8", "right_triangle+5"])
+def test_discover_reads_the_same_edges_off_indexed_screens(figure, seed,
+                                                           monkeypatch):
+    model = dsl.validate(dsl.parse(grown_text(figure), figure), figure)
+    scn = sc.build_scene(model)
+    a = sc.sample_params(scn, seed)
+    got = rules.discover(model, scn, a)
+    monkeypatch.setattr(rules, "_Witness", FreshScreenWitness)
+    assert got == rules.discover(model, scn, a)
 
 
 def nested_ratio_solve(known_ratios, known_lengths):

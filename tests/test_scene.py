@@ -7,11 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gthm import dsl, emit, scene as sc
-from gthm.exactnum import Rad, as_float, exact_eq
+from gthm.exactnum import Rad, as_float, exact_eq, sqrt_exact
 from gthm.rules import length
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -331,3 +331,29 @@ def test_imo_sampler_respects_interiority(seed):
     a = sc.sample_params(imo, seed)
     vals = a.values
     assert vals["q"] < vals["h"]  # X strictly inside DC
+
+
+# coordinates at and near zero in every representation, so that drawn
+# points often coincide or nearly do
+NEAR_ZERO = [F(0), 0.0, -0.0, 1e-15, -1e-15, 3e-10, F(1, 10**12),
+             sqrt_exact(F(2, 10**30)), sqrt_exact(F(2)), F(1), 1.0]
+COMPONENT = st.one_of(
+    st.sampled_from(NEAR_ZERO),
+    st.fractions(min_value=-10, max_value=10, max_denominator=64),
+    st.builds(sqrt_exact, st.fractions(min_value=0, max_value=50,
+                                       max_denominator=64)),
+    st.floats(min_value=-10, max_value=10, allow_nan=False))
+POINT = st.tuples(COMPONENT, COMPONENT)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=POINT, b=POINT)
+@example(a=(sqrt_exact(F(1, 10**30 * 2)), F(0)), b=(F(0), F(0)))
+def test_coincident_is_symmetric(a, b):
+    assert sc.coincident(a, b) == sc.coincident(b, a)
+
+
+def test_a_tiny_radical_off_zero_is_apart_in_either_order():
+    a, b = (sqrt_exact(F(2, 10**30)), F(0)), (F(0), F(0))
+    assert isinstance(a[0], Rad)
+    assert not sc.coincident(a, b) and not sc.coincident(b, a)
