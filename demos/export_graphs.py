@@ -26,8 +26,7 @@ def export(name):
     g, focused = result.graph, result.focused
     target = OUT / f"{name.rsplit('.', 1)[0]}.dot"
     target.write_text(emit.render_dot(g, focused))
-    n_edges = len({e.group for e in g.edges})
-    print(f"{target}  ({len(g.nodes)} nodes, {n_edges} derivations, "
+    print(f"{target}  ({len(g.nodes)} nodes, {len(g.edges)} derivations, "
           f"{len(focused) if focused else 0} scheduled)")
 
 

@@ -62,14 +62,15 @@ def prove_model(model: dsl.HypothesisModel, theorem: Optional[str] = None,
                 rng_range: tuple[Fraction, Fraction] = scene.DEFAULT_RANGE,
                 ) -> ProofResult:
     """Derive and judge the claim of a validated model: sample a
-    witness, grow the graph, schedule and focus it, and take the
-    verdict.  A figure that cannot be drawn comes back INCONCLUSIVE."""
+    witness, grow the graph with the focused schedule it validated,
+    and take the verdict.  A figure that cannot be drawn comes back
+    INCONCLUSIVE."""
     scene_ = scene.build_scene(model)
     try:
         witness = scene.sample_params(scene_, seed, rng_range)
         g = graph.grow_detailed(model, scene_, witness, seed=seed,
                                 rng_range=rng_range)
-        focused = tuple(graph.focus(g, graph.topo_order(g)))
+        focused = g.focused
         schedule = focused if not g.pending else None
         v = verify.verdict(model, scene_, schedule, num_samples=samples,
                            seed=seed, tol=tol, rng_range=rng_range)

@@ -91,7 +91,7 @@ def render_json(model, schedule, v: Verdict,
     return json.dumps(out, indent=2) + "\n"
 
 
-def render_dot(graph: gr.DerivationGraph, schedule=None) -> str:
+def render_dot(graph: gr.DerivationGraph, schedule) -> str:
     """Graphviz view of the derivation graph; see graph.to_dot."""
     return gr.to_dot(graph, schedule)
 

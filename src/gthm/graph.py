@@ -5,11 +5,11 @@ witness, where each one holds.  The graph grows by forward closure
 from the parameter dimensions in BFS rings: a ring admits the edges
 sourced entirely in earlier rings, and each node is numbered when
 first reached.  A goal the closure never reaches is pending.  Growth
-alone decides order: the schedule lists the nodes by number, each
-derived by an in-edge from lower numbers.  Fresh samples validate the
-edges of the schedule focused on the goals, and after a failure the
-edges that number the nodes; the other admitted edges may hold only
-at the witness, and `to_dot(graph, None)` draws them.
+alone decides the order of nodes: the schedule lists them by number,
+each derived by its first in-edge in pool order from lower numbers.
+Fresh samples validate the edges of the schedule focused on the
+goals, and after a failure the edges that number the nodes; the other
+admitted edges may hold only at the witness, and no output shows them.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ class ScheduleStep:
 @dataclass
 class DerivationGraph:
     nodes: dict[Dim, Node]
-    edges: list[Hyperedge]  # admitted at the witness, ring by ring; only
+    edges: list[Hyperedge]  # admitted at the witness, in pool order; only
     # grow_detailed's focused steps (and numbering edges) are validated
     goals: tuple[Dim, ...]
     pending: tuple[Dim, ...]  # goals forward closure never reached
     reports: list[str] = field(default_factory=list)  # nothing writes one yet
+    focused: tuple[ScheduleStep, ...] = ()  # set by grow_detailed
 
     @property
     def param_dims(self) -> tuple[Dim, ...]:
@@ -73,13 +74,14 @@ def grow(pool: list[Hyperedge], params: tuple[Dim, ...],
     goal is reached or a ring admits nothing.  Each ring hands `admit`
     the untried edges sourced entirely in earlier rings, in pool order,
     and admits what it returns; an edge it drops is never tried again.
-    A goal never reached is listed in `pending` and numbered last."""
+    The graph lists the admitted edges in pool order.  A goal never
+    reached is listed in `pending` and numbered last."""
     goal_set = set(goals)
     nodes = {d: Node(dim=d, index=i, is_param=True, is_goal=d in goal_set)
              for i, d in enumerate(params)}
     known: set[Dim] = set(params)
     untried = [e for e in pool if e.target not in known]
-    admitted: list[Hyperedge] = []
+    admitted: set[int] = set()  # edge ids
     while True:
         reached: list[Hyperedge] = []
         rest: list[Hyperedge] = []
@@ -87,7 +89,7 @@ def grow(pool: list[Hyperedge], params: tuple[Dim, ...],
             (reached if known.issuperset(e.sources) else rest).append(e)
         untried = rest
         ring = admit(reached)
-        admitted.extend(ring)
+        admitted.update(map(id, ring))
         for e in ring:
             if e.target not in known:
                 # numbered after its sources: topo_order reads this
@@ -100,8 +102,9 @@ def grow(pool: list[Hyperedge], params: tuple[Dim, ...],
     pending = tuple(g for g in goals if g not in known)
     for g in pending:
         nodes[g] = Node(dim=g, index=len(nodes), is_goal=True)
-    return DerivationGraph(nodes=nodes, edges=admitted, goals=goals,
-                           pending=pending)
+    return DerivationGraph(nodes=nodes,
+                           edges=[e for e in pool if id(e) in admitted],
+                           goals=goals, pending=pending)
 
 
 def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
@@ -115,7 +118,8 @@ def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
     failure shows the witness has coincidences, so from then on growth
     also validates the first edge to reach each node, which numbers it,
     and on failure the next one.  Each further round removes an edge,
-    so the loop ends, and no edge is validated twice."""
+    so the loop ends, and no edge is validated twice.  The graph comes
+    back with the focused schedule it validated as `focused`."""
     discovered = discover(model, scene_, witness)
     params = tuple(length(*pair) for _, pair in scene_.param_dims)
     goals = goal_dims(model)
@@ -151,7 +155,8 @@ def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
     pool, admit = discovered, list
     while True:
         g = grow(pool, params, goals, admit)
-        fresh = [s.edge for s in focus(g, topo_order(g))
+        g.focused = tuple(focus(g, topo_order(g)))
+        fresh = [s.edge for s in g.focused
                  if s.edge is not None and id(s.edge) not in holds]
         if not fresh:
             return g
@@ -164,16 +169,16 @@ def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
 
 def topo_order(graph: DerivationGraph) -> list[ScheduleStep]:
     """Parameters first, in index order, then every other node that is
-    not pending, in index order, each by its lowest-group admitted
-    in-edge whose sources all have a smaller index.  Growth guarantees
-    that edge: it numbers a node when first reached, after the sources
-    of the edge that reached it.  A graph without it raises ValueError."""
+    not pending, in index order, each by its first admitted in-edge,
+    in pool order, whose sources all have a smaller index.  Growth
+    guarantees that edge: it numbers a node when first reached, after
+    the sources of the edge that reached it.  A graph without it raises
+    ValueError."""
     index = {d: n.index for d, n in graph.nodes.items()}
     chosen: dict[Dim, Hyperedge] = {}
     for e in graph.edges:
-        best = chosen.get(e.target)
-        if (best is None or e.group < best.group) and all(
-                index[s] < index[e.target] for s in e.sources):
+        if e.target not in chosen and all(index[s] < index[e.target]
+                                          for s in e.sources):
             chosen[e.target] = e
     steps = [ScheduleStep(dim=d, edge=None) for d in graph.param_dims]
     for node in sorted(graph.nodes.values(), key=lambda n: n.index):
@@ -223,21 +228,20 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
-def to_dot(graph: DerivationGraph,
-           schedule: Optional[list[ScheduleStep]] = None) -> str:
-    """Graphviz text.  Hyperedges with several sources meet at a small
-    junction vertex carrying the group label; parameter nodes are gray,
-    unreachable goals are dashed."""
-    order = {step.dim: i for i, step in enumerate(schedule or [])}
-    keep = covers(schedule) if schedule is not None else set(graph.nodes)
+def to_dot(graph: DerivationGraph, schedule: list[ScheduleStep]) -> str:
+    """Graphviz text of the scheduled nodes and edges, and the pending
+    goals.  An edge with several sources meets them at a small junction
+    vertex named after its target; parameter nodes are gray, unreachable
+    goals are dashed."""
+    order = {step.dim: i for i, step in enumerate(schedule)}
     lines = ["digraph derivation {", "  rankdir=LR;",
              '  node [shape=box, fontname="Helvetica"];']
     for node in sorted(graph.nodes.values(), key=lambda n: n.index):
-        if node.dim not in keep and node.dim not in graph.pending:
+        if node.dim not in order and node.dim not in graph.pending:
             continue
         attrs = []
         label = node.dim.display
-        if schedule is not None and node.dim in order:
+        if node.dim in order:
             label = f"{order[node.dim] + 1}: {label}"
         attrs.append(f"label={_dot_quote(label)}")
         if node.is_param:
@@ -247,23 +251,16 @@ def to_dot(graph: DerivationGraph,
         elif node.is_goal:
             attrs.append("peripheries=2")
         lines.append(f"  {_dot_quote(node.dim.display)} [{', '.join(attrs)}];")
-    chosen = None
-    if schedule is not None:
-        chosen = [s.edge for s in schedule if s.edge is not None]
-    for e in (chosen if chosen is not None else graph.edges):
-        if e.target not in keep or any(s not in keep for s in e.sources):
-            continue
+    for e in (s.edge for s in schedule if s.edge is not None):
         tgt = _dot_quote(e.target.display)
         if len(e.sources) == 1:
-            src = _dot_quote(e.sources[0].display)
-            lines.append(f"  {src} -> {tgt} [label=\"{e.group}\"];")
+            lines.append(f"  {_dot_quote(e.sources[0].display)} -> {tgt};")
         else:
-            j = f"j{e.group}_{e.target.display}"
-            lines.append(f"  {_dot_quote(j)} [shape=point, width=0.05, "
-                         f"xlabel=\"{e.group}\"];")
+            j = _dot_quote(f"j_{e.target.display}")
+            lines.append(f"  {j} [shape=point, width=0.05];")
             for s in e.sources:
-                lines.append(f"  {_dot_quote(s.display)} -> {_dot_quote(j)} "
+                lines.append(f"  {_dot_quote(s.display)} -> {j} "
                              f"[arrowhead=none];")
-            lines.append(f"  {_dot_quote(j)} -> {tgt};")
+            lines.append(f"  {j} -> {tgt};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,13 +10,14 @@ direction class of their difference when it is rational.  A line is
 then the set of points sharing a class at an anchor, and a right angle
 a pair of perpendicular classes at a corner; only differences with a
 radical or float component are compared one by one with the scene's
-predicates.  Relations are
-detected at a single witness sample; spurious coincidences are culled
-when growth first reaches an edge, by replaying it at fresh samples
-(validate_edges).  A replay whose values are all exact and positive
-first checks the edge's relation on squared values by integer
-cross-multiplication; every other replay, and every one that check
-does not confirm, recomputes the target on the Scalar arithmetic.
+predicates.  Relations are detected at a single witness sample;
+spurious coincidences are culled by replaying at fresh samples the
+edges a proof uses: those of the focused schedule, and after a failure
+those that number the nodes (validate_edges, called from
+graph.grow_detailed).  A replay whose values are all exact and
+positive first checks the edge's relation on squared values by
+integer cross-multiplication; every other replay, and every one that
+check does not confirm, recomputes the target on the Scalar arithmetic.
 
 Positions along the reference axis are always measured from the
 origin point; feet are declared points, never invented ones.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 from weakref import WeakKeyDictionary, WeakValueDictionary
@@ -113,9 +114,7 @@ class Hyperedge:
     rule: str
     justification: str
     recipe: tuple
-    group: int = 0
     subpriority: int = 0
-    bond: Optional[str] = field(default=None, compare=False)  # shared-derivation tag
 
     def key(self):
         return (frozenset(self.sources), self.target, self.rule)
@@ -135,13 +134,13 @@ PRIORITY = {
 _display = operator.attrgetter("display")
 
 
-def _edge(sources, target, rule, justification, recipe, subpriority=0, bond=None):
+def _edge(sources, target, rule, justification, recipe, subpriority=0):
     srcs = tuple(sorted(set(sources), key=_display))
     if target in srcs or not srcs:
         return None
     return Hyperedge(sources=srcs, target=target, rule=rule,
                      justification=justification, recipe=recipe,
-                     subpriority=subpriority, bond=bond)
+                     subpriority=subpriority)
 
 
 def _recipe_key(recipe: tuple) -> tuple:
@@ -157,27 +156,18 @@ def _sort_key(e: Hyperedge):
 
 
 def finalize(edges: list[Hyperedge]) -> list[Hyperedge]:
-    """Deterministic order, dedup by (sources, target, rule), group labels."""
+    """The edges in `_sort_key` order, the first of each `key()` kept.
+    This pool order is the only order between edges: growth lists the
+    edges it admits in it, and the schedule takes each node's first."""
     ordered = sorted((e for e in edges if e is not None), key=_sort_key)
     seen: set = set()
-    labeled: list[Hyperedge] = []
-    bonds: dict[str, int] = {}
-    next_label = 1
+    out: list[Hyperedge] = []
     for e in ordered:
         k = e.key()
-        if k in seen:
-            continue
-        seen.add(k)
-        if e.bond is not None and e.bond in bonds:
-            label = bonds[e.bond]
-        else:
-            label = next_label
-            next_label += 1
-            if e.bond is not None:
-                bonds[e.bond] = label
-        labeled.append(Hyperedge(e.sources, e.target, e.rule, e.justification,
-                                 e.recipe, label, e.subpriority, e.bond))
-    return labeled
+        if k not in seen:
+            seen.add(k)
+            out.append(e)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +415,7 @@ def parallel_transfer_rule(w: _Witness) -> list[Hyperedge]:
     equal, so either transfers to the other."""
     carriers = w.ev.carriers
     edges: list[Optional[Hyperedge]] = []
-    for (la, l1), (lb, l2) in itertools.combinations(carriers, 2):
+    for l1, l2 in itertools.combinations(carriers, 2):
         if not sc.lines_parallel(l1, l2):
             continue
         offsets = []
@@ -669,17 +659,14 @@ def line_circle_rule(w: _Witness) -> list[Hyperedge]:
         s = w.axis_pos_sign(q, p) * w.axis_pos_sign(p, center)
         pq, pc = length(p, q), length(p, center)
         pf, qf = length(p, fq), length(q, fq)
-        bond = f"lc:{z}"
         just = (f"{z} is cut from the line {p}{q} by the circle about "
                 f"{center} with radius {radius_dim.display}")
         foot_target = length(p, nz)
-        edges.append(_edge([pq, pc, pf, radius_dim], foot_target, "line-circle",
-                           just, ("lc", pq, pc, pf, radius_dim, None, s, mode, "foot"),
-                           bond=bond))
+        edges.append(_edge([pq, pc, pf, radius_dim], foot_target, "line-circle", just,
+                           ("lc", pq, pc, pf, radius_dim, None, s, mode, "foot")))
         perp_target = length(z, nz)
-        edges.append(_edge([pq, pc, pf, radius_dim, qf], perp_target, "line-circle",
-                           just, ("lc", pq, pc, pf, radius_dim, qf, s, mode, "perp"),
-                           bond=bond))
+        edges.append(_edge([pq, pc, pf, radius_dim, qf], perp_target, "line-circle", just,
+                           ("lc", pq, pc, pf, radius_dim, qf, s, mode, "perp")))
     checked = []
     for e in edges:
         if e is None:
@@ -758,16 +745,13 @@ def ratio_solve_rule(known_ratios: list[tuple[Dim, Scalar]],
                 add(Fraction(1), mul(v1, v2))
             if abs(as_float(det)) < 1e-9:
                 continue  # singular at the witness; not solvable
-            bond = f"solve2:{r1.display}:{r2.display}"
             just = (f"solve {s_dim.display} and {z_dim.display} from "
                     f"{r1.display} and {r2.display} given {m_dim.display}")
             srcs = [r1, r2, m_dim]
             edges.append(_edge(srcs, s_dim, "ratio-solve", just,
-                               ("solve2", r1, r2, m_dim, r1_num_is_s, "S"),
-                               subpriority=0, bond=bond))
+                               ("solve2", r1, r2, m_dim, r1_num_is_s, "S")))
             edges.append(_edge(srcs, z_dim, "ratio-solve", just,
-                               ("solve2", r1, r2, m_dim, r1_num_is_s, "Z"),
-                               subpriority=0, bond=bond))
+                               ("solve2", r1, r2, m_dim, r1_num_is_s, "Z")))
     return [e for e in edges if e is not None]
 
 
@@ -881,8 +865,8 @@ def _apply_line_circle(recipe: tuple, v: dict[Dim, Scalar]) -> Scalar:
 
 def discover(model: dsl.HypothesisModel, scene_: sc.Scene,
              witness: sc.ParamAssignment) -> list[Hyperedge]:
-    """Union of all rule outputs, deduplicated and deterministically
-    ordered, with group labels assigned.
+    """Union of all rule outputs, deduplicated and in the pool order of
+    `finalize`.
 
     One pass suffices: the segment chains rewrite the plain ratios the
     other rules produced, ratio solving then reads those rewrites, and

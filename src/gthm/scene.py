@@ -108,32 +108,27 @@ class Scene:
 class Evaluation:
     """Coordinates and carrier lines under one assignment.
 
-    Evaluation records every line it meets, with its label; the
-    deduplicated `carriers` are built only when read.  Dimension values
-    are memoized here by `dim_value`, and their squares by `dim_square`,
-    so each is computed once per evaluation."""
+    Evaluation records every line it meets; the deduplicated `carriers`
+    are built only when read.  Dimension values are memoized here by
+    `dim_value`, and their squares by `dim_square`, so each is computed
+    once per evaluation."""
 
     def __init__(self) -> None:
         self.points: dict[str, Coord] = {}
         self.named_lines: dict[str, Line] = {}
-        self.lines: list[tuple[str, Line]] = []  # in encounter order
+        self.lines: list[Line] = []  # in encounter order
         self.values: dict = {}  # dim or point pair -> value, by dim_value
         self.squares: dict = {}  # dim -> squared value, by dim_square
-        self._inline_counter = 0
 
     @property
-    def carriers(self) -> list[tuple[str, Line]]:
+    def carriers(self) -> list[Line]:
         """The distinct carrier lines in encounter order; of lines with
-        one carrier, the first met keeps its label."""
-        out: list[tuple[str, Line]] = []
-        for label, line in self.lines:
-            if not any(_same_carrier(have, line) for _, have in out):
-                out.append((label, line))
+        one carrier, the first met stands for it."""
+        out: list[Line] = []
+        for line in self.lines:
+            if not any(_same_carrier(have, line) for have in out):
+                out.append(line)
         return out
-
-    def next_inline_label(self) -> str:
-        self._inline_counter += 1
-        return f"_l{self._inline_counter}"
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +491,7 @@ def _evaluate(scene: Scene, a: ParamAssignment) -> Evaluation:
     for step in scene.plan:
         stmt = step.statement
         if step.kind == "line":
-            line = _eval_line_arg(stmt.payload, ev, params, label=stmt.name)
-            ev.named_lines[stmt.name] = line
+            ev.named_lines[stmt.name] = _eval_line_arg(stmt.payload, ev, params)
         else:
             ev.points[stmt.name] = _eval_point(stmt, ev, params, model)
     # lines appearing only inside point expressions were collected
@@ -531,8 +525,8 @@ def _eval_expr(e: dsl.Expr, ev: Evaluation, params: dict[str, Fraction]) -> Scal
     raise AssertionError(f"unhandled expression {e!r}")
 
 
-def _eval_line_arg(arg: dsl.LineArg, ev: Evaluation, params: dict[str, Fraction],
-                   label: Optional[str] = None) -> Line:
+def _eval_line_arg(arg: dsl.LineArg, ev: Evaluation, params: dict[str, Fraction]
+                   ) -> Line:
     if isinstance(arg, dsl.LineRef):
         return ev.named_lines[arg.name]
     if isinstance(arg, (dsl.ThroughPoints, dsl.ExtendRay)):
@@ -545,7 +539,7 @@ def _eval_line_arg(arg: dsl.LineArg, ev: Evaluation, params: dict[str, Fraction]
         assert isinstance(arg, dsl.ThroughParallel)
         base = _eval_line_arg(arg.base, ev, params)
         line = Line(ev.points[arg.p], base.direction)
-    ev.lines.append((label if label is not None else ev.next_inline_label(), line))
+    ev.lines.append(line)
     return line
 
 

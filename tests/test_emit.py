@@ -159,7 +159,7 @@ def test_json_bytes_stable_across_runs():
 def test_dot_delegates_to_graph_renderer(para):
     model, scn, g, focused, v = para
     assert emit.render_dot(g, focused) == gr.to_dot(g, focused)
-    assert emit.render_dot(g).startswith("digraph derivation {")
+    assert emit.render_dot(g, focused).startswith("digraph derivation {")
 
 
 def test_scene_lists_exact_coordinates(para):

@@ -129,7 +129,8 @@ def test_edge_validation_samples_from_the_run_range(monkeypatch):
 
 def grow_reference(model, scn, witness, seed=42):
     """Validate the whole discovered pool, then grow by plain BFS rings:
-    each ring admits, in pool order, every edge sourced in earlier rings."""
+    each ring admits every edge sourced in earlier rings.  The edges
+    come back in pool order."""
     pool = rules.discover(model, scn, witness)
     pool = rules.validate_edges(pool, model, scn, seed)
     params = [rules.length(*pair) for _, pair in scn.param_dims]
@@ -148,7 +149,8 @@ def grow_reference(model, scn, witness, seed=42):
                                           is_goal=e.target in goals)
             known.add(e.target)
         if not fired or all(g in known for g in goals):
-            return nodes, edges, known
+            admitted = set(edges)
+            return nodes, [e for e in pool if e in admitted], known
 
 
 def thirteen_points():
@@ -240,10 +242,10 @@ def test_growth_validates_each_reached_edge_once(monkeypatch):
     assert len(draws) == rules.VALIDATION_SAMPLES
 
 
-def topo_reference(graph):
+def topo_reference(graph, position):
     """The quadratic sweep: at each step rescan every unscheduled node
     for a fully sourced in-edge, pop the lowest (index, name), and
-    commit to its lowest-group fully sourced in-edge."""
+    commit to the fully sourced in-edge of lowest pool `position`."""
     scheduled = set(graph.param_dims)
     steps = [gr.ScheduleStep(d, None) for d in graph.param_dims]
     in_edges = {}
@@ -257,7 +259,7 @@ def topo_reference(graph):
             break
         nxt = min(ready, key=lambda d: (graph.nodes[d].index, d.display))
         sourced = [e for e in in_edges[nxt] if scheduled.issuperset(e.sources)]
-        steps.append(gr.ScheduleStep(nxt, min(sourced, key=lambda e: e.group)))
+        steps.append(gr.ScheduleStep(nxt, min(sourced, key=position)))
         scheduled.add(nxt)
         remaining.discard(nxt)
     if any(g not in scheduled for g in graph.goals if g not in graph.pending):
@@ -275,8 +277,10 @@ def test_topo_order_matches_quadratic_sweep(name, seed):
         scn = sc.build_scene(model)
     else:
         model, scn = load(f"{name}.gthm")
-    g = gr.grow_detailed(model, scn, sc.sample_params(scn, seed), seed=seed)
-    got, want = gr.topo_order(g), topo_reference(g)
+    witness = sc.sample_params(scn, seed)
+    g = gr.grow_detailed(model, scn, witness, seed=seed)
+    position = {e: i for i, e in enumerate(rules.discover(model, scn, witness))}
+    got, want = gr.topo_order(g), topo_reference(g, position.__getitem__)
     assert got is not None and want is not None
     assert [s.dim for s in got] == [s.dim for s in want]
     assert [s.edge for s in got] == [s.edge for s in want]
@@ -308,7 +312,7 @@ def test_dot_pending_goal_is_dashed():
     model, scn = load("unreachable.gthm")
     witness = sc.sample_params(scn, 42)
     g = gr.grow_detailed(model, scn, witness)
-    dot = gr.to_dot(g)
+    dot = gr.to_dot(g, g.focused)
     assert 'style=dashed, color=red' in dot
     assert '"BZ"' in dot
 
@@ -352,6 +356,23 @@ def test_every_derived_node_has_an_in_edge_from_lower_indices(figure, seed):
                                            seed=seed))
 
 
+@pytest.mark.parametrize("figure,seed", INVARIANT)
+def test_each_node_takes_its_least_sort_key_in_edge_from_lower_indices(
+        figure, seed):
+    # the pool is in rules._sort_key order, so the first admitted edge
+    # is the least by a key each edge has alone
+    model = grown_model(figure)
+    scn = sc.build_scene(model)
+    g = gr.grow_detailed(model, scn, sc.sample_params(scn, seed), seed=seed)
+    index = {d: n.index for d, n in g.nodes.items()}
+    derived = [s for s in gr.topo_order(g) if s.edge is not None]
+    assert derived
+    for step in derived:
+        lower = [e for e in g.in_edges(step.dim)
+                 if all(index[s] < index[step.dim] for s in e.sources)]
+        assert step.edge is min(lower, key=rules._sort_key), step.dim.display
+
+
 def check_index_invariant(g):
     by_index = sorted(g.nodes.values(), key=lambda n: n.index)
     assert [n.index for n in by_index] == list(range(len(g.nodes)))
@@ -369,11 +390,9 @@ def check_index_invariant(g):
 def test_topo_order_raises_without_the_index_invariant():
     a, b, c = _name(0), _name(1), _name(2)
     edge = rules.Hyperedge(sources=(c,), target=b, rule="segment-chain",
-                           justification="synthetic", recipe=("copy", c),
-                           group=1)
+                           justification="synthetic", recipe=("copy", c))
     back = rules.Hyperedge(sources=(a,), target=c, rule="segment-chain",
-                           justification="synthetic", recipe=("copy", a),
-                           group=2)
+                           justification="synthetic", recipe=("copy", a))
     nodes = {a: gr.Node(a, 0, is_param=True), b: gr.Node(b, 1),
              c: gr.Node(c, 2, is_goal=True)}
     graph = gr.DerivationGraph(nodes=nodes, edges=[edge, back], goals=(c,),
@@ -390,8 +409,8 @@ def focused_of(g):
 
 
 def steps(schedule):
-    return [(s.dim, s.edge, s.edge and s.edge.group, s.edge and s.edge.rule)
-            for s in schedule]
+    return [(s.dim, s.edge, s.edge and rules._sort_key(s.edge),
+             s.edge and s.edge.rule) for s in schedule]
 
 
 def assert_same_proof(g, ref):
@@ -505,15 +524,16 @@ def test_a_failed_schedule_edge_is_dropped_and_growth_runs_again(
 def test_after_a_failure_growth_gives_the_ring_validated_proof(
         name, every, monkeypatch):
     # a synthetic validation that fails the first focused step of the
-    # witness closure, and every `every`-th label besides, failing
-    # numbering edges and schedule edges alike, round after round
+    # witness closure, and every `every`-th edge of the pool besides,
+    # failing numbering edges and schedule edges alike, round after round
     model, scn, witness = figure(name)
-    closure = gr.grow(rules.discover(model, scn, witness), params_of(scn),
-                      gr.goal_dims(model), list)
+    pool = rules.discover(model, scn, witness)
+    position = {e: i for i, e in enumerate(pool, 1)}
+    closure = gr.grow(pool, params_of(scn), gr.goal_dims(model), list)
     victim = next(s.edge for s in focused_of(closure) if s.edge is not None)
 
     def rejected(e):
-        return e == victim or e.group % every == 0
+        return e == victim or position[e] % every == 0
 
     ref_model, ref_scn, _ = figure(name)
     ref = grow_ring_validated(
@@ -578,37 +598,35 @@ def _name(i: int) -> rules.Dim:
 
 def random_pool(seed: int):
     """A small random AND-OR pool over synthetic length dims, with its
-    parameters and goals; the pool is shuffled out of label order."""
+    parameters and goals."""
     rng = random.Random(seed)
     n = rng.randint(2, 30)
     dims = [_name(i) for i in range(n)]
     n_params = rng.randint(1, min(3, n - 1))
     pool = []
-    for label in range(1, rng.randint(1, 40) + 1):
+    for _ in range(rng.randint(1, 40)):
         target = rng.choice(dims[n_params:])
         k = rng.randint(1, min(3, n - 1))
         sources = rng.sample([d for d in dims if d != target], k)
         pool.append(rules.Hyperedge(
             sources=tuple(sorted(sources, key=lambda d: d.display)),
             target=target, rule="segment-chain", justification="synthetic",
-            recipe=("copy", sources[0]), group=label))
+            recipe=("copy", sources[0])))
     goals = tuple(rng.sample(dims, rng.randint(1, 2)))
-    rng.shuffle(pool)
     return pool, tuple(dims[:n_params]), goals
 
 
-def admissible(edge) -> bool:
-    """The synthetic validation: every sixth label fails."""
-    return edge.group % 6 != 0
-
-
 def random_hypergraph(seed: int):
-    """A random pool grown through the closure, with its goals, and the
-    edges the synthetic validation keeps."""
+    """A random pool grown through the closure, with its parameters, and
+    the edges the synthetic validation keeps, in pool order: it fails
+    every sixth edge of the pool.  Two edges of the pool may be equal,
+    so they are told apart by identity."""
     pool, params, goals = random_pool(seed)
+    kept = [e for i, e in enumerate(pool, 1) if i % 6 != 0]
+    admissible = {id(e) for e in kept}
     graph = gr.grow(pool, params, goals,
-                    lambda ring: [e for e in ring if admissible(e)])
-    return graph, params, [e for e in pool if admissible(e)]
+                    lambda ring: [e for e in ring if id(e) in admissible])
+    return graph, params, kept
 
 
 def forward_closure(edges, params):
@@ -636,8 +654,10 @@ def test_topo_valid_and_absent_iff_unreachable(seed):
 
 def test_topo_order_matches_quadratic_sweep_on_random_pools():
     for seed in range(1000):
-        graph, _, _ = random_hypergraph(seed)
-        got, want = gr.topo_order(graph), topo_reference(graph)
+        graph, _, kept = random_hypergraph(seed)
+        position = {id(e): i for i, e in enumerate(kept)}
+        got, want = (gr.topo_order(graph),
+                     topo_reference(graph, lambda e: position[id(e)]))
         assert want is not None, f"seed {seed}"
         assert [(s.dim, s.edge) for s in got] == \
             [(s.dim, s.edge) for s in want], f"seed {seed}"
@@ -671,7 +691,7 @@ def random_tree(seed: int):
         parent = dims[rng.randrange(i)]
         pool.append(rules.Hyperedge(
             sources=(parent,), target=dims[i], rule="segment-chain",
-            justification="synthetic", recipe=("copy", parent), group=i))
+            justification="synthetic", recipe=("copy", parent)))
     rng.shuffle(pool)
     return gr.grow(pool, dims[:1], dims[-1:], list)
 

@@ -309,7 +309,7 @@ def test_discovery_predicates_match_reference(monkeypatch, name):
     for seed in (42, 1):
         ev = sc.evaluate(scene_, sc.sample_params(scene_, seed))
         pts = list(ev.points.values())
-        lines = [line for _, line in ev.lines]
+        lines = list(ev.lines)
 
         def predicates():
             out = [sc.coincident(p, q) for p, q in itertools.combinations(pts, 2)]

@@ -217,12 +217,11 @@ def test_ratio_rewrite_to_origin_difference(para):
     assert got == F(3, 2)  # same value, rewritten form
 
 
-def test_solve2_edges_share_group(para):
+def test_solve2_edges_solve_both_unknowns(para):
     model, scn, a, pool = para
     e_df = has_edge(pool, ["(AO-FO)/DF", "AO", "DF/FO"], "DF", "ratio-solve")
     e_fo = has_edge(pool, ["(AO-FO)/DF", "AO", "DF/FO"], "FO", "ratio-solve")
     assert e_df is not None and e_fo is not None
-    assert e_df.group == e_fo.group
     comp = rules.composite(("O", "A"), ("O", "F"))
     r2, _ = rules.make_ratio(comp, rules.length("D", "F"))
     r1, _ = rules.make_ratio(rules.length("D", "F"), rules.length("F", "O"))
@@ -248,12 +247,9 @@ def test_line_circle_edges(imo):
     e_an = has_edge(pool, ["AB", "AD", "AX", "BC"], "AN", "line-circle")
     e_kn = has_edge(pool, ["AB", "AD", "AX", "BC", "DX"], "KN", "line-circle")
     assert e_an is not None and e_kn is not None
-    assert e_an.group == e_kn.group
     e_bs = has_edge(pool, ["AB", "AC", "BD", "BX"], "BS", "line-circle")
     e_ls = has_edge(pool, ["AB", "AC", "BD", "BX", "DX"], "LS", "line-circle")
     assert e_bs is not None and e_ls is not None
-    assert e_bs.group == e_ls.group
-    assert e_bs.group != e_an.group
 
 
 def test_line_circle_reproduces_oracle(imo):
@@ -278,8 +274,8 @@ def test_no_line_circle_for_on_axis_cut():
 def test_discovery_is_deterministic(para):
     model, scn, a, pool = para
     again = rules.discover(model, scn, a)
-    assert [(e.sources, e.target, e.rule, e.group) for e in pool] == \
-        [(e.sources, e.target, e.rule, e.group) for e in again]
+    assert [(i, e.sources, e.target, e.rule) for i, e in enumerate(pool)] == \
+        [(i, e.sources, e.target, e.rule) for i, e in enumerate(again)]
 
 
 def test_dedup_by_sources_target_rule(para):
@@ -293,13 +289,6 @@ def test_no_rule_reemits_another_rules_edge(figure, request):
     pool = request.getfixturevalue(figure)[3]
     keys = [(e.sources, e.target, e.recipe) for e in pool]
     assert len(keys) == len(set(keys))
-
-
-def test_group_labels_contiguous_from_one(para):
-    model, scn, a, pool = para
-    labels = sorted({e.group for e in pool})
-    assert labels[0] == 1
-    assert labels == list(range(1, labels[-1] + 1))
 
 
 def test_priority_order_respected(para):
@@ -857,6 +846,25 @@ def test_indexed_screens_are_the_fresh_screens_bit_for_bit(figure, seed):
 
 
 @pytest.mark.parametrize("seed", [42, 5])
+@pytest.mark.parametrize("figure", INDEXED[:5])
+def test_finalize_of_a_subset_is_the_pool_filtered_to_it(figure, seed):
+    # an edge's place in the pool is its own, not a rank among the
+    # others: finalize hands back the very edges it is given, each once
+    model = dsl.validate(dsl.parse(grown_text(figure), figure), figure)
+    scn = sc.build_scene(model)
+    pool = rules.discover(model, scn, sc.sample_params(scn, seed))
+    rng = random.Random(seed)
+    for _ in range(5):
+        subset = rng.sample(pool, rng.randrange(len(pool) + 1))
+        again = rng.sample(subset, len(subset) // 3)
+        got = rules.finalize(subset + again + [None])
+        chosen = {id(e) for e in subset}
+        want = [e for e in pool if id(e) in chosen]
+        assert got == want
+        assert all(x is y for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", [42, 5])
 @pytest.mark.parametrize("figure", ["parallelogram+8", "right_triangle+5"])
 def test_discover_reads_the_same_edges_off_indexed_screens(figure, seed,
                                                            monkeypatch):
@@ -888,12 +896,11 @@ def nested_ratio_solve(known_ratios, known_lengths):
                 continue
             just = (f"solve {s_dim.display} and {z_dim.display} from "
                     f"{r1.display} and {r2.display} given {m_dim.display}")
-            bond = f"solve2:{r1.display}:{r2.display}"
             for target, which in ((s_dim, "S"), (z_dim, "Z")):
                 edges.append(rules._edge(
                     [r1, r2, m_dim], target, "ratio-solve", just,
                     ("solve2", r1, r2, m_dim, s_first, which),
-                    subpriority=0, bond=bond))
+                    subpriority=0))
     return [e for e in edges if e is not None]
 
 

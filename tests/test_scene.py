@@ -1,6 +1,5 @@
 """Coordinate oracle checks against hand-computed values."""
 
-import itertools
 import random
 import sys
 from fractions import Fraction
@@ -214,17 +213,17 @@ def test_offset_perp_orientation():
 def test_carriers_deduplicated():
     para = load("parallelogram.gthm")
     ev = sc.evaluate(para, PARA)
-    labels = [label for label, _ in ev.carriers]
-    assert labels[0] == "base"
-    assert len(labels) == 6  # base, OB, AC-side, BC-side, AB, OC
+    carriers = ev.carriers
+    assert carriers[0] is ev.named_lines["base"]
+    assert len(carriers) == 6  # base, OB, AC-side, BC-side, AB, OC
 
 
 def met_lines(scene, ev):
-    """Every line evaluation meets, with its label, in encounter order,
-    rebuilt from the plan and the evaluated points."""
-    out, inline = [], itertools.count(1)
+    """Every line evaluation meets, in encounter order, rebuilt from the
+    plan and the evaluated points."""
+    out = []
 
-    def walk(arg, label=None):
+    def walk(arg):
         if isinstance(arg, dsl.LineRef):
             return ev.named_lines[arg.name]
         if isinstance(arg, dsl.ThroughParallel):
@@ -232,13 +231,13 @@ def met_lines(scene, ev):
         else:
             p = ev.points[arg.p]
             line = sc.Line(p, sc.vsub(ev.points[arg.q], p))
-        out.append((label if label is not None else f"_l{next(inline)}", line))
+        out.append(line)
         return line
 
     for step in scene.plan:
         payload = step.statement.payload
         if step.kind == "line":
-            walk(payload, step.name)
+            walk(payload)
             continue
         for attr in ("line", "l1", "l2"):  # the order _eval_point reads them
             if hasattr(payload, attr):
@@ -248,11 +247,11 @@ def met_lines(scene, ev):
 
 def eager_carriers(lines):
     """Deduplicate as lines are met: a line on a carrier already kept
-    is dropped, so the first label of each carrier wins."""
+    is dropped, so the first line met of each carrier stands for it."""
     carriers = []
-    for label, line in lines:
-        if not any(sc._same_carrier(have, line) for _, have in carriers):
-            carriers.append((label, line))
+    for line in lines:
+        if not any(sc._same_carrier(have, line) for have in carriers):
+            carriers.append(line)
     return carriers
 
 
