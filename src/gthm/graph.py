@@ -199,27 +199,6 @@ def focus(graph: DerivationGraph, schedule: list[ScheduleStep]) -> list[Schedule
     return [s for s in schedule if s.dim in need]
 
 
-def covers(schedule: list[ScheduleStep]) -> set[Dim]:
-    return {s.dim for s in schedule}
-
-
-def validate_schedule(graph: DerivationGraph,
-                      schedule: list[ScheduleStep]) -> bool:
-    """Every step's edge must be sourced by earlier steps, and every
-    derivable goal must appear."""
-    seen: set[Dim] = set()
-    for step in schedule:
-        if step.edge is not None:
-            if step.edge.target != step.dim:
-                return False
-            if not all(s in seen for s in step.edge.sources):
-                return False
-        if step.dim in seen:
-            return False
-        seen.add(step.dim)
-    return all(g in seen for g in graph.goals if g not in graph.pending)
-
-
 # ---------------------------------------------------------------------------
 # DOT rendering
 

@@ -92,15 +92,14 @@ def composite(far: tuple[str, str], near: tuple[str, str]) -> Dim:
     return _intern("composite", far=tuple(sorted(far)), near=tuple(sorted(near)))
 
 
-def make_ratio(a: Dim, b: Dim) -> tuple[Dim, bool]:
+def make_ratio(a: Dim, b: Dim) -> Dim:
     """Canonical ratio of two dimensions: operands ordered by display
-    name, so composites always land in the numerator.  Returns the dim
-    and whether the operands were swapped (value inverted)."""
+    name, so composites always land in the numerator."""
     if a.display == b.display:
         raise ValueError("ratio of a dimension with itself")
     if a.display < b.display:
-        return _intern("ratio", num=a, den=b), False
-    return _intern("ratio", num=b, den=a), True
+        return _intern("ratio", num=a, den=b)
+    return _intern("ratio", num=b, den=a)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +373,9 @@ def _right_angles(w: _Witness) -> list[tuple[str, str, str]]:
 def segment_chain_rule(w: _Witness, ratio_dims: tuple[Dim, ...] = ()) -> list[Hyperedge]:
     """Lengths add along a line.  For each strictly-between triple
     (P, M, Q) emit the three add/subtract edges.  When ratio dimensions
-    are supplied, also rewrite their numerators as origin-anchored
-    differences (AF becomes OA - OF), which prepares ratio solving."""
+    are supplied, also copy each onto the ratio whose numerator is
+    rewritten as an origin-anchored difference (AF becomes OA - OF),
+    which prepares ratio solving."""
     edges: list[Optional[Hyperedge]] = []
     for a, m, b in _chain_triples(w):
         am, mb, ab = length(a, m), length(m, b), length(a, b)
@@ -401,12 +401,11 @@ def segment_chain_rule(w: _Witness, ratio_dims: tuple[Dim, ...] = ()) -> list[Hy
         else:
             continue  # origin lies inside the segment; no difference form
         comp = composite((origin, far), (origin, near))
-        new_ratio, inverted = make_ratio(comp, r.den)
-        recipe = ("inv", r) if inverted else ("copy", r)
+        # the composite's display opens with "(", so it is the numerator
         just = (f"{r.num.display} equals {''.join(comp.far)} minus "
                 f"{''.join(comp.near)} along the reference axis")
-        edges.append(_edge([r], new_ratio, "segment-chain", just, recipe,
-                           subpriority=1))
+        edges.append(_edge([r], make_ratio(comp, r.den), "segment-chain", just,
+                           ("copy", r), subpriority=1))
     return [e for e in edges if e is not None]
 
 
@@ -498,13 +497,14 @@ _PERMS = tuple(itertools.permutations(range(3)))
 def similar_triangles_rule(w: _Witness) -> list[Hyperedge]:
     """Triangle pairs whose sides are proportional at the witness, each
     triangle compared only with those in its own or a neighbouring shape
-    bucket.  Per corresponding side pair the rule emits the
-    ratio-creating edge in each triangle, the cross-triangle fused form
-    (sides of one triangle give the other's ratio directly), the
-    equal-ratio transfer both ways, and the multiply-through edges that
-    turn a ratio plus one side into the other side.  Pairs are emitted
-    in point-triple scan order, which picks the justification finalize
-    keeps among tied edges."""
+    bucket.  Per corresponding side pair the rule emits the fused edges
+    (the sides of one triangle give the other's ratio directly) and the
+    multiply-through edges that turn a ratio plus one side into the
+    other side.  No edge builds a ratio from its own triangle's sides or
+    copies one triangle's ratio onto the other's: the fused edge reaches
+    each ratio in one step from sides as basic, and no proof took those
+    edges.  Pairs are emitted in point-triple scan order, which picks
+    the justification finalize keeps among tied edges."""
     sq, names = w.sq, w.names
     flat = set(w.collinear_triples)
     buckets: dict[tuple[int, int], list[int]] = {}
@@ -566,54 +566,30 @@ def _proportional(tri1: tuple, tri2: tuple, perm: tuple[int, int, int]) -> bool:
 def _similarity_edges(t1: tuple[str, str, str], t2: tuple[str, str, str],
                       perm: tuple[int, int, int]) -> list[Optional[Hyperedge]]:
     just = f"triangle {''.join(t1)} is similar to triangle {''.join(t2)}"
-    sides1 = {}
-    sides2 = {}
+    sides1, sides2 = [], []
     for i, j in itertools.combinations(range(3), 2):
-        try:
-            sides1[(i, j)] = length(t1[i], t1[j])
-            sides2[(i, j)] = length(t2[perm[i]], t2[perm[j]])
-        except ValueError:
-            return []  # shared construction point collapses a side
-    corr12 = {sides1[k]: sides2[k] for k in sides1}
-    corr21 = {sides2[k]: sides1[k] for k in sides1}
+        sides1.append(length(t1[i], t1[j]))
+        sides2.append(length(t2[perm[i]], t2[perm[j]]))
+    corr12 = dict(zip(sides1, sides2))
+    corr21 = dict(zip(sides2, sides1))
     out: list[Optional[Hyperedge]] = []
-    seen_ratio_targets: set[Dim] = set()
-    for ka, kb in itertools.combinations(sorted(sides1), 2):
-        s1, u1 = sides1[ka], sides1[kb]
-        s2, u2 = sides2[ka], sides2[kb]
-        if s1 == u1 or s2 == u2:
-            continue
-        r1, _ = make_ratio(s1, u1)
-        r2, _ = make_ratio(s2, u2)
-        # creating a ratio from its own sides
-        out.append(_edge([s1, u1], r1, "similar-triangles", just,
-                         ("div", r1.num, r1.den), subpriority=1))
-        out.append(_edge([s2, u2], r2, "similar-triangles", just,
-                         ("div", r2.num, r2.den), subpriority=1))
+    for (s1, s2), (u1, u2) in itertools.combinations(zip(sides1, sides2), 2):
+        r1, r2 = make_ratio(s1, u1), make_ratio(s2, u2)
         if r1 != r2:
             # fused: one triangle's sides give the other's ratio
             out.append(_edge([s1, u1], r2, "similar-triangles", just,
-                             ("div", corr21[r2.num], corr21[r2.den]), subpriority=0))
+                             ("div", corr21[r2.num], corr21[r2.den])))
             out.append(_edge([s2, u2], r1, "similar-triangles", just,
-                             ("div", corr12[r1.num], corr12[r1.den]), subpriority=0))
-            # equal-ratio transfer
-            flip = (corr12[r1.num], corr12[r1.den]) != (r2.num, r2.den)
-            out.append(_edge([r1], r2, "similar-triangles", just,
-                             ("inv", r1) if flip else ("copy", r1), subpriority=2))
-            out.append(_edge([r2], r1, "similar-triangles", just,
-                             ("inv", r2) if flip else ("copy", r2), subpriority=2))
-        for r in (r1, r2):
-            if r in seen_ratio_targets:
-                continue
-            seen_ratio_targets.add(r)
+                             ("div", corr12[r1.num], corr12[r1.den])))
+        for r in (r1, r2):  # r1 == r2 repeats edges the caller drops
             out.append(_edge([r, r.den], r.num, "similar-triangles",
                              f"the ratio {r.display} and the side "
                              f"{r.den.display} determine {r.num.display}",
-                             ("mul", r, r.den), subpriority=3))
+                             ("mul", r, r.den), subpriority=1))
             out.append(_edge([r, r.num], r.den, "similar-triangles",
                              f"the ratio {r.display} and the side "
                              f"{r.num.display} determine {r.den.display}",
-                             ("div", r.num, r), subpriority=3))
+                             ("div", r.num, r), subpriority=1))
     return out
 
 
@@ -773,8 +749,6 @@ def _apply(recipe: tuple, v: dict[Dim, Scalar]) -> Scalar:
     op = recipe[0]
     if op == "copy":
         return v[recipe[1]]
-    if op == "inv":
-        return div(Fraction(1), v[recipe[1]])
     if op == "add":
         return add(v[recipe[1]], v[recipe[2]])
     if op == "sub":
@@ -925,8 +899,8 @@ def validate_edges(edges: list[Hyperedge], model: dsl.HypothesisModel,
     edges, and after a failure the first edge to reach each node, never
     one edge twice.  The samples are drawn once per scene, seed and range, and each
     dimension is valued and squared once per sample, so validating
-    edges piece by piece costs no more than all at once.  A copy, inv,
-    div, mul or Pythagoras edge over exact positive values is kept when
+    edges piece by piece costs no more than all at once.  A copy, div,
+    mul or Pythagoras edge over exact positive values is kept when
     its relation holds exactly on the squares; the Scalar replay
     decides every other case, and only it drops an edge or applies
     VALIDATION_TOL."""
@@ -950,7 +924,7 @@ def _validation_samples(scene_: sc.Scene, seed: int,
 
 # recipe ops whose relation between exact positive values is one
 # between their squares, checked by _holds_on_squares
-_SQUARE_OPS = frozenset({"copy", "inv", "div", "mul", "pyth_hyp", "pyth_leg"})
+_SQUARE_OPS = frozenset({"copy", "div", "mul", "pyth_hyp", "pyth_leg"})
 
 
 def _replays(e: Hyperedge, ev: sc.Evaluation) -> bool:
@@ -992,8 +966,6 @@ def _holds_on_squares(e: Hyperedge, ev: sc.Evaluation) -> bool:
     na, da = a
     if op == "copy":  # t = a
         return na * dt == nt * da
-    if op == "inv":  # t = 1/a
-        return na * nt == da * dt
     b = square(ev, recipe[2])
     if not b:
         return False

@@ -179,7 +179,7 @@ def _sample_report(model, scene_, schedule, params, assignment,
 
 # squared node values are rational functions of the parameters; these
 # table entries bound max(deg num, deg den) through each recipe kind
-_DEG_MAX = {"copy", "inv", "add", "sub", "pyth_hyp", "pyth_leg", "dist4"}
+_DEG_MAX = {"copy", "add", "sub", "pyth_hyp", "pyth_leg", "dist4"}
 _DEG_SUM = {"mul", "div", "solve2", "lc"}
 
 

@@ -19,7 +19,7 @@ from gthm import cli, dsl, emit, graph as gr, scene as sc, verify as vf
 from gthm.exactnum import as_float, mul, rel_err
 from gthm.rules import composite, length, make_ratio
 from test_graph import (forward_closure, kahn_reference, random_hypergraph,
-                        random_tree)
+                        random_tree, validate_schedule)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -51,10 +51,6 @@ def imo():
     return pipeline("imo2012.gthm")
 
 
-def ratio(a, b):
-    return make_ratio(a, b)[0]
-
-
 def test_01_parallelogram_proved_with_the_expected_fifteen_nodes(para):
     model, scn, g, focused, v = para
     assert v.status == vf.STATUS_PROVED
@@ -62,16 +58,16 @@ def test_01_parallelogram_proved_with_the_expected_fifteen_nodes(para):
     # (OA-OF)/DF, DF/OF, DF, OF, CD, OD (node identity is unordered)
     want = {
         length("O", "A"), length("O", "E"), length("B", "E"),
-        ratio(length("C", "G"), length("A", "G")), length("C", "G"),
-        length("A", "E"), ratio(length("A", "F"), length("D", "F")),
+        make_ratio(length("C", "G"), length("A", "G")), length("C", "G"),
+        length("A", "E"), make_ratio(length("A", "F"), length("D", "F")),
         length("A", "G"), length("O", "G"),
-        ratio(composite(("O", "A"), ("O", "F")), length("D", "F")),
-        ratio(length("D", "F"), length("O", "F")), length("D", "F"),
+        make_ratio(composite(("O", "A"), ("O", "F")), length("D", "F")),
+        make_ratio(length("D", "F"), length("O", "F")), length("D", "F"),
         length("O", "F"), length("C", "D"), length("O", "D"),
     }
     assert {s.dim for s in focused} == want
     assert len(want) == 15
-    assert gr.validate_schedule(g, focused)
+    assert validate_schedule(g, focused)
     assert len(v.samples) == 100
     assert all(r.claim_residual == 0.0 for r in v.samples)
 
@@ -80,7 +76,7 @@ def test_02_second_claim_bd_equals_ad_proved():
     model, scn, g, focused, v = pipeline("parallelogram_bd.gthm")
     assert v.status == vf.STATUS_PROVED
     assert all(r.claim_residual == 0.0 for r in v.samples)
-    assert gr.validate_schedule(g, focused)
+    assert validate_schedule(g, focused)
 
 
 def test_03_imo2012_proved_with_all_listed_dimensions(imo):
@@ -165,7 +161,7 @@ def test_07_scheduler_sound_on_a_thousand_random_hypergraphs():
         schedule = gr.topo_order(graph)
         derivable = set(graph.goals) <= forward_closure(kept, params)
         assert (not graph.pending) == derivable, f"seed {seed}"
-        assert gr.validate_schedule(graph, schedule), f"seed {seed}"
+        assert validate_schedule(graph, schedule), f"seed {seed}"
         brute = _derivable_by_choice_enumeration(kept, params, graph.goals)
         if brute is not None:
             enumerated += 1

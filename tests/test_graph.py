@@ -24,6 +24,26 @@ def load(name):
     return model, sc.build_scene(model)
 
 
+def covers(schedule):
+    return {s.dim for s in schedule}
+
+
+def validate_schedule(graph, schedule):
+    """Every step's edge must be sourced by earlier steps, and every
+    derivable goal must appear."""
+    seen = set()
+    for step in schedule:
+        if step.edge is not None:
+            if step.edge.target != step.dim:
+                return False
+            if not all(s in seen for s in step.edge.sources):
+                return False
+        if step.dim in seen:
+            return False
+        seen.add(step.dim)
+    return all(g in seen for g in graph.goals if g not in graph.pending)
+
+
 def pipeline(name, seed=42):
     model, scn = load(name)
     witness = sc.sample_params(scn, seed)
@@ -42,7 +62,7 @@ def test_parallelogram_focused_schedule_is_the_worked_figure():
         "AO", "EO", "BE", "CG", "AE", "AG/CG", "AF/DF", "AG", "GO",
         "(AO-FO)/DF", "DF/FO", "DF", "FO", "CD", "DO"]
     assert sum(1 for s in focused if s.edge is not None) == 12
-    assert gr.validate_schedule(g, schedule)
+    assert validate_schedule(g, schedule)
 
 
 def test_parallelogram_edge_choices():
@@ -59,7 +79,7 @@ def test_parallelogram_edge_choices():
 
 def test_parallelogram_full_schedule_covers_focused():
     g, schedule, focused = pipeline("parallelogram.gthm")
-    assert gr.covers(focused) <= gr.covers(schedule)
+    assert covers(focused) <= covers(schedule)
     assert {d.display for d in g.goals} == {"DO", "CD"}
     assert g.pending == ()
 
@@ -79,7 +99,7 @@ def test_imo_focused_schedule_contains_required_dims():
     for want in ("AC", "BD", "BC", "AX", "BX", "KN", "AN", "LS", "AS",
                  "BN", "MR", "AR", "KM", "LM"):
         assert want in names, f"missing {want}"
-    assert gr.validate_schedule(g, schedule)
+    assert validate_schedule(g, schedule)
 
 
 def test_imo_uses_line_circle_for_the_cut_points():
@@ -103,7 +123,7 @@ def test_unreachable_goal_returns_absent():
     g = gr.grow_detailed(model, scn, witness)
     assert [d.display for d in g.pending] == ["BZ"]
     schedule = gr.topo_order(g)
-    assert gr.validate_schedule(g, schedule)  # pending goals are excused
+    assert validate_schedule(g, schedule)  # pending goals are excused
     assert all(s.dim.display != "BZ" for s in schedule)
 
 
@@ -648,8 +668,8 @@ def test_topo_valid_and_absent_iff_unreachable(seed):
     schedule = gr.topo_order(graph)
     reachable = forward_closure(kept, params)
     assert graph.pending == tuple(g for g in graph.goals if g not in reachable)
-    assert gr.validate_schedule(graph, schedule)
-    assert not gr.covers(schedule) & set(graph.pending)
+    assert validate_schedule(graph, schedule)
+    assert not covers(schedule) & set(graph.pending)
 
 
 def test_topo_order_matches_quadratic_sweep_on_random_pools():

@@ -74,30 +74,29 @@ def test_length_canonical_order():
         rules.length("C", "C")
 
 
-def test_ratio_canonical_and_inversion_flag():
+def test_ratio_canonical_order():
     ag, cg = rules.length("A", "G"), rules.length("C", "G")
-    r1, inv1 = rules.make_ratio(ag, cg)
-    r2, inv2 = rules.make_ratio(cg, ag)
+    r1 = rules.make_ratio(ag, cg)
+    r2 = rules.make_ratio(cg, ag)
     assert r1 == r2 and r1.display == "AG/CG"
-    assert (inv1, inv2) == (False, True)
 
 
 def test_composite_sorts_into_numerator():
     comp = rules.composite(("O", "A"), ("O", "F"))
     assert comp.display == "(AO-FO)"
-    r, inv = rules.make_ratio(rules.length("D", "F"), comp)
-    assert r.num == comp and inv is True
+    r = rules.make_ratio(rules.length("D", "F"), comp)
+    assert r.num == comp
     assert r.display == "(AO-FO)/DF"
 
 
 def test_dims_are_interned():
     assert rules.length("A", "B") is rules.length("B", "A")
     ag, cg = rules.length("A", "G"), rules.length("C", "G")
-    assert rules.make_ratio(ag, cg)[0] is rules.make_ratio(cg, ag)[0]
+    assert rules.make_ratio(ag, cg) is rules.make_ratio(cg, ag)
     comp = rules.composite(("O", "A"), ("O", "F"))
     assert comp is rules.composite(("A", "O"), ("F", "O"))
-    assert rules.make_ratio(rules.length("D", "F"), comp)[0] is \
-        rules.make_ratio(comp, rules.length("F", "D"))[0]
+    assert rules.make_ratio(rules.length("D", "F"), comp) is \
+        rules.make_ratio(comp, rules.length("F", "D"))
 
 
 def test_edge_key_is_the_same_for_dims_built_apart():
@@ -134,6 +133,28 @@ def test_dims_are_built_only_by_the_interning_factories():
     assert callers["Dim"] == {("rules.py", "_intern")}
     assert callers["_intern"] == {("rules.py", f)
                                   for f in ("length", "composite", "make_ratio")}
+
+
+def test_every_recipe_op_is_emitted_by_a_rule():
+    """The ops `_apply` executes are exactly those of the fixtures'
+    pools, so an op no rule emits any more fails here instead of
+    lingering in _apply and the validation and degree tables."""
+    tree = ast.parse(Path(rules.__file__).read_text())
+    apply = next(n for n in tree.body
+                 if isinstance(n, ast.FunctionDef) and n.name == "_apply")
+    executed = {n.comparators[0].value for n in ast.walk(apply)
+                if isinstance(n, ast.Compare) and isinstance(n.left, ast.Name)
+                and n.left.id == "op" and isinstance(n.ops[0], ast.Eq)}
+    emitted = set()
+    for path in sorted(FIXTURES.glob("*.gthm")):
+        model, scn = load(path.name)
+        try:
+            witness = sc.sample_params(scn, 42)
+        except sc.DegenerateModel:
+            continue
+        emitted |= {e.recipe[0] for e in rules.discover(model, scn, witness)}
+    assert executed == emitted == {"copy", "add", "sub", "mul", "div", "pyth_hyp",
+                                   "pyth_leg", "dist4", "solve2", "lc"}
 
 
 # --- individual rules at the frozen parallelogram ---------------------------
@@ -223,8 +244,8 @@ def test_solve2_edges_solve_both_unknowns(para):
     e_fo = has_edge(pool, ["(AO-FO)/DF", "AO", "DF/FO"], "FO", "ratio-solve")
     assert e_df is not None and e_fo is not None
     comp = rules.composite(("O", "A"), ("O", "F"))
-    r2, _ = rules.make_ratio(comp, rules.length("D", "F"))
-    r1, _ = rules.make_ratio(rules.length("D", "F"), rules.length("F", "O"))
+    r2 = rules.make_ratio(comp, rules.length("D", "F"))
+    r1 = rules.make_ratio(rules.length("D", "F"), rules.length("F", "O"))
     vals = {r1: F(2, 5), r2: F(3, 2), rules.length("A", "O"): F(4)}
     # OF = OA / (1 + (DF/OF)*(OA-OF)/DF) = 4/(1+3/5) = 5/2
     assert rules.apply_edge(e_fo, vals) == F(5, 2)
@@ -234,8 +255,8 @@ def test_solve2_edges_solve_both_unknowns(para):
 def test_apply_edge_from_ratio(para):
     model, scn, a, pool = para
     e = has_edge(pool, ["AG/CG", "CG"], "AG", "similar-triangles")
-    assert e is not None and e.subpriority == 3
-    r, _ = rules.make_ratio(rules.length("A", "G"), rules.length("C", "G"))
+    assert e is not None and e.subpriority == 1
+    r = rules.make_ratio(rules.length("A", "G"), rules.length("C", "G"))
     assert rules.apply_edge(e, {r: F(1, 2), rules.length("C", "G"): F(2)}) == F(1)
 
 
@@ -322,10 +343,39 @@ def thirteen_points(aux=THIRTEEN_AUX):
     return "\n".join(body + list(aux) + claim) + "\n"
 
 
+def similarity_spec(t1, t2, perm):
+    """The edges of triangle t1 similar to t2, vertex i to vertex
+    perm[i]: for each two sides s1, u1 of t1 and their counterparts s2,
+    u2, the fused edges (s1 and u1 give the canonical ratio of s2 and
+    u2, and back) and, for both ratios, the mul-through edges (the
+    ratio and one of its sides give the other side)."""
+    just = f"triangle {''.join(t1)} is similar to triangle {''.join(t2)}"
+    sides = [(rules.length(t1[i], t1[j]), rules.length(t2[perm[i]], t2[perm[j]]))
+             for i, j in itertools.combinations(range(3), 2)]
+    out = []
+    for (s1, s2), (u1, u2) in itertools.combinations(sides, 2):
+        r1, r2 = rules.make_ratio(s1, u1), rules.make_ratio(s2, u2)
+        if r1 != r2:
+            out.append(rules._edge([s1, u1], r2, "similar-triangles", just,
+                                   ("div", s1, u1) if r2.num == s2 else ("div", u1, s1)))
+            out.append(rules._edge([s2, u2], r1, "similar-triangles", just,
+                                   ("div", s2, u2) if r1.num == s1 else ("div", u2, s2)))
+        for r in (r1, r2):
+            out.append(rules._edge([r, r.den], r.num, "similar-triangles",
+                                   f"the ratio {r.display} and the side "
+                                   f"{r.den.display} determine {r.num.display}",
+                                   ("mul", r, r.den), subpriority=1))
+            out.append(rules._edge([r, r.num], r.den, "similar-triangles",
+                                   f"the ratio {r.display} and the side "
+                                   f"{r.num.display} determine {r.den.display}",
+                                   ("div", r.num, r), subpriority=1))
+    return out
+
+
 def brute_force_similar(model, scn, a):
-    """Every triangle pair under every vertex correspondence, emitted in
-    scan order; sides are compared by squared length, exactly when all
-    six are rational."""
+    """The similarity_spec edges of every triangle pair under every
+    vertex correspondence, emitted in scan order; sides are compared by
+    squared length, exactly when all six are rational."""
     coords = sc.evaluate(scn, a).points
     names = list(coords)
 
@@ -354,8 +404,8 @@ def brute_force_similar(model, scn, a):
                    for i in range(3)]
             if exact and lhs == rhs or not exact and all(
                     math.isclose(u, v, rel_tol=1e-9) for u, v in zip(lhs, rhs)):
-                out.extend(rules._similarity_edges(t1, t2, perm))
-    return [e for e in out if e is not None]
+                out.extend(similarity_spec(t1, t2, perm))
+    return out
 
 
 def similar_fixture(name):
@@ -424,8 +474,8 @@ def test_zero_denominator_fails_every_call_and_every_edge_needing_it():
                      C=(F(2), F(1)), D=(F(2), F(1)))  # C and D coincide
     ab, ae = rules.length("A", "B"), rules.length("A", "E")
     cd = rules.length("C", "D")
-    r, _ = rules.make_ratio(ab, cd)
-    nested, _ = rules.make_ratio(r, ae)
+    r = rules.make_ratio(ab, cd)
+    nested = rules.make_ratio(r, ae)
     assert r.den is cd
     raised = []
     for dim in (r, r, nested, r):
@@ -546,12 +596,12 @@ def crafted_edges():
     OD=sqrt(8), OE=6, OG=4, OH=1, OK=sqrt(2), OQ=sqrt(13), OR=sqrt(10),
     OS=2, AP=0, OX=2.0, OM=10^12, NW=10^12+1."""
     neg = rules.composite(("O", "A"), ("O", "E"))  # OA - OE = -4
-    zero, _ = rules.make_ratio(L("O", "A"), L("A", "P"))  # OA/AP, AP = 0
-    two, _ = rules.make_ratio(L("O", "A"), L("O", "H"))  # OA/OH = 2
-    also_two, _ = rules.make_ratio(L("O", "G"), L("O", "S"))  # OG/OS = 2
-    half, _ = rules.make_ratio(L("O", "C"), L("O", "D"))  # OC/OD = 1/2
-    root2, _ = rules.make_ratio(L("O", "D"), L("O", "S"))  # OD/OS = sqrt(2)
-    one, _ = rules.make_ratio(L("O", "C"), L("O", "K"))  # OC/OK = 1
+    zero = rules.make_ratio(L("O", "A"), L("A", "P"))  # OA/AP, AP = 0
+    two = rules.make_ratio(L("O", "A"), L("O", "H"))  # OA/OH = 2
+    also_two = rules.make_ratio(L("O", "G"), L("O", "S"))  # OG/OS = 2
+    half = rules.make_ratio(L("O", "C"), L("O", "D"))  # OC/OD = 1/2
+    root2 = rules.make_ratio(L("O", "D"), L("O", "S"))  # OD/OS = sqrt(2)
+    one = rules.make_ratio(L("O", "C"), L("O", "K"))  # OC/OK = 1
     assert (zero.den, two.num, also_two.num, half.num, root2.num) == \
         (L("A", "P"), L("O", "A"), L("O", "G"), L("O", "C"), L("O", "D"))
 
@@ -562,17 +612,12 @@ def crafted_edges():
     return [
         edge("negative composite copied", [neg], L("O", "G"),
              ("copy", neg), False, False),
-        edge("negative composite inverted", [neg], L("O", "G"),
-             ("inv", neg), False, False),
         edge("zero-length denominator copied", [zero], L("O", "A"),
              ("copy", zero), False, False),
         edge("ratio over a zero length", [L("O", "A"), L("A", "P")], zero,
              ("div", L("O", "A"), L("A", "P")), False, False),
         edge("zero length times a ratio", [zero, L("A", "P")], L("O", "A"),
              ("mul", zero, L("A", "P")), False, False),
-        edge("rational ratio inverted", [half], two, ("inv", half), True, True),
-        edge("equal ratios inverted", [two], also_two, ("inv", two),
-             False, False),
         edge("equal ratios copied", [two], also_two, ("copy", two), True, True),
         edge("ratio copied onto its product", [two], one, ("copy", two),
              False, False),
@@ -617,7 +662,7 @@ def test_crafted_edges_replay_as_the_scalar_reference(name, e, ref, squares):
 
 def test_squares_are_exact_positive_pairs_and_ratios_are_crossed():
     ev = crafted_evaluation()
-    half, _ = rules.make_ratio(L("O", "C"), L("O", "D"))
+    half = rules.make_ratio(L("O", "C"), L("O", "D"))
     cases = {L("O", "A"): (4, 1), L("O", "C"): (2, 1), L("O", "X"): (),
              L("A", "P"): (), rules.composite(("O", "A"), ("O", "E")): (),
              rules.composite(("O", "E"), ("O", "A")): (16, 1),
@@ -629,7 +674,7 @@ def test_squares_are_exact_positive_pairs_and_ratios_are_crossed():
 
 def test_exact_ratio_edges_never_reach_the_scalar_replay(monkeypatch):
     # every value growth meets on this all-rational figure is exact and
-    # positive, so each copy, inv, div and mul edge of the closure grown
+    # positive, so each copy, div and mul edge of the closure grown
     # at the witness is settled on squared values.  (Two copy edges the
     # closure never reaches read (CO-DO), a difference of two radicals
     # that exactnum.sub leaves as a float.)
@@ -646,8 +691,8 @@ def test_exact_ratio_edges_never_reach_the_scalar_replay(monkeypatch):
     monkeypatch.setattr(rules, "apply_edge", spy_apply)
     assert rules.validate_edges(closure, result.model, result.scene,
                                 42) == closure
-    assert {"copy", "inv", "div", "mul"} <= set(tested)
-    assert ops and not {"copy", "inv", "div", "mul"} & set(ops)
+    assert {"copy", "div", "mul"} <= set(tested)
+    assert ops and not {"copy", "div", "mul"} & set(ops)
 
 
 @settings(max_examples=60, deadline=None)
