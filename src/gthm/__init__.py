@@ -3,11 +3,13 @@
 A theorem file declares free parameters, a ruler-and-compass style
 construction, and one claim about segment lengths.  The prover samples
 a random figure, discovers arithmetic rules relating its dimensions,
-grows an AND-OR derivation graph from the parameters, schedules it
-topologically, and then replays the schedule at many fresh random
-figures, cross-checking every value against direct coordinate
-computation.  Claims that survive come back PROVED with a proof
-script; wrong claims come back REFUTED with the offending samples.
+grows an AND-OR derivation graph from the parameters, and schedules
+it topologically.  It then checks every step of the schedule at many
+random figures of one sample stream, each from the coordinate values
+of its sources, and evaluates the claim on the coordinates; the first
+figures of that stream are the ones that validated the schedule's
+edges.  Claims that survive come back PROVED with a proof script;
+wrong claims come back REFUTED with the offending samples.
 
     from gthm import prove_file
     result = prove_file("fixtures/parallelogram.gthm")

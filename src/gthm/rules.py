@@ -11,10 +11,10 @@ then the set of points sharing a class at an anchor, and a right angle
 a pair of perpendicular classes at a corner; only differences with a
 radical or float component are compared one by one with the scene's
 predicates.  Relations are detected at a single witness sample;
-spurious coincidences are culled by replaying at fresh samples the
-edges a proof uses: those of the focused schedule, and after a failure
-those that number the nodes (validate_edges, called from
-graph.grow_detailed).  A replay whose values are all exact and
+spurious coincidences are culled by replaying the edges a proof uses
+at the head of the run's sample stream: those of the focused schedule,
+and after a failure those that number the nodes (validate_edges,
+called from graph.grow_detailed).  A replay whose values are all exact and
 positive first checks the edge's relation on squared values by
 integer cross-multiplication; every other replay, and every one that
 check does not confirm, recomputes the target on the Scalar arithmetic.
@@ -30,7 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from . import dsl, scene as sc
@@ -38,7 +38,7 @@ from .exactnum import Scalar, add, as_float, div, mul, rel_err, sqrt_scalar, sub
 
 
 class NumericFailure(Exception):
-    """Recipe execution hit a numeric dead end; redraw the sample."""
+    """Recipe execution hit a numeric dead end at this sample."""
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +498,9 @@ def similar_triangles_rule(w: _Witness) -> list[Hyperedge]:
     """Triangle pairs whose sides are proportional at the witness, each
     triangle compared only with those in its own or a neighbouring shape
     bucket.  Per corresponding side pair the rule emits the fused edges
-    (the sides of one triangle give the other's ratio directly) and the
-    multiply-through edges that turn a ratio plus one side into the
-    other side.  No edge builds a ratio from its own triangle's sides or
+    (the sides of one triangle give the other's ratio directly) and,
+    once per ratio, the multiply-through edges that turn the ratio plus
+    one side into the other side.  No edge builds a ratio from its own triangle's sides or
     copies one triangle's ratio onto the other's: the fused edge reaches
     each ratio in one step from sides as basic, and no proof took those
     edges.  Pairs are emitted in point-triple scan order, which picks
@@ -527,8 +527,9 @@ def similar_triangles_rule(w: _Witness) -> list[Hyperedge]:
         tris.append(tri)
     edges: list[Hyperedge] = []
     emitted: set = set()
+    ratios: set[Dim] = set()
     for i, j, perm in sorted(matches):
-        for e in _similarity_edges(tris[i][0], tris[j][0], perm):
+        for e in _similarity_edges(tris[i][0], tris[j][0], perm, ratios):
             if e is None:
                 continue
             k = (e.sources, e.target, e.recipe, e.subpriority)
@@ -564,7 +565,10 @@ def _proportional(tri1: tuple, tri2: tuple, perm: tuple[int, int, int]) -> bool:
 
 
 def _similarity_edges(t1: tuple[str, str, str], t2: tuple[str, str, str],
-                      perm: tuple[int, int, int]) -> list[Optional[Hyperedge]]:
+                      perm: tuple[int, int, int], ratios: set[Dim],
+                      ) -> list[Optional[Hyperedge]]:
+    """A matched pair's fused edges, and the mul-through edges, which
+    depend on the ratio alone, of each ratio not yet in `ratios`."""
     just = f"triangle {''.join(t1)} is similar to triangle {''.join(t2)}"
     sides1, sides2 = [], []
     for i, j in itertools.combinations(range(3), 2):
@@ -581,7 +585,10 @@ def _similarity_edges(t1: tuple[str, str, str], t2: tuple[str, str, str],
                              ("div", corr21[r2.num], corr21[r2.den])))
             out.append(_edge([s2, u2], r1, "similar-triangles", just,
                              ("div", corr12[r1.num], corr12[r1.den])))
-        for r in (r1, r2):  # r1 == r2 repeats edges the caller drops
+        for r in (r1, r2):
+            if r in ratios:
+                continue
+            ratios.add(r)
             out.append(_edge([r, r.den], r.num, "similar-triangles",
                              f"the ratio {r.display} and the side "
                              f"{r.den.display} determine {r.num.display}",
@@ -879,12 +886,14 @@ def _with_values(w: _Witness, dims) -> list[tuple[Dim, Scalar]]:
     return out
 
 
-# fresh samples every edge is replayed at, and the relative error it may show
+# how many samples at the head of the run's stream validation replays
+# every edge at, and the relative error it may show
 VALIDATION_SAMPLES = 20
 VALIDATION_TOL = 1e-9
 
-# per scene, the validation samples of the last (seed, range) it was
-# validated at; each evaluation memoizes the dimension values met there
+SAMPLE_STRIDE = 1_000_003
+
+# per scene, the kept samples of the last (seed, range) stream read
 _SAMPLES: "WeakKeyDictionary[sc.Scene, tuple[tuple, list]]" = WeakKeyDictionary()
 
 
@@ -892,34 +901,43 @@ def validate_edges(edges: list[Hyperedge], model: dsl.HypothesisModel,
                    scene_: sc.Scene, seed: int,
                    rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
                    ) -> list[Hyperedge]:
-    """Replay every edge at fresh samples drawn from `rng_range` and
-    drop any whose formula fails to reproduce the oracle value of its
-    target; this is what catches relations that only held by
+    """Replay every edge at the first VALIDATION_SAMPLES samples of the
+    run's stream (sample_stream) and drop any whose residual exceeds
+    VALIDATION_TOL; this is what catches relations that only held by
     coincidence at the witness.  Growth hands it the focused schedule's
     edges, and after a failure the first edge to reach each node, never
-    one edge twice.  The samples are drawn once per scene, seed and range, and each
-    dimension is valued and squared once per sample, so validating
-    edges piece by piece costs no more than all at once.  A copy, div,
-    mul or Pythagoras edge over exact positive values is kept when
-    its relation holds exactly on the squares; the Scalar replay
-    decides every other case, and only it drops an edge or applies
-    VALIDATION_TOL."""
+    one edge twice.  Each dimension is valued and squared once per
+    sample, so validating edges piece by piece costs no more than all
+    at once."""
     kept = list(edges)
-    for ev in _validation_samples(scene_, seed, rng_range):
+    for _, _, ev in sample_stream(scene_, seed, rng_range, VALIDATION_SAMPLES):
         kept = [e for e in kept if _replays(e, ev)]
     return kept
 
 
-def _validation_samples(scene_: sc.Scene, seed: int,
-                        rng_range: tuple[Fraction, Fraction]) -> list:
+def sample_stream(scene_: sc.Scene, seed: int,
+                  rng_range: tuple[Fraction, Fraction], count: int,
+                  ) -> Iterator[tuple[int, sc.ParamAssignment, sc.Evaluation]]:
+    """The first `count` samples of the run's stream, as (seed,
+    assignment, evaluation), sample i drawn at seed*SAMPLE_STRIDE + i.
+    Validation and the verdict read it; the first VALIDATION_SAMPLES
+    are drawn once per scene, seed and range, so the verdict reuses
+    validation's evaluations and the values memoized on them."""
     key = (seed, rng_range)
     last = _SAMPLES.get(scene_)
     if last is None or last[0] != key:
-        samples = [sc.evaluate(scene_, sc.sample_params(scene_, seed * 7919 + j,
-                                                        rng_range))
-                   for j in range(VALIDATION_SAMPLES)]
-        last = _SAMPLES[scene_] = (key, samples)
-    return last[1]
+        last = _SAMPLES[scene_] = (key, [])
+    kept = last[1]
+    for i in range(count):
+        if i < len(kept):
+            yield kept[i]
+            continue
+        s_seed = seed * SAMPLE_STRIDE + i
+        a = sc.sample_params(scene_, s_seed, rng_range)
+        sample = (s_seed, a, sc.evaluate(scene_, a))
+        if i < VALIDATION_SAMPLES:
+            kept.append(sample)
+        yield sample
 
 
 # recipe ops whose relation between exact positive values is one
@@ -927,20 +945,25 @@ def _validation_samples(scene_: sc.Scene, seed: int,
 _SQUARE_OPS = frozenset({"copy", "div", "mul", "pyth_hyp", "pyth_leg"})
 
 
-def _replays(e: Hyperedge, ev: sc.Evaluation) -> bool:
-    """Does the edge reproduce its target's value from its sources'?
-    An exact relation on squared values answers yes at once; anything
-    else is replayed on the Scalar arithmetic, the only path that drops
-    an edge or applies VALIDATION_TOL."""
+def residual(e: Hyperedge, ev: sc.Evaluation) -> float:
+    """How far the edge misses its target's value from its sources', at
+    one evaluation: 0.0 when the relation holds exactly on squared
+    values, inf when the recipe cannot run there, and otherwise the
+    relative error of the Scalar replay."""
     if _holds_on_squares(e, ev):
-        return True
+        return 0.0
     try:
         target = sc.dim_value(ev, e.target)
         sources = {d: sc.dim_value(ev, d) for d in e.sources}
         got = apply_edge(e, sources)
     except (NumericFailure, sc.GeometryError, ZeroDivisionError):
-        return False
-    return rel_err(got, target) <= VALIDATION_TOL
+        return math.inf
+    return rel_err(got, target)
+
+
+def _replays(e: Hyperedge, ev: sc.Evaluation) -> bool:
+    """Does the edge reproduce its target's value from its sources'?"""
+    return residual(e, ev) <= VALIDATION_TOL
 
 
 def _holds_on_squares(e: Hyperedge, ev: sc.Evaluation) -> bool:

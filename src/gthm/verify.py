@@ -1,22 +1,28 @@
 """Randomized verification of a derivation schedule.
 
-A schedule is executed symbolically-free: parameter nodes take the
-sampled values, every other node is computed by its chosen hyperedge
-recipe.  Each sample is cross-checked against the coordinate oracle,
-and the claim is evaluated from the executed node values alone.  The
-verdict aggregates many independent samples:
+The verdict reads the run's sample stream (rules.sample_stream), whose
+first VALIDATION_SAMPLES samples edge validation read.  At each sample
+a parameter step compares its assigned value with the oracle's, and
+every other step replays its edge from the oracle values of its
+sources, as validation does (rules.residual).  The claim is evaluated
+on oracle values.  The verdict aggregates the samples:
 
 * PROVED       every sample passes both the cross-check and the claim;
 * REFUTED      some sample passes the cross-check yet misses the claim
                by at least ten times the tolerance;
-* INCONCLUSIVE anything else (no schedule, numeric failures, or
-               disagreement between schedule and coordinates).
+* INCONCLUSIVE anything else (no schedule, or a step that disagrees
+               with the coordinates or whose recipe cannot run).
 
-Radical-free models run entirely in exact rational arithmetic, so a
-passing claim has residual exactly 0 and the repeated agreement yields
-a Schwartz-Zippel identity certificate.  Models with circle
-intersections produce irrational coordinates; their verdicts are
-labeled numerically certified instead.
+At the first VALIDATION_SAMPLES samples the step checks are not
+independent of how the schedule was chosen, since validation chose its
+edges there.  The claim check still is: it reads oracle values alone,
+whatever schedule was chosen.  Radical-free models run in exact
+rational arithmetic, so a passing claim has residual exactly 0 and the
+repeated agreement yields a Schwartz-Zippel identity certificate; its
+degree bound rests on the steps, so it overstates their independent
+evidence (see _certificate).
+Models with circle intersections produce irrational coordinates; their
+verdicts are labeled numerically certified instead.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Optional
 from . import scene as sc
 from .exactnum import Scalar, add, as_float, exact_eq, mul, rel_err
 from .graph import ScheduleStep, goal_dims
-from .rules import Dim, NumericFailure, apply_edge, length
+from .rules import Dim, apply_edge, length, residual, sample_stream
 
 STATUS_PROVED = "PROVED"
 STATUS_REFUTED = "REFUTED"
@@ -38,12 +44,6 @@ STATUS_INCONCLUSIVE = "INCONCLUSIVE"
 
 # a refutation must overshoot the tolerance by this factor
 REFUTE_MARGIN = 10.0
-
-# one initial draw plus this many redraws per sample slot
-REDRAW_CAP = 10
-
-_SAMPLE_STRIDE = 1_000_003
-_REDRAW_STRIDE = 500_009
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,9 @@ class SampleReport:
     index: int
     seed: int
     assignment: sc.ParamAssignment
-    node_values: dict[Dim, Scalar]
-    oracle_values: dict[Dim, Scalar]
     max_node_residual: float
-    claim_lhs: Scalar
-    claim_rhs: Scalar
     claim_residual: float
-    redraws: int = 0
+    redraws: int = 0  # always 0, nothing is redrawn; perfbench/spans.py reads it
 
 
 @dataclass(frozen=True)
@@ -90,20 +86,16 @@ def param_names(scene_: sc.Scene) -> dict[Dim, str]:
 
 
 def execute_schedule(scene_: sc.Scene, schedule: list[ScheduleStep],
-                     assignment: sc.ParamAssignment, *,
-                     params: Optional[dict[Dim, str]] = None,
-                     ) -> dict[Dim, Scalar]:
-    """Run the schedule under one assignment, without the oracle.
+                     assignment: sc.ParamAssignment) -> dict[Dim, Scalar]:
+    """Run the schedule under one assignment, without the oracle: the
+    chained computation the verdict's per-step checks stand for.
 
     Parameter steps read their value from the assignment; every other
     step applies its chosen hyperedge recipe to already-computed source
-    values.  `params` is the scene's `param_names`, built here when the
-    caller has not built it once for many assignments.  Raises
-    NumericFailure when a recipe cannot produce a value (division by
-    zero, negative leg, no usable intersection root).
+    values.  Raises NumericFailure when a recipe cannot produce a value
+    (division by zero, negative leg, no usable intersection root).
     """
-    if params is None:
-        params = param_names(scene_)
+    params = param_names(scene_)
     by_name = dict(assignment.items)
     values: dict[Dim, Scalar] = {}
     for step in schedule:
@@ -119,10 +111,11 @@ def cross_check(report: SampleReport, tol: float) -> bool:
     return report.max_node_residual <= tol
 
 
-def _claim_side(terms, values: dict[Dim, Scalar]) -> Scalar:
+def _claim_side(terms, ev: sc.Evaluation) -> Scalar:
     total: Scalar = Fraction(0)
     for term in terms:
-        total = add(total, mul(term.coef, values[length(term.p, term.q)]))
+        value = sc.dim_value(ev, length(term.p, term.q))
+        total = add(total, mul(term.coef, value))
     return total
 
 
@@ -141,37 +134,35 @@ def _claim_residual(lhs: Scalar, rhs: Scalar) -> float:
     return abs(fl - fr) / scale
 
 
-def _claim_check(model, values: dict[Dim, Scalar]
-                 ) -> tuple[Scalar, Scalar, float]:
-    """The first claim's two sides, which reports name, and the worst
-    residual over all claims."""
-    worst = 0.0
-    lhs_val: Scalar = Fraction(0)
-    rhs_val: Scalar = Fraction(0)
-    for pos, stmt in enumerate(model.claims):
-        eq = stmt.payload
-        lv = _claim_side(eq.lhs, values)
-        rv = _claim_side(eq.rhs, values)
-        if pos == 0:
-            lhs_val, rhs_val = lv, rv
-        worst = max(worst, _claim_residual(lv, rv))
-    return lhs_val, rhs_val, worst
+def _claim_check(model, ev: sc.Evaluation) -> float:
+    """The worst residual over all claims, on the oracle's values."""
+    return max((_claim_residual(_claim_side(stmt.payload.lhs, ev),
+                                _claim_side(stmt.payload.rhs, ev))
+                for stmt in model.claims), default=0.0)
 
 
-def _sample_report(model, scene_, schedule, params, assignment,
-                   index: int, seed: int, redraws: int) -> SampleReport:
-    values = execute_schedule(scene_, schedule, assignment, params=params)
-    ev = sc.evaluate(scene_, assignment)
-    oracle = {dim: sc.dim_value(ev, dim) for dim in values}
-    max_resid = 0.0
-    for dim, v in values.items():
-        max_resid = max(max_resid, rel_err(v, oracle[dim]))
-    lhs_val, rhs_val, worst = _claim_check(model, values)
-    return SampleReport(index=index, seed=seed, assignment=assignment,
-                        node_values=values, oracle_values=oracle,
-                        max_node_residual=max_resid,
-                        claim_lhs=lhs_val, claim_rhs=rhs_val,
-                        claim_residual=worst, redraws=redraws)
+def _check_samples(model, scene_: sc.Scene, steps, num_samples: int,
+                   seed: int, rng_range: tuple[Fraction, Fraction],
+                   ) -> list[SampleReport]:
+    """Check the steps and the claim at each of the first `num_samples`
+    samples of the run's stream."""
+    params = param_names(scene_)
+    reports: list[SampleReport] = []
+    samples = sample_stream(scene_, seed, rng_range, num_samples)
+    for i, (s_seed, assignment, ev) in enumerate(samples):
+        by_name = dict(assignment.items)
+        worst = 0.0
+        for step in steps:
+            if step.edge is None:
+                got = rel_err(by_name[params[step.dim]],
+                              sc.dim_value(ev, step.dim))
+            else:
+                got = residual(step.edge, ev)
+            worst = max(worst, got)
+        reports.append(SampleReport(index=i, seed=s_seed, assignment=assignment,
+                                    max_node_residual=worst,
+                                    claim_residual=_claim_check(model, ev)))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +240,15 @@ def _claim_is_radical(model, scene_, schedule) -> bool:
 
 def _certificate(model, scene_, schedule, num_samples: int,
                  rng_range: tuple[Fraction, Fraction]) -> Certificate:
+    """The certificate of a PROVED verdict over `num_samples` samples.
+
+    `points` counts every sample, but only the claim check is
+    independent at all of them.  The degree bound holds only if every
+    scheduled step is an identity, and validation chose those steps at
+    the first VALIDATION_SAMPLES samples of the same stream, so the
+    steps are tested independently at num_samples - VALIDATION_SAMPLES
+    points only; the printed failure bound does not account for that.
+    """
     radical = _claim_is_radical(model, scene_, schedule)
     degree = _degree_bound(model, schedule)
     space = _sample_space(rng_range)
@@ -281,36 +281,17 @@ def verdict(model, scene_: sc.Scene, schedule: Optional[list[ScheduleStep]],
             num_samples: int = 100, seed: int = 42, tol: float = 1e-9,
             rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
             ) -> Verdict:
-    """Judge the claim by executing the schedule at random samples.
+    """Judge the claim by checking the schedule's steps on the oracle
+    at `num_samples` samples of the run's stream.
 
     Degenerate models propagate DegenerateModel from the sampler.  A
-    sample whose execution hits a NumericFailure is redrawn with a
-    fresh seed, at most REDRAW_CAP times per slot.
-    """
+    step whose recipe cannot run at a sample fails the cross-check
+    there."""
     if schedule is None:
         return Verdict(status=STATUS_INCONCLUSIVE, samples=(),
                        reason="no derivation schedule")
-    params = param_names(scene_)
-    reports: list[SampleReport] = []
-    for i in range(num_samples):
-        report = None
-        for attempt in range(1 + REDRAW_CAP):
-            s_seed = seed * _SAMPLE_STRIDE + i + attempt * _REDRAW_STRIDE
-            assignment = sc.sample_params(scene_, s_seed, rng_range)
-            try:
-                report = _sample_report(model, scene_, schedule, params,
-                                        assignment, i, s_seed, attempt)
-            except NumericFailure:
-                continue
-            break
-        if report is None:
-            return Verdict(
-                status=STATUS_INCONCLUSIVE, samples=tuple(reports),
-                reason=(f"sample {i}: numeric failure persisted through "
-                        f"{REDRAW_CAP} redraws"),
-                schedule=tuple(schedule))
-        reports.append(report)
-
+    reports = _check_samples(model, scene_, schedule, num_samples, seed,
+                             rng_range)
     failure = _failure(reports, tol)
     if failure is None:
         cert = _certificate(model, scene_, schedule, num_samples, rng_range)
@@ -367,23 +348,12 @@ def oracle_verdict(model, scene_: sc.Scene, num_samples: int = 100,
                    ) -> Verdict:
     """Judge the claim from coordinates alone, with no derivation.
 
-    Samples the same assignments as verdict would and evaluates the
-    claim sides straight from the figure, so a claim can be tested even
-    when no schedule exists.  There is no cross-check: the oracle is
-    the only computation.
+    Reads the samples verdict would and evaluates the claim sides
+    straight from the figure, so a claim can be tested even when no
+    schedule exists.  There is no cross-check: there are no steps.
     """
-    reports: list[SampleReport] = []
-    for i in range(num_samples):
-        s_seed = seed * _SAMPLE_STRIDE + i
-        assignment = sc.sample_params(scene_, s_seed, rng_range)
-        ev = sc.evaluate(scene_, assignment)
-        values = {d: sc.dim_value(ev, d) for d in goal_dims(model)}
-        lhs_val, rhs_val, worst = _claim_check(model, values)
-        reports.append(SampleReport(
-            index=i, seed=s_seed, assignment=assignment,
-            node_values=dict(values), oracle_values=dict(values),
-            max_node_residual=0.0, claim_lhs=lhs_val, claim_rhs=rhs_val,
-            claim_residual=worst))
+    reports = _check_samples(model, scene_, (), num_samples, seed,
+                             rng_range)
     failure = _failure(reports, tol)
     if failure is None:
         return Verdict(status=STATUS_PROVED, samples=tuple(reports),

@@ -227,6 +227,16 @@ def test_prove_and_check_agree_on_fully_derivable_fixtures(name, capsys):
     assert prove_code == check_code
 
 
+@pytest.mark.parametrize("name", ["imo2012.gthm", "parallelogram_bad.gthm"])
+def test_prove_and_check_read_the_same_claim_residual(name, capsys):
+    # both evaluate the claim on oracle values of the same sample stream
+    _, prove_out, _ = run(capsys, "prove", fx(name), "--emit", "json")
+    _, check_out, _ = run(capsys, "check", fx(name), "--emit", "json")
+    proved = json.loads(prove_out)["samples"]["max_claim_residual"]
+    checked = json.loads(check_out)["samples"]["max_claim_residual"]
+    assert proved == checked > 0.0
+
+
 # --- flags ---------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ layer's metrics without failing anything.  These tests turn both into
 failures.
 """
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +49,12 @@ def test_a_traced_run_reads_every_result(capsys):
             "verify.verdict", "verify.oracle_verdict"} <= traced
     assert tracer.counts["graph.pending"] == 1
     assert tracer.counts["graph.schedule_len"] > 0
+
+
+def test_the_benchmark_selftest_passes():
+    # it checks every metric BENCHMARK.json names, read off the traced
+    # fields of the program's results, without gating on timings
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().endswith("selftest: ok")

@@ -504,25 +504,32 @@ def test_recipe_failure_raises_numeric_failure(para):
 # --- validation on squared values against the Scalar replay -----------------
 
 
-def reference_replays(e, ev):
+def reference_residual(e, ev):
     """The Scalar replay alone: recompute the target from the sources on
-    exactnum arithmetic and compare within VALIDATION_TOL."""
+    exactnum arithmetic; its relative error, inf when the recipe raises."""
     try:
         target = sc.dim_value(ev, e.target)
         sources = {d: sc.dim_value(ev, d) for d in e.sources}
         got = rules.apply_edge(e, sources)
     except (rules.NumericFailure, sc.GeometryError, ZeroDivisionError):
-        return False
-    return rel_err(got, target) <= rules.VALIDATION_TOL
+        return math.inf
+    return rel_err(got, target)
+
+
+def reference_replays(e, ev):
+    return reference_residual(e, ev) <= rules.VALIDATION_TOL
 
 
 def check_replays(e, ev):
     """Assert the squared-value check never keeps what the reference
-    drops and the whole replay agrees with the reference; return
+    drops, the residual is 0.0 where it answers and the reference's
+    elsewhere, and the whole replay agrees with the reference; return
     whether the squared-value check answered."""
     want = reference_replays(e, ev)
     answered = rules._holds_on_squares(e, ev)
     assert want or not answered, (e, "kept on squares, dropped by the reference")
+    assert rules.residual(e, ev) == (0.0 if answered
+                                     else reference_residual(e, ev)), e
     assert rules._replays(e, ev) == want, e
     return answered
 
@@ -564,7 +571,8 @@ def test_replays_match_the_scalar_reference_on_every_grown_edge(
     pool = rules.discover(model, scn, result.witness)
     assert set(tested) <= set(pool)
     kept = rules.validate_edges(pool, model, scn, seed)
-    samples = rules._validation_samples(scn, seed, sc.DEFAULT_RANGE)
+    samples = [ev for _, _, ev in rules.sample_stream(
+        scn, seed, sc.DEFAULT_RANGE, rules.VALIDATION_SAMPLES)]
     answered = 0
     for ev in samples:
         answered += sum(check_replays(e, ev) for e in pool)

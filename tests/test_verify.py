@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gthm import cli, dsl, graph as gr, scene as sc, verify as vf
+from gthm import cli, dsl, graph as gr, prove_file, rules, scene as sc, verify as vf
 from gthm.exactnum import Rad, as_float, mul, square
 from gthm.rules import NumericFailure, length, make_ratio
 
@@ -110,9 +110,11 @@ def test_sample_report_fields_and_invariants(para):
     model, scn, g, focused = para
     v = vf.verdict(model, scn, focused, num_samples=3, seed=7)
     assert len(v.samples) == 3
-    for r in v.samples:
-        assert set(r.node_values) == set(r.oracle_values) == {
-            s.dim for s in focused}
+    for i, r in enumerate(v.samples):
+        assert r.index == i
+        assert r.seed == 7 * rules.SAMPLE_STRIDE + i
+        assert r.assignment == sc.sample_params(scn, r.seed)
+        assert r.redraws == 0
         assert r.max_node_residual >= 0.0
         assert r.claim_residual >= 0.0
         assert vf.cross_check(r, 1e-9)
@@ -130,31 +132,19 @@ def _dim_pairs(dim):
 
 def test_verdict_builds_the_parameter_map_once(monkeypatch, imo):
     model, scn, g, focused = imo
-    built, passed = [], []
-    real_names, real_execute = vf.param_names, vf.execute_schedule
+    built = []
+    real_names = vf.param_names
 
     def names_spy(scene_):
         built.append(scene_)
         return real_names(scene_)
 
-    def execute_spy(scene_, schedule, assignment, **kw):
-        got = real_execute(scene_, schedule, assignment, **kw)
-        passed.append((kw["params"], assignment, got))
-        return got
-
     monkeypatch.setattr(vf, "param_names", names_spy)
-    monkeypatch.setattr(vf, "execute_schedule", execute_spy)
     v = vf.verdict(model, scn, focused, num_samples=10, seed=42)
     monkeypatch.undo()
     assert v.status == vf.STATUS_PROVED
     assert built == [scn]
-    assert len(passed) == 10
-    params = passed[0][0]
-    assert params == {length(p, q): name for name, (p, q) in scn.param_dims}
-    for got_params, assignment, got in passed:
-        assert got_params is params
-        # the map built once serves each sample as one built per call
-        assert got == vf.execute_schedule(scn, focused, assignment)
+    assert len(v.samples) == 10
 
 
 def test_sample_report_measures_each_length_once(monkeypatch, para):
@@ -164,7 +154,9 @@ def test_sample_report_measures_each_length_once(monkeypatch, para):
     assert any(d.kind == "ratio" and d.num in scheduled and d.den in scheduled
                for d in scheduled)
     assert any(d.kind == "ratio" and d.num.kind == "composite" for d in scheduled)
-    a = sc.sample_params(scn, 123_457)  # a fresh evaluation, nothing memoized
+    # a fresh evaluation, nothing memoized, which the stream's first
+    # sample at seed 123_457 then reads
+    a = sc.sample_params(scn, 123_457 * rules.SAMPLE_STRIDE)
     ev = sc.evaluate(scn, a)
     names = {coord: name for name, coord in ev.points.items()}
     measured = []
@@ -175,12 +167,44 @@ def test_sample_report_measures_each_length_once(monkeypatch, para):
         return real(p, q)
 
     monkeypatch.setattr(sc, "distance", spy)
-    report = vf._sample_report(model, scn, focused, vf.param_names(scn), a,
-                               0, 123_457, 0)
+    report, = vf._check_samples(model, scn, focused, 1, 123_457,
+                                sc.DEFAULT_RANGE)
+    assert report.assignment == a
     assert report.max_node_residual == 0.0
     assert len(measured) == len(set(measured))  # no length measured twice
     assert set(measured) == {frozenset(p) for d in scheduled
                              for p in _dim_pairs(d)}
+
+
+def test_prove_draws_the_verdict_samples_once_and_validates_the_first(
+        monkeypatch):
+    draws = []  # (inside validation?, assignment)
+    validating = []
+    real_sample, real_validate = sc.sample_params, gr.validate_edges
+
+    def sample_spy(*args, **kwargs):
+        draws.append((bool(validating), real_sample(*args, **kwargs)))
+        return draws[-1][1]
+
+    def validate_spy(*args, **kwargs):
+        validating.append(True)
+        try:
+            return real_validate(*args, **kwargs)
+        finally:
+            validating.pop()
+
+    monkeypatch.setattr(sc, "sample_params", sample_spy)
+    monkeypatch.setattr(gr, "validate_edges", validate_spy)
+    result = prove_file(FIXTURES / "parallelogram.gthm")
+    monkeypatch.undo()
+    samples = result.verdict.samples
+    assert len(samples) == 100
+    assert len(draws) == 1 + len(samples)  # the witness, then the stream
+    assert draws[0] == (False, result.witness)
+    assert [a for _, a in draws[1:]] == [r.assignment for r in samples]
+    validated = [a for inside, a in draws if inside]
+    assert validated == [r.assignment
+                         for r in samples[:rules.VALIDATION_SAMPLES]]
 
 
 def test_oracle_and_verdict_leave_carriers_alone(monkeypatch, capsys, para):
@@ -328,16 +352,20 @@ def test_same_seed_reproduces_the_same_samples(para):
     assert v1.reason == v2.reason
 
 
-def test_redraw_exhaustion_is_reported(para):
+def test_a_failing_recipe_is_a_failed_step(para):
     model, scn, g, focused = para
     ao, go = length("A", "O"), length("G", "O")
     broken = list(focused)
     last = broken[-1]
-    broken[-1] = gr.ScheduleStep(
-        last.dim, dataclasses.replace(last.edge, recipe=("sub", ao, go)))
+    # AO - GO is a negative length at every sample: the recipe raises
+    broken[-1] = gr.ScheduleStep(last.dim, dataclasses.replace(
+        last.edge, sources=(ao, go), recipe=("sub", ao, go)))
     v = vf.verdict(model, scn, broken, num_samples=3, seed=42)
     assert v.status == vf.STATUS_INCONCLUSIVE
-    assert "redraws" in v.reason
+    assert v.reason == ("schedule disagrees with coordinates at sample 0 "
+                        "(max node residual inf)")
+    assert all(r.max_node_residual == math.inf for r in v.samples)
+    assert all(r.claim_residual == 0.0 for r in v.samples)
 
 
 # --- certificate arithmetic --------------------------------------------------
