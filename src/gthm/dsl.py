@@ -7,13 +7,21 @@ that is just large enough to phrase classical segment/ratio theorems.
 The validator resolves every symbol, enforces the reference-frame
 anchoring convention, and returns a :class:`HypothesisModel` ready for
 coordinate evaluation.
+
+Each construction's arguments are written once, in `ARGS`: their kinds
+in source order.  The parser builds point constructions and picks from
+that table through `parse_args`, and `refs` walks it to list the
+symbols any construction reads.  The validator checks each of those
+references in source order and records in the model, per construction,
+the points it reads, with a named line's points in place of the line;
+the scene derives its radical flags from that record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 MAX_FILE_BYTES = 1 << 20
 MAX_LINE_CHARS = 1000
@@ -222,6 +230,35 @@ class Foot:
 
 PointExpr = Union[Origin, Baseline, OnSegment, OffsetPerp, Meet, MeetCircle, Foot]
 
+# each construction's argument kinds in source order: "point" a point
+# name, "line" a line argument, "dist" a distance expression, "pick" a
+# root pick policy; the dataclass fields follow the same order.  The
+# line forms are listed for `refs`: the parser spells `through` out
+ARGS: dict[type, tuple[str, ...]] = {
+    Origin: (),
+    Baseline: ("point", "dist"),
+    OnSegment: ("point", "point", "dist"),
+    OffsetPerp: ("point", "line", "dist"),
+    Meet: ("line", "line"),
+    MeetCircle: ("line", "point", "dist", "pick"),
+    Foot: ("point", "line"),
+    PickFirst: (),
+    PickSecond: (),
+    PickWithinSegment: ("point", "point"),
+    PickNearest: ("point",),
+    ThroughPoints: ("point", "point"),
+    ExtendRay: ("point", "point"),
+    ThroughParallel: ("point", "line"),
+}
+
+POINT_KEYWORDS: dict[str, type] = {
+    "origin": Origin, "baseline": Baseline, "on_segment": OnSegment,
+    "offset_perp": OffsetPerp, "meet": Meet, "meet_circle": MeetCircle, "foot": Foot}
+
+PICK_KEYWORDS: dict[str, type] = {
+    "first": PickFirst, "second": PickSecond,
+    "within_segment": PickWithinSegment, "nearest": PickNearest}
+
 
 @dataclass(frozen=True)
 class ClaimTerm:
@@ -251,6 +288,9 @@ class Statement:
 class HypothesisModel:
     params: tuple[str, ...]
     constructions: tuple[Statement, ...]  # points and lines, file order
+    # (construction name, the points it reads) in construction order; a
+    # named line it reads contributes that line's points
+    reads: tuple[tuple[str, tuple[str, ...]], ...]
     claims: tuple[Statement, ...]
     aux: frozenset[str]
     points: tuple[str, ...]
@@ -343,6 +383,24 @@ class _LineParser:
         if self.cur.kind != "EOL":
             raise ParseFailure(f"unexpected trailing input {self.cur.value!r}", self.cur.span)
 
+    def parse_args(self, kinds: tuple[str, ...]) -> list:
+        """`(`, one argument of each kind separated by `,`, then `)`."""
+        self.expect_punct("(")
+        args: list = []
+        for i, kind in enumerate(kinds):
+            if i:
+                self.expect_punct(",")
+            if kind == "point":
+                args.append(self.expect_ident("point name").value)
+            elif kind == "line":
+                args.append(self.parse_line_arg())
+            elif kind == "dist":
+                args.append(self.parse_dist())
+            else:
+                args.append(self.parse_pick())
+        self.expect_punct(")")
+        return args
+
     # -- expressions -------------------------------------------------------
 
     def parse_dist(self) -> Expr:
@@ -376,12 +434,8 @@ class _LineParser:
             return NumLit(span=t.span, value=Fraction(t.value))
         if t.kind == "IDENT" and t.value == "len":
             self.advance()
-            self.expect_punct("(")
-            p = self.expect_ident("point name")
-            self.expect_punct(",")
-            q = self.expect_ident("point name")
-            self.expect_punct(")")
-            return LenExpr(span=t.span, p=p.value, q=q.value)
+            p, q = self.parse_args(("point", "point"))
+            return LenExpr(span=t.span, p=p, q=q)
         if t.kind == "IDENT":
             self.advance()
             return NameRef(span=t.span, name=t.value)
@@ -395,12 +449,7 @@ class _LineParser:
             return self.parse_through()
         if t.kind == "IDENT" and t.value == "extend_ray":
             self.advance()
-            self.expect_punct("(")
-            p = self.expect_ident("point name")
-            self.expect_punct(",")
-            q = self.expect_ident("point name")
-            self.expect_punct(")")
-            return ExtendRay(p=p.value, q=q.value, span=t.span)
+            return ExtendRay(*self.parse_args(ARGS[ExtendRay]), span=t.span)
         if t.kind == "IDENT":
             self.advance()
             return LineRef(name=t.value, span=t.span)
@@ -430,90 +479,21 @@ class _LineParser:
         t = self.cur
         if t.kind != "IDENT":
             raise ParseFailure("expected a point construction", t.span)
-        name = t.value
-        if name == "origin":
-            self.advance()
-            if self.at_punct("("):
-                self.advance()
-                self.expect_punct(")")
-            return Origin(span=t.span)
-        if name == "baseline":
-            self.advance()
-            self.expect_punct("(")
-            p = self.expect_ident("point name")
-            self.expect_punct(",")
-            d = self.parse_dist()
-            self.expect_punct(")")
-            return Baseline(p=p.value, dist=d, span=t.span)
-        if name == "on_segment":
-            self.advance()
-            self.expect_punct("(")
-            p = self.expect_ident("point name")
-            self.expect_punct(",")
-            q = self.expect_ident("point name")
-            self.expect_punct(",")
-            d = self.parse_dist()
-            self.expect_punct(")")
-            return OnSegment(p=p.value, q=q.value, dist=d, span=t.span)
-        if name == "offset_perp":
-            self.advance()
-            self.expect_punct("(")
-            p = self.expect_ident("point name")
-            self.expect_punct(",")
-            ln = self.parse_line_arg()
-            self.expect_punct(",")
-            d = self.parse_dist()
-            self.expect_punct(")")
-            return OffsetPerp(p=p.value, line=ln, dist=d, span=t.span)
-        if name == "meet":
-            self.advance()
-            self.expect_punct("(")
-            l1 = self.parse_line_arg()
-            self.expect_punct(",")
-            l2 = self.parse_line_arg()
-            self.expect_punct(")")
-            return Meet(l1=l1, l2=l2, span=t.span)
-        if name == "meet_circle":
-            self.advance()
-            self.expect_punct("(")
-            ln = self.parse_line_arg()
-            self.expect_punct(",")
-            center = self.expect_ident("point name")
-            self.expect_punct(",")
-            r = self.parse_dist()
-            self.expect_punct(",")
-            pick = self.parse_pick()
-            self.expect_punct(")")
-            return MeetCircle(line=ln, center=center.value, radius=r, pick=pick, span=t.span)
-        if name == "foot":
-            self.advance()
-            self.expect_punct("(")
-            p = self.expect_ident("point name")
-            self.expect_punct(",")
-            ln = self.parse_line_arg()
-            self.expect_punct(")")
-            return Foot(p=p.value, line=ln, span=t.span)
-        raise ParseFailure(f"unknown point construction {name!r}", t.span)
+        cls = POINT_KEYWORDS.get(t.value)
+        if cls is None:
+            raise ParseFailure(f"unknown point construction {t.value!r}", t.span)
+        self.advance()
+        if cls is Origin and not self.at_punct("("):
+            return Origin(span=t.span)  # the parentheses are optional
+        return cls(*self.parse_args(ARGS[cls]), span=t.span)
 
     def parse_pick(self) -> Pick:
         t = self.expect_ident("root pick policy")
-        if t.value == "first":
-            return PickFirst(span=t.span)
-        if t.value == "second":
-            return PickSecond(span=t.span)
-        if t.value == "within_segment":
-            self.expect_punct("(")
-            p = self.expect_ident("point name")
-            self.expect_punct(",")
-            q = self.expect_ident("point name")
-            self.expect_punct(")")
-            return PickWithinSegment(p=p.value, q=q.value, span=t.span)
-        if t.value == "nearest":
-            self.expect_punct("(")
-            p = self.expect_ident("point name")
-            self.expect_punct(")")
-            return PickNearest(p=p.value, span=t.span)
-        raise ParseFailure(f"unknown pick policy {t.value!r}", t.span)
+        cls = PICK_KEYWORDS.get(t.value)
+        if cls is None:
+            raise ParseFailure(f"unknown pick policy {t.value!r}", t.span)
+        kinds = ARGS[cls]
+        return cls(*(self.parse_args(kinds) if kinds else ()), span=t.span)
 
     # -- claims --------------------------------------------------------
 
@@ -541,12 +521,8 @@ class _LineParser:
         kw = self.expect_ident("'len'")
         if kw.value != "len":
             raise ParseFailure("claims may only mention len(P,Q) terms", kw.span)
-        self.expect_punct("(")
-        p = self.expect_ident("point name")
-        self.expect_punct(",")
-        q = self.expect_ident("point name")
-        self.expect_punct(")")
-        return ClaimTerm(coef=coef, p=p.value, q=q.value, span=t.span)
+        p, q = self.parse_args(("point", "point"))
+        return ClaimTerm(coef=coef, p=p, q=q, span=t.span)
 
 
 def read_source(path, filename: str) -> str:
@@ -643,71 +619,43 @@ class _Scope:
             raise UnknownSymbol(f"symbol {name!r} is a {have}, expected a {kind}", span)
 
 
-def _check_expr(e: Expr, scope: _Scope) -> None:
-    if isinstance(e, NumLit):
-        return
-    if isinstance(e, NameRef):
-        scope.check(e.name, "param", e.span)
-        return
-    if isinstance(e, LenExpr):
-        scope.check(e.p, "point", e.span)
-        scope.check(e.q, "point", e.span)
-        return
-    if isinstance(e, Neg):
-        _check_expr(e.arg, scope)
-        return
-    if isinstance(e, BinOp):
-        _check_expr(e.left, scope)
-        _check_expr(e.right, scope)
-        return
-    raise AssertionError(f"unhandled expression {e!r}")
+def refs(node) -> Iterator[tuple[str, str, Span]]:
+    """The symbols a construction, pick, line argument or distance
+    expression reads, as (name, kind, span) in source order; kind is
+    "param", "point" or "line".  A named line is one reference."""
+    if isinstance(node, NameRef):
+        yield node.name, "param", node.span
+    elif isinstance(node, LenExpr):
+        yield node.p, "point", node.span
+        yield node.q, "point", node.span
+    elif isinstance(node, Neg):
+        yield from refs(node.arg)
+    elif isinstance(node, BinOp):
+        yield from refs(node.left)
+        yield from refs(node.right)
+    elif isinstance(node, LineRef):
+        yield node.name, "line", node.span
+    elif not isinstance(node, NumLit):
+        for kind, f in zip(ARGS[type(node)], fields(node)):
+            arg = getattr(node, f.name)
+            if kind == "point":
+                yield arg, "point", node.span
+            else:
+                yield from refs(arg)
 
 
-def _check_line_arg(arg: LineArg, scope: _Scope) -> None:
-    if isinstance(arg, LineRef):
-        scope.check(arg.name, "line", arg.span)
-    elif isinstance(arg, (ThroughPoints, ExtendRay)):
-        scope.check(arg.p, "point", arg.span)
-        scope.check(arg.q, "point", arg.span)
-    elif isinstance(arg, ThroughParallel):
-        scope.check(arg.p, "point", arg.span)
-        _check_line_arg(arg.base, scope)
-    else:
-        raise AssertionError(f"unhandled line argument {arg!r}")
-
-
-def _check_point_expr(pe: PointExpr, scope: _Scope) -> None:
-    if isinstance(pe, Origin):
-        return
-    if isinstance(pe, Baseline):
-        scope.check(pe.p, "point", pe.span)
-        _check_expr(pe.dist, scope)
-    elif isinstance(pe, OnSegment):
-        scope.check(pe.p, "point", pe.span)
-        scope.check(pe.q, "point", pe.span)
-        _check_expr(pe.dist, scope)
-    elif isinstance(pe, OffsetPerp):
-        scope.check(pe.p, "point", pe.span)
-        _check_line_arg(pe.line, scope)
-        _check_expr(pe.dist, scope)
-    elif isinstance(pe, Meet):
-        _check_line_arg(pe.l1, scope)
-        _check_line_arg(pe.l2, scope)
-    elif isinstance(pe, MeetCircle):
-        _check_line_arg(pe.line, scope)
-        scope.check(pe.center, "point", pe.span)
-        _check_expr(pe.radius, scope)
-        pick = pe.pick
-        if isinstance(pick, PickWithinSegment):
-            scope.check(pick.p, "point", pick.span)
-            scope.check(pick.q, "point", pick.span)
-        elif isinstance(pick, PickNearest):
-            scope.check(pick.p, "point", pick.span)
-    elif isinstance(pe, Foot):
-        scope.check(pe.p, "point", pe.span)
-        _check_line_arg(pe.line, scope)
-    else:
-        raise AssertionError(f"unhandled point expression {pe!r}")
+def _check_reads(node, scope: _Scope, reads: dict[str, tuple[str, ...]]
+                 ) -> tuple[str, ...]:
+    """Check each reference node makes, in source order; the points it
+    reads, first read first, with a named line's points for the line."""
+    read: list[str] = []
+    for name, kind, span in refs(node):
+        scope.check(name, kind, span)
+        if kind == "point":
+            read.append(name)
+        elif kind == "line":
+            read += reads[name]
+    return tuple(dict.fromkeys(read))
 
 
 def validate(stmts: list[Statement], filename: str = "<input>") -> HypothesisModel:
@@ -726,6 +674,7 @@ def _validate(stmts: list[Statement]) -> HypothesisModel:
             scope.later.add(s.name)
 
     constructions: list[Statement] = []
+    reads: dict[str, tuple[str, ...]] = {}
     claims: list[Statement] = []
     aux: set[str] = set()
     origin_name: Optional[str] = None
@@ -740,8 +689,7 @@ def _validate(stmts: list[Statement]) -> HypothesisModel:
                 raise LimitExceeded(
                     f"point count exceeds the limit of {MAX_POINTS}", s.span)
             pe = s.payload
-            assert isinstance(pe, (Origin, Baseline, OnSegment, OffsetPerp, Meet, MeetCircle, Foot))
-            _check_point_expr(pe, scope)
+            reads[s.name] = _check_reads(pe, scope, reads)
             if isinstance(pe, Origin):
                 if origin_name is not None:
                     raise DuplicateSymbol("a second origin point is not allowed", s.span)
@@ -761,12 +709,12 @@ def _validate(stmts: list[Statement]) -> HypothesisModel:
                 aux.add(s.name)
             constructions.append(s)
         elif s.kind == "line-construction":
-            arg = s.payload
-            assert isinstance(arg, (ThroughPoints, ThroughParallel, ExtendRay))
-            _check_line_arg(arg, scope)
+            reads[s.name] = _check_reads(s.payload, scope, reads)
             scope.declare(s.name, "line", s.span)
             constructions.append(s)
         elif s.kind == "claim":
+            if claims:
+                raise BadClaim("a second claim is not allowed", s.span)
             ce = s.payload
             assert isinstance(ce, ClaimEq)
             for term in ce.lhs + ce.rhs:
@@ -790,6 +738,7 @@ def _validate(stmts: list[Statement]) -> HypothesisModel:
     return HypothesisModel(
         params=tuple(scope.params),
         constructions=tuple(constructions),
+        reads=tuple(reads.items()),
         claims=tuple(claims),
         aux=frozenset(aux),
         points=tuple(scope.points),
@@ -797,100 +746,3 @@ def _validate(stmts: list[Statement]) -> HypothesisModel:
         origin=origin_name,
         base_point=base_name,
     )
-
-
-# ---------------------------------------------------------------------------
-# Rendering (inverse of parse, up to whitespace and comments)
-
-
-def _render_expr(e: Expr) -> str:
-    if isinstance(e, NumLit):
-        v = e.value
-        return str(v.numerator) if v.denominator == 1 else f"({v.numerator}/{v.denominator})"
-    if isinstance(e, NameRef):
-        return e.name
-    if isinstance(e, LenExpr):
-        return f"len({e.p},{e.q})"
-    if isinstance(e, Neg):
-        return f"-{_render_expr(e.arg)}"
-    if isinstance(e, BinOp):
-        return f"({_render_expr(e.left)} {e.op} {_render_expr(e.right)})"
-    raise AssertionError(f"unhandled expression {e!r}")
-
-
-def _render_line_arg(arg: LineArg) -> str:
-    if isinstance(arg, LineRef):
-        return arg.name
-    if isinstance(arg, ThroughPoints):
-        return f"through({arg.p},{arg.q})"
-    if isinstance(arg, ExtendRay):
-        return f"extend_ray({arg.p},{arg.q})"
-    if isinstance(arg, ThroughParallel):
-        return f"through({arg.p}) parallel({_render_line_arg(arg.base)})"
-    raise AssertionError(f"unhandled line argument {arg!r}")
-
-
-def _render_pick(pick: Pick) -> str:
-    if isinstance(pick, PickFirst):
-        return "first"
-    if isinstance(pick, PickSecond):
-        return "second"
-    if isinstance(pick, PickWithinSegment):
-        return f"within_segment({pick.p},{pick.q})"
-    if isinstance(pick, PickNearest):
-        return f"nearest({pick.p})"
-    raise AssertionError(f"unhandled pick {pick!r}")
-
-
-def _render_point_expr(pe: PointExpr) -> str:
-    if isinstance(pe, Origin):
-        return "origin"
-    if isinstance(pe, Baseline):
-        return f"baseline({pe.p}, {_render_expr(pe.dist)})"
-    if isinstance(pe, OnSegment):
-        return f"on_segment({pe.p}, {pe.q}, {_render_expr(pe.dist)})"
-    if isinstance(pe, OffsetPerp):
-        return f"offset_perp({pe.p}, {_render_line_arg(pe.line)}, {_render_expr(pe.dist)})"
-    if isinstance(pe, Meet):
-        return f"meet({_render_line_arg(pe.l1)}, {_render_line_arg(pe.l2)})"
-    if isinstance(pe, MeetCircle):
-        return (f"meet_circle({_render_line_arg(pe.line)}, {pe.center}, "
-                f"{_render_expr(pe.radius)}, {_render_pick(pe.pick)})")
-    if isinstance(pe, Foot):
-        return f"foot({pe.p}, {_render_line_arg(pe.line)})"
-    raise AssertionError(f"unhandled point expression {pe!r}")
-
-
-def _render_claim_side(terms: tuple[ClaimTerm, ...]) -> str:
-    parts: list[str] = []
-    for i, t in enumerate(terms):
-        coef = t.coef
-        sign = ""
-        if i > 0:
-            sign = " + " if coef >= 0 else " - "
-            coef = abs(coef)
-        elif coef < 0:
-            sign = "-"
-            coef = abs(coef)
-        body = f"len({t.p},{t.q})"
-        if coef != 1:
-            cs = str(coef.numerator) if coef.denominator == 1 else str(coef)
-            body = f"{cs}*{body}"
-        parts.append(sign + body)
-    return "".join(parts)
-
-
-def render(model: HypothesisModel) -> str:
-    """Write the model back out as theorem-file text."""
-    lines = [f"param {p}" for p in model.params]
-    for s in model.constructions:
-        if s.kind == "point-construction":
-            prefix = "aux point" if s.aux else "point"
-            lines.append(f"{prefix} {s.name} = {_render_point_expr(s.payload)}")
-        else:
-            lines.append(f"line {s.name} = {_render_line_arg(s.payload)}")
-    for c in model.claims:
-        ce = c.payload
-        assert isinstance(ce, ClaimEq)
-        lines.append(f"claim {_render_claim_side(ce.lhs)} = {_render_claim_side(ce.rhs)}")
-    return "\n".join(lines) + "\n"

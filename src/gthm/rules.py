@@ -650,17 +650,7 @@ def line_circle_rule(w: _Witness) -> list[Hyperedge]:
         perp_target = length(z, nz)
         edges.append(_edge([pq, pc, pf, radius_dim, qf], perp_target, "line-circle", just,
                            ("lc", pq, pc, pf, radius_dim, qf, s, mode, "perp")))
-    checked = []
-    for e in edges:
-        if e is None:
-            continue
-        try:
-            got = apply_edge(e, {d: w.value(d) for d in e.sources})
-        except (NumericFailure, sc.GeometryError):
-            continue
-        if rel_err(got, w.value(e.target)) <= 1e-9:
-            checked.append(e)
-    return checked
+    return [e for e in edges if e is not None and residual(e, w.ev) <= VALIDATION_TOL]
 
 
 def _line_point_pair(arg: dsl.LineArg, model: dsl.HypothesisModel
@@ -724,8 +714,7 @@ def ratio_solve_rule(known_ratios: list[tuple[Dim, Scalar]],
         for (r1, v1) in plain.get(frozenset((s_dim, z_dim)), ()):
             r1_num_is_s = r1.num == s_dim
             # unknowns S and Z: S + r2*Z = M, and S = r1*Z or Z = r1*S
-            det = add(mul(v1, Fraction(1)), v2) if r1_num_is_s else \
-                add(Fraction(1), mul(v1, v2))
+            det = add(v1, v2) if r1_num_is_s else add(Fraction(1), mul(v1, v2))
             if abs(as_float(det)) < 1e-9:
                 continue  # singular at the witness; not solvable
             just = (f"solve {s_dim.display} and {z_dim.display} from "

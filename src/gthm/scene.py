@@ -42,10 +42,6 @@ class GeometryError(Exception):
     """A construction step failed under the current assignment."""
 
 
-class UnconstructiblePoint(GeometryError):
-    pass
-
-
 class ParallelLines(GeometryError):
     pass
 
@@ -368,70 +364,18 @@ def _either_way(x: Scalar, y: Scalar) -> Scalar:
 # build
 
 
-def _line_arg_points(arg: dsl.LineArg, model: dsl.HypothesisModel) -> list[str]:
-    if isinstance(arg, dsl.LineRef):
-        for s in model.constructions:
-            if s.kind == "line-construction" and s.name == arg.name:
-                return _line_arg_points(s.payload, model)
-        return []
-    if isinstance(arg, (dsl.ThroughPoints, dsl.ExtendRay)):
-        return [arg.p, arg.q]
-    if isinstance(arg, dsl.ThroughParallel):
-        return [arg.p] + _line_arg_points(arg.base, model)
-    raise AssertionError(f"unhandled line argument {arg!r}")
-
-
-def _expr_points(e: dsl.Expr) -> list[str]:
-    if isinstance(e, dsl.LenExpr):
-        return [e.p, e.q]
-    if isinstance(e, dsl.Neg):
-        return _expr_points(e.arg)
-    if isinstance(e, dsl.BinOp):
-        return _expr_points(e.left) + _expr_points(e.right)
-    return []
-
-
-def _point_expr_deps(pe: dsl.PointExpr, model: dsl.HypothesisModel) -> list[str]:
-    if isinstance(pe, dsl.Origin):
-        return []
-    if isinstance(pe, dsl.Baseline):
-        return [pe.p] + _expr_points(pe.dist)
-    if isinstance(pe, dsl.OnSegment):
-        return [pe.p, pe.q] + _expr_points(pe.dist)
-    if isinstance(pe, dsl.OffsetPerp):
-        return [pe.p] + _line_arg_points(pe.line, model) + _expr_points(pe.dist)
-    if isinstance(pe, dsl.Meet):
-        return _line_arg_points(pe.l1, model) + _line_arg_points(pe.l2, model)
-    if isinstance(pe, dsl.MeetCircle):
-        deps = _line_arg_points(pe.line, model) + [pe.center] + _expr_points(pe.radius)
-        if isinstance(pe.pick, dsl.PickWithinSegment):
-            deps += [pe.pick.p, pe.pick.q]
-        elif isinstance(pe.pick, dsl.PickNearest):
-            deps += [pe.pick.p]
-        return deps
-    if isinstance(pe, dsl.Foot):
-        return [pe.p] + _line_arg_points(pe.line, model)
-    raise AssertionError(f"unhandled point expression {pe!r}")
-
-
 def build_scene(model: dsl.HypothesisModel) -> Scene:
+    reads = dict(model.reads)
     radical: dict[str, bool] = {}
     plan: list[PlanStep] = []
     param_dims: list[tuple[str, tuple[str, str]]] = []
     for s in model.constructions:
-        if s.kind == "line-construction":
-            pts = _line_arg_points(s.payload, model)
-            radical[s.name] = any(radical.get(p, False) for p in pts)
-            plan.append(PlanStep(s.name, "line", radical[s.name], s))
-            continue
         pe = s.payload
-        deps = _point_expr_deps(pe, model)
-        for d in deps:
-            if d not in radical:
-                raise UnconstructiblePoint(
-                    f"point {s.name!r} depends on unconstructed {d!r}")
-        flag = isinstance(pe, dsl.MeetCircle) or any(radical[d] for d in deps)
+        flag = isinstance(pe, dsl.MeetCircle) or any(radical[p] for p in reads[s.name])
         radical[s.name] = flag
+        if s.kind == "line-construction":
+            plan.append(PlanStep(s.name, "line", flag, s))
+            continue
         plan.append(PlanStep(s.name, "point", flag, s))
         anchor = _bare_param_anchor(pe)
         if anchor is not None:

@@ -137,6 +137,18 @@ def test_parse_error_exits_three(tmp_path, capsys):
     assert err.startswith("gthm:")
 
 
+@pytest.mark.parametrize("command", ["prove", "check"])
+def test_second_claim_exits_three(command, tmp_path, capsys):
+    two = tmp_path / "two.gthm"
+    text = (FIXTURES / "parallelogram.gthm").read_text()
+    two.write_text(text + "claim len(O,D) = 2*len(C,D)\n")
+    code, out, err = run(capsys, command, str(two))
+    assert code == 3
+    assert out == ""
+    line = len(text.splitlines()) + 1
+    assert err == f"gthm: {two}:{line}:1: a second claim is not allowed\n"
+
+
 # --- formats -------------------------------------------------------------
 
 

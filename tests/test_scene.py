@@ -283,16 +283,61 @@ def test_carriers_match_eager_deduplication(name):
         assert ev.carriers == eager_carriers(lines)
 
 
-def test_unconstructible_guard():
-    stmts = dsl.parse(
-        "param x\npoint O = origin\npoint A = baseline(O, x)\nclaim len(O,A) = len(O,A)\n")
-    model = dsl.validate(stmts)
-    broken = dsl.HypothesisModel(
-        params=model.params, constructions=(model.constructions[1],),
-        claims=model.claims, aux=model.aux, points=model.points, lines=model.lines,
-        origin=model.origin, base_point=model.base_point)
-    with pytest.raises(sc.UnconstructiblePoint):
-        sc.build_scene(broken)
+class ReadLog(dict):
+    """A dict that logs every key read by subscription."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.append(key)
+        return super().__getitem__(key)
+
+
+def evaluated_reads(scn, a):
+    """For each construction, the points its evaluation reads, with the
+    points of each named line it reads in place of the line."""
+    model, params, log = scn.model, a.values, []
+    ev = sc.Evaluation()
+    ev.points, ev.named_lines = ReadLog(log), ReadLog(log)
+    got = {}
+    for step in scn.plan:
+        s = step.statement
+        log.clear()
+        try:
+            if step.kind == "line":
+                ev.named_lines[s.name] = sc._eval_line_arg(s.payload, ev, params)
+            else:
+                ev.points[s.name] = sc._eval_point(s, ev, params, model)
+        except sc.ParallelLines:
+            pass  # degenerate.gthm's last point, after both lines are read
+        got[s.name] = set().union(*(got[n] if n in model.lines else {n} for n in log))
+    return got
+
+
+def gen_members():
+    sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    return [gen.family_member(family, k, True, random.Random(0), nested=True)
+            for family, (_, _, pool) in gen.FAMILIES.items()
+            for k in range(len(pool) + 1)]
+
+
+def test_recorded_reads_cover_evaluation():
+    texts = [p.read_text() for p in sorted(FIXTURES.glob("*.gthm"))]
+    texts += [p.read_text() for p in sorted((FIXTURES.parent / "tests/golden").glob("*.gthm"))]
+    for text in texts + gen_members():
+        scn = sc.build_scene(dsl.validate(dsl.parse(text)))
+        try:
+            a = sc.sample_params(scn, 42)
+        except sc.DegenerateModel:
+            a = PARA
+        want = {name: set(points) for name, points in scn.model.reads}
+        assert evaluated_reads(scn, a) == want, text
 
 
 def test_scene_view_shape():
