@@ -12,9 +12,7 @@ Each construction's arguments are written once, in `ARGS`: their kinds
 in source order.  The parser builds point constructions and picks from
 that table through `parse_args`, and `refs` walks it to list the
 symbols any construction reads.  The validator checks each of those
-references in source order and records in the model, per construction,
-the points it reads, with a named line's points in place of the line;
-the scene derives its radical flags from that record.
+references in source order.
 """
 
 from __future__ import annotations
@@ -288,10 +286,7 @@ class Statement:
 class HypothesisModel:
     params: tuple[str, ...]
     constructions: tuple[Statement, ...]  # points and lines, file order
-    # (construction name, the points it reads) in construction order; a
-    # named line it reads contributes that line's points
-    reads: tuple[tuple[str, tuple[str, ...]], ...]
-    claims: tuple[Statement, ...]
+    claim: Statement
     aux: frozenset[str]
     points: tuple[str, ...]
     lines: tuple[str, ...]
@@ -644,20 +639,6 @@ def refs(node) -> Iterator[tuple[str, str, Span]]:
                 yield from refs(arg)
 
 
-def _check_reads(node, scope: _Scope, reads: dict[str, tuple[str, ...]]
-                 ) -> tuple[str, ...]:
-    """Check each reference node makes, in source order; the points it
-    reads, first read first, with a named line's points for the line."""
-    read: list[str] = []
-    for name, kind, span in refs(node):
-        scope.check(name, kind, span)
-        if kind == "point":
-            read.append(name)
-        elif kind == "line":
-            read += reads[name]
-    return tuple(dict.fromkeys(read))
-
-
 def validate(stmts: list[Statement], filename: str = "<input>") -> HypothesisModel:
     """Resolve symbols, enforce frame anchoring, and assemble the model."""
     try:
@@ -674,8 +655,7 @@ def _validate(stmts: list[Statement]) -> HypothesisModel:
             scope.later.add(s.name)
 
     constructions: list[Statement] = []
-    reads: dict[str, tuple[str, ...]] = {}
-    claims: list[Statement] = []
+    claim: Optional[Statement] = None
     aux: set[str] = set()
     origin_name: Optional[str] = None
     base_name: Optional[str] = None
@@ -689,7 +669,8 @@ def _validate(stmts: list[Statement]) -> HypothesisModel:
                 raise LimitExceeded(
                     f"point count exceeds the limit of {MAX_POINTS}", s.span)
             pe = s.payload
-            reads[s.name] = _check_reads(pe, scope, reads)
+            for name, kind, span in refs(pe):
+                scope.check(name, kind, span)
             if isinstance(pe, Origin):
                 if origin_name is not None:
                     raise DuplicateSymbol("a second origin point is not allowed", s.span)
@@ -709,11 +690,12 @@ def _validate(stmts: list[Statement]) -> HypothesisModel:
                 aux.add(s.name)
             constructions.append(s)
         elif s.kind == "line-construction":
-            reads[s.name] = _check_reads(s.payload, scope, reads)
+            for name, kind, span in refs(s.payload):
+                scope.check(name, kind, span)
             scope.declare(s.name, "line", s.span)
             constructions.append(s)
         elif s.kind == "claim":
-            if claims:
+            if claim is not None:
                 raise BadClaim("a second claim is not allowed", s.span)
             ce = s.payload
             assert isinstance(ce, ClaimEq)
@@ -722,7 +704,7 @@ def _validate(stmts: list[Statement]) -> HypothesisModel:
                 scope.check(term.q, "point", term.span)
                 if term.p == term.q:
                     raise BadClaim("a claim length needs two distinct points", term.span)
-            claims.append(s)
+            claim = s
         else:
             raise AssertionError(f"unhandled statement kind {s.kind}")
 
@@ -732,14 +714,13 @@ def _validate(stmts: list[Statement]) -> HypothesisModel:
     if origin_name is None or base_name is None:
         span = stmts[0].span if stmts else Span(1, 1, 1, 1)
         raise MissingFrameAnchor("the frame needs an origin and a baseline point", span)
-    if not claims:
+    if claim is None:
         raise MissingFrameAnchor("at least one claim is required", stmts[-1].span)
 
     return HypothesisModel(
         params=tuple(scope.params),
         constructions=tuple(constructions),
-        reads=tuple(reads.items()),
-        claims=tuple(claims),
+        claim=claim,
         aux=frozenset(aux),
         points=tuple(scope.points),
         lines=tuple(scope.lines),

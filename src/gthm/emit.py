@@ -28,8 +28,8 @@ def _term_text(term) -> str:
 
 
 def claim_text(model) -> str:
-    """The first claim, rendered the way the input file spelled it."""
-    eq = model.claims[0].payload
+    """The claim, rendered the way the input file spelled it."""
+    eq = model.claim.payload
     lhs = " + ".join(_term_text(t) for t in eq.lhs)
     rhs = " + ".join(_term_text(t) for t in eq.rhs)
     return f"{lhs} = {rhs}"
@@ -109,7 +109,8 @@ def render_scene(model, scene_: sc.Scene, assignment: sc.ParamAssignment,
     lines = _header(model, theorem)
     for name, value in assignment.items:
         lines.append(f"param {name} = {value}")
+    points = ev.points
     for name in model.points:
-        x, y = ev.points[name]
+        x, y = points[name]
         lines.append(f"point {name} = ({_coord_text(x)}, {_coord_text(y)})")
     return "\n".join(lines) + "\n"

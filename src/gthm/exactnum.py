@@ -7,12 +7,17 @@ leaves that tower.  Arithmetic degrades to float silently; equality and
 residuals stay exact whenever both operands are exact, which is what
 lets a rational-coordinate theorem close with residual exactly zero.
 
-The operations dispatch on the operand types.  Two floats take a fast
-path first, which computes exactly what the general formula does.
-``sqrt_exact`` and ``Rad`` equality compare integer numerators and
-denominators rather than going through ``Fraction``'s rich comparison.
-Construction steps on all-rational coordinates do not use these
-operations at all: they run on the integer kernel in ``scene``.
+The operations dispatch on the exact operand types (``type(v) is
+Fraction``), not on ``isinstance``: ``Fraction`` is registered with the
+``numbers`` ABCs, so every ``isinstance`` test that fails, as it does
+for each float, pays for an ABC lookup.  No subclass of ``Fraction`` or
+``Rad`` is ever built, so the two tests agree on every value.  Two
+floats take a fast path first, which computes exactly what the general
+formula does.  ``sqrt_exact`` and ``Rad`` equality compare integer
+numerators and denominators rather than going through ``Fraction``'s
+rich comparison.  Construction steps and distances on rational points
+do not use these operations at all: they run on the integer kernel in
+``scene``, on (x, y, w) triples.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ class Rad:
         return f"Rad({self.radicand})"
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Rad) and self.radicand.as_integer_ratio()
+        return (type(other) is Rad and self.radicand.as_integer_ratio()
                 == other.radicand.as_integer_ratio())
 
     def __hash__(self) -> int:
@@ -69,31 +74,31 @@ def sqrt_exact(q: Fraction) -> Scalar:
 
 
 def is_exact(v: Scalar) -> bool:
-    return isinstance(v, (Fraction, Rad))
+    return type(v) is Fraction or type(v) is Rad
 
 
 def as_float(v: Scalar) -> float:
     if type(v) is float:
         return v
-    if isinstance(v, Fraction):
+    if type(v) is Fraction:
         return float(v)
-    if isinstance(v, Rad):
+    if type(v) is Rad:
         return float(v)
     return v
 
 
 def square(v: Scalar) -> Fraction | float:
-    if isinstance(v, Fraction):
+    if type(v) is Fraction:
         return v * v
-    if isinstance(v, Rad):
+    if type(v) is Rad:
         return v.radicand
     return v * v
 
 
 def sqrt_scalar(v: Scalar) -> Scalar:
-    if isinstance(v, Fraction):
+    if type(v) is Fraction:
         return sqrt_exact(v)
-    if isinstance(v, Rad):
+    if type(v) is Rad:
         # sqrt(sqrt(q)) leaves the tower
         return math.sqrt(float(v))
     if v < 0:
@@ -104,15 +109,15 @@ def sqrt_scalar(v: Scalar) -> Scalar:
 def add(a: Scalar, b: Scalar) -> Scalar:
     if type(a) is float and type(b) is float:
         return a + b
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
+    if type(a) is Fraction and type(b) is Fraction:
         return a + b
-    if isinstance(a, Rad) and isinstance(b, Rad):
+    if type(a) is Rad and type(b) is Rad:
         if a.radicand == b.radicand:
             return Rad(4 * a.radicand)  # sqrt(q) + sqrt(q) = sqrt(4q)
         return float(a) + float(b)
-    if isinstance(a, Fraction) and a == 0:
+    if type(a) is Fraction and a == 0:
         return b
-    if isinstance(b, Fraction) and b == 0:
+    if type(b) is Fraction and b == 0:
         return a
     return as_float(a) + as_float(b)
 
@@ -120,13 +125,13 @@ def add(a: Scalar, b: Scalar) -> Scalar:
 def sub(a: Scalar, b: Scalar) -> Scalar:
     if type(a) is float and type(b) is float:
         return a - b
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
+    if type(a) is Fraction and type(b) is Fraction:
         return a - b
-    if isinstance(a, Rad) and isinstance(b, Rad):
+    if type(a) is Rad and type(b) is Rad:
         if a.radicand == b.radicand:
             return Fraction(0)
         return float(a) - float(b)
-    if isinstance(b, Fraction) and b == 0:
+    if type(b) is Fraction and b == 0:
         return a
     return as_float(a) - as_float(b)
 
@@ -134,13 +139,13 @@ def sub(a: Scalar, b: Scalar) -> Scalar:
 def mul(a: Scalar, b: Scalar) -> Scalar:
     if type(a) is float and type(b) is float:
         return a * b
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
+    if type(a) is Fraction and type(b) is Fraction:
         return a * b
-    if isinstance(a, Rad) and isinstance(b, Rad):
+    if type(a) is Rad and type(b) is Rad:
         return sqrt_exact(a.radicand * b.radicand)
-    if isinstance(a, Fraction) and isinstance(b, Rad):
+    if type(a) is Fraction and type(b) is Rad:
         a, b = b, a
-    if isinstance(a, Rad) and isinstance(b, Fraction):
+    if type(a) is Rad and type(b) is Fraction:
         if b == 0:
             return Fraction(0)
         if b > 0:
@@ -154,19 +159,19 @@ def div(a: Scalar, b: Scalar) -> Scalar:
         if b == 0.0:
             raise ZeroDivisionError("division by zero")
         return a / b
-    if isinstance(b, Fraction) and b == 0:
+    if type(b) is Fraction and b == 0:
         raise ZeroDivisionError("division by exact zero")
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
+    if type(a) is Fraction and type(b) is Fraction:
         return a / b
-    if isinstance(a, Rad) and isinstance(b, Rad):
+    if type(a) is Rad and type(b) is Rad:
         return sqrt_exact(a.radicand / b.radicand)
-    if isinstance(a, Fraction) and isinstance(b, Rad):
+    if type(a) is Fraction and type(b) is Rad:
         if a == 0:
             return Fraction(0)
         if a > 0:
             return sqrt_exact(a * a / b.radicand)
         return -math.sqrt(float(a * a) / float(b.radicand))
-    if isinstance(a, Rad) and isinstance(b, Fraction):
+    if type(a) is Rad and type(b) is Fraction:
         if b > 0:
             return Rad(a.radicand / (b * b))
         return -float(a) / float(-b)

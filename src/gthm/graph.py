@@ -57,14 +57,8 @@ class DerivationGraph:
 
 def goal_dims(model: dsl.HypothesisModel) -> tuple[Dim, ...]:
     """Claim dimensions in source order, left side before right."""
-    out: list[Dim] = []
-    for claim in model.claims:
-        eq = claim.payload
-        for term in (*eq.lhs, *eq.rhs):
-            d = length(term.p, term.q)
-            if d not in out:
-                out.append(d)
-    return tuple(out)
+    eq = model.claim.payload
+    return tuple(dict.fromkeys(length(t.p, t.q) for t in (*eq.lhs, *eq.rhs)))
 
 
 def grow(pool: list[Hyperedge], params: tuple[Dim, ...],

@@ -216,14 +216,15 @@ class _Witness:
         self.sq: dict[tuple[int, int], tuple[Optional[tuple[int, int]], float]] = {}
         self.screens: list[list[Optional[tuple]]] = [[None] * n for _ in range(n)]
         screen = sc.screen
+        names = self.names
         for i, j in itertools.combinations(range(n), 2):
             p, q = pts[i], pts[j]
             self.apart[i][j] = self.apart[j][i] = not sc.coincident(p, q)
-            diff = sc.exact_difference(p, q)
+            diff = sc.exact_difference(self.ev, names[i], names[j])
             if diff is None:
                 v = sc.vsub(p, q)
                 s = sc.sq_norm(v)
-                exact = s.as_integer_ratio() if isinstance(s, Fraction) else None
+                exact = s.as_integer_ratio() if type(s) is Fraction else None
                 self.sq[i, j] = (exact, as_float(s))
                 x, y = as_float(v[0]), as_float(v[1])
                 self.screens[j][i] = screen((x, y))

@@ -2,19 +2,25 @@
 
 A Scene fixes the evaluation plan for a validated model.  Given a
 parameter assignment it computes coordinates for every point, keeping
-exact rationals wherever the construction never passes through an
-irrational line-circle intersection, and it can evaluate any dimension
+exact rationals wherever the construction never needs an irrational
+length or a line-circle intersection, and it can evaluate any dimension
 expression directly from coordinates.  Everything downstream (rule
 discovery, schedule execution, the verdict) checks itself against this
 module.
 
-Each construction step, distance and predicate chooses its arithmetic
-from the types of the coordinates it reads.  When all of them are
-Fractions it runs on an integer kernel: integer numerators over a
-common denominator, exact integer zero tests for degeneracy, and one
-Fraction built per coordinate it stores.  When one of them is a Rad or
-a float, it runs on the Scalar arithmetic of `exactnum`.  Both paths
-give the same value of the same type and fail with the same error.
+Each construction step and distance chooses its arithmetic from what it
+reads.  A rational point is stored once, as the reduced integer triple
+(x, y, w) with value (x/w, y/w), and a line through rational points
+keeps its anchor and direction the same way.  A step whose inputs are
+all triples runs on the integer kernel: integer numerators over a
+common denominator, exact integer zero tests for degeneracy, and a
+triple as its result, so a chain of rational steps never builds a
+Fraction.  A step that reads a Rad or a float, or needs an irrational
+segment length, runs on the Scalar arithmetic of `exactnum`; its
+result is stored as a triple again when it is rational.  Fraction
+coordinates are built, once per point, only when something reads them.
+Both paths give the same value of the same type and fail with the same
+error.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from .exactnum import (Rad, Scalar, add, as_float, div, is_exact, mul, square,
                        sqrt_scalar, sub)
 
 Coord = tuple[Scalar, Scalar]
+# (x, y, w): the rational point or vector (x/w, y/w), w > 0, gcd 1
+Hom = tuple[int, int, int]
 
 PRED_TOL = 1e-9  # relative tolerance for float-valued geometric predicates
 
@@ -75,17 +83,44 @@ class ParamAssignment:
         return dict(self.items)
 
 
-@dataclass(frozen=True)
 class Line:
-    anchor: Coord
-    direction: Coord
+    """The line through `anchor` along `direction`.
+
+    A line the kernel builds keeps a rational anchor or direction as its
+    triple (`ha`, `hd`) and builds its Fraction coordinates when they
+    are first read; a line built from coordinates has no triples.
+    Lines are equal when their anchors and directions are."""
+
+    __slots__ = ("ha", "hd", "_anchor", "_direction")
+
+    def __init__(self, anchor: Optional[Coord], direction: Optional[Coord],
+                 ha: Optional[Hom] = None, hd: Optional[Hom] = None) -> None:
+        self._anchor, self._direction, self.ha, self.hd = anchor, direction, ha, hd
+
+    @property
+    def anchor(self) -> Coord:
+        if self._anchor is None:
+            self._anchor = _coord(self.ha)
+        return self._anchor
+
+    @property
+    def direction(self) -> Coord:
+        if self._direction is None:
+            self._direction = _coord(self.hd)
+        return self._direction
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Line) and self.anchor == other.anchor
+                and self.direction == other.direction)
+
+    def __repr__(self) -> str:
+        return f"Line(anchor={self.anchor!r}, direction={self.direction!r})"
 
 
 @dataclass(frozen=True)
 class PlanStep:
     name: str
     kind: str  # "point" or "line"
-    radical: bool
     statement: dsl.Statement
 
 
@@ -93,28 +128,57 @@ class Scene:
     """Immutable after build; evaluation never mutates it."""
 
     def __init__(self, model: dsl.HypothesisModel, plan: tuple[PlanStep, ...],
-                 radical: dict[str, bool],
                  param_dims: tuple[tuple[str, tuple[str, str]], ...]):
         self.model = model
         self.plan = plan
-        self.radical = radical
         self.param_dims = param_dims
 
 
 class Evaluation:
-    """Coordinates and carrier lines under one assignment.
+    """Points and carrier lines under one assignment.
 
-    Evaluation records every line it meets; the deduplicated `carriers`
-    are built only when read.  Dimension values are memoized here by
-    `dim_value`, and their squares by `dim_square`, so each is computed
-    once per evaluation."""
+    Each point with rational coordinates is stored once, as its triple
+    in `hom`; `hom` holds None for a point with a Rad or float
+    coordinate.  Fraction coordinates are built, once per point, when
+    something reads them: a Scalar-path step through `coord`, anyone
+    else through `points`.  A point written into `points` directly, as
+    a hand-made figure is, has no triple and is read on the Scalar
+    path.  Evaluation records every line it meets; the
+    deduplicated `carriers` are built only when read.  Dimension values
+    are memoized here by `dim_value`, and their squares by `dim_square`,
+    so each is computed once per evaluation."""
 
     def __init__(self) -> None:
-        self.points: dict[str, Coord] = {}
+        self.hom: dict[str, Optional[Hom]] = {}
+        self._coords: dict[str, Optional[Coord]] = {}  # None until read
         self.named_lines: dict[str, Line] = {}
         self.lines: list[Line] = []  # in encounter order
         self.values: dict = {}  # dim or point pair -> value, by dim_value
-        self.squares: dict = {}  # dim -> squared value, by dim_square
+        self.squares: dict = {}  # dim or point pair -> square, by dim_square
+
+    def add_point(self, name: str, value) -> None:
+        """Store a point the kernel built, a triple, or one the Scalar
+        path built, a Coord; a rational Coord gets its triple too."""
+        if len(value) == 3:
+            self.hom[name] = value
+            self._coords[name] = None
+        else:
+            self.hom[name] = _hom(value) if _rational(value) else None
+            self._coords[name] = value
+
+    def coord(self, name: str) -> Coord:
+        c = self._coords[name]
+        if c is None:
+            c = self._coords[name] = _coord(self.hom[name])
+        return c
+
+    @property
+    def points(self) -> dict[str, Coord]:
+        """Every point's coordinates, in plan order, built on first read
+        for the points stored as triples."""
+        for name in self._coords:
+            self.coord(name)
+        return self._coords
 
     @property
     def carriers(self) -> list[Line]:
@@ -130,30 +194,43 @@ class Evaluation:
 # ---------------------------------------------------------------------------
 # the integer kernel
 #
-# A step whose coordinates are all Fractions runs on integers: each
-# point or vector it reads becomes (x, y, w) with value (x/w, y/w) and
-# w > 0, degeneracy is an exact zero test on an integer, and the step
-# builds one Fraction per coordinate it stores.  Fractions are
-# canonical, so the result equals the Scalar path's in value and type;
-# a step that reads a Rad or a float takes the Scalar path.
+# A step whose inputs are all triples runs on integers: degeneracy is
+# an exact zero test on an integer, and the step returns its point as
+# a reduced triple.  Fractions are canonical, so the coordinates built
+# from it equal the Scalar path's in value and type.
 
 
 def _rational(p: Coord) -> bool:
     return type(p[0]) is Fraction and type(p[1]) is Fraction
 
 
-def _hom(p: Coord) -> tuple[int, int, int]:
-    """Integers (x, y, w), w > 0, with p = (x/w, y/w); p is rational."""
+def _hom(p: Coord) -> Hom:
+    """The triple of a rational p."""
     xn, xd = p[0].as_integer_ratio()
     yn, yd = p[1].as_integer_ratio()
     if xd == yd:
         return xn, yn, xd
-    return xn * yd, yn * xd, xd * yd
+    w = xd * yd // math.gcd(xd, yd)
+    return xn * (w // xd), yn * (w // yd), w
 
 
-def _hom_sub(p: tuple[int, int, int], q: tuple[int, int, int]
-             ) -> tuple[int, int, int]:
-    """p - q in the (x, y, w) form."""
+def _coord(h: Hom) -> Coord:
+    x, y, w = h
+    return Fraction(x, w), Fraction(y, w)
+
+
+def _reduced(x: int, y: int, w: int) -> Hom:
+    """(x/w, y/w), w != 0, as a triple."""
+    if w < 0:
+        x, y, w = -x, -y, -w
+    g = math.gcd(x, y, w)
+    if g == 1:
+        return x, y, w
+    return x // g, y // g, w // g
+
+
+def _hom_sub(p: Hom, q: Hom) -> tuple[int, int, int]:
+    """p - q as (x, y, w), w > 0, not reduced."""
     px, py, pw = p
     qx, qy, qw = q
     if pw == qw:
@@ -161,12 +238,91 @@ def _hom_sub(p: tuple[int, int, int], q: tuple[int, int, int]
     return px * qw - qx * pw, py * qw - qy * pw, pw * qw
 
 
-def _along(a: tuple[int, int, int], num: int, den: int, ux: int, uy: int
-           ) -> Coord:
-    """The point a + (num/den) (ux, uy), den != 0, as two Fractions."""
+def _along(a: Hom, num: int, den: int, ux: int, uy: int) -> Hom:
+    """The point a + (num/den) (ux, uy), den != 0."""
     ax, ay, aw = a
     w = aw * den
-    return Fraction(ax * den + num * ux * aw, w), Fraction(ay * den + num * uy * aw, w)
+    return _reduced(ax * den + num * ux * aw, ay * den + num * uy * aw, w)
+
+
+def _hom_direction(p: Hom, q: Hom) -> Optional[Hom]:
+    """q - p; None when the points coincide."""
+    x, y, w = _hom_sub(q, p)
+    if not x and not y:
+        return None
+    return _reduced(x, y, w)
+
+
+def _hom_on_segment(p: Hom, q: Hom, d: Fraction) -> Optional[Hom]:
+    """on_segment when |pq| is rational; None when it is not."""
+    sx, sy, sw = _hom_sub(q, p)
+    s = sx * sx + sy * sy
+    r = math.isqrt(s)  # |pq| = r/sw when rational
+    if r * r != s:
+        return None
+    if not r:
+        raise DegenerateLine("zero-length segment")
+    dn, dd = d.as_integer_ratio()
+    if dn <= 0 or r * dd - dn * sw <= 0:
+        raise GeometryError("on_segment displacement must fall strictly inside")
+    # p + (d/|pq|) (q - p), where d/|pq| = dn sw / (dd r)
+    return _along(p, dn, dd * r, sx, sy)
+
+
+def _hom_offset_perp(p: Hom, u: Hom, d: Fraction) -> Optional[Hom]:
+    """offset_perp along a line of direction u when |u| is rational;
+    None when it is not."""
+    dn, dd = d.as_integer_ratio()
+    if not dn:
+        raise GeometryError("offset_perp displacement is zero")
+    ux, uy, uw = u
+    s = ux * ux + uy * uy
+    r = math.isqrt(s)  # |u| = r/uw when rational
+    if r * r != s:
+        return None
+    if not r:
+        raise DegenerateLine("zero-direction line")
+    # p + (d/|u|) (-uy, ux)/uw, where d/|u| = dn uw / (dd r)
+    return _along(p, dn, dd * r, -uy, ux)
+
+
+def _hom_meet(a: Hom, u: Hom, b: Hom, v: Hom) -> Hom:
+    """intersect_lines of the lines a + t u and b + s v."""
+    ux, uy, _ = u
+    vx, vy, _ = v
+    den = ux * vy - uy * vx
+    if not den:
+        raise ParallelLines("lines are parallel under this assignment")
+    ox, oy, ow = _hom_sub(b, a)
+    # a + t u with t = cross(b - a, v) / cross(u, v)
+    return _along(a, ox * vy - oy * vx, ow * den, ux, uy)
+
+
+def _hom_foot(p: Hom, a: Hom, u: Hom) -> Hom:
+    """foot_of_perpendicular of p on the line a + t u."""
+    ux, uy, _ = u
+    s = ux * ux + uy * uy
+    if not s:
+        raise DegenerateLine("line with zero direction")
+    wx, wy, ww = _hom_sub(p, a)
+    # a + t u with t = dot(p - a, u) / |u|^2
+    return _along(a, wx * ux + wy * uy, ww * s, ux, uy)
+
+
+def _hom_circle_quadratic(a: Hom, u: Hom, c: Hom, rr: Fraction
+                          ) -> tuple[Fraction, Fraction, Fraction]:
+    """(qa, qb, disc) of |a + t u - c|^2 = rr in t."""
+    dx, dy, dw = u
+    rx, ry, rw = _hom_sub(a, c)
+    dd = dx * dx + dy * dy
+    dr = dx * rx + dy * ry
+    cr = dx * ry - dy * rx
+    rn, rd = rr.as_integer_ratio()
+    # qb^2 - 4 qa qc = 4 (dd rw^2 rr - cr^2) / (dw rw)^2, since
+    # dr^2 - dd (rx^2 + ry^2) = -cr^2
+    m = dw * rw
+    return (Fraction(dd, dw * dw), Fraction(2 * dr, m),
+            Fraction(4 * (dd * rw * rw * rn - cr * cr * rd), m * m * rd))
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +332,8 @@ def _along(a: tuple[int, int, int], num: int, den: int, ux: int, uy: int
 def near_zero(value: Scalar, scale: Scalar) -> bool:
     """Is value zero, exactly when exact, else relative to scale."""
     if is_exact(value):
-        if isinstance(value, Fraction):
-            return value == 0
-        return False  # an irrational radical is never zero
+        # an irrational radical is never zero
+        return type(value) is Fraction and value == 0
     s = abs(as_float(scale))
     return abs(as_float(value)) <= PRED_TOL * max(s, 1.0)
 
@@ -193,7 +348,7 @@ def _near_zero_across(value: Scalar, u: Coord, v: Coord) -> bool:
 
 def scalar_positive(value: Scalar) -> bool:
     if is_exact(value):
-        return as_float(value) > 0 if not isinstance(value, Fraction) else value > 0
+        return value > 0 if type(value) is Fraction else as_float(value) > 0
     return as_float(value) > 0
 
 
@@ -222,23 +377,19 @@ def sq_norm(v: Coord) -> Scalar:
 
 
 def distance(a: Coord, b: Coord) -> Scalar:
-    if _rational(a) and _rational(b):
-        x, y, w = _hom_sub(_hom(a), _hom(b))
-        s = x * x + y * y
-        r = math.isqrt(s)
-        if r * r == s:
-            return Fraction(r, w)
-        return Rad(Fraction(s, w * w))  # sqrt(s) is irrational
     return sqrt_scalar(sq_norm(vsub(a, b)))
 
 
-def exact_difference(p: Coord, q: Coord) -> Optional[tuple[int, int, int]]:
-    """q - p as integers (x, y, w), w > 0, when both its components are
-    Fractions; None when one is a Rad or a float.  Either order of p and
-    q gives Fractions or neither, so the answer is symmetric up to sign."""
-    if _rational(p) and _rational(q):
-        return _hom_sub(_hom(q), _hom(p))
-    v = vsub(q, p)
+def exact_difference(ev: Evaluation, p: str, q: str
+                     ) -> Optional[tuple[int, int, int]]:
+    """Point q - point p as integers (x, y, w), w > 0, when both its
+    components are Fractions; None when one is a Rad or a float.  Either
+    order of p and q gives Fractions or neither, so the answer is
+    symmetric up to sign."""
+    hp, hq = ev.hom.get(p), ev.hom.get(q)
+    if hp and hq:
+        return _hom_sub(hq, hp)
+    v = vsub(ev.coord(q), ev.coord(p))
     return _hom(v) if _rational(v) else None
 
 
@@ -365,24 +516,19 @@ def _either_way(x: Scalar, y: Scalar) -> Scalar:
 
 
 def build_scene(model: dsl.HypothesisModel) -> Scene:
-    reads = dict(model.reads)
-    radical: dict[str, bool] = {}
     plan: list[PlanStep] = []
     param_dims: list[tuple[str, tuple[str, str]]] = []
     for s in model.constructions:
-        pe = s.payload
-        flag = isinstance(pe, dsl.MeetCircle) or any(radical[p] for p in reads[s.name])
-        radical[s.name] = flag
         if s.kind == "line-construction":
-            plan.append(PlanStep(s.name, "line", flag, s))
+            plan.append(PlanStep(s.name, "line", s))
             continue
-        plan.append(PlanStep(s.name, "point", flag, s))
-        anchor = _bare_param_anchor(pe)
+        plan.append(PlanStep(s.name, "point", s))
+        anchor = _bare_param_anchor(s.payload)
         if anchor is not None:
             param_name, from_point = anchor
             param_dims.append((param_name, (from_point, s.name)))
     ordered = _order_param_dims(model, param_dims)
-    return Scene(model, tuple(plan), radical, ordered)
+    return Scene(model, tuple(plan), ordered)
 
 
 def _bare_param_anchor(pe: dsl.PointExpr) -> Optional[tuple[str, str]]:
@@ -437,7 +583,7 @@ def _evaluate(scene: Scene, a: ParamAssignment) -> Evaluation:
         if step.kind == "line":
             ev.named_lines[stmt.name] = _eval_line_arg(stmt.payload, ev, params)
         else:
-            ev.points[stmt.name] = _eval_point(stmt, ev, params, model)
+            ev.add_point(stmt.name, _eval_point(stmt, ev, params, model))
     # lines appearing only inside point expressions were collected
     # during evaluation; order is deterministic (plan order, then
     # encounter order within a statement)
@@ -450,7 +596,7 @@ def _eval_expr(e: dsl.Expr, ev: Evaluation, params: dict[str, Fraction]) -> Scal
     if isinstance(e, dsl.NameRef):
         return params[e.name]
     if isinstance(e, dsl.LenExpr):
-        return distance(ev.points[e.p], ev.points[e.q])
+        return _length(ev, (e.p, e.q))
     if isinstance(e, dsl.Neg):
         return sub(Fraction(0), _eval_expr(e.arg, ev, params))
     if isinstance(e, dsl.BinOp):
@@ -473,55 +619,92 @@ def _eval_line_arg(arg: dsl.LineArg, ev: Evaluation, params: dict[str, Fraction]
                    ) -> Line:
     if isinstance(arg, dsl.LineRef):
         return ev.named_lines[arg.name]
+    hp = ev.hom[arg.p]
     if isinstance(arg, (dsl.ThroughPoints, dsl.ExtendRay)):
-        p = ev.points[arg.p]
-        direction = through_direction(p, ev.points[arg.q])
+        hq = ev.hom[arg.q]
+        if hp and hq:
+            direction = _hom_direction(hp, hq)
+            line = Line(None, None, hp, direction)
+        else:
+            p = ev.coord(arg.p)
+            direction = through_direction(p, ev.coord(arg.q))
+            line = Line(p, direction)
         if direction is None:
             raise DegenerateLine(f"line through coincident points {arg.p}, {arg.q}")
-        line = Line(p, direction)
     else:
         assert isinstance(arg, dsl.ThroughParallel)
         base = _eval_line_arg(arg.base, ev, params)
-        line = Line(ev.points[arg.p], base.direction)
+        line = Line(None if hp else ev.coord(arg.p), base._direction, hp, base.hd)
     ev.lines.append(line)
     return line
 
 
 def _eval_point(stmt: dsl.Statement, ev: Evaluation, params: dict[str, Fraction],
-                model: dsl.HypothesisModel) -> Coord:
+                model: dsl.HypothesisModel) -> Hom | Coord:
+    """The point a construction builds: its triple from the kernel when
+    every input it reads is rational and so is any length it divides
+    by, else its coordinates from the Scalar path.  A circle cut always
+    ends on the Scalar path; only its quadratic runs on the kernel."""
     pe = stmt.payload
+    hom = ev.hom
     if isinstance(pe, dsl.Origin):
-        return (Fraction(0), Fraction(0))
+        return (0, 0, 1)
     if isinstance(pe, dsl.Baseline):
-        base = ev.points[pe.p]
-        if not near_zero(base[1], 1.0 if is_exact(base[1]) else _vec_scale(base)):
+        hb = hom[pe.p]
+        if hb is not None:
+            off_axis = hb[1] != 0
+        else:
+            base = ev.coord(pe.p)
+            off_axis = not near_zero(base[1], 1.0 if is_exact(base[1]) else _vec_scale(base))
+        if off_axis:
             raise GeometryError(f"baseline anchor {pe.p!r} is off the reference axis")
         d = _eval_expr(pe.dist, ev, params)
         if near_zero(d, 1.0):
             raise GeometryError("baseline displacement is zero")
         if stmt.name == model.base_point and not scalar_positive(d):
             raise GeometryError("the frame baseline point must sit on the positive axis")
-        return (add(base[0], d), Fraction(0))
+        if hb is not None and type(d) is Fraction:
+            return _along(hb, *d.as_integer_ratio(), 1, 0)
+        return (add(ev.coord(pe.p)[0], d), Fraction(0))
     if isinstance(pe, dsl.OnSegment):
-        p, q = ev.points[pe.p], ev.points[pe.q]
-        return on_segment(p, q, _eval_expr(pe.dist, ev, params))
+        d = _eval_expr(pe.dist, ev, params)
+        hp, hq = hom[pe.p], hom[pe.q]
+        if hp and hq and type(d) is Fraction:
+            h = _hom_on_segment(hp, hq, d)
+            if h is not None:
+                return h
+        return on_segment(ev.coord(pe.p), ev.coord(pe.q), d)
     if isinstance(pe, dsl.OffsetPerp):
-        p = ev.points[pe.p]
         line = _eval_line_arg(pe.line, ev, params)
-        return offset_perp(p, line, _eval_expr(pe.dist, ev, params))
+        d = _eval_expr(pe.dist, ev, params)
+        hp = hom[pe.p]
+        if hp and line.hd and type(d) is Fraction:
+            h = _hom_offset_perp(hp, line.hd, d)
+            if h is not None:
+                return h
+        return offset_perp(ev.coord(pe.p), line, d)
     if isinstance(pe, dsl.Meet):
         l1 = _eval_line_arg(pe.l1, ev, params)
         l2 = _eval_line_arg(pe.l2, ev, params)
+        if l1.ha and l1.hd and l2.ha and l2.hd:
+            return _hom_meet(l1.ha, l1.hd, l2.ha, l2.hd)
         return intersect_lines(l1, l2)
     if isinstance(pe, dsl.MeetCircle):
         line = _eval_line_arg(pe.line, ev, params)
-        center = ev.points[pe.center]
+        hc = hom[pe.center]
         radius = _eval_expr(pe.radius, ev, params)
         pick = _resolve_pick(pe.pick, ev)
-        return line_circle_meet(line, center, radius, pick)
+        rr = square(radius)
+        if line.ha and line.hd and hc and type(rr) is Fraction:
+            qa, qb, disc = _hom_circle_quadratic(line.ha, line.hd, hc, rr)
+            return _circle_cut(line, qa, qb, disc, pick)
+        return line_circle_meet(line, ev.coord(pe.center), radius, pick)
     if isinstance(pe, dsl.Foot):
         line = _eval_line_arg(pe.line, ev, params)
-        return foot_of_perpendicular(ev.points[pe.p], line)
+        hp = hom[pe.p]
+        if hp and line.ha and line.hd:
+            return _hom_foot(hp, line.ha, line.hd)
+        return foot_of_perpendicular(ev.coord(pe.p), line)
     raise AssertionError(f"unhandled point expression {pe!r}")
 
 
@@ -531,23 +714,18 @@ def _resolve_pick(pick: dsl.Pick, ev: Evaluation):
     if isinstance(pick, dsl.PickSecond):
         return ("second",)
     if isinstance(pick, dsl.PickWithinSegment):
-        return ("within_segment", ev.points[pick.p], ev.points[pick.q])
+        return ("within_segment", ev.coord(pick.p), ev.coord(pick.q))
     assert isinstance(pick, dsl.PickNearest)
-    return ("nearest", ev.points[pick.p])
+    return ("nearest", ev.coord(pick.p))
 
 
 # ---------------------------------------------------------------------------
-# geometric primitives
+# geometric primitives: the Scalar path of each step
 
 
 def through_direction(p: Coord, q: Coord) -> Optional[Coord]:
     """q - p, the direction of the line through p and q; None when the
     points coincide."""
-    if _rational(p) and _rational(q):
-        x, y, w = _hom_sub(_hom(q), _hom(p))
-        if not x and not y:
-            return None
-        return Fraction(x, w), Fraction(y, w)
     if coincident(p, q):
         return None
     return vsub(q, p)
@@ -555,19 +733,6 @@ def through_direction(p: Coord, q: Coord) -> Optional[Coord]:
 
 def on_segment(p: Coord, q: Coord, d: Scalar) -> Coord:
     """The point at distance d from p toward q, strictly inside pq."""
-    if type(d) is Fraction and _rational(p) and _rational(q):
-        hp = _hom(p)
-        sx, sy, sw = _hom_sub(_hom(q), hp)
-        s = sx * sx + sy * sy
-        r = math.isqrt(s)  # |pq| = r/sw when rational
-        if r * r == s:
-            if not r:
-                raise DegenerateLine("zero-length segment")
-            dn, dd = d.as_integer_ratio()
-            if dn <= 0 or r * dd - dn * sw <= 0:
-                raise GeometryError("on_segment displacement must fall strictly inside")
-            # p + (d/|pq|) (q - p), where d/|pq| = dn sw / (dd r)
-            return _along(hp, dn, dd * r, sx, sy)
     seg = vsub(q, p)
     length = sqrt_scalar(sq_norm(seg))
     if near_zero(length, 1.0):
@@ -583,16 +748,6 @@ def offset_perp(p: Coord, l: Line, d: Scalar) -> Coord:
     if near_zero(d, 1.0):
         raise GeometryError("offset_perp displacement is zero")
     u = l.direction
-    if type(d) is Fraction and _rational(p) and _rational(u):
-        ux, uy, uw = _hom(u)
-        s = ux * ux + uy * uy
-        r = math.isqrt(s)  # |u| = r/uw when rational
-        if r * r == s:
-            if not r:
-                raise DegenerateLine("zero-direction line")
-            # p + (d/|u|) (-uy, ux)/uw, where d/|u| = dn uw / (dd r)
-            dn, dd = d.as_integer_ratio()
-            return _along(_hom(p), dn, dd * r, -uy, ux)
     dx, dy = u
     length = sqrt_scalar(sq_norm(u))
     if near_zero(length, 1.0):
@@ -605,48 +760,28 @@ def offset_perp(p: Coord, l: Line, d: Scalar) -> Coord:
 
 
 def intersect_lines(l1: Line, l2: Line) -> Coord:
-    a, u, b, v = l1.anchor, l1.direction, l2.anchor, l2.direction
-    if _rational(a) and _rational(u) and _rational(b) and _rational(v):
-        ux, uy, _ = _hom(u)
-        vx, vy, _ = _hom(v)
-        den = ux * vy - uy * vx
-        if not den:
-            raise ParallelLines("lines are parallel under this assignment")
-        ha = _hom(a)
-        ox, oy, ow = _hom_sub(_hom(b), ha)
-        # a + t u with t = cross(b - a, v) / cross(u, v)
-        return _along(ha, ox * vy - oy * vx, ow * den, ux, uy)
+    u, v = l1.direction, l2.direction
     denom = cross(u, v)
     if _near_zero_across(denom, u, v):
         raise ParallelLines("lines are parallel under this assignment")
     offset = vsub(l2.anchor, l1.anchor)
-    t = div(cross(offset, l2.direction), denom)
-    return vadd(l1.anchor, vscale(t, l1.direction))
+    t = div(cross(offset, v), denom)
+    return vadd(l1.anchor, vscale(t, u))
 
 
 def line_circle_meet(l: Line, center: Coord, radius: Scalar, pick) -> Coord:
     d = l.direction
-    rr = square(radius)
-    if type(rr) is Fraction and _rational(l.anchor) and _rational(d) and _rational(center):
-        # the quadratic |anchor + t d - center|^2 = rr in t, on integers
-        dx, dy, dw = _hom(d)
-        rx, ry, rw = _hom_sub(_hom(l.anchor), _hom(center))
-        dd = dx * dx + dy * dy
-        dr = dx * rx + dy * ry
-        cr = dx * ry - dy * rx
-        rn, rd = rr.as_integer_ratio()
-        qa = Fraction(dd, dw * dw)
-        qb = Fraction(2 * dr, dw * rw)
-        # qb^2 - 4 qa qc = 4 (dd rw^2 rr - cr^2) / (dw rw)^2, since
-        # dr^2 - dd (rx^2 + ry^2) = -cr^2
-        m = dw * rw
-        disc = Fraction(4 * (dd * rw * rw * rn - cr * cr * rd), m * m * rd)
-    else:
-        rel = vsub(l.anchor, center)
-        qa = sq_norm(d)
-        qb = mul(Fraction(2), dot(d, rel))
-        qc = sub(sq_norm(rel), rr)
-        disc = sub(mul(qb, qb), mul(mul(Fraction(4), qa), qc))
+    rel = vsub(l.anchor, center)
+    qa = sq_norm(d)
+    qb = mul(Fraction(2), dot(d, rel))
+    qc = sub(sq_norm(rel), square(radius))
+    disc = sub(mul(qb, qb), mul(mul(Fraction(4), qa), qc))
+    return _circle_cut(l, qa, qb, disc, pick)
+
+
+def _circle_cut(l: Line, qa: Scalar, qb: Scalar, disc: Scalar, pick) -> Coord:
+    """The picked root of qa t^2 + qb t + qc = 0, disc its discriminant,
+    as the point anchor + t direction of l."""
     fdisc = as_float(disc)
     if fdisc < 0:
         raise NoIntersection("the line misses the circle")
@@ -657,7 +792,7 @@ def line_circle_meet(l: Line, center: Coord, radius: Scalar, pick) -> Coord:
     if as_float(t1) > as_float(t2):
         t1, t2 = t2, t1
     t = _pick_root(l, t1, t2, pick)
-    return vadd(l.anchor, vscale(t, d))
+    return vadd(l.anchor, vscale(t, l.direction))
 
 
 def _line_param(l: Line, p: Coord) -> Scalar:
@@ -694,16 +829,6 @@ def _pick_root(l: Line, t1: Scalar, t2: Scalar, pick) -> Scalar:
 
 
 def foot_of_perpendicular(p: Coord, l: Line) -> Coord:
-    a, u = l.anchor, l.direction
-    if _rational(p) and _rational(a) and _rational(u):
-        ux, uy, _ = _hom(u)
-        s = ux * ux + uy * uy
-        if not s:
-            raise DegenerateLine("line with zero direction")
-        ha = _hom(a)
-        wx, wy, ww = _hom_sub(_hom(p), ha)
-        # a + t u with t = dot(p - a, u) / |u|^2
-        return _along(ha, wx * ux + wy * uy, ww * s, ux, uy)
     if near_zero(sq_norm(l.direction), 1.0):
         raise DegenerateLine("line with zero direction")
     t = _line_param(l, p)
@@ -793,34 +918,70 @@ def dim_square(ev: Evaluation, dim) -> tuple[int, int] | tuple[()]:
     meaning n/d, when that value is exact and positive; the empty tuple
     for a float, zero, negative or undefined value.
 
-    A Fraction p/q gives (p*p, q*q) and a Rad gives its radicand's
-    integer ratio.  A ratio crosses its numerator's and denominator's
-    pairs, so it is never divided out; the pairs need not be in lowest
-    terms.  Memoized per evaluation, like dim_value.
+    A length between two rational points, difference (x, y)/w, gives
+    (x*x + y*y, w*w) straight from their triples.  Any other value goes
+    through dim_value: a Fraction p/q gives (p*p, q*q) and a Rad gives
+    its radicand's integer ratio.  A ratio crosses its numerator's and
+    denominator's pairs, so it is never divided out; the pairs need not
+    be in lowest terms.  Memoized per evaluation, like dim_value.
     """
     memo = ev.squares
     sq = memo.get(dim)
     if sq is None:
-        if dim.kind == "ratio":
+        kind = dim.kind
+        if kind == "ratio":
             num = dim_square(ev, dim.num)
             den = dim_square(ev, dim.den)
             sq = (num[0] * den[1], num[1] * den[0]) if num and den else ()
         else:
-            v = dim_value(ev, dim)
-            if isinstance(v, Fraction):
-                n, d = v.numerator, v.denominator
-                sq = (n * n, d * d) if n > 0 else ()
-            elif isinstance(v, Rad):
-                sq = v.radicand.as_integer_ratio()
+            sw = _squared_distance(ev, dim.points) if kind == "length" else ()
+            if sw:
+                s, w = sw
+                sq = (s, w * w) if s else ()
             else:
-                sq = ()
+                v = dim_value(ev, dim)
+                if type(v) is Fraction:
+                    n, d = v.numerator, v.denominator
+                    sq = (n * n, d * d) if n > 0 else ()
+                elif type(v) is Rad:
+                    sq = v.radicand.as_integer_ratio()
+                else:
+                    sq = ()
         memo[dim] = sq
     return sq
 
 
 def _length(ev: Evaluation, pair: tuple[str, str]) -> Scalar:
-    """The distance between a pair of points, memoized by the pair."""
+    """The distance between a pair of points, memoized by the pair: from
+    their squared distance when both are rational, else by `distance`
+    on their coordinates."""
     v = ev.values.get(pair)
     if v is None:
-        v = ev.values[pair] = distance(ev.points[pair[0]], ev.points[pair[1]])
+        sw = _squared_distance(ev, pair)
+        if sw:
+            s, w = sw
+            r = math.isqrt(s)
+            v = Fraction(r, w) if r * r == s else Rad(Fraction(s, w * w))
+        else:
+            v = distance(ev.coord(pair[0]), ev.coord(pair[1]))
+        ev.values[pair] = v
     return v
+
+
+def _squared_distance(ev: Evaluation, pair: tuple[str, str]
+                      ) -> tuple[int, int] | tuple[()]:
+    """(s, w), the squared distance s/w^2 between a pair of rational
+    points, read off their triples; the empty tuple when either point is
+    not rational.  Memoized by the pair, so the value and the square of
+    a length measure it once."""
+    memo = ev.squares
+    sw = memo.get(pair)
+    if sw is None:
+        hp, hq = ev.hom.get(pair[0]), ev.hom.get(pair[1])
+        if hp and hq:
+            x, y, w = _hom_sub(hp, hq)
+            sw = (x * x + y * y, w)
+        else:
+            sw = ()
+        memo[pair] = sw
+    return sw

@@ -16,13 +16,14 @@ on oracle values.  The verdict aggregates the samples:
 At the first VALIDATION_SAMPLES samples the step checks are not
 independent of how the schedule was chosen, since validation chose its
 edges there.  The claim check still is: it reads oracle values alone,
-whatever schedule was chosen.  Radical-free models run in exact
-rational arithmetic, so a passing claim has residual exactly 0 and the
-repeated agreement yields a Schwartz-Zippel identity certificate; its
-degree bound rests on the steps, so it overstates their independent
-evidence (see _certificate).
-Models with circle intersections produce irrational coordinates; their
-verdicts are labeled numerically certified instead.
+whatever schedule was chosen.  When every point the schedule reads has
+rational coordinates at every sample, the run is exact rational
+arithmetic, so a passing claim has residual exactly 0 and the repeated
+agreement yields a Schwartz-Zippel identity certificate; its degree
+bound rests on the steps, so it overstates their independent evidence
+(see _certificate).  A point with an irrational coordinate at some
+sample (a circle cut, or a step along an irrational length) makes the
+verdict numerically certified instead.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import scene as sc
+from .dsl import MeetCircle
 from .exactnum import Scalar, add, as_float, exact_eq, mul, rel_err
 from .graph import ScheduleStep, goal_dims
 from .rules import Dim, apply_edge, length, residual, sample_stream
@@ -55,6 +57,8 @@ class SampleReport:
     assignment: sc.ParamAssignment
     max_node_residual: float
     claim_residual: float
+    # every point the steps read has rational coordinates here
+    exact: bool = True
     redraws: int = 0  # always 0, nothing is redrawn; perfbench/spans.py reads it
 
 
@@ -135,10 +139,9 @@ def _claim_residual(lhs: Scalar, rhs: Scalar) -> float:
 
 
 def _claim_check(model, ev: sc.Evaluation) -> float:
-    """The worst residual over all claims, on the oracle's values."""
-    return max((_claim_residual(_claim_side(stmt.payload.lhs, ev),
-                                _claim_side(stmt.payload.rhs, ev))
-                for stmt in model.claims), default=0.0)
+    """The claim's residual, on the oracle's values."""
+    eq = model.claim.payload
+    return _claim_residual(_claim_side(eq.lhs, ev), _claim_side(eq.rhs, ev))
 
 
 def _check_samples(model, scene_: sc.Scene, steps, num_samples: int,
@@ -147,6 +150,7 @@ def _check_samples(model, scene_: sc.Scene, steps, num_samples: int,
     """Check the steps and the claim at each of the first `num_samples`
     samples of the run's stream."""
     params = param_names(scene_)
+    read = set().union(*(_dim_points(step.dim) for step in steps))
     reports: list[SampleReport] = []
     samples = sample_stream(scene_, seed, rng_range, num_samples)
     for i, (s_seed, assignment, ev) in enumerate(samples):
@@ -161,7 +165,8 @@ def _check_samples(model, scene_: sc.Scene, steps, num_samples: int,
             worst = max(worst, got)
         reports.append(SampleReport(index=i, seed=s_seed, assignment=assignment,
                                     max_node_residual=worst,
-                                    claim_residual=_claim_check(model, ev)))
+                                    claim_residual=_claim_check(model, ev),
+                                    exact=all(ev.hom[p] for p in read)))
     return reports
 
 
@@ -231,16 +236,10 @@ def _dim_points(dim: Dim) -> set[str]:
     return _dim_points(dim.num) | _dim_points(dim.den)
 
 
-def _claim_is_radical(model, scene_, schedule) -> bool:
-    pts: set[str] = set()
-    for step in schedule:
-        pts |= _dim_points(step.dim)
-    return any(scene_.radical.get(p, False) for p in pts)
-
-
-def _certificate(model, scene_, schedule, num_samples: int,
+def _certificate(model, schedule, exact: bool, num_samples: int,
                  rng_range: tuple[Fraction, Fraction]) -> Certificate:
-    """The certificate of a PROVED verdict over `num_samples` samples.
+    """The certificate of a PROVED verdict over `num_samples` samples;
+    `exact` says every point the schedule reads was rational at each.
 
     `points` counts every sample, but only the claim check is
     independent at all of them.  The degree bound holds only if every
@@ -249,16 +248,16 @@ def _certificate(model, scene_, schedule, num_samples: int,
     steps are tested independently at num_samples - VALIDATION_SAMPLES
     points only; the printed failure bound does not account for that.
     """
-    radical = _claim_is_radical(model, scene_, schedule)
     degree = _degree_bound(model, schedule)
     space = _sample_space(rng_range)
-    if radical:
+    if not exact:
+        cut = any(isinstance(s.payload, MeetCircle) for s in model.constructions)
         return Certificate(
             kind="numerically-certified", degree_bound=degree,
             sample_space=space, points=num_samples,
             log10_failure_bound=None, certified=False,
-            note=("irrational circle intersections present; agreement is "
-                  "numerical, not an exact identity test"))
+            note=(f"irrational {'circle intersections' if cut else 'coordinates'} "
+                  f"present; agreement is numerical, not an exact identity test"))
     certified = num_samples >= degree + 1 and degree < space
     log10_bound = None
     if 0 < degree < space:
@@ -294,7 +293,8 @@ def verdict(model, scene_: sc.Scene, schedule: Optional[list[ScheduleStep]],
                              rng_range)
     failure = _failure(reports, tol)
     if failure is None:
-        cert = _certificate(model, scene_, schedule, num_samples, rng_range)
+        cert = _certificate(model, schedule, all(r.exact for r in reports),
+                            num_samples, rng_range)
         if cert.kind == "exact-identity":
             reason = (f"claim holds exactly at {num_samples} rational "
                       f"samples")

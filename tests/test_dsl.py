@@ -29,12 +29,12 @@ def test_parallelogram_model_shape():
     assert model.aux == frozenset({"F", "G"})
     assert model.origin == "O"
     assert model.base_point == "A"
-    assert len(model.claims) == 1
+    assert model.claim.kind == "claim"
 
 
 def test_parallelogram_claim_terms():
     model = dsl.validate(dsl.parse(read("parallelogram.gthm")))
-    claim = model.claims[0].payload
+    claim = model.claim.payload
     assert isinstance(claim, dsl.ClaimEq)
     (lt,) = claim.lhs
     (rt,) = claim.rhs
@@ -44,7 +44,7 @@ def test_parallelogram_claim_terms():
 
 def test_claim_coefficients():
     model = dsl.validate(dsl.parse(read("parallelogram_bad.gthm")))
-    claim = model.claims[0].payload
+    claim = model.claim.payload
     (rt,) = claim.rhs
     assert rt.coef == Fraction(2)
 
@@ -53,7 +53,7 @@ def test_fractional_claim_coefficient():
     text = read("parallelogram.gthm").replace(
         "claim len(O,D) = len(C,D)", "claim 1/2*len(O,D) = len(C,D)")
     model = dsl.validate(dsl.parse(text))
-    (lt,) = model.claims[0].payload.lhs
+    (lt,) = model.claim.payload.lhs
     assert lt.coef == Fraction(1, 2)
 
 
@@ -61,7 +61,7 @@ def test_all_fixtures_validate():
     for name in ("parallelogram.gthm", "parallelogram_bd.gthm", "parallelogram_bad.gthm",
                  "imo2012.gthm", "unreachable.gthm", "degenerate.gthm"):
         model = dsl.validate(dsl.parse(read(name)), filename=name)
-        assert model.claims
+        assert model.claim
 
 
 def test_comments_and_blank_lines_ignored():

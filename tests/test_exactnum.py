@@ -300,3 +300,38 @@ def test_rad_eq_compares_numerator_and_denominator(n1, d1, n2, d2):
     a, b = Rad(Fraction(n1, d1)), Rad(Fraction(n2, d2))
     assert (a == b) == (Fraction(n1, d1) == Fraction(n2, d2))
     assert (Rad(Fraction(n1, d1)) == Rad(Fraction(n1, d1 + 1))) is False
+
+
+# ---------------------------------------------------------------------------
+# exact-type dispatch: exactnum tests `type(v) is Fraction`, the copies
+# above `isinstance(v, Fraction)`; no subclass of either type is ever
+# built, so the two agree on every operand the prover passes
+
+
+def _is_exact_ref(v):
+    return isinstance(v, (Fraction, Rad))
+
+
+def _exact_eq_ref(a, b):
+    return _is_exact_ref(a) and _is_exact_ref(b) and a == b
+
+
+# one of each kind of operand: a Fraction, a Rad, a float, the int 0
+typed_operands = st.one_of(
+    rationals, pos_rationals.map(ex.sqrt_exact).filter(lambda v: isinstance(v, Rad)),
+    any_floats, st.just(0))
+
+
+@given(typed_operands, typed_operands)
+@example(0, Fraction(0))
+@example(Fraction(0), 0)
+@example(0, Rad(Fraction(2)))
+@example(Rad(Fraction(2)), 0)
+@example(0, -0.0)
+def test_exact_type_dispatch_matches_isinstance_dispatch(a, b):
+    for op, ref in _OPS:
+        assert _same(_result(op, a, b), _result(ref, a, b)), op.__name__
+    for v in (a, b):
+        assert _same(ex.as_float(v), _as_float_ref(v))
+        assert ex.is_exact(v) == _is_exact_ref(v)
+    assert ex.exact_eq(a, b) == _exact_eq_ref(a, b)

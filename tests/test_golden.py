@@ -7,6 +7,14 @@ intended output change, from the repository root:
     PYTHONPATH=src python -m gthm.cli prove fixtures/parallelogram.gthm \
         --seed 42 --emit text > tests/golden/parallelogram.prove-text.txt
 
+`--emit scene` prints the coordinates of every point at the witness
+sample, the one output that reads them directly; its files are named
+`<figure>.prove-scene.txt` and regenerated the same way, with
+`tests/golden/<figure>.gthm` as the input for the 16-point figures:
+
+    PYTHONPATH=src python -m gthm.cli prove fixtures/imo2012.gthm \
+        --seed 42 --emit scene > tests/golden/imo2012.prove-scene.txt
+
 The fixtures have at most 11 points.  Two 16-point figures, the nested
 true members parallelogram+8 and right_triangle+5 of `perfbench/gen.py`
 (the first has a radical point, the second eight float points), are
@@ -26,7 +34,8 @@ GOLDEN = ROOT / "tests" / "golden"
 EXIT_CODES = {"degenerate": 2, "imo2012": 0, "parallelogram": 0,
               "parallelogram_bad": 1, "parallelogram_bd": 0, "unreachable": 2}
 
-CASES = [(f, "prove", fmt) for f in EXIT_CODES for fmt in ("text", "json", "dot")]
+CASES = [(f, "prove", fmt) for f in EXIT_CODES
+         for fmt in ("text", "json", "dot", "scene")]
 CASES += [(f, "check", "text") for f in EXIT_CODES]
 
 GENERATED = ("parallelogram_k8", "right_triangle_k5")
@@ -45,7 +54,7 @@ def test_stdout_matches_golden(capsys, fixture, command, fmt):
     assert code == expected
 
 
-@pytest.mark.parametrize("fmt", ["text", "dot"])
+@pytest.mark.parametrize("fmt", ["text", "dot", "scene"])
 @pytest.mark.parametrize("figure", GENERATED)
 def test_sixteen_point_stdout_matches_golden(capsys, figure, fmt):
     code = cli.main(["prove", str(GOLDEN / f"{figure}.gthm"),

@@ -1,11 +1,13 @@
 """The integer kernel of `scene` against the generic Scalar primitives.
 
-A construction step whose coordinates are all Fractions runs on
-integer numerators; any other step runs on the Scalar arithmetic of
-`exactnum`.  The reference below is the all-Scalar form of every step
-the kernel serves.  Patched into `scene`, it evaluates each figure as
-if the kernel did not exist, and every point, line, sampled assignment
-and failure must come out the same in value and in type.
+A construction step whose inputs are all rational points, stored as
+(x, y, w) triples, runs on integer numerators and returns a triple; any
+other step runs on the Scalar arithmetic of `exactnum`.  The reference
+below is the all-Scalar form of every step the kernel serves.  Patched
+into `scene`, with the triple step patched out so that no point is
+stored as a triple, it evaluates each figure as if the kernel did not
+exist, and every point, line, distance, sampled assignment and failure
+must come out the same in value and in type.
 """
 
 import itertools
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from gthm import dsl, scene as sc
+from gthm import dsl, rules, scene as sc
 from gthm.exactnum import Rad, add, as_float, div, mul, sqrt_scalar, sub
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -160,9 +162,17 @@ REFERENCE = {
 }
 
 
+def coords_only(ev, name, value):
+    """Evaluation.add_point without the triple: the point is stored as
+    coordinates alone, so no kernel step ever finds its inputs rational."""
+    ev.hom[name] = None
+    ev._coords[name] = sc._coord(value) if len(value) == 3 else value
+
+
 def run_reference(monkeypatch, fn, *args):
     """fn(*args) with every kernel step replaced by its reference."""
     with monkeypatch.context() as m:
+        m.setattr(sc.Evaluation, "add_point", coords_only)
         for name, ref in REFERENCE.items():
             m.setattr(sc, name, ref)
         return outcome(fn, *args)
@@ -232,11 +242,31 @@ claim len(O,A) = len(O,A)
 STRESS = {"stress-foot": _STRESS.format(last="foot(B, through(E, H))"),
           "stress-segment": _STRESS.format(last="on_segment(E, H, 1/2)")}
 
+# steps that leave the kernel mid-chain: a segment or direction whose
+# length is irrational at most draws.  oblique2 puts on_segment on the
+# oblique OB; here offset_perp runs off the oblique line OB, and the
+# foot after it reads the float point it made.
+OBLIQUE_OFFSET = """\
+param x
+param y
+param z
+point O = origin
+point A = baseline(O, x)
+line base = through(O, A)
+point B = offset_perp(A, base, y)
+point E = offset_perp(A, through(O, B), z)
+point F = foot(E, base)
+point G = foot(B, through(O, E))
+claim len(O,F) = len(O,F)
+"""
+
 
 def figure_texts():
     out = {path.stem: path.read_text()
            for path in sorted((ROOT / "fixtures").glob("*.gthm"))}
     out.update(STRESS)
+    out["oblique2"] = (ROOT / "tests" / "oblique2.gthm").read_text()
+    out["oblique-offset"] = OBLIQUE_OFFSET
     for family, (_, _, pool) in gen.FAMILIES.items():
         for k in range(len(pool) + 1):
             out[f"{family}+{k}"] = gen.family_member(
@@ -271,9 +301,21 @@ def test_kernel_matches_scalar_reference(monkeypatch, name):
         ev = sc._evaluate(scene_, got)
         ref = run_reference(monkeypatch, sc._evaluate, scene_, got)
         assert same(ev, ref), (name, seed)
-        for p, q in itertools.combinations(ev.points.values(), 2):
-            assert same(sc.distance(p, q),
-                        run_reference(monkeypatch, sc.distance, p, q))
+        # a triple is stored exactly for the points with rational coordinates
+        assert {n for n, h in ev.hom.items() if h} == {
+            n for n, p in ev.points.items() if all(type(c) is Fraction for c in p)}
+        # lengths and their squares, read off the triples; a dimension
+        # measures its points in sorted order
+        for p, q in itertools.combinations(sorted(ev.points), 2):
+            want = ref_distance(ev.points[p], ev.points[q])
+            assert same(sc._length(ev, (p, q)), want)
+            sq = sc.dim_square(ev, rules.length(p, q))
+            if type(want) is Rad:
+                assert Fraction(*sq) == want.radicand
+            elif type(want) is Fraction and want > 0:
+                assert Fraction(*sq) == want * want
+            else:
+                assert sq == ()
         kinds |= {type(c) for point in ev.points.values() for c in point}
         # a raw draw, degenerate or not, fails with the same message
         a = raw_assignment(scene_, random.Random(seed))
@@ -282,8 +324,8 @@ def test_kernel_matches_scalar_reference(monkeypatch, name):
         assert same(got, want), (name, seed, got, want)
     if name != "degenerate":
         assert Fraction in kinds
-    if name == "imo2012" or name.startswith("right_triangle"):
-        assert float in kinds  # the circle cuts leave the kernel
+    if name in ("imo2012", "oblique2", "oblique-offset") or name.startswith("right_triangle"):
+        assert float in kinds  # circle cuts and irrational lengths leave the kernel
 
 
 def test_raw_draws_reach_every_failure(monkeypatch):
@@ -334,11 +376,14 @@ def test_reference_is_what_runs_when_patched(monkeypatch):
     """Guard on the harness: patched, evaluation calls the reference."""
     calls = []
     with monkeypatch.context() as m:
+        m.setattr(sc.Evaluation, "add_point", coords_only)
         for fname, ref in REFERENCE.items():
             m.setattr(sc, fname, lambda *a, _ref=ref, _n=fname:
                       calls.append(_n) or _ref(*a))
         scene_ = _scene(FIGURES["imo2012"])
-        sc._evaluate(scene_, sc.sample_params(scene_, 42))
+        ev = sc._evaluate(scene_, sc.sample_params(scene_, 42))
+        sc.dim_value(ev, rules.length("K", "M"))
+    assert not any(ev.hom.values())
     assert {"through_direction", "on_segment", "offset_perp",
             "intersect_lines", "line_circle_meet", "_line_param",
             "foot_of_perpendicular", "distance"} <= set(calls)

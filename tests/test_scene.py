@@ -49,17 +49,6 @@ def test_parallelogram_coordinates_exact():
         assert isinstance(px, Fraction) and isinstance(py, Fraction), name
 
 
-def test_radical_flags():
-    para = load("parallelogram.gthm")
-    assert not any(para.radical[p] for p in para.model.points)
-    imo = load("imo2012.gthm")
-    assert imo.radical["K"] and imo.radical["L"] and imo.radical["M"]
-    for name in ("A", "D", "C", "B", "X"):
-        assert not imo.radical[name], name
-    for name in ("N", "R", "S"):
-        assert imo.radical[name], name  # feet of radical points inherit the flag
-
-
 def test_plan_covers_every_construction():
     para = load("parallelogram.gthm")
     assert [s.name for s in para.plan] == ["O", "A", "base", "E", "B", "C", "D", "F", "G"]
@@ -283,66 +272,8 @@ def test_carriers_match_eager_deduplication(name):
         assert ev.carriers == eager_carriers(lines)
 
 
-class ReadLog(dict):
-    """A dict that logs every key read by subscription."""
-
-    def __init__(self, log):
-        super().__init__()
-        self.log = log
-
-    def __getitem__(self, key):
-        self.log.append(key)
-        return super().__getitem__(key)
-
-
-def evaluated_reads(scn, a):
-    """For each construction, the points its evaluation reads, with the
-    points of each named line it reads in place of the line."""
-    model, params, log = scn.model, a.values, []
-    ev = sc.Evaluation()
-    ev.points, ev.named_lines = ReadLog(log), ReadLog(log)
-    got = {}
-    for step in scn.plan:
-        s = step.statement
-        log.clear()
-        try:
-            if step.kind == "line":
-                ev.named_lines[s.name] = sc._eval_line_arg(s.payload, ev, params)
-            else:
-                ev.points[s.name] = sc._eval_point(s, ev, params, model)
-        except sc.ParallelLines:
-            pass  # degenerate.gthm's last point, after both lines are read
-        got[s.name] = set().union(*(got[n] if n in model.lines else {n} for n in log))
-    return got
-
-
-def gen_members():
-    sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
-    try:
-        import gen
-    finally:
-        sys.path.pop(0)
-    return [gen.family_member(family, k, True, random.Random(0), nested=True)
-            for family, (_, _, pool) in gen.FAMILIES.items()
-            for k in range(len(pool) + 1)]
-
-
-def test_recorded_reads_cover_evaluation():
-    texts = [p.read_text() for p in sorted(FIXTURES.glob("*.gthm"))]
-    texts += [p.read_text() for p in sorted((FIXTURES.parent / "tests/golden").glob("*.gthm"))]
-    for text in texts + gen_members():
-        scn = sc.build_scene(dsl.validate(dsl.parse(text)))
-        try:
-            a = sc.sample_params(scn, 42)
-        except sc.DegenerateModel:
-            a = PARA
-        want = {name: set(points) for name, points in scn.model.reads}
-        assert evaluated_reads(scn, a) == want, text
-
-
 def test_scene_view_shape():
     para = load("parallelogram.gthm")
-    assert all(para.radical[s.name] is False for s in para.plan)  # lines too
     text = emit.render_scene(para.model, para, PARA, theorem="parallelogram")
     assert [ln for ln in text.splitlines() if ln.startswith("param ")] == [
         "param x = 4", "param y = 1", "param z = 2"]

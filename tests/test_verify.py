@@ -157,16 +157,15 @@ def test_sample_report_measures_each_length_once(monkeypatch, para):
     # a fresh evaluation, nothing memoized, which the stream's first
     # sample at seed 123_457 then reads
     a = sc.sample_params(scn, 123_457 * rules.SAMPLE_STRIDE)
-    ev = sc.evaluate(scn, a)
-    names = {coord: name for name, coord in ev.points.items()}
     measured = []
-    real = sc.distance
+    real = sc._squared_distance
 
-    def spy(p, q):
-        measured.append(frozenset((names[p], names[q])))
-        return real(p, q)
+    def spy(ev, pair):
+        if pair not in ev.squares:  # a memo hit measures nothing
+            measured.append(frozenset(pair))
+        return real(ev, pair)
 
-    monkeypatch.setattr(sc, "distance", spy)
+    monkeypatch.setattr(sc, "_squared_distance", spy)
     report, = vf._check_samples(model, scn, focused, 1, 123_457,
                                 sc.DEFAULT_RANGE)
     assert report.assignment == a
@@ -295,6 +294,42 @@ def test_imo_proved_numerically(imo):
     assert max(r.max_node_residual for r in v.samples) <= 1e-9
     assert v.certificate.kind == "numerically-certified"
     assert "numerically certified" in v.reason
+
+
+OBLIQUE2 = Path(__file__).resolve().parent / "oblique2.gthm"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_oblique_segment_is_numerically_certified():
+    """on_segment along an oblique segment leaves the rationals at most
+    samples, so the agreement is numerical, never an exact identity."""
+    v = prove_file(OBLIQUE2).verdict
+    assert v.status == vf.STATUS_PROVED
+    assert v.certificate.kind == "numerically-certified"
+    assert v.certificate.log10_failure_bound is None
+    assert v.certificate.note.startswith("irrational coordinates present")
+    assert "numerically certified" in v.reason
+    assert max(r.claim_residual for r in v.samples) > 0.0
+
+
+@pytest.mark.parametrize("seed", [42, 1, 2])
+@pytest.mark.parametrize("figure", [
+    FIXTURES / "parallelogram.gthm", FIXTURES / "parallelogram_bd.gthm",
+    FIXTURES / "imo2012.gthm", OBLIQUE2, GOLDEN / "parallelogram_k8.gthm",
+    GOLDEN / "right_triangle_k5.gthm"], ids=lambda p: p.stem)
+def test_exact_identity_iff_every_read_coordinate_is_rational(figure, seed):
+    """The certificate kind follows the coordinates the proof read:
+    exact-identity exactly when every coordinate of every point of a
+    scheduled dimension is a Fraction at every verdict sample."""
+    result = prove_file(figure, seed=seed, samples=25)
+    v = result.verdict
+    assert v.status == vf.STATUS_PROVED
+    read = set().union(*(vf._dim_points(s.dim) for s in v.schedule))
+    rational = all(type(c) is Fraction
+                   for r in v.samples
+                   for p, xy in sc.evaluate(result.scene, r.assignment).points.items()
+                   if p in read for c in xy)
+    assert (v.certificate.kind == "exact-identity") == rational
 
 
 def test_bad_claim_refuted_with_margin_at_every_sample():
