@@ -14,13 +14,15 @@ from pathlib import Path
 from gthm import emit, prove_file, verify
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# the figures that validate a proof's steps and judge its claim
+SAMPLES = 20
 
 
 def run(name):
     print("=" * 64)
     print(name)
     print("=" * 64)
-    result = prove_file(FIXTURES / name)
+    result = prove_file(FIXTURES / name, samples=SAMPLES)
     v = result.verdict
     if result.graph is None:
         print("cannot draw the figure at any sampled assignment")
@@ -28,7 +30,7 @@ def run(name):
         print("claim dimensions never reached:",
               ", ".join(d.display for d in result.graph.pending))
         ok = verify.oracle_verdict(result.model, result.scene,
-                                   num_samples=50, seed=42)
+                                   num_samples=SAMPLES, seed=42)
         print(f"coordinates alone say the claim is {ok.status}, "
               f"but there is no derivation to certify it")
     else:

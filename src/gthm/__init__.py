@@ -4,12 +4,11 @@ A theorem file declares free parameters, a ruler-and-compass style
 construction, and one claim about segment lengths.  The prover samples
 a random figure, discovers arithmetic rules relating its dimensions,
 grows an AND-OR derivation graph from the parameters, and schedules
-it topologically.  It then checks every step of the schedule at many
-random figures of one sample stream, each from the coordinate values
-of its sources, and evaluates the claim on the coordinates; the first
-figures of that stream are the ones that validated the schedule's
-edges.  Claims that survive come back PROVED with a proof script;
-wrong claims come back REFUTED with the offending samples.
+it topologically.  Every edge of the schedule is replayed, from the
+coordinate values of its sources, at each random figure of one sample
+stream, and the claim is then evaluated on the coordinates of those
+same figures.  Claims that survive come back PROVED with a proof
+script; wrong claims come back REFUTED with the offending samples.
 
     from gthm import prove_file
     result = prove_file("fixtures/parallelogram.gthm")
@@ -60,22 +59,22 @@ class ProofResult:
 
 
 def prove_model(model: dsl.HypothesisModel, theorem: Optional[str] = None,
-                *, seed: int = 42, samples: int = 100, tol: float = 1e-9,
+                *, seed: int = 42, samples: int = rules.VALIDATION_SAMPLES,
                 rng_range: tuple[Fraction, Fraction] = scene.DEFAULT_RANGE,
                 ) -> ProofResult:
     """Derive and judge the claim of a validated model: sample a
-    witness, grow the graph with the focused schedule it validated,
-    and take the verdict.  A figure that cannot be drawn comes back
-    INCONCLUSIVE."""
+    witness, grow the graph with the focused schedule it validated at
+    `samples` samples, and take the verdict at the same samples.  A
+    figure that cannot be drawn comes back INCONCLUSIVE."""
     scene_ = scene.build_scene(model)
     try:
         witness = scene.sample_params(scene_, seed, rng_range)
         g = graph.grow_detailed(model, scene_, witness, seed=seed,
-                                rng_range=rng_range)
+                                rng_range=rng_range, samples=samples)
         focused = g.focused
         schedule = focused if not g.pending else None
         v = verify.verdict(model, scene_, schedule, num_samples=samples,
-                           seed=seed, tol=tol, rng_range=rng_range)
+                           seed=seed, rng_range=rng_range)
     except scene.DegenerateModel as err:
         witness = g = focused = schedule = None
         v = verify.degenerate_verdict(err)

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import ProofResult, dsl, emit, prove_model, scene as sc, verify as vf
+from .rules import VALIDATION_SAMPLES
 
 EXIT_PROVED = 0
 EXIT_REFUTED = 1
@@ -44,8 +45,7 @@ _EMIT_CHOICES = {"prove": ("text", "json", "dot", "scene"),
 class RunConfig:
     input_path: Path
     seed: int = 42
-    samples: int = 100
-    tol: float = 1e-9
+    samples: int = VALIDATION_SAMPLES
     emit_format: str = "text"
     rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE
 
@@ -95,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="hypothesis file (.gthm)")
         p.add_argument("--seed", type=int, default=None,
                        help="sampling seed (default: $GRAATP_SEED or 42)")
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--samples", type=int, default=VALIDATION_SAMPLES,
+                       help="figures that validate the steps and judge "
+                            "the claim")
         p.add_argument("--emit", default=None,
                        choices=("text", "json", "dot", "scene"))
         p.add_argument("--range", default="1:10", metavar="LO:HI",
@@ -112,12 +113,9 @@ def _config(args) -> RunConfig:
             f"{', '.join(_EMIT_CHOICES[args.command])}")
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
-    if not args.tol > 0:
-        raise UsageError("--tol must be positive")
     seed = args.seed if args.seed is not None else _env_seed()
     return RunConfig(input_path=Path(args.input), seed=seed,
-                     samples=args.samples, tol=args.tol,
-                     emit_format=emit_format,
+                     samples=args.samples, emit_format=emit_format,
                      rng_range=_parse_range(args.range))
 
 
@@ -129,8 +127,7 @@ def _load_model(cfg: RunConfig):
 
 def _prove(cfg: RunConfig) -> ProofResult:
     return prove_model(_load_model(cfg), cfg.input_path.stem, seed=cfg.seed,
-                       samples=cfg.samples, tol=cfg.tol,
-                       rng_range=cfg.rng_range)
+                       samples=cfg.samples, rng_range=cfg.rng_range)
 
 
 def cmd_prove(cfg: RunConfig) -> int:
@@ -163,8 +160,7 @@ def cmd_check(cfg: RunConfig) -> int:
     scene_ = sc.build_scene(model)
     try:
         v = vf.oracle_verdict(model, scene_, num_samples=cfg.samples,
-                              seed=cfg.seed, tol=cfg.tol,
-                              rng_range=cfg.rng_range)
+                              seed=cfg.seed, rng_range=cfg.rng_range)
     except sc.DegenerateModel as err:
         v = vf.degenerate_verdict(err)
     if cfg.emit_format == "json":

@@ -7,9 +7,10 @@ sourced entirely in earlier rings, and each node is numbered when
 first reached.  A goal the closure never reaches is pending.  Growth
 alone decides the order of nodes: the schedule lists them by number,
 each derived by its first in-edge in pool order from lower numbers.
-Fresh samples validate the edges of the schedule focused on the
-goals, and after a failure the edges that number the nodes; the other
-admitted edges may hold only at the witness, and no output shows them.
+The verdict's samples validate the edges of the schedule focused on
+the goals, and after a failure the edges that number the nodes; the
+other admitted edges may hold only at the witness, and no output shows
+them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import dsl, scene as sc
-from .rules import Dim, Hyperedge, discover, length, validate_edges
+from .rules import (VALIDATION_SAMPLES, Dim, Hyperedge, discover, length,
+                    validate_edges)
 
 
 @dataclass(frozen=True)
@@ -104,16 +106,17 @@ def grow(pool: list[Hyperedge], params: tuple[Dim, ...],
 def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
                   witness: sc.ParamAssignment, seed: int = 42,
                   rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
-                  ) -> DerivationGraph:
+                  samples: int = VALIDATION_SAMPLES) -> DerivationGraph:
     """Grow the closure of the rules discovered at `witness`, where each
-    one holds, and validate the edges of its focused schedule at
-    samples drawn from `rng_range`.  An edge that fails leaves the pool
-    and the closure grows again: a counterexample-guided refinement.  A
-    failure shows the witness has coincidences, so from then on growth
-    also validates the first edge to reach each node, which numbers it,
-    and on failure the next one.  Each further round removes an edge,
-    so the loop ends, and no edge is validated twice.  The graph comes
-    back with the focused schedule it validated as `focused`."""
+    one holds, and validate the edges of its focused schedule at the
+    first `samples` samples of the run's stream, the verdict's.  An
+    edge that fails leaves the pool and the closure grows again: a
+    counterexample-guided refinement.  A failure shows the witness has
+    coincidences, so from then on growth also validates the first edge
+    to reach each node, which numbers it, and on failure the next one.
+    Each further round removes an edge, so the loop ends, and no edge
+    is validated twice.  The graph comes back with the focused schedule
+    it validated as `focused`."""
     discovered = discover(model, scene_, witness)
     params = tuple(length(*pair) for _, pair in scene_.param_dims)
     goals = goal_dims(model)
@@ -122,7 +125,7 @@ def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
 
     def check(edges: list[Hyperedge]) -> None:
         kept = {id(e) for e in validate_edges(edges, model, scene_, seed,
-                                              rng_range)}
+                                              rng_range, samples)}
         for e in edges:
             holds[id(e)] = id(e) in kept
 

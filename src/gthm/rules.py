@@ -876,31 +876,33 @@ def _with_values(w: _Witness, dims) -> list[tuple[Dim, Scalar]]:
     return out
 
 
-# how many samples at the head of the run's stream validation replays
-# every edge at, and the relative error it may show
+# how many samples of the run's stream a run reads by default: validation
+# replays every edge at each, and the verdict checks the claim at each;
+# and the relative error an edge or the claim may show there
 VALIDATION_SAMPLES = 20
 VALIDATION_TOL = 1e-9
 
 SAMPLE_STRIDE = 1_000_003
 
-# per scene, the kept samples of the last (seed, range) stream read
+# per scene, the samples of the last (seed, range) stream read
 _SAMPLES: "WeakKeyDictionary[sc.Scene, tuple[tuple, list]]" = WeakKeyDictionary()
 
 
 def validate_edges(edges: list[Hyperedge], model: dsl.HypothesisModel,
                    scene_: sc.Scene, seed: int,
                    rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
+                   samples: int = VALIDATION_SAMPLES,
                    ) -> list[Hyperedge]:
-    """Replay every edge at the first VALIDATION_SAMPLES samples of the
-    run's stream (sample_stream) and drop any whose residual exceeds
-    VALIDATION_TOL; this is what catches relations that only held by
-    coincidence at the witness.  Growth hands it the focused schedule's
-    edges, and after a failure the first edge to reach each node, never
-    one edge twice.  Each dimension is valued and squared once per
-    sample, so validating edges piece by piece costs no more than all
-    at once."""
+    """Replay every edge at the first `samples` samples of the run's
+    stream (sample_stream), the ones the verdict reads, and drop any
+    whose residual exceeds VALIDATION_TOL; this is what catches
+    relations that only held by coincidence at the witness.  Growth
+    hands it the focused schedule's edges, and after a failure the
+    first edge to reach each node, never one edge twice.  Each
+    dimension is valued and squared once per sample, so validating
+    edges piece by piece costs no more than all at once."""
     kept = list(edges)
-    for _, _, ev in sample_stream(scene_, seed, rng_range, VALIDATION_SAMPLES):
+    for _, _, ev in sample_stream(scene_, seed, rng_range, samples):
         kept = [e for e in kept if _replays(e, ev)]
     return kept
 
@@ -910,24 +912,20 @@ def sample_stream(scene_: sc.Scene, seed: int,
                   ) -> Iterator[tuple[int, sc.ParamAssignment, sc.Evaluation]]:
     """The first `count` samples of the run's stream, as (seed,
     assignment, evaluation), sample i drawn at seed*SAMPLE_STRIDE + i.
-    Validation and the verdict read it; the first VALIDATION_SAMPLES
-    are drawn once per scene, seed and range, so the verdict reuses
-    validation's evaluations and the values memoized on them."""
+    Validation and the verdict read it, each sample drawn once per
+    scene, seed and range, so the verdict reuses validation's
+    evaluations and the values memoized on them."""
     key = (seed, rng_range)
     last = _SAMPLES.get(scene_)
     if last is None or last[0] != key:
         last = _SAMPLES[scene_] = (key, [])
     kept = last[1]
     for i in range(count):
-        if i < len(kept):
-            yield kept[i]
-            continue
-        s_seed = seed * SAMPLE_STRIDE + i
-        a = sc.sample_params(scene_, s_seed, rng_range)
-        sample = (s_seed, a, sc.evaluate(scene_, a))
-        if i < VALIDATION_SAMPLES:
-            kept.append(sample)
-        yield sample
+        if i == len(kept):
+            s_seed = seed * SAMPLE_STRIDE + i
+            a = sc.sample_params(scene_, s_seed, rng_range)
+            kept.append((s_seed, a, sc.evaluate(scene_, a)))
+        yield kept[i]
 
 
 # recipe ops whose relation between exact positive values is one

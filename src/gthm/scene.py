@@ -842,31 +842,36 @@ def foot_of_perpendicular(p: Coord, l: Line) -> Coord:
 # draws sample_params makes before it calls the figure degenerate
 RETRY_CAP = 100
 
+# each parameter is drawn as n / SAMPLE_DENOMINATOR, n uniform over the
+# numerators that keep it in the sampling range
+SAMPLE_DENOMINATOR = 2 ** 40
+
+
+def sample_space(rng_range: tuple[Fraction, Fraction]) -> int:
+    """|S|, how many values sample_params can draw for one parameter:
+    the n / SAMPLE_DENOMINATOR in [lo, hi]; 0 or less when none is."""
+    lo, hi = rng_range
+    return (math.floor(hi * SAMPLE_DENOMINATOR)
+            - math.ceil(lo * SAMPLE_DENOMINATOR) + 1)
+
 
 def sample_params(scene: Scene, seed: int,
                   rng_range: tuple[Fraction, Fraction] = DEFAULT_RANGE,
                   ) -> ParamAssignment:
+    """Draw every parameter uniformly from the sample space of
+    `rng_range`, and draw again, up to RETRY_CAP times, while the
+    figure cannot be constructed."""
     rng = random.Random(seed)
     lo, hi = rng_range
-    lo_num, lo_den = lo.as_integer_ratio()
-    hi_num, hi_den = hi.as_integer_ratio()
+    space = sample_space(rng_range)
+    if space < 1:
+        raise DegenerateModel(f"sampling range [{lo}, {hi}] is too narrow")
+    first = math.ceil(lo * SAMPLE_DENOMINATOR)
     last_err: Optional[Exception] = None
     for _ in range(RETRY_CAP):
-        items = []
-        for name in scene.model.params:
-            value = None
-            for _denom_try in range(64):
-                denom = rng.randint(1, 64)
-                lo_n = -(-lo_num * denom // lo_den)  # ceil(lo * denom)
-                hi_n = hi_num * denom // hi_den  # floor(hi * denom)
-                if lo_n > hi_n:
-                    continue  # this denominator admits no value in range
-                value = Fraction(rng.randint(lo_n, hi_n), denom)
-                break
-            if value is None:
-                raise DegenerateModel(f"sampling range [{lo}, {hi}] is too narrow")
-            items.append((name, value))
-        a = ParamAssignment(tuple(items))
+        a = ParamAssignment(tuple(
+            (name, Fraction(first + rng.randrange(space), SAMPLE_DENOMINATOR))
+            for name in scene.model.params))
         try:
             evaluate(scene, a)
         except (GeometryError, ZeroDivisionError) as err:
@@ -952,9 +957,13 @@ def dim_square(ev: Evaluation, dim) -> tuple[int, int] | tuple[()]:
 
 
 def _length(ev: Evaluation, pair: tuple[str, str]) -> Scalar:
-    """The distance between a pair of points, memoized by the pair: from
+    """The distance between a pair of points, in either order: from
     their squared distance when both are rational, else by `distance`
-    on their coordinates."""
+    on their coordinates.  Measured and memoized in sorted order, as a
+    length dimension names its points, since `distance` on mixed Rad
+    and Fraction coordinates is exact in one order only."""
+    if pair[1] < pair[0]:
+        pair = (pair[1], pair[0])
     v = ev.values.get(pair)
     if v is None:
         sw = _squared_distance(ev, pair)

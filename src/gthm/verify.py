@@ -1,34 +1,27 @@
-"""Randomized verification of a derivation schedule.
+"""Randomized verification of a derivation's claim.
 
-The verdict reads the run's sample stream (rules.sample_stream), whose
-first VALIDATION_SAMPLES samples edge validation read.  At each sample
-a parameter step compares its assigned value with the oracle's, and
-every other step replays its edge from the oracle values of its
-sources, as validation does (rules.residual).  The claim is evaluated
-on oracle values.  The verdict aggregates the samples:
+The verdict reads the first `num_samples` samples of the run's stream
+(rules.sample_stream).  Growth validated every edge of the focused
+schedule at those same samples (rules.validate_edges), so every step
+has passed rules.residual at every verdict sample, and the verdict
+checks only the claim, on oracle values:
 
-* PROVED       every sample passes both the cross-check and the claim;
-* REFUTED      some sample passes the cross-check yet misses the claim
-               by at least ten times the tolerance;
-* INCONCLUSIVE anything else (no schedule, or a step that disagrees
-               with the coordinates or whose recipe cannot run).
+* PROVED       every sample meets the claim within VALIDATION_TOL;
+* REFUTED      some sample misses the claim by at least REFUTE_MARGIN
+               times VALIDATION_TOL;
+* INCONCLUSIVE anything else (no schedule, or a miss too small to
+               refute).
 
-At the first VALIDATION_SAMPLES samples the step checks are not
-independent of how the schedule was chosen, since validation chose its
-edges there.  The claim check still is: it reads oracle values alone,
-whatever schedule was chosen.  When every point the schedule reads has
-rational coordinates at every sample, the run is exact rational
-arithmetic, so a passing claim has residual exactly 0 and the repeated
-agreement yields a Schwartz-Zippel identity certificate; its degree
-bound rests on the steps, so it overstates their independent evidence
-(see _certificate).  A point with an irrational coordinate at some
-sample (a circle cut, or a step along an irrational length) makes the
-verdict numerically certified instead.
+When every point the schedule reads has rational coordinates at every
+sample, the run is exact rational arithmetic, so a passing claim has
+residual exactly 0 and the agreement yields a Schwartz-Zippel identity
+certificate (see _certificate).  A point with an irrational coordinate
+at some sample (a circle cut, or a step along an irrational length)
+makes the verdict numerically certified instead.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,15 +29,16 @@ from typing import Optional
 
 from . import scene as sc
 from .dsl import MeetCircle
-from .exactnum import Scalar, add, as_float, exact_eq, mul, rel_err
+from .exactnum import Scalar, add, as_float, exact_eq, mul
 from .graph import ScheduleStep, goal_dims
-from .rules import Dim, apply_edge, length, residual, sample_stream
+from .rules import (VALIDATION_SAMPLES, VALIDATION_TOL, Dim, apply_edge, length,
+                    sample_stream)
 
 STATUS_PROVED = "PROVED"
 STATUS_REFUTED = "REFUTED"
 STATUS_INCONCLUSIVE = "INCONCLUSIVE"
 
-# a refutation must overshoot the tolerance by this factor
+# a refutation must overshoot VALIDATION_TOL by this factor
 REFUTE_MARGIN = 10.0
 
 
@@ -55,7 +49,6 @@ class SampleReport:
     index: int
     seed: int
     assignment: sc.ParamAssignment
-    max_node_residual: float
     claim_residual: float
     # every point the steps read has rational coordinates here
     exact: bool = True
@@ -92,7 +85,7 @@ def param_names(scene_: sc.Scene) -> dict[Dim, str]:
 def execute_schedule(scene_: sc.Scene, schedule: list[ScheduleStep],
                      assignment: sc.ParamAssignment) -> dict[Dim, Scalar]:
     """Run the schedule under one assignment, without the oracle: the
-    chained computation the verdict's per-step checks stand for.
+    chained computation that validation's per-edge checks stand for.
 
     Parameter steps read their value from the assignment; every other
     step applies its chosen hyperedge recipe to already-computed source
@@ -108,11 +101,6 @@ def execute_schedule(scene_: sc.Scene, schedule: list[ScheduleStep],
         else:
             values[step.dim] = apply_edge(step.edge, values)
     return values
-
-
-def cross_check(report: SampleReport, tol: float) -> bool:
-    """True when every scheduled node agrees with the oracle within tol."""
-    return report.max_node_residual <= tol
 
 
 def _claim_side(terms, ev: sc.Evaluation) -> Scalar:
@@ -147,27 +135,15 @@ def _claim_check(model, ev: sc.Evaluation) -> float:
 def _check_samples(model, scene_: sc.Scene, steps, num_samples: int,
                    seed: int, rng_range: tuple[Fraction, Fraction],
                    ) -> list[SampleReport]:
-    """Check the steps and the claim at each of the first `num_samples`
-    samples of the run's stream."""
-    params = param_names(scene_)
+    """Check the claim at each of the first `num_samples` samples of
+    the run's stream, noting whether the points the steps read are
+    rational there."""
     read = set().union(*(_dim_points(step.dim) for step in steps))
-    reports: list[SampleReport] = []
-    samples = sample_stream(scene_, seed, rng_range, num_samples)
-    for i, (s_seed, assignment, ev) in enumerate(samples):
-        by_name = dict(assignment.items)
-        worst = 0.0
-        for step in steps:
-            if step.edge is None:
-                got = rel_err(by_name[params[step.dim]],
-                              sc.dim_value(ev, step.dim))
-            else:
-                got = residual(step.edge, ev)
-            worst = max(worst, got)
-        reports.append(SampleReport(index=i, seed=s_seed, assignment=assignment,
-                                    max_node_residual=worst,
-                                    claim_residual=_claim_check(model, ev),
-                                    exact=all(ev.hom[p] for p in read)))
-    return reports
+    return [SampleReport(index=i, seed=s_seed, assignment=assignment,
+                         claim_residual=_claim_check(model, ev),
+                         exact=all(ev.hom[p] for p in read))
+            for i, (s_seed, assignment, ev) in enumerate(
+                sample_stream(scene_, seed, rng_range, num_samples))]
 
 
 # ---------------------------------------------------------------------------
@@ -196,38 +172,6 @@ def _degree_bound(model, schedule: list[ScheduleStep]) -> int:
     return sum(deg[d] for d in goal_dims(model) if d in deg)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _sample_space(rng_range: tuple[Fraction, Fraction]) -> int:
-    """Count the distinct rationals the sampler can draw for one slot:
-    per denominator d, the numerators in range coprime to d, counted by
-    inclusion-exclusion over the distinct primes of d."""
-    lo, hi = rng_range
-    total = 0
-    for d in range(1, 65):
-        lo_n = math.ceil(lo * d)
-        hi_n = math.floor(hi * d)
-        if lo_n > hi_n:
-            continue
-        primes = _prime_factors(d)
-        for r in range(len(primes) + 1):
-            for subset in itertools.combinations(primes, r):
-                m = math.prod(subset)
-                total += (-1) ** r * (hi_n // m - (lo_n - 1) // m)
-    return total
-
-
 def _dim_points(dim: Dim) -> set[str]:
     if dim.kind == "length":
         return set(dim.points)
@@ -241,15 +185,24 @@ def _certificate(model, schedule, exact: bool, num_samples: int,
     """The certificate of a PROVED verdict over `num_samples` samples;
     `exact` says every point the schedule reads was rational at each.
 
-    `points` counts every sample, but only the claim check is
-    independent at all of them.  The degree bound holds only if every
-    scheduled step is an identity, and validation chose those steps at
-    the first VALIDATION_SAMPLES samples of the same stream, so the
-    steps are tested independently at num_samples - VALIDATION_SAMPLES
-    points only; the printed failure bound does not account for that.
+    The bound rests on the sampler: each parameter is drawn uniformly
+    from the same set S of |S| = scene.sample_space values, so any one
+    value comes up with probability p = 1/|S| per slot, independently
+    of the other slots and samples.  A nonzero polynomial of degree d
+    in the parameters then vanishes at one sample with probability at
+    most d/|S| (Schwartz-Zippel), and at all of them with at most
+    (d/|S|)^samples; `certified` is the condition d < |S| that makes
+    this bound informative.
+
+    Left open: `_degree_bound` reads the schedule, so it bounds the
+    claim only if every step is an identity, and it takes add and sub
+    as the max of their operands' degrees, which clearing radicals from
+    a sum can exceed; and a draw the figure rejects is drawn again, so
+    the samples are uniform over the constructible part of S^n only,
+    which conditions the rest.
     """
     degree = _degree_bound(model, schedule)
-    space = _sample_space(rng_range)
+    space = sc.sample_space(rng_range)
     if not exact:
         cut = any(isinstance(s.payload, MeetCircle) for s in model.constructions)
         return Certificate(
@@ -258,7 +211,6 @@ def _certificate(model, schedule, exact: bool, num_samples: int,
             log10_failure_bound=None, certified=False,
             note=(f"irrational {'circle intersections' if cut else 'coordinates'} "
                   f"present; agreement is numerical, not an exact identity test"))
-    certified = num_samples >= degree + 1 and degree < space
     log10_bound = None
     if 0 < degree < space:
         log10_bound = num_samples * (math.log10(degree) - math.log10(space))
@@ -269,7 +221,7 @@ def _certificate(model, schedule, exact: bool, num_samples: int,
     return Certificate(kind="exact-identity", degree_bound=degree,
                        sample_space=space, points=num_samples,
                        log10_failure_bound=log10_bound,
-                       certified=certified, note=note)
+                       certified=degree < space, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +229,20 @@ def _certificate(model, schedule, exact: bool, num_samples: int,
 
 
 def verdict(model, scene_: sc.Scene, schedule: Optional[list[ScheduleStep]],
-            num_samples: int = 100, seed: int = 42, tol: float = 1e-9,
+            num_samples: int = VALIDATION_SAMPLES, seed: int = 42,
             rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
             ) -> Verdict:
-    """Judge the claim by checking the schedule's steps on the oracle
-    at `num_samples` samples of the run's stream.
+    """Judge the claim of a validated schedule on the oracle at the
+    first `num_samples` samples of the run's stream, the samples
+    validation replayed the schedule's edges at.
 
-    Degenerate models propagate DegenerateModel from the sampler.  A
-    step whose recipe cannot run at a sample fails the cross-check
-    there."""
+    Degenerate models propagate DegenerateModel from the sampler."""
     if schedule is None:
         return Verdict(status=STATUS_INCONCLUSIVE, samples=(),
                        reason="no derivation schedule")
     reports = _check_samples(model, scene_, schedule, num_samples, seed,
                              rng_range)
-    failure = _failure(reports, tol)
+    failure = _failure(reports)
     if failure is None:
         cert = _certificate(model, schedule, all(r.exact for r in reports),
                             num_samples, rng_range)
@@ -299,8 +250,8 @@ def verdict(model, scene_: sc.Scene, schedule: Optional[list[ScheduleStep]],
             reason = (f"claim holds exactly at {num_samples} rational "
                       f"samples")
         else:
-            reason = (f"claim holds within {tol:g} at {num_samples} "
-                      f"samples (numerically certified)")
+            reason = (f"claim holds within {VALIDATION_TOL:g} at "
+                      f"{num_samples} samples (numerically certified)")
         return Verdict(status=STATUS_PROVED, samples=tuple(reports),
                        reason=reason, schedule=tuple(schedule),
                        certificate=cert)
@@ -309,31 +260,22 @@ def verdict(model, scene_: sc.Scene, schedule: Optional[list[ScheduleStep]],
                    schedule=tuple(schedule))
 
 
-def _failure(reports: list[SampleReport], tol: float
-             ) -> Optional[tuple[str, str]]:
-    """REFUTED or INCONCLUSIVE, with the reason, when some sample fails
-    the cross-check or the claim; None when every sample passes."""
-    checked = [cross_check(r, tol) for r in reports]
-    claim_ok = [r.claim_residual <= tol for r in reports]
-    if all(checked) and all(claim_ok):
+def _failure(reports: list[SampleReport]) -> Optional[tuple[str, str]]:
+    """REFUTED or INCONCLUSIVE, with the reason, when some sample
+    misses the claim; None when every sample meets it."""
+    bad = [r for r in reports if r.claim_residual > VALIDATION_TOL]
+    if not bad:
         return None
-    refuting = [r for r, c in zip(reports, checked)
-                if c and r.claim_residual >= REFUTE_MARGIN * tol]
-    if refuting:
-        worst = max(refuting, key=lambda r: r.claim_residual)
+    worst = max(bad, key=lambda r: r.claim_residual)
+    if worst.claim_residual >= REFUTE_MARGIN * VALIDATION_TOL:
         return STATUS_REFUTED, (
             f"claim fails with relative residual "
             f"{worst.claim_residual:.6g} at sample {worst.index} "
-            f"(threshold {REFUTE_MARGIN * tol:g})")
-    if not all(checked):
-        bad = checked.index(False)
-        return STATUS_INCONCLUSIVE, (
-            f"schedule disagrees with coordinates at sample {bad} "
-            f"(max node residual {reports[bad].max_node_residual:.6g})")
-    bad = claim_ok.index(False)
+            f"(threshold {REFUTE_MARGIN * VALIDATION_TOL:g})")
     return STATUS_INCONCLUSIVE, (
-        f"claim residual {reports[bad].claim_residual:.6g} at sample {bad} "
-        f"exceeds tolerance without reaching the refutation margin")
+        f"claim residual {bad[0].claim_residual:.6g} at sample "
+        f"{bad[0].index} exceeds tolerance without reaching the "
+        f"refutation margin")
 
 
 def degenerate_verdict(err: sc.DegenerateModel) -> Verdict:
@@ -342,19 +284,19 @@ def degenerate_verdict(err: sc.DegenerateModel) -> Verdict:
                    reason=f"degenerate hypotheses: {err}")
 
 
-def oracle_verdict(model, scene_: sc.Scene, num_samples: int = 100,
-                   seed: int = 42, tol: float = 1e-9,
+def oracle_verdict(model, scene_: sc.Scene,
+                   num_samples: int = VALIDATION_SAMPLES, seed: int = 42,
                    rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
                    ) -> Verdict:
     """Judge the claim from coordinates alone, with no derivation.
 
     Reads the samples verdict would and evaluates the claim sides
     straight from the figure, so a claim can be tested even when no
-    schedule exists.  There is no cross-check: there are no steps.
+    schedule exists.
     """
     reports = _check_samples(model, scene_, (), num_samples, seed,
                              rng_range)
-    failure = _failure(reports, tol)
+    failure = _failure(reports)
     if failure is None:
         return Verdict(status=STATUS_PROVED, samples=tuple(reports),
                        reason=(f"claim holds at {num_samples} coordinate "
@@ -370,7 +312,6 @@ def verdict_summary(v: Verdict) -> dict:
         out["samples"] = {
             "count": len(v.samples),
             "max_claim_residual": max(r.claim_residual for r in v.samples),
-            "max_node_residual": max(r.max_node_residual for r in v.samples),
         }
     else:
         out["samples"] = {"count": 0}

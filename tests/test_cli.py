@@ -281,14 +281,16 @@ def test_bad_env_seed_is_an_input_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flags", [("--samples", "0"),
-                                   ("--tol", "0"),
-                                   ("--tol", "-1e-9"),
+                                   ("--tol", "0"),  # retired
+                                   ("--tol", "-1e-9"),  # retired
                                    ("--max-nodes", "0"),  # retired
                                    ("--range", "5:1"),
                                    ("--range", "0:4"),
                                    ("--range", "nonsense"),
                                    ("--max-pairs", "1000000"),  # retired
-                                   ("--max-edges", "4096")])  # retired
+                                   ("--max-edges", "4096"),  # retired
+                                   # retired: it let a false claim pass
+                                   ("--tol", "2")])
 def test_invalid_flag_values_exit_three(capsys, flags):
     code, out, err = run(capsys, "prove", fx("parallelogram.gthm"), *flags)
     assert code == 3

@@ -1,19 +1,20 @@
 """The CLI's stdout on the shipped fixtures, byte for byte.
 
 Each file under tests/golden/ is the stdout of one command at seed 42,
-named `<fixture>.<command>-<format>.txt`.  To regenerate one after an
-intended output change, from the repository root:
+named `<fixture>.<command>-<format>.txt`.  `--emit scene` prints the
+coordinates of every point at the witness sample, the one output that
+reads them directly; its files are named `<figure>.prove-scene.txt`,
+with `tests/golden/<figure>.gthm` as the input for the 16-point
+figures.  To regenerate every golden file after an intended output
+change, from the repository root:
 
-    PYTHONPATH=src python -m gthm.cli prove fixtures/parallelogram.gthm \
-        --seed 42 --emit text > tests/golden/parallelogram.prove-text.txt
-
-`--emit scene` prints the coordinates of every point at the witness
-sample, the one output that reads them directly; its files are named
-`<figure>.prove-scene.txt` and regenerated the same way, with
-`tests/golden/<figure>.gthm` as the input for the 16-point figures:
-
-    PYTHONPATH=src python -m gthm.cli prove fixtures/imo2012.gthm \
-        --seed 42 --emit scene > tests/golden/imo2012.prove-scene.txt
+    for out in tests/golden/*.txt; do
+        name=$(basename "$out" .txt); figure=${name%%.*}; run=${name#*.}
+        input=fixtures/$figure.gthm
+        [ -e "$input" ] || input=tests/golden/$figure.gthm
+        PYTHONPATH=src python -m gthm.cli "${run%-*}" "$input" --seed 42 \
+            --emit "${run#*-}" > "$out"
+    done
 
 The fixtures have at most 11 points.  Two 16-point figures, the nested
 true members parallelogram+8 and right_triangle+5 of `perfbench/gen.py`

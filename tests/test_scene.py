@@ -1,5 +1,6 @@
 """Coordinate oracle checks against hand-computed values."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gthm import dsl, emit, scene as sc
-from gthm.exactnum import Rad, as_float, exact_eq, sqrt_exact
+from gthm import dsl, emit, prove_file, rules, scene as sc
+from gthm.exactnum import Rad, as_float, exact_eq, rel_err, sqrt_exact
 from gthm.rules import length
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+TESTS = Path(__file__).resolve().parent
 
 F = Fraction
 
@@ -136,13 +138,89 @@ def test_sampler_deterministic_and_valid():
         assert vals["y"] < vals["x"]  # E strictly inside OA
         for v in vals.values():
             assert F(1) <= v <= F(10)
-            assert v.denominator <= 64
+            assert sc.SAMPLE_DENOMINATOR % v.denominator == 0
 
 
 def test_degenerate_fixture_exhausts_sampler():
     deg = load("degenerate.gthm")
     with pytest.raises(sc.DegenerateModel):
         sc.sample_params(deg, 42)
+
+
+# two parameters that every draw can construct, so no draw is rejected
+TWO_FREE = """param x
+param y
+point O = origin
+point A = baseline(O, x)
+line base = through(O, A)
+point B = offset_perp(A, base, y)
+claim len(O,B) = len(A,B)
+"""
+
+
+def test_sampler_hits_every_value_uniformly(monkeypatch):
+    """With D = 8 the range 1:2 holds the 9 values n/8, n = 8..16.  Over
+    900 seeded draws each slot takes each value about 100 times: a
+    binomial count with p = 1/9 and standard deviation 9.4, so five
+    deviations, 47, bound every count."""
+    monkeypatch.setattr(sc, "SAMPLE_DENOMINATOR", 8)
+    scn = sc.build_scene(dsl.validate(dsl.parse(TWO_FREE)))
+    rng_range = (F(1), F(2))
+    assert sc.sample_space(rng_range) == 9
+    counts = {name: {F(n, 8): 0 for n in range(8, 17)} for name in "xy"}
+    for seed in range(900):
+        for name, v in sc.sample_params(scn, seed, rng_range).items:
+            counts[name][v] += 1
+    for per_value in counts.values():
+        assert sum(per_value.values()) == 900
+        assert all(abs(c - 100) <= 47 for c in per_value.values()), per_value
+
+
+def test_range_narrower_than_a_sample_step_is_inconclusive():
+    lo = F(1, 3)  # no n / 2**40 lies between lo and lo + 2**-42
+    narrow = (lo, lo + F(1, 4 * sc.SAMPLE_DENOMINATOR))
+    assert sc.sample_space(narrow) == 0
+    v = prove_file(FIXTURES / "parallelogram.gthm", rng_range=narrow).verdict
+    assert v.status == "INCONCLUSIVE"
+    assert v.reason == ("degenerate hypotheses: sampling range "
+                        f"[{narrow[0]}, {narrow[1]}] is too narrow")
+
+
+FIGURES = [FIXTURES / "parallelogram.gthm", FIXTURES / "imo2012.gthm",
+           FIXTURES / "unreachable.gthm", TESTS / "oblique2.gthm",
+           TESTS / "golden" / "parallelogram_k8.gthm",
+           TESTS / "golden" / "right_triangle_k5.gthm"]
+
+
+@pytest.mark.parametrize("figure", FIGURES, ids=lambda p: p.stem)
+def test_param_dims_measure_their_parameters_at_every_sample(figure):
+    """Each parameter's (from, to) pair is as long as the parameter at
+    every sample of the stream: the parameter steps of a proof need no
+    check of their own."""
+    scn = sc.build_scene(dsl.validate(dsl.parse(figure.read_text())))
+    for _, a, ev in rules.sample_stream(scn, 42, sc.DEFAULT_RANGE,
+                                        rules.VALIDATION_SAMPLES):
+        for name, pair in scn.param_dims:
+            got = sc.dim_value(ev, length(*pair))
+            assert rel_err(got, a.values[name]) <= rules.VALIDATION_TOL
+
+
+@pytest.mark.parametrize("seed", [42, 1, 2])
+@pytest.mark.parametrize("figure", [TESTS / "oblique2.gthm",
+                                    TESTS / "golden" / "parallelogram_k8.gthm"],
+                         ids=lambda p: p.stem)
+def test_length_is_the_same_in_either_order(figure, seed):
+    """A pair read backwards first, on a fresh evaluation, still gets
+    the value and the type that its length dimension has."""
+    scn = sc.build_scene(dsl.validate(dsl.parse(figure.read_text())))
+    ev = sc.evaluate(scn, sc.sample_params(scn, seed))
+    for p, q in itertools.combinations(sorted(ev.points), 2):
+        backwards = sc._length(ev, (q, p))
+        forwards = sc._length(ev, (p, q))
+        want = sc.dim_value(ev, length(p, q))
+        for got in (backwards, forwards):
+            assert type(got) is type(want), (p, q)
+            assert exact_eq(got, want) or got == want, (p, q)
 
 
 def test_intersect_lines_fixture_values():

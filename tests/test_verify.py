@@ -1,4 +1,5 @@
-"""Schedule execution, cross-checking, and the sampled verdict."""
+"""Schedule execution, validation of the proof's steps, and the
+sampled verdict."""
 
 import dataclasses
 import math
@@ -103,7 +104,7 @@ def test_execute_is_homogeneous_of_degree_one(para, k):
             1.0, abs(as_float(want)))
 
 
-# --- sample reports and the cross-check --------------------------------------
+# --- sample reports -----------------------------------------------------------
 
 
 def test_sample_report_fields_and_invariants(para):
@@ -115,45 +116,11 @@ def test_sample_report_fields_and_invariants(para):
         assert r.seed == 7 * rules.SAMPLE_STRIDE + i
         assert r.assignment == sc.sample_params(scn, r.seed)
         assert r.redraws == 0
-        assert r.max_node_residual >= 0.0
-        assert r.claim_residual >= 0.0
-        assert vf.cross_check(r, 1e-9)
-        assert vf.cross_check(r, float("inf"))
-
-
-def _dim_pairs(dim):
-    """The point pairs whose distances make up a dimension's value."""
-    if dim.kind == "length":
-        return {dim.points}
-    if dim.kind == "composite":
-        return {dim.far, dim.near}
-    return _dim_pairs(dim.num) | _dim_pairs(dim.den)
-
-
-def test_verdict_builds_the_parameter_map_once(monkeypatch, imo):
-    model, scn, g, focused = imo
-    built = []
-    real_names = vf.param_names
-
-    def names_spy(scene_):
-        built.append(scene_)
-        return real_names(scene_)
-
-    monkeypatch.setattr(vf, "param_names", names_spy)
-    v = vf.verdict(model, scn, focused, num_samples=10, seed=42)
-    monkeypatch.undo()
-    assert v.status == vf.STATUS_PROVED
-    assert built == [scn]
-    assert len(v.samples) == 10
+        assert r.claim_residual == 0.0
 
 
 def test_sample_report_measures_each_length_once(monkeypatch, para):
     model, scn, g, focused = para
-    scheduled = {s.dim for s in focused}
-    # a ratio whose numerator and denominator are scheduled lengths too
-    assert any(d.kind == "ratio" and d.num in scheduled and d.den in scheduled
-               for d in scheduled)
-    assert any(d.kind == "ratio" and d.num.kind == "composite" for d in scheduled)
     # a fresh evaluation, nothing memoized, which the stream's first
     # sample at seed 123_457 then reads
     a = sc.sample_params(scn, 123_457 * rules.SAMPLE_STRIDE)
@@ -169,13 +136,13 @@ def test_sample_report_measures_each_length_once(monkeypatch, para):
     report, = vf._check_samples(model, scn, focused, 1, 123_457,
                                 sc.DEFAULT_RANGE)
     assert report.assignment == a
-    assert report.max_node_residual == 0.0
+    assert report.claim_residual == 0.0
     assert len(measured) == len(set(measured))  # no length measured twice
-    assert set(measured) == {frozenset(p) for d in scheduled
-                             for p in _dim_pairs(d)}
+    # the steps were replayed by validation; the verdict reads the claim
+    assert set(measured) == {frozenset(d.points) for d in gr.goal_dims(model)}
 
 
-def test_prove_draws_the_verdict_samples_once_and_validates_the_first(
+def test_prove_draws_the_verdict_samples_once_and_validates_at_each(
         monkeypatch):
     draws = []  # (inside validation?, assignment)
     validating = []
@@ -197,13 +164,11 @@ def test_prove_draws_the_verdict_samples_once_and_validates_the_first(
     result = prove_file(FIXTURES / "parallelogram.gthm")
     monkeypatch.undo()
     samples = result.verdict.samples
-    assert len(samples) == 100
+    assert len(samples) == rules.VALIDATION_SAMPLES
     assert len(draws) == 1 + len(samples)  # the witness, then the stream
     assert draws[0] == (False, result.witness)
-    assert [a for _, a in draws[1:]] == [r.assignment for r in samples]
-    validated = [a for inside, a in draws if inside]
-    assert validated == [r.assignment
-                         for r in samples[:rules.VALIDATION_SAMPLES]]
+    # validation draws every sample the verdict reads
+    assert draws[1:] == [(True, r.assignment) for r in samples]
 
 
 def test_oracle_and_verdict_leave_carriers_alone(monkeypatch, capsys, para):
@@ -243,17 +208,38 @@ def test_cross_check_fails_on_a_corrupted_rule(para):
         2 * as_float(sc.dim_value(ev, cg)))
 
 
-def test_verdict_inconclusive_when_derivation_disagrees(para):
+def _corrupted(focused, kind):
+    """A copy of one focused step's edge that fails at every sample:
+    CG as BE + BE, twice its value, or the last step as AO - GO, a
+    negative length that the recipe refuses."""
+    be, ao, go = length("B", "E"), length("A", "O"), length("G", "O")
+    if kind == "disagrees":
+        step = next(s for s in focused if s.dim.display == "CG")
+        return dataclasses.replace(step.edge, recipe=("add", be, be))
+    return dataclasses.replace(focused[-1].edge, sources=(ao, go),
+                               recipe=("sub", ao, go))
+
+
+@pytest.mark.parametrize("kind", ["disagrees", "cannot-run"])
+def test_validation_keeps_a_corrupted_step_out_of_the_proof(
+        monkeypatch, para, kind):
     model, scn, g, focused = para
-    be = length("B", "E")
-    broken = list(focused)
-    idx = next(i for i, s in enumerate(broken) if s.dim.display == "CG")
-    step = broken[idx]
-    broken[idx] = gr.ScheduleStep(
-        step.dim, dataclasses.replace(step.edge, recipe=("add", be, be)))
-    v = vf.verdict(model, scn, broken, num_samples=5, seed=42)
-    assert v.status == vf.STATUS_INCONCLUSIVE
-    assert "disagrees with coordinates" in v.reason
+    broken = _corrupted(focused, kind)
+    stream = rules.sample_stream(scn, 42, sc.DEFAULT_RANGE,
+                                 rules.VALIDATION_SAMPLES)
+    want = math.inf if kind == "cannot-run" else 0.5
+    assert all(rules.residual(broken, ev) == pytest.approx(want)
+               for _, _, ev in stream)
+    assert rules.validate_edges([broken], model, scn, 42) == []
+    # first in the pool, growth reaches for it first, and validation
+    # drops it before the verdict sees the schedule
+    real = gr.discover
+    monkeypatch.setattr(gr, "discover", lambda *args: [broken, *real(*args)])
+    result = prove_file(FIXTURES / "parallelogram.gthm")
+    monkeypatch.undo()
+    assert result.verdict.status == vf.STATUS_PROVED
+    assert all(s.edge is not broken for s in result.schedule)
+    assert [s.dim for s in result.schedule] == [s.dim for s in focused]
 
 
 # --- verdicts on the fixtures ------------------------------------------------
@@ -265,19 +251,19 @@ def test_parallelogram_proved_with_exactly_zero_residuals(para):
     assert v.status == vf.STATUS_PROVED
     assert len(v.samples) == 100
     assert all(r.claim_residual == 0.0 for r in v.samples)
-    assert all(r.max_node_residual == 0.0 for r in v.samples)
     assert v.schedule == tuple(focused)
 
 
-def test_parallelogram_certificate_is_an_exact_identity(para):
-    model, scn, g, focused = para
-    v = vf.verdict(model, scn, focused, num_samples=100, seed=42)
-    c = v.certificate
+def test_parallelogram_certificate_is_an_exact_identity():
+    c = prove_file(FIXTURES / "parallelogram.gthm").verdict.certificate
     assert c.kind == "exact-identity"
-    assert c.certified
-    assert c.points == 100 >= c.degree_bound + 1
-    assert c.sample_space == vf._sample_space((Fraction(1), Fraction(10)))
-    assert c.log10_failure_bound < -100
+    assert c.points == rules.VALIDATION_SAMPLES == 20
+    assert c.sample_space == sc.sample_space(sc.DEFAULT_RANGE) == 9 * 2**40 + 1
+    # Schwartz-Zippel: degree below the sample space, 20 independent points
+    assert c.certified and c.degree_bound == 44 < c.sample_space
+    assert c.log10_failure_bound == pytest.approx(
+        20 * math.log10(44 / (9 * 2**40 + 1)))
+    assert round(c.log10_failure_bound, 1) == -227.0
 
 
 def test_second_claim_fixture_proved():
@@ -291,7 +277,7 @@ def test_imo_proved_numerically(imo):
     model, scn, g, focused = imo
     v = vf.verdict(model, scn, focused, num_samples=100, seed=42)
     assert v.status == vf.STATUS_PROVED
-    assert max(r.max_node_residual for r in v.samples) <= 1e-9
+    assert max(r.claim_residual for r in v.samples) <= rules.VALIDATION_TOL
     assert v.certificate.kind == "numerically-certified"
     assert "numerically certified" in v.reason
 
@@ -340,8 +326,7 @@ def test_bad_claim_refuted_with_margin_at_every_sample():
     # OD = CD, so claiming OD = 2 CD misses by the whole smaller side
     for r in v.samples:
         assert r.claim_residual == 1.0
-        assert r.claim_residual >= 10 * 1e-9
-        assert vf.cross_check(r, 1e-9)
+        assert r.claim_residual >= vf.REFUTE_MARGIN * rules.VALIDATION_TOL
     assert v.certificate is None
 
 
@@ -387,65 +372,43 @@ def test_same_seed_reproduces_the_same_samples(para):
     assert v1.reason == v2.reason
 
 
-def test_a_failing_recipe_is_a_failed_step(para):
-    model, scn, g, focused = para
-    ao, go = length("A", "O"), length("G", "O")
-    broken = list(focused)
-    last = broken[-1]
-    # AO - GO is a negative length at every sample: the recipe raises
-    broken[-1] = gr.ScheduleStep(last.dim, dataclasses.replace(
-        last.edge, sources=(ao, go), recipe=("sub", ao, go)))
-    v = vf.verdict(model, scn, broken, num_samples=3, seed=42)
-    assert v.status == vf.STATUS_INCONCLUSIVE
-    assert v.reason == ("schedule disagrees with coordinates at sample 0 "
-                        "(max node residual inf)")
-    assert all(r.max_node_residual == math.inf for r in v.samples)
-    assert all(r.claim_residual == 0.0 for r in v.samples)
-
-
 # --- certificate arithmetic --------------------------------------------------
 
 
-def _phi(n):
-    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
-def test_sample_space_matches_the_totient_count():
-    want = 1 + 9 * sum(_phi(d) for d in range(1, 65))
-    assert vf._sample_space((Fraction(1), Fraction(10))) == want
-
-
-def _sample_space_brute_force(rng_range):
-    """Every numerator of every denominator, tested for coprimality."""
+def _sample_space_brute_force(rng_range, denominator):
+    """Every numerator near the range, tested for n/D in it."""
     lo, hi = rng_range
-    return sum(1 for d in range(1, 65)
-               for n in range(math.ceil(lo * d), math.floor(hi * d) + 1)
-               if math.gcd(n, d) == 1)
+    return sum(1 for n in range(math.floor(lo * denominator) - 1,
+                                math.ceil(hi * denominator) + 2)
+               if lo <= Fraction(n, denominator) <= hi)
 
 
 _BOUNDS = sorted({Fraction(n, d) for n in range(-7, 8) for d in (1, 2, 3, 7)})
 
 
 @pytest.mark.parametrize("lo", _BOUNDS[::3])
-def test_sample_space_matches_brute_force(lo):
-    for hi in _BOUNDS:
-        if hi >= lo:
-            assert (vf._sample_space((lo, hi))
-                    == _sample_space_brute_force((lo, hi))), (lo, hi)
-    # a narrow range that admits no numerator for some denominators
-    narrow = (lo + Fraction(1, 97), lo + Fraction(2, 97))
-    assert vf._sample_space(narrow) == _sample_space_brute_force(narrow)
+def test_sample_space_matches_brute_force(monkeypatch, lo):
+    for denominator in (1, 2, 8, 64):
+        monkeypatch.setattr(sc, "SAMPLE_DENOMINATOR", denominator)
+        for hi in _BOUNDS:
+            if hi >= lo:
+                assert (sc.sample_space((lo, hi))
+                        == _sample_space_brute_force((lo, hi), denominator)
+                        ), (lo, hi, denominator)
+        # a narrow range that admits no numerator at small denominators
+        narrow = (lo + Fraction(1, 97), lo + Fraction(2, 97))
+        assert (sc.sample_space(narrow)
+                == _sample_space_brute_force(narrow, denominator))
 
 
 def test_sample_space_of_a_huge_range_is_immediate():
-    # the totient count again, at a size no per-numerator loop finishes
-    want = 1 + (10**12 - 1) * sum(_phi(d) for d in range(1, 65))
-    assert vf._sample_space((Fraction(1), Fraction(10**12))) == want
+    want = (10**12 - 1) * sc.SAMPLE_DENOMINATOR + 1
+    assert sc.sample_space((Fraction(1), Fraction(10**12))) == want
 
 
 def test_sample_space_shrinks_with_the_range():
-    wide = vf._sample_space((Fraction(1), Fraction(10)))
-    narrow = vf._sample_space((Fraction(1), Fraction(2)))
+    wide = sc.sample_space((Fraction(1), Fraction(10)))
+    narrow = sc.sample_space((Fraction(1), Fraction(2)))
     assert 0 < narrow < wide
 
 
@@ -462,7 +425,7 @@ def test_verdict_summary_shape(para):
     out = vf.verdict_summary(v)
     assert out["status"] == "PROVED"
     assert out["samples"]["count"] == 5
-    assert out["samples"]["max_claim_residual"] == 0.0
+    assert out["samples"] == {"count": 5, "max_claim_residual": 0.0}
     assert out["schedule"][-2:] == ["CD", "DO"]
     assert out["certificate"]["kind"] == "exact-identity"
     empty = vf.verdict_summary(vf.verdict(None, None, None))
