@@ -17,6 +17,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -105,6 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call and reused by every later one:
+# parsing keeps no state in it
+_parser = functools.cache(build_parser)
+
+
 def _config(args) -> RunConfig:
     emit_format = args.emit or _EMIT_CHOICES[args.command][0]
     if emit_format not in _EMIT_CHOICES[args.command]:
@@ -175,9 +181,8 @@ _COMMANDS = {"prove": cmd_prove, "graph": cmd_graph, "check": cmd_check}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = _config(args)
         return _COMMANDS[args.command](cfg)
     except UsageError as err:

@@ -17,7 +17,9 @@ formula does.  ``sqrt_exact`` and ``Rad`` equality compare integer
 numerators and denominators rather than going through ``Fraction``'s
 rich comparison.  Construction steps and distances on rational points
 do not use these operations at all: they run on the integer kernel in
-``scene``, on (x, y, w) triples.
+``scene``, on (x, y, w) triples, and feet, meets and circle cuts on
+float points run on its float kernel, which computes what these
+operations would.
 """
 
 from __future__ import annotations

@@ -610,12 +610,14 @@ def line_circle_rule(w: _Witness) -> list[Hyperedge]:
     model = w.model
     edges: list[Optional[Hyperedge]] = []
     on_axis = set(w.on_axis)
+    named = {s.name: s.payload for s in model.constructions
+             if s.kind == "line-construction"}
     for stmt in model.constructions:
         if stmt.kind != "point-construction" or not isinstance(stmt.payload, dsl.MeetCircle):
             continue
         pe = stmt.payload
         z = stmt.name
-        anchor_pair = _line_point_pair(pe.line, model)
+        anchor_pair = _line_point_pair(pe.line, named)
         if anchor_pair is None:
             continue
         p, q = anchor_pair
@@ -654,13 +656,12 @@ def line_circle_rule(w: _Witness) -> list[Hyperedge]:
     return [e for e in edges if e is not None and residual(e, w.ev) <= VALIDATION_TOL]
 
 
-def _line_point_pair(arg: dsl.LineArg, model: dsl.HypothesisModel
+def _line_point_pair(arg: dsl.LineArg, named: dict[str, dsl.LineArg]
                      ) -> Optional[tuple[str, str]]:
+    """The two points a line is drawn through, reading a named line
+    from `named`; None for a parallel."""
     if isinstance(arg, dsl.LineRef):
-        for s in model.constructions:
-            if s.kind == "line-construction" and s.name == arg.name:
-                return _line_point_pair(s.payload, model)
-        return None
+        arg = named.get(arg.name)
     if isinstance(arg, (dsl.ThroughPoints, dsl.ExtendRay)):
         return (arg.p, arg.q)
     return None

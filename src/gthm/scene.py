@@ -9,18 +9,32 @@ discovery, schedule execution, the verdict) checks itself against this
 module.
 
 Each construction step and distance chooses its arithmetic from what it
-reads.  A rational point is stored once, as the reduced integer triple
-(x, y, w) with value (x/w, y/w), and a line through rational points
-keeps its anchor and direction the same way.  A step whose inputs are
-all triples runs on the integer kernel: integer numerators over a
-common denominator, exact integer zero tests for degeneracy, and a
-triple as its result, so a chain of rational steps never builds a
-Fraction.  A step that reads a Rad or a float, or needs an irrational
-segment length, runs on the Scalar arithmetic of `exactnum`; its
-result is stored as a triple again when it is rational.  Fraction
-coordinates are built, once per point, only when something reads them.
-Both paths give the same value of the same type and fail with the same
-error.
+reads, on one of three paths:
+
+* the integer kernel.  A rational point is stored once, as the reduced
+  integer triple (x, y, w) with value (x/w, y/w), and a line through
+  rational points keeps its anchor and direction the same way.  A step
+  whose inputs are all triples runs on integer numerators over a common
+  denominator, with exact integer zero tests for degeneracy, and
+  returns a triple, so a chain of rational steps never builds a
+  Fraction.
+* the float kernel.  A foot, meet or line through points that reads a
+  float point or line, and no Rad, runs on floats: x/w read straight
+  from a triple, sub-results that are exact on rational inputs
+  computed on integers and rounded once, and every other operation in
+  the order and with the exact-zero shortcuts of `exactnum`.  A circle
+  cut whose line, center and squared radius are rational solves its
+  quadratic on integers and, unless a root is exact, picks its root
+  here, reading its pick points as triples or float pairs.
+* the Scalar path.  Any other step, one that reads a Rad or needs an
+  irrational segment length, runs on the Scalar arithmetic of
+  `exactnum`; its result is stored as a triple again when it is
+  rational.
+
+Fraction coordinates are built, once per point, only when something
+reads them.  All three paths give the same value of the same type, bit
+for bit for a float, and fail with the same error, so the kernels
+change no sample, no rejection and no output byte.
 """
 
 from __future__ import annotations
@@ -139,7 +153,8 @@ class Evaluation:
 
     Each point with rational coordinates is stored once, as its triple
     in `hom`; `hom` holds None for a point with a Rad or float
-    coordinate.  Fraction coordinates are built, once per point, when
+    coordinate, and `kernel` reads a point as a triple or a pair of
+    floats.  Fraction coordinates are built, once per point, when
     something reads them: a Scalar-path step through `coord`, anyone
     else through `points`.  A point written into `points` directly, as
     a hand-made figure is, has no triple and is read on the Scalar
@@ -165,6 +180,13 @@ class Evaluation:
         else:
             self.hom[name] = _hom(value) if _rational(value) else None
             self._coords[name] = value
+
+    def kernel(self, name: str):
+        """The point as the kernels read it: its triple, its pair of
+        floats, or None when a coordinate is a Rad or only one is a
+        float."""
+        h = self.hom[name]
+        return h if h else _fpair(self._coords[name])
 
     def coord(self, name: str) -> Coord:
         c = self._coords[name]
@@ -310,8 +332,9 @@ def _hom_foot(p: Hom, a: Hom, u: Hom) -> Hom:
 
 
 def _hom_circle_quadratic(a: Hom, u: Hom, c: Hom, rr: Fraction
-                          ) -> tuple[Fraction, Fraction, Fraction]:
-    """(qa, qb, disc) of |a + t u - c|^2 = rr in t."""
+                          ) -> tuple[tuple[int, int], ...]:
+    """(qa, qb, disc) of |a + t u - c|^2 = rr in t, each as an integer
+    pair (n, d), d > 0, meaning n/d."""
     dx, dy, dw = u
     rx, ry, rw = _hom_sub(a, c)
     dd = dx * dx + dy * dy
@@ -321,8 +344,148 @@ def _hom_circle_quadratic(a: Hom, u: Hom, c: Hom, rr: Fraction
     # qb^2 - 4 qa qc = 4 (dd rw^2 rr - cr^2) / (dw rw)^2, since
     # dr^2 - dd (rx^2 + ry^2) = -cr^2
     m = dw * rw
-    return (Fraction(dd, dw * dw), Fraction(2 * dr, m),
-            Fraction(4 * (dd * rw * rw * rn - cr * cr * rd), m * m * rd))
+    return ((dd, dw * dw), (2 * dr, m),
+            (4 * (dd * rw * rw * rn - cr * cr * rd), m * m * rd))
+
+
+# ---------------------------------------------------------------------------
+# the float kernel
+#
+# A step that reads a float point or line, and no Rad, runs on floats
+# read straight from its inputs: a triple (x, y, w) gives x/w, the same
+# correctly rounded float as float(Fraction(x, w)), and a float point is
+# its pair of floats.  Each step computes exactly what the Scalar path
+# does on the same values: a sub-result that `exactnum` keeps exact,
+# because it reads rational inputs alone, is computed on integers and
+# rounded once; every other operation is the float operation `exactnum`
+# falls back to, in its order; and adding an exact zero returns the
+# other operand unchanged, as `exactnum.add` does, so a -0.0 survives.
+# Degeneracy is judged on the same value at the same scale, and fails
+# with the same error.
+
+
+def _fpair(c: Coord) -> Optional[tuple[float, float]]:
+    """c when it is a pair of floats, else None."""
+    return c if type(c[0]) is float and type(c[1]) is float else None
+
+
+def _floats(v) -> tuple[float, float]:
+    """A triple or a float pair as floats."""
+    if len(v) == 3:
+        x, y, w = v
+        return x / w, y / w
+    return v
+
+
+def _fdiff(p, q) -> tuple[float, float]:
+    """p - q as floats: rounded once from the exact difference of two
+    triples, else the float difference."""
+    if len(p) == 3 and len(q) == 3:
+        x, y, w = _hom_sub(p, q)
+        return x / w, y / w
+    px, py = _floats(p)
+    qx, qy = _floats(q)
+    return px - qx, py - qy
+
+
+def _fadd(a, x: float, y: float) -> tuple[float, float]:
+    """a + (x, y); an exact zero coordinate of a leaves the float as
+    it is."""
+    if len(a) == 3:
+        ax, ay, aw = a
+        return (ax / aw + x if ax else x), (ay / aw + y if ay else y)
+    return a[0] + x, a[1] + y
+
+
+def _flt_direction(p, q) -> Optional[tuple[float, float]]:
+    """through_direction(p, q); None when the points coincide."""
+    px, py = _floats(p)
+    qx, qy = _floats(q)
+    dx, dy = qx - px, qy - py
+    tol = PRED_TOL * max(abs(px), abs(py), abs(qx), abs(qy), 1.0)
+    if abs(dx) <= tol and abs(dy) <= tol:
+        return None
+    return dx, dy
+
+
+def _flt_param(a, u, p) -> float:
+    """as_float(_line_param) on the line a + t u: dot(p - a, u) / |u|^2,
+    with |u|^2 rounded once from the integers of a triple."""
+    if len(u) == 3:
+        ux, uy, uw = u
+        if len(a) == 3 and len(p) == 3:
+            wx, wy, ww = _hom_sub(p, a)
+            return ((wx * ux + wy * uy) * uw) / (ww * (ux * ux + uy * uy))
+        s = (ux * ux + uy * uy) / (uw * uw)
+        ux, uy = ux / uw, uy / uw
+    else:
+        ux, uy = u
+        s = ux * ux + uy * uy
+    wx, wy = _fdiff(p, a)
+    return (wx * ux + wy * uy) / s
+
+
+def _flt_foot(p, a, u) -> tuple[float, float]:
+    """foot_of_perpendicular of p on the line a + t u."""
+    if len(u) == 3:
+        if not (u[0] or u[1]):
+            raise DegenerateLine("line with zero direction")
+    elif abs(u[0] * u[0] + u[1] * u[1]) <= PRED_TOL:
+        raise DegenerateLine("line with zero direction")
+    t = _flt_param(a, u, p)
+    ux, uy = _floats(u)
+    return _fadd(a, t * ux, t * uy)
+
+
+def _flt_meet(a, u, b, v) -> tuple[float, float]:
+    """intersect_lines of the lines a + t u and b + s v."""
+    ux, uy = _floats(u)
+    vx, vy = _floats(v)
+    if len(u) == 3 and len(v) == 3:
+        den = u[0] * v[1] - u[1] * v[0]
+        if not den:
+            raise ParallelLines("lines are parallel under this assignment")
+        den /= u[2] * v[2]
+    else:
+        den = ux * vy - uy * vx
+        scale = max(abs(ux), abs(uy), 1.0) * max(abs(vx), abs(vy), 1.0)
+        if abs(den) <= PRED_TOL * scale:
+            raise ParallelLines("lines are parallel under this assignment")
+    # t = cross(b - a, v) / cross(u, v)
+    if len(a) == 3 and len(b) == 3 and len(v) == 3:
+        ox, oy, ow = _hom_sub(b, a)
+        num = (ox * v[1] - oy * v[0]) / (ow * v[2])
+    else:
+        ox, oy = _fdiff(b, a)
+        num = ox * vy - oy * vx
+    t = num / den
+    return _fadd(a, t * ux, t * uy)
+
+
+def _flt_cut(a: Hom, u: Hom, qa: tuple[int, int], qb: tuple[int, int],
+             disc: tuple[int, int], pick) -> Optional[tuple[float, float]]:
+    """_circle_cut on the line a + t u with the quadratic of
+    _hom_circle_quadratic, when both roots are floats: None when the
+    discriminant is zero or a rational square, or qb is zero, where a
+    root is exact and the Scalar path takes the cut."""
+    n, d = disc
+    fdisc = n / d
+    if fdisc < 0:
+        raise NoIntersection("the line misses the circle")
+    # n/d is a rational square exactly when n d is an integer square
+    k = n * d
+    if n <= 0 or not qb[0] or math.isqrt(k) ** 2 == k:
+        return None
+    root = math.sqrt(fdisc)
+    nqb = -qb[0] / qb[1]
+    two_a = (2 * qa[0]) / qa[1]
+    t1 = (nqb - root) / two_a
+    t2 = (nqb + root) / two_a
+    if t1 > t2:
+        t1, t2 = t2, t1
+    t = _pick_root(t1, t2, pick, lambda p: _flt_param(a, u, p))
+    ux, uy = _floats(u)
+    return _fadd(a, t * ux, t * uy)
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +789,14 @@ def _eval_line_arg(arg: dsl.LineArg, ev: Evaluation, params: dict[str, Fraction]
             direction = _hom_direction(hp, hq)
             line = Line(None, None, hp, direction)
         else:
-            p = ev.coord(arg.p)
-            direction = through_direction(p, ev.coord(arg.q))
-            line = Line(p, direction)
+            kp, kq = ev.kernel(arg.p), ev.kernel(arg.q)
+            if kp and kq:
+                direction = _flt_direction(kp, kq)
+                line = Line(None if hp else kp, direction, hp)
+            else:
+                p = ev.coord(arg.p)
+                direction = through_direction(p, ev.coord(arg.q))
+                line = Line(p, direction)
         if direction is None:
             raise DegenerateLine(f"line through coincident points {arg.p}, {arg.q}")
     else:
@@ -641,10 +809,13 @@ def _eval_line_arg(arg: dsl.LineArg, ev: Evaluation, params: dict[str, Fraction]
 
 def _eval_point(stmt: dsl.Statement, ev: Evaluation, params: dict[str, Fraction],
                 model: dsl.HypothesisModel) -> Hom | Coord:
-    """The point a construction builds: its triple from the kernel when
-    every input it reads is rational and so is any length it divides
-    by, else its coordinates from the Scalar path.  A circle cut always
-    ends on the Scalar path; only its quadratic runs on the kernel."""
+    """The point a construction builds: its triple from the integer
+    kernel when every input it reads is rational and so is any length it
+    divides by; a float pair from the float kernel when a foot, meet or
+    circle cut reads a float point or line and no Rad; else its
+    coordinates from the Scalar path.  A circle cut whose line, center
+    and squared radius are rational solves its quadratic on the integer
+    kernel, and its roots on the float kernel unless one is exact."""
     pe = stmt.payload
     hom = ev.hom
     if isinstance(pe, dsl.Origin):
@@ -688,35 +859,55 @@ def _eval_point(stmt: dsl.Statement, ev: Evaluation, params: dict[str, Fraction]
         l2 = _eval_line_arg(pe.l2, ev, params)
         if l1.ha and l1.hd and l2.ha and l2.hd:
             return _hom_meet(l1.ha, l1.hd, l2.ha, l2.hd)
+        ins = (*_kernel_line(l1), *_kernel_line(l2))
+        if all(ins):
+            return _flt_meet(*ins)
         return intersect_lines(l1, l2)
     if isinstance(pe, dsl.MeetCircle):
         line = _eval_line_arg(pe.line, ev, params)
         hc = hom[pe.center]
         radius = _eval_expr(pe.radius, ev, params)
-        pick = _resolve_pick(pe.pick, ev)
         rr = square(radius)
         if line.ha and line.hd and hc and type(rr) is Fraction:
             qa, qb, disc = _hom_circle_quadratic(line.ha, line.hd, hc, rr)
-            return _circle_cut(line, qa, qb, disc, pick)
-        return line_circle_meet(line, ev.coord(pe.center), radius, pick)
+            pick = _resolve_pick(pe.pick, ev.kernel)
+            if all(pick[1:]):
+                cut = _flt_cut(line.ha, line.hd, qa, qb, disc, pick)
+                if cut is not None:
+                    return cut
+            return _circle_cut(line, Fraction(*qa), Fraction(*qb),
+                               Fraction(*disc), _resolve_pick(pe.pick, ev.coord))
+        return line_circle_meet(line, ev.coord(pe.center), radius,
+                                _resolve_pick(pe.pick, ev.coord))
     if isinstance(pe, dsl.Foot):
         line = _eval_line_arg(pe.line, ev, params)
         hp = hom[pe.p]
         if hp and line.ha and line.hd:
             return _hom_foot(hp, line.ha, line.hd)
+        ins = (ev.kernel(pe.p), *_kernel_line(line))
+        if all(ins):
+            return _flt_foot(*ins)
         return foot_of_perpendicular(ev.coord(pe.p), line)
     raise AssertionError(f"unhandled point expression {pe!r}")
 
 
-def _resolve_pick(pick: dsl.Pick, ev: Evaluation):
+def _resolve_pick(pick: dsl.Pick, read):
+    """The pick as a tuple of its kind and its points, each point as
+    `read` returns it for its name."""
     if isinstance(pick, dsl.PickFirst):
         return ("first",)
     if isinstance(pick, dsl.PickSecond):
         return ("second",)
     if isinstance(pick, dsl.PickWithinSegment):
-        return ("within_segment", ev.coord(pick.p), ev.coord(pick.q))
+        return ("within_segment", read(pick.p), read(pick.q))
     assert isinstance(pick, dsl.PickNearest)
-    return ("nearest", ev.coord(pick.p))
+    return ("nearest", read(pick.p))
+
+
+def _kernel_line(l: Line) -> tuple:
+    """l's anchor and direction as the kernels read them: each a triple,
+    a float pair, or None."""
+    return l.ha or _fpair(l._anchor), l.hd or _fpair(l._direction)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +982,7 @@ def _circle_cut(l: Line, qa: Scalar, qb: Scalar, disc: Scalar, pick) -> Coord:
     t2 = div(add(sub(Fraction(0), qb), root), two_a)
     if as_float(t1) > as_float(t2):
         t1, t2 = t2, t1
-    t = _pick_root(l, t1, t2, pick)
+    t = _pick_root(t1, t2, pick, lambda p: as_float(_line_param(l, p)))
     return vadd(l.anchor, vscale(t, l.direction))
 
 
@@ -805,15 +996,16 @@ def _line_param(l: Line, p: Coord) -> Scalar:
     return div(dot(vsub(p, a), u), sq_norm(u))
 
 
-def _pick_root(l: Line, t1: Scalar, t2: Scalar, pick) -> Scalar:
+def _pick_root(t1: Scalar, t2: Scalar, pick, param) -> Scalar:
+    """The root of t1 <= t2 that `pick` names; `param` maps a point of
+    the pick to its line parameter as a float."""
     kind = pick[0]
     if kind == "first":
         return t1
     if kind == "second":
         return t2
     if kind == "within_segment":
-        ta = as_float(_line_param(l, pick[1]))
-        tb = as_float(_line_param(l, pick[2]))
+        ta, tb = param(pick[1]), param(pick[2])
         lo, hi = min(ta, tb), max(ta, tb)
         inside = [t for t in (t1, t2) if lo < as_float(t) < hi]
         if len(inside) != 1:
@@ -821,7 +1013,7 @@ def _pick_root(l: Line, t1: Scalar, t2: Scalar, pick) -> Scalar:
                 f"{len(inside)} intersection(s) inside the segment, need exactly 1")
         return inside[0]
     assert kind == "nearest"
-    tp = as_float(_line_param(l, pick[1]))
+    tp = param(pick[1])
     d1, d2 = abs(as_float(t1) - tp), abs(as_float(t2) - tp)
     if math.isclose(d1, d2, rel_tol=1e-12, abs_tol=1e-15):
         raise AmbiguousPick("both intersections are equally near")

@@ -129,7 +129,29 @@ def _claim_residual(lhs: Scalar, rhs: Scalar) -> float:
 def _claim_check(model, ev: sc.Evaluation) -> float:
     """The claim's residual, on the oracle's values."""
     eq = model.claim.payload
+    if _equal_on_squares(eq.lhs, eq.rhs, ev):
+        return 0.0
     return _claim_residual(_claim_side(eq.lhs, ev), _claim_side(eq.rhs, ev))
+
+
+def _equal_on_squares(lhs, rhs, ev: sc.Evaluation) -> bool:
+    """Are the sides c1*len(P,Q) and c2*len(R,S), c1, c2 > 0, equal
+    exact values, decided on the integers of their squares?  Where both
+    lengths are exact and positive, the Scalar sides are exact, and
+    exact_eq finds them equal exactly when c1^2 s1 = c2^2 s2.  False
+    means "not decided here"."""
+    if len(lhs) != 1 or len(rhs) != 1:
+        return False
+    (a,), (b,) = lhs, rhs
+    if a.coef <= 0 or b.coef <= 0:
+        return False
+    sa = sc.dim_square(ev, length(a.p, a.q))
+    sb = sc.dim_square(ev, length(b.p, b.q))
+    if not (sa and sb):
+        return False
+    an, ad = a.coef.as_integer_ratio()
+    bn, bd = b.coef.as_integer_ratio()
+    return an * an * sa[0] * bd * bd * sb[1] == bn * bn * sb[0] * ad * ad * sa[1]
 
 
 def _check_samples(model, scene_: sc.Scene, steps, num_samples: int,

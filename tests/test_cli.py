@@ -319,6 +319,23 @@ def test_help_exits_zero(capsys):
     assert exc.value.code == 0
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    """main reuses one parser: after a successful run a bad flag still
+    exits 3, and --help prints what a freshly built parser prints."""
+    assert run(capsys, "check", fx("parallelogram.gthm"), "--seed", "3")[0] == 0
+    assert cli._parser() is cli._parser()
+    code, _, err = run(capsys, "check", fx("parallelogram.gthm"), "--bogus")
+    assert code == 3 and err.startswith("gthm:")
+    assert run(capsys, "check", fx("parallelogram.gthm"), "--seed", "3")[0] == 0
+    helps = []
+    for parser in (cli._parser(), cli.build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["check", "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "--samples" in helps[0]
+
+
 # --- determinism -----------------------------------------------------------
 
 

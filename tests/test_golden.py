@@ -16,11 +16,16 @@ change, from the repository root:
             --emit "${run#*-}" > "$out"
     done
 
+The loop covers every golden file, the `check-json` files of the
+16-point figures below included.
+
 The fixtures have at most 11 points.  Two 16-point figures, the nested
 true members parallelogram+8 and right_triangle+5 of `perfbench/gen.py`
 (the first has a radical point, the second eight float points), are
 stored next to their outputs as `tests/golden/<name>.gthm`, so that
 discovery's point-pair index is pinned where it does the most work.
+Their `check --emit json` output pins `max_claim_residual`, a float
+computed from float points, to the bit.
 """
 
 from pathlib import Path
@@ -62,4 +67,13 @@ def test_sixteen_point_stdout_matches_golden(capsys, figure, fmt):
                      "--seed", "42", "--emit", fmt])
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / f"{figure}.prove-{fmt}.txt").read_bytes()
+    assert code == 0
+
+
+@pytest.mark.parametrize("figure", GENERATED)
+def test_sixteen_point_claim_residual_matches_golden(capsys, figure):
+    code = cli.main(["check", str(GOLDEN / f"{figure}.gthm"),
+                     "--seed", "42", "--emit", "json"])
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / f"{figure}.check-json.txt").read_bytes()
     assert code == 0

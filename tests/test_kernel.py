@@ -1,13 +1,17 @@
-"""The integer kernel of `scene` against the generic Scalar primitives.
+"""The kernels of `scene` against the generic Scalar primitives.
 
 A construction step whose inputs are all rational points, stored as
-(x, y, w) triples, runs on integer numerators and returns a triple; any
-other step runs on the Scalar arithmetic of `exactnum`.  The reference
-below is the all-Scalar form of every step the kernel serves.  Patched
-into `scene`, with the triple step patched out so that no point is
-stored as a triple, it evaluates each figure as if the kernel did not
-exist, and every point, line, distance, sampled assignment and failure
-must come out the same in value and in type.
+(x, y, w) triples, runs on integer numerators and returns a triple; a
+foot, meet or line that reads a float point and no Rad, and the
+irrational roots of a circle cut on a rational line, run on the float
+kernel; any other step runs on the Scalar arithmetic of `exactnum`.  The reference below is the all-Scalar form of every step
+the integer kernel serves.  Patched into `scene`, with the triple step
+and the float kernel patched out, it evaluates each figure as if
+neither kernel existed, and every point, line, distance, sampled
+assignment and failure must come out the same in value and in type.
+The float kernel is checked the same way against the Scalar path it
+stands for: with it patched out, every float comes out the same bit
+for bit.
 """
 
 import itertools
@@ -20,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from gthm import dsl, rules, scene as sc
+from gthm import dsl, rules, scene as sc, verify as vf
 from gthm.exactnum import Rad, add, as_float, div, mul, sqrt_scalar, sub
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,7 +133,7 @@ def ref_line_circle_meet(l, center, radius, pick):
     t2 = div(add(sub(Fraction(0), qb), root), two_a)
     if as_float(t1) > as_float(t2):
         t1, t2 = t2, t1
-    t = sc._pick_root(l, t1, t2, pick)
+    t = sc._pick_root(t1, t2, pick, lambda p: as_float(sc._line_param(l, p)))
     return sc.vadd(l.anchor, sc.vscale(t, d))
 
 
@@ -169,10 +173,18 @@ def coords_only(ev, name, value):
     ev._coords[name] = sc._coord(value) if len(value) == 3 else value
 
 
+def without_float_kernel(m):
+    """Patch the float kernel out: no point or line reads as a float
+    pair, and a circle cut leaves its roots to the Scalar path."""
+    m.setattr(sc, "_fpair", lambda c: None)
+    m.setattr(sc, "_flt_cut", lambda *args: None)
+
+
 def run_reference(monkeypatch, fn, *args):
     """fn(*args) with every kernel step replaced by its reference."""
     with monkeypatch.context() as m:
         m.setattr(sc.Evaluation, "add_point", coords_only)
+        without_float_kernel(m)
         for name, ref in REFERENCE.items():
             m.setattr(sc, name, ref)
         return outcome(fn, *args)
@@ -377,6 +389,7 @@ def test_reference_is_what_runs_when_patched(monkeypatch):
     calls = []
     with monkeypatch.context() as m:
         m.setattr(sc.Evaluation, "add_point", coords_only)
+        without_float_kernel(m)
         for fname, ref in REFERENCE.items():
             m.setattr(sc, fname, lambda *a, _ref=ref, _n=fname:
                       calls.append(_n) or _ref(*a))
@@ -400,3 +413,228 @@ def test_kernel_builds_canonical_fractions():
     r = sc.distance((Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(1, 3)))
     assert type(r) is Rad and r.radicand == Fraction(2, 9)
     assert math.isclose(float(r), math.sqrt(2) / 3)
+
+
+# ---------------------------------------------------------------------------
+# the float kernel against the Scalar path it stands for
+
+
+def scalar_only(monkeypatch, fn, *args):
+    """fn(*args) with the float kernel patched out and the integer
+    kernel kept: every step that reads a float point runs on `exactnum`."""
+    with monkeypatch.context() as m:
+        without_float_kernel(m)
+        return outcome(fn, *args)
+
+
+# every pick, on rational and on float pick points: F and S are the
+# first and second cuts of the axis by the circle about B, G picks the
+# cut nearest the float point F, H the one inside a rational segment
+# and W the one inside a segment with a float end, G's foot M.  The
+# feet and meets read float points and lines through them.
+PICKS = """\
+param x
+param y
+param z
+point O = origin
+point A = baseline(O, x)
+line base = through(O, A)
+point B = offset_perp(A, base, y)
+point F = meet_circle(base, B, z, first)
+point S = meet_circle(base, B, z, second)
+point G = meet_circle(through(O,B), A, z, nearest(F))
+point H = meet_circle(through(O,B), A, z, within_segment(O,B))
+point K = meet_circle(base, B, z, nearest(O))
+point M = foot(G, base)
+point W = meet_circle(through(O,B), A, z, within_segment(M,B))
+point N = meet(through(F,B), through(G,A))
+point P = meet(through(S,G), base)
+point Q = foot(O, through(F,G))
+point R = foot(H, through(B) parallel(through(G,S)))
+point U = meet(through(F) parallel(base), through(B,A))
+claim len(O,A) = len(O,A)
+"""
+
+
+# FG is vertical and EB is when x = y: a meet of float lines that the
+# raw draws make parallel.  L lies left of O, so its y is -0.0 when
+# z^2 > x^2 + y^2, and so is its foot's.  J has no power of two as its
+# denominator, so the exact differences and cross products that the
+# feet and meets on J round once differ from their float forms.
+FLOAT_SIGNS = """\
+param x
+param y
+param z
+point O = origin
+point A = baseline(O, x)
+line base = through(O, A)
+point B = offset_perp(A, base, y)
+point E = baseline(O, y)
+point F = meet_circle(base, B, z, second)
+point G = offset_perp(F, base, y)
+point V = meet(through(F,G), through(E,B))
+point L = meet_circle(base, B, z, first)
+point Z = foot(L, base)
+point J = foot(A, through(O,B))
+point Y = foot(J, through(A,F))
+point T = meet(through(J,B), through(A,G))
+point I = meet(through(G) parallel(through(A,J)), through(O,B))
+claim len(O,A) = len(O,A)
+"""
+
+
+def float_figures():
+    out = {"picks": PICKS, "float-signs": FLOAT_SIGNS}
+    out.update((name, text) for name, text in FIGURES.items()
+               if "meet_circle" in text)
+    # triage members, whose points are drawn from the pool by the seed
+    for family, (_, _, pool) in gen.FAMILIES.items():
+        for k in range(len(pool) + 1):
+            text = gen.family_member(family, k, True, random.Random(k))
+            if "meet_circle" in text:
+                out[f"{family}~{k}"] = text
+    return out
+
+
+FLOAT_FIGURES = float_figures()
+
+
+def claim_bits(v):
+    return [struct.pack("<d", r.claim_residual) for r in v.samples]
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_FIGURES))
+def test_float_kernel_matches_scalar_path(monkeypatch, name):
+    text = FLOAT_FIGURES[name]
+    for seed in SEEDS:
+        got = outcome(sc.sample_params, _scene(text), seed)
+        want = scalar_only(monkeypatch, sc.sample_params, _scene(text), seed)
+        assert same(got, want), (name, seed, got, want)
+        if isinstance(got, tuple):
+            continue
+        scene_ = _scene(text)
+        ev = sc._evaluate(scene_, got)
+        assert same(ev, scalar_only(monkeypatch, sc._evaluate, scene_, got)), (name, seed)
+        a = raw_assignment(scene_, random.Random(seed))
+        got = outcome(sc._evaluate, scene_, a)
+        want = scalar_only(monkeypatch, sc._evaluate, scene_, a)
+        assert same(got, want), (name, seed, got, want)
+    model = dsl.validate(dsl.parse(text))
+    for seed in (1, 42):
+        got = vf.oracle_verdict(model, _scene(text), seed=seed)
+        want = scalar_only(monkeypatch, vf.oracle_verdict, model, _scene(text),
+                           vf.VALIDATION_SAMPLES, seed)
+        assert claim_bits(got) == claim_bits(want)
+
+
+def test_float_kernel_takes_every_step(monkeypatch):
+    """Guard on the comparison above: the float kernel builds points for
+    every step kind and pick on those figures, and both kinds of raw
+    draw failure it decides occur there."""
+    made, failed = set(), set()
+    for fname in ("_flt_direction", "_flt_foot", "_flt_meet", "_flt_cut"):
+        real = getattr(sc, fname)
+
+        def spy(*args, _real=real, _n=fname):
+            result = _real(*args)
+            if result is not None:
+                made.add(_n if _n != "_flt_cut" else args[-1][0])
+            return result
+        monkeypatch.setattr(sc, fname, spy)
+    for text in FLOAT_FIGURES.values():
+        scene_ = _scene(text)
+        for seed in SEEDS:
+            got = outcome(sc._evaluate, scene_,
+                          raw_assignment(scene_, random.Random(seed)))
+            if isinstance(got, tuple):
+                failed.add(got[1])
+    assert made == {"_flt_direction", "_flt_foot", "_flt_meet", "first",
+                    "second", "within_segment", "nearest"}
+    assert {sc.NoIntersection, sc.AmbiguousPick, sc.ParallelLines} <= failed
+
+
+def _as_coord(k):
+    return sc._coord(k) if len(k) == 3 else k
+
+
+def _random_input(rng, scale):
+    """A triple with a small odd denominator or a pair of floats, of
+    magnitude up to `scale`; a third of the coordinates are zero, so
+    that -0.0 products and exact-zero additions occur."""
+    def num():
+        return 0 if rng.random() < 1 / 3 else rng.randint(-scale, scale)
+    if rng.random() < 0.5:
+        w = rng.choice((1, 3, 7, 2 ** 20 * 5))
+        return sc._reduced(num() * w // 3, num() * w // 7 or num(), w)
+    return (num() * rng.random(), -0.0 if rng.random() < 0.1 else num() * rng.random())
+
+
+def _near(rng, k, rel):
+    """A float point within `rel` of the point k, relative to its size."""
+    x, y = sc._floats(k)
+    s = max(abs(x), abs(y), 1.0)
+    return (x + s * rel * rng.choice((-1, 1, 0.5)), y + s * rel * rng.choice((-1, 1)))
+
+
+@pytest.mark.parametrize("scale", [10, 10 ** 9])
+def test_float_steps_match_scalar_primitives(scale):
+    """Each float-kernel step on random triples and float pairs, small
+    and large, near-coincident and near-parallel, against the Scalar
+    primitive on the same coordinates, bit for bit."""
+    rng = random.Random(scale)
+    for _ in range(3000):
+        p, a, b = (_random_input(rng, scale) for _ in range(3))
+        u, v = _random_input(rng, scale), _random_input(rng, scale)
+        if rng.random() < 0.3:
+            v = _near(rng, u, rng.choice((1e-8, 1e-10, 1e-12)))
+        if rng.random() < 0.3:
+            b = _near(rng, a, rng.choice((1e-8, 1e-10, 1e-12)))
+        if rng.random() < 0.1:  # |u|^2 about PRED_TOL
+            u = (rng.random() * 6e-5, rng.choice((0.0, -0.0, 1e-5)))
+        kinds = {len(k) for k in (p, a, u)}
+        line = sc.Line(_as_coord(a), _as_coord(u))
+        if 2 in {len(a), len(b)}:
+            assert same(outcome(sc._flt_direction, a, b),
+                        outcome(sc.through_direction, _as_coord(a), _as_coord(b)))
+        if 2 in kinds:
+            want = outcome(sc.foot_of_perpendicular, _as_coord(p), line)
+            assert same(outcome(sc._flt_foot, p, a, u), want), (p, a, u)
+        if u[0] or u[1]:
+            assert same(sc._flt_param(a, u, p),
+                        as_float(sc._line_param(line, _as_coord(p))))
+        if 2 in {len(a), len(u), len(b), len(v)}:
+            want = outcome(sc.intersect_lines, line,
+                           sc.Line(_as_coord(b), _as_coord(v)))
+            assert same(outcome(sc._flt_meet, a, u, b, v), want), (a, u, b, v)
+
+
+def test_float_cut_matches_scalar_cut():
+    """_flt_cut against _circle_cut on the same quadratic, for every
+    pick, on rational lines and centers of random size and on radii
+    that miss, touch and cut; the float kernel leaves a cut with qb = 0
+    or an exact root to the Scalar path."""
+    rng = random.Random(5)
+    deferred = cut = 0
+    for _ in range(3000):
+        a, u, c = (sc._reduced(rng.randint(-9, 9), rng.randint(-9, 9),
+                               rng.choice((1, 2, 3, 7))) for _ in range(3))
+        if not (u[0] or u[1]):
+            continue
+        rr = Fraction(rng.randint(0, 200), rng.choice((1, 4, 9, 5)))
+        qa, qb, disc = sc._hom_circle_quadratic(a, u, c, rr)
+        picks = [("first",), ("second",)]
+        for _ in range(2):
+            p, q = _random_input(rng, 9), _random_input(rng, 9)
+            picks += [("within_segment", p, q), ("nearest", p)]
+        line = sc.Line(sc._coord(a), sc._coord(u))
+        for pick in picks:
+            got = outcome(sc._flt_cut, a, u, qa, qb, disc, pick)
+            want = outcome(sc._circle_cut, line, Fraction(*qa), Fraction(*qb),
+                           Fraction(*disc), (pick[0], *map(_as_coord, pick[1:])))
+            if got is None:  # qb = 0 or an exact root
+                deferred += 1
+                assert not qb[0] or type(sqrt_scalar(Fraction(*disc))) is Fraction
+                continue
+            cut += not isinstance(got, tuple) or got[0] != "raised"
+            assert same(got, want), (a, u, c, rr, pick)
+    assert deferred and cut

@@ -3,6 +3,7 @@ sampled verdict."""
 
 import dataclasses
 import math
+import struct
 from fractions import Fraction
 from pathlib import Path
 
@@ -243,6 +244,41 @@ def test_validation_keeps_a_corrupted_step_out_of_the_proof(
 
 
 # --- verdicts on the fixtures ------------------------------------------------
+
+
+def _member_texts():
+    import random
+    import sys
+    sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
+    import gen
+    out = {p.name: p.read_text() for p in sorted(FIXTURES.glob("*.gthm"))
+           if p.stem != "degenerate"}
+    for family, (_, _, pool) in gen.FAMILIES.items():
+        for k in range(len(pool) + 1):
+            for truth in (True, False):
+                out[f"{family}+{k}.{truth}"] = gen.family_member(
+                    family, k, truth, random.Random(k))
+    return out
+
+
+@pytest.mark.parametrize("name,text", sorted(_member_texts().items()))
+def test_claim_on_squares_gives_the_scalar_residual(name, text):
+    """The integer check of a one-term claim returns, at every sample,
+    the residual the Scalar sides give, bit for bit, and it decides
+    the true claims on rational figures."""
+    model = dsl.validate(dsl.parse(text))
+    scn = sc.build_scene(model)
+    eq = model.claim.payload
+    decided = 0
+    for _, a, ev in rules.sample_stream(scn, 9, sc.DEFAULT_RANGE, 20):
+        got = vf._claim_check(model, ev)
+        fresh = sc._evaluate(scn, a)
+        want = vf._claim_residual(vf._claim_side(eq.lhs, fresh),
+                                  vf._claim_side(eq.rhs, fresh))
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+        decided += vf._equal_on_squares(eq.lhs, eq.rhs, fresh)
+    if name.endswith(".True") and "meet_circle" not in text:
+        assert decided == 20
 
 
 def test_parallelogram_proved_with_exactly_zero_residuals(para):
