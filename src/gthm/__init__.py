@@ -18,12 +18,12 @@ script; wrong claims come back REFUTED with the offending samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from . import dsl, emit, graph, rules, scene, verify
+from .record import Record
 from .verify import Verdict
 
 __all__ = ["dsl", "scene", "rules", "graph", "verify", "emit",
@@ -33,8 +33,7 @@ __all__ = ["dsl", "scene", "rules", "graph", "verify", "emit",
 __version__ = "0.1.0"
 
 
-@dataclass(frozen=True)
-class ProofResult:
+class ProofResult(Record):
     """Everything the pipeline produced for one theorem file.
 
     A degenerate figure leaves witness and graph None.  `schedule` is
@@ -42,14 +41,8 @@ class ProofResult:
     the goals' part of the schedule even when some goal stays pending,
     which is what the DOT view draws."""
 
-    model: dsl.HypothesisModel
-    theorem: Optional[str]
-    scene: scene.Scene
-    witness: Optional[scene.ParamAssignment]
-    graph: Optional[graph.DerivationGraph]
-    focused: Optional[tuple]
-    schedule: Optional[tuple]
-    verdict: Verdict
+    __slots__ = ("model", "theorem", "scene", "witness", "graph", "focused",
+                 "schedule", "verdict")
 
     @property
     def text(self) -> str:

@@ -20,12 +20,12 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from . import ProofResult, dsl, emit, prove_model, scene as sc, verify as vf
+from .record import Record
 from .rules import VALIDATION_SAMPLES
 
 EXIT_PROVED = 0
@@ -42,13 +42,9 @@ _EMIT_CHOICES = {"prove": ("text", "json", "dot", "scene"),
                  "check": ("text", "json")}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    input_path: Path
-    seed: int = 42
-    samples: int = VALIDATION_SAMPLES
-    emit_format: str = "text"
-    rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE
+class RunConfig(Record):
+    __slots__ = ("input_path", "seed", "samples", "emit_format", "rng_range")
+    _defaults = (42, VALIDATION_SAMPLES, "text", sc.DEFAULT_RANGE)
 
 
 class UsageError(Exception):
@@ -119,6 +115,8 @@ def _config(args) -> RunConfig:
             f"{', '.join(_EMIT_CHOICES[args.command])}")
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    if args.samples > dsl.MAX_SAMPLES:
+        raise UsageError(f"--samples must be at most {dsl.MAX_SAMPLES}")
     seed = args.seed if args.seed is not None else _env_seed()
     return RunConfig(input_path=Path(args.input), seed=seed,
                      samples=args.samples, emit_format=emit_format,

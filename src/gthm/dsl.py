@@ -17,23 +17,29 @@ references in source order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterator, Optional, Union
+
+from .record import Record
 
 MAX_FILE_BYTES = 1 << 20
 MAX_LINE_CHARS = 1000
 # rule discovery is polynomial in the point count; past this many
 # points a file is refused before any figure is built
 MAX_POINTS = 32
+# each sample is evaluated and kept for the run; past this, --samples is refused
+MAX_SAMPLES = 1000
 
 
-@dataclass(frozen=True)
-class Span:
-    line: int
-    col: int
-    end_line: int
-    end_col: int
+class Span(Record):
+    __slots__ = ("line", "col", "end_line", "end_col")
+
+    def __init__(self, line: int, col: int, end_line: int, end_col: int):
+        s = self._set
+        s[0](self, line)
+        s[1](self, col)
+        s[2](self, end_line)
+        s[3](self, end_col)
 
 
 _NOSPAN = Span(0, 0, 0, 0)
@@ -84,154 +90,117 @@ class BadClaim(DslError):
 # AST
 
 
-@dataclass(frozen=True)
-class Expr:
-    span: Span = field(compare=False, repr=False)
+class Expr(Record):
+    __slots__ = ("span",)
 
 
-@dataclass(frozen=True)
 class NumLit(Expr):
-    value: Fraction = Fraction(0)
+    __slots__ = ("value",)
+    _defaults = (Fraction(0),)
 
 
-@dataclass(frozen=True)
 class NameRef(Expr):
-    name: str = ""
+    __slots__ = ("name",)
+    _defaults = ("",)
 
 
-@dataclass(frozen=True)
 class LenExpr(Expr):
-    p: str = ""
-    q: str = ""
+    __slots__ = ("p", "q")
+    _defaults = ("", "")
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr = None  # type: ignore[assignment]
+    __slots__ = ("arg",)
+    _defaults = (None,)
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str = ""
-    left: Expr = None  # type: ignore[assignment]
-    right: Expr = None  # type: ignore[assignment]
+    __slots__ = ("op", "left", "right")
+    _defaults = ("", None, None)
 
 
-@dataclass(frozen=True)
-class LineRef:
-    name: str
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class _Spanned(Record):
+    """A line, construction, pick or claim part: its last field is its
+    source span, which defaults to none."""
+    __slots__ = ()
+    _defaults = (_NOSPAN,)
 
 
-@dataclass(frozen=True)
-class ThroughPoints:
-    p: str
-    q: str
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class LineRef(_Spanned):
+    __slots__ = ("name", "span")
 
 
-@dataclass(frozen=True)
-class ExtendRay:
+class ThroughPoints(_Spanned):
+    __slots__ = ("p", "q", "span")
+
+
+class ExtendRay(_Spanned):
     # carrier line of the ray from p through q; names the intent that the
     # construction lands beyond q
-    p: str
-    q: str
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+    __slots__ = ("p", "q", "span")
 
 
-@dataclass(frozen=True)
-class ThroughParallel:
-    p: str
-    base: "LineArg"
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class ThroughParallel(_Spanned):
+    __slots__ = ("p", "base", "span")
 
 
 LineArg = Union[LineRef, ThroughPoints, ThroughParallel, ExtendRay]
 
 
-@dataclass(frozen=True)
-class Origin:
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class Origin(_Spanned):
+    __slots__ = ("span",)
 
 
-@dataclass(frozen=True)
-class Baseline:
-    p: str
-    dist: Expr
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class Baseline(_Spanned):
+    __slots__ = ("p", "dist", "span")
 
 
-@dataclass(frozen=True)
-class OnSegment:
-    p: str
-    q: str
-    dist: Expr
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class OnSegment(_Spanned):
+    __slots__ = ("p", "q", "dist", "span")
 
 
-@dataclass(frozen=True)
-class OffsetPerp:
-    p: str
-    line: LineArg
-    dist: Expr
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class OffsetPerp(_Spanned):
+    __slots__ = ("p", "line", "dist", "span")
 
 
-@dataclass(frozen=True)
-class Meet:
-    l1: LineArg
-    l2: LineArg
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class Meet(_Spanned):
+    __slots__ = ("l1", "l2", "span")
 
 
-@dataclass(frozen=True)
-class PickFirst:
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class PickFirst(_Spanned):
+    __slots__ = ("span",)
 
 
-@dataclass(frozen=True)
-class PickSecond:
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class PickSecond(_Spanned):
+    __slots__ = ("span",)
 
 
-@dataclass(frozen=True)
-class PickWithinSegment:
-    p: str
-    q: str
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class PickWithinSegment(_Spanned):
+    __slots__ = ("p", "q", "span")
 
 
-@dataclass(frozen=True)
-class PickNearest:
-    p: str
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class PickNearest(_Spanned):
+    __slots__ = ("p", "span")
 
 
 Pick = Union[PickFirst, PickSecond, PickWithinSegment, PickNearest]
 
 
-@dataclass(frozen=True)
-class MeetCircle:
-    line: LineArg
-    center: str
-    radius: Expr
-    pick: Pick
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class MeetCircle(_Spanned):
+    __slots__ = ("line", "center", "radius", "pick", "span")
 
 
-@dataclass(frozen=True)
-class Foot:
-    p: str
-    line: LineArg
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class Foot(_Spanned):
+    __slots__ = ("p", "line", "span")
 
 
 PointExpr = Union[Origin, Baseline, OnSegment, OffsetPerp, Meet, MeetCircle, Foot]
 
 # each construction's argument kinds in source order: "point" a point
-# name, "line" a line argument, "dist" a distance expression, "pick" a
-# root pick policy; the dataclass fields follow the same order.  The
-# line forms are listed for `refs`: the parser spells `through` out
+# name, "param" a parameter name, "line" a line argument, "dist" a
+# distance expression, "pick" a root pick policy; the fields follow the
+# same order.  The line forms are listed for `refs` (the parser spells
+# `through` out), and so are the expressions that name symbols
 ARGS: dict[type, tuple[str, ...]] = {
     Origin: (),
     Baseline: ("point", "dist"),
@@ -247,6 +216,8 @@ ARGS: dict[type, tuple[str, ...]] = {
     ThroughPoints: ("point", "point"),
     ExtendRay: ("point", "point"),
     ThroughParallel: ("point", "line"),
+    NameRef: ("param",),
+    LenExpr: ("point", "point"),
 }
 
 POINT_KEYWORDS: dict[str, type] = {
@@ -258,40 +229,25 @@ PICK_KEYWORDS: dict[str, type] = {
     "within_segment": PickWithinSegment, "nearest": PickNearest}
 
 
-@dataclass(frozen=True)
-class ClaimTerm:
-    coef: Fraction
-    p: str
-    q: str
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class ClaimTerm(_Spanned):
+    __slots__ = ("coef", "p", "q", "span")
 
 
-@dataclass(frozen=True)
-class ClaimEq:
-    lhs: tuple[ClaimTerm, ...]
-    rhs: tuple[ClaimTerm, ...]
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class ClaimEq(_Spanned):
+    __slots__ = ("lhs", "rhs", "span")  # tuples of ClaimTerm
 
 
-@dataclass(frozen=True)
-class Statement:
-    kind: str  # "param-decl" | "point-construction" | "line-construction" | "claim"
-    name: str  # empty for claims
-    payload: object  # PointExpr | LineArg | ClaimEq | None
-    aux: bool = False
-    span: Span = field(compare=False, repr=False, default=_NOSPAN)
+class Statement(Record):
+    # kind "param-decl", "point-construction", "line-construction" or
+    # "claim" (no name); payload a PointExpr, LineArg, ClaimEq or None
+    __slots__ = ("kind", "name", "payload", "aux", "span")
+    _defaults = (False, _NOSPAN)
 
 
-@dataclass(frozen=True)
-class HypothesisModel:
-    params: tuple[str, ...]
-    constructions: tuple[Statement, ...]  # points and lines, file order
-    claim: Statement
-    aux: frozenset[str]
-    points: tuple[str, ...]
-    lines: tuple[str, ...]
-    origin: str
-    base_point: str
+class HypothesisModel(Record):
+    # constructions: the point and line statements, in file order
+    __slots__ = ("params", "constructions", "claim", "aux", "points", "lines",
+                 "origin", "base_point")
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +256,15 @@ class HypothesisModel:
 _PUNCT = {"(", ")", ",", "=", "+", "-", "*", "/"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT | NUMBER | PUNCT | EOL
-    value: str
-    span: Span
+class Token(Record):
+    __slots__ = ("kind", "value", "span")  # kind: IDENT | NUMBER | PUNCT | EOL
+    _uncompared = ()
+
+    def __init__(self, kind: str, value: str, span: Span):
+        s = self._set
+        s[0](self, kind)
+        s[1](self, value)
+        s[2](self, span)
 
 
 def _tokenize_line(text: str, lineno: int) -> list[Token]:
@@ -429,7 +389,7 @@ class _LineParser:
             return NumLit(span=t.span, value=Fraction(t.value))
         if t.kind == "IDENT" and t.value == "len":
             self.advance()
-            p, q = self.parse_args(("point", "point"))
+            p, q = self.parse_args(ARGS[LenExpr])
             return LenExpr(span=t.span, p=p, q=q)
         if t.kind == "IDENT":
             self.advance()
@@ -618,23 +578,18 @@ def refs(node) -> Iterator[tuple[str, str, Span]]:
     """The symbols a construction, pick, line argument or distance
     expression reads, as (name, kind, span) in source order; kind is
     "param", "point" or "line".  A named line is one reference."""
-    if isinstance(node, NameRef):
-        yield node.name, "param", node.span
-    elif isinstance(node, LenExpr):
-        yield node.p, "point", node.span
-        yield node.q, "point", node.span
-    elif isinstance(node, Neg):
+    if isinstance(node, Neg):
         yield from refs(node.arg)
     elif isinstance(node, BinOp):
         yield from refs(node.left)
         yield from refs(node.right)
     elif isinstance(node, LineRef):
         yield node.name, "line", node.span
-    elif not isinstance(node, NumLit):
-        for kind, f in zip(ARGS[type(node)], fields(node)):
-            arg = getattr(node, f.name)
-            if kind == "point":
-                yield arg, "point", node.span
+    else:  # a NumLit reads nothing; other fields but span are arguments
+        for kind, f in zip(ARGS.get(type(node), ()), node._compared):
+            arg = getattr(node, f)
+            if kind in ("point", "param"):
+                yield arg, kind, node.span
             else:
                 yield from refs(arg)
 

@@ -15,38 +15,49 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import dsl, scene as sc
+from .record import Record
 from .rules import (VALIDATION_SAMPLES, Dim, Hyperedge, discover, length,
                     validate_edges)
 
 
-@dataclass(frozen=True)
-class Node:
-    dim: Dim
-    index: int  # parameters, then each node at first reach, pending goals last
-    is_param: bool = False
-    is_goal: bool = False
+class Node(Record):
+    # index: parameters, then each node at first reach, pending goals last
+    __slots__ = ("dim", "index", "is_param", "is_goal")
+
+    def __init__(self, dim: Dim, index: int, is_param: bool = False,
+                 is_goal: bool = False):
+        s = self._set
+        s[0](self, dim)
+        s[1](self, index)
+        s[2](self, is_param)
+        s[3](self, is_goal)
 
 
-@dataclass(frozen=True)
-class ScheduleStep:
-    dim: Dim
-    edge: Optional[Hyperedge]  # None for parameter seeds
+class ScheduleStep(Record):
+    __slots__ = ("dim", "edge")
+
+    def __init__(self, dim: Dim, edge: Optional[Hyperedge]):
+        s = self._set
+        s[0](self, dim)
+        s[1](self, edge)  # None for parameter seeds
 
 
-@dataclass
 class DerivationGraph:
-    nodes: dict[Dim, Node]
-    edges: list[Hyperedge]  # admitted at the witness, in pool order; only
-    # grow_detailed's focused steps (and numbering edges) are validated
-    goals: tuple[Dim, ...]
-    pending: tuple[Dim, ...]  # goals forward closure never reached
-    reports: list[str] = field(default_factory=list)  # nothing writes one yet
-    focused: tuple[ScheduleStep, ...] = ()  # set by grow_detailed
+    """`edges` were admitted at the witness, in pool order, and only
+    grow_detailed's focused steps (and numbering edges) are validated;
+    `pending` goals were never reached; nothing writes `reports` yet."""
+
+    def __init__(self, nodes: dict[Dim, Node], edges: list[Hyperedge],
+                 goals: tuple[Dim, ...], pending: tuple[Dim, ...],
+                 reports: Optional[list[str]] = None,
+                 focused: tuple[ScheduleStep, ...] = ()):
+        self.nodes, self.edges, self.goals, self.pending = nodes, edges, goals, pending
+        self.reports = [] if reports is None else reports
+        self.focused = focused
 
     @property
     def param_dims(self) -> tuple[Dim, ...]:

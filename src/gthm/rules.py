@@ -28,13 +28,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from . import dsl, scene as sc
 from .exactnum import Scalar, add, as_float, div, mul, rel_err, sqrt_scalar, sub
+from .record import Record
 
 
 class NumericFailure(Exception):
@@ -45,19 +45,17 @@ class NumericFailure(Exception):
 # dimensions
 
 
-@dataclass(frozen=True, eq=False)
-class Dim:
+class Dim(Record):
     """A dimension of the figure.  Built only by length, composite and
     make_ratio, which intern it: equal dims are one object, so they
-    compare and hash by identity."""
+    compare and hash by identity.  `kind` is "length" (of `points`),
+    "ratio" (`num` over `den`) or "composite" (`far` less `near`)."""
 
-    kind: str  # "length" | "ratio" | "composite"
-    points: tuple[str, str] = ()
-    num: Optional["Dim"] = None
-    den: Optional["Dim"] = None
-    far: tuple[str, str] = ()
-    near: tuple[str, str] = ()
-    display: str = ""
+    __slots__ = ("kind", "points", "num", "den", "far", "near", "display",
+                 "__weakref__")
+    _defaults = ((), None, None, (), (), "")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"Dim({self.display})"
@@ -106,14 +104,19 @@ def make_ratio(a: Dim, b: Dim) -> Dim:
 # hyperedges
 
 
-@dataclass(frozen=True)
-class Hyperedge:
-    sources: tuple[Dim, ...]  # sorted by display
-    target: Dim
-    rule: str
-    justification: str
-    recipe: tuple
-    subpriority: int = 0
+class Hyperedge(Record):
+    __slots__ = ("sources", "target", "rule", "justification", "recipe",
+                 "subpriority")
+
+    def __init__(self, sources: tuple[Dim, ...], target: Dim, rule: str,
+                 justification: str, recipe: tuple, subpriority: int = 0):
+        s = self._set
+        s[0](self, sources)  # sorted by display
+        s[1](self, target)
+        s[2](self, rule)
+        s[3](self, justification)
+        s[4](self, recipe)
+        s[5](self, subpriority)
 
     def key(self):
         return (frozenset(self.sources), self.target, self.rule)
@@ -668,23 +671,27 @@ def _line_point_pair(arg: dsl.LineArg, named: dict[str, dsl.LineArg]
 
 
 def _radius_dim(radius: dsl.Expr, scene_: sc.Scene) -> Optional[Dim]:
-    if isinstance(radius, dsl.LenExpr):
-        if radius.p == radius.q:
-            return None
-        return length(radius.p, radius.q)
-    if isinstance(radius, dsl.NameRef):
+    """The radius as a dim: len(P,Q), or the length a bare parameter measures."""
+    kinds = dsl.ARGS.get(type(radius))
+    names = [name for name, _, _ in dsl.refs(radius)]
+    if kinds == ("point", "point") and names[0] != names[1]:
+        return length(*names)
+    if kinds == ("param",):
         for param, pair in scene_.param_dims:
-            if param == radius.name:
+            if param == names[0]:
                 return length(*pair)
     return None
 
 
+_PICK_WORDS = {cls: word for word, cls in dsl.PICK_KEYWORDS.items()}
+
+
 def _pick_mode(pick: dsl.Pick, p: str, q: str) -> Optional[str]:
-    if isinstance(pick, dsl.PickFirst):
-        return "first"
-    if isinstance(pick, dsl.PickSecond):
-        return "second"
-    if isinstance(pick, dsl.PickWithinSegment) and {pick.p, pick.q} == {p, q}:
+    """The recipe's root: "first", "second", or "unit" within the segment PQ."""
+    word = _PICK_WORDS[type(pick)]
+    if word in ("first", "second"):
+        return word
+    if word == "within_segment" and {n for n, _, _ in dsl.refs(pick)} == {p, q}:
         return "unit"
     return None
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 from weakref import WeakKeyDictionary
@@ -49,6 +48,7 @@ from weakref import WeakKeyDictionary
 from . import dsl
 from .exactnum import (Rad, Scalar, add, as_float, div, is_exact, mul, square,
                        sqrt_scalar, sub)
+from .record import Record
 
 Coord = tuple[Scalar, Scalar]
 # (x, y, w): the rational point or vector (x/w, y/w), w > 0, gcd 1
@@ -88,9 +88,11 @@ class DegenerateModel(Exception):
     """Sampling could not find a non-degenerate assignment."""
 
 
-@dataclass(frozen=True)
-class ParamAssignment:
-    items: tuple[tuple[str, Fraction], ...]
+class ParamAssignment(Record):
+    __slots__ = ("items",)  # (name, value) per parameter, in model order
+
+    def __init__(self, items: tuple[tuple[str, Fraction], ...]):
+        self._set[0](self, items)
 
     @property
     def values(self) -> dict[str, Fraction]:
@@ -131,20 +133,13 @@ class Line:
         return f"Line(anchor={self.anchor!r}, direction={self.direction!r})"
 
 
-@dataclass(frozen=True)
-class PlanStep:
-    name: str
-    kind: str  # "point" or "line"
-    statement: dsl.Statement
-
-
 class Scene:
     """Immutable after build; evaluation never mutates it."""
 
-    def __init__(self, model: dsl.HypothesisModel, plan: tuple[PlanStep, ...],
+    def __init__(self, model: dsl.HypothesisModel,
                  param_dims: tuple[tuple[str, tuple[str, str]], ...]):
         self.model = model
-        self.plan = plan
+        self.plan = model.constructions  # evaluated in file order
         self.param_dims = param_dims
 
 
@@ -679,46 +674,25 @@ def _either_way(x: Scalar, y: Scalar) -> Scalar:
 
 
 def build_scene(model: dsl.HypothesisModel) -> Scene:
-    plan: list[PlanStep] = []
     param_dims: list[tuple[str, tuple[str, str]]] = []
     for s in model.constructions:
-        if s.kind == "line-construction":
-            plan.append(PlanStep(s.name, "line", s))
-            continue
-        plan.append(PlanStep(s.name, "point", s))
-        anchor = _bare_param_anchor(s.payload)
+        anchor = _bare_param_anchor(s.payload)  # None for a line
         if anchor is not None:
-            param_name, from_point = anchor
-            param_dims.append((param_name, (from_point, s.name)))
-    ordered = _order_param_dims(model, param_dims)
-    return Scene(model, tuple(plan), ordered)
+            param_dims.append((anchor[0], (anchor[1], s.name)))
+    # by parameter in declaration order, each one's in file order
+    param_dims.sort(key=lambda found: model.params.index(found[0]))
+    return Scene(model, tuple(param_dims))
 
 
 def _bare_param_anchor(pe: dsl.PointExpr) -> Optional[tuple[str, str]]:
     """(param, anchor point) when the construction measures a bare
     parameter as a segment from a known point."""
-    if isinstance(pe, dsl.Baseline) and isinstance(pe.dist, dsl.NameRef):
-        return (pe.dist.name, pe.p)
-    if isinstance(pe, dsl.OnSegment) and isinstance(pe.dist, dsl.NameRef):
-        return (pe.dist.name, pe.p)
-    if isinstance(pe, dsl.OffsetPerp) and isinstance(pe.dist, dsl.NameRef):
+    if (isinstance(pe, (dsl.Baseline, dsl.OnSegment, dsl.OffsetPerp))
+            and isinstance(pe.dist, dsl.NameRef)):
         return (pe.dist.name, pe.p)
     if isinstance(pe, dsl.MeetCircle) and isinstance(pe.radius, dsl.NameRef):
         return (pe.radius.name, pe.center)
     return None
-
-
-def _order_param_dims(model: dsl.HypothesisModel,
-                      found: list[tuple[str, tuple[str, str]]],
-                      ) -> tuple[tuple[str, tuple[str, str]], ...]:
-    by_param: dict[str, list[tuple[str, str]]] = {}
-    for param, pair in found:
-        by_param.setdefault(param, []).append(pair)
-    ordered: list[tuple[str, tuple[str, str]]] = []
-    for param in model.params:
-        for pair in by_param.get(param, []):
-            ordered.append((param, pair))
-    return tuple(ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -741,9 +715,8 @@ def _evaluate(scene: Scene, a: ParamAssignment) -> Evaluation:
     ev = Evaluation()
     params = a.values
     model = scene.model
-    for step in scene.plan:
-        stmt = step.statement
-        if step.kind == "line":
+    for stmt in scene.plan:
+        if stmt.kind == "line-construction":
             ev.named_lines[stmt.name] = _eval_line_arg(stmt.payload, ev, params)
         else:
             ev.add_point(stmt.name, _eval_point(stmt, ev, params, model))

@@ -23,7 +23,6 @@ makes the verdict numerically certified instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -31,6 +30,7 @@ from . import scene as sc
 from .dsl import MeetCircle
 from .exactnum import Scalar, add, as_float, exact_eq, mul
 from .graph import ScheduleStep, goal_dims
+from .record import Record
 from .rules import (VALIDATION_SAMPLES, VALIDATION_TOL, Dim, apply_edge, length,
                     sample_stream)
 
@@ -42,39 +42,34 @@ STATUS_INCONCLUSIVE = "INCONCLUSIVE"
 REFUTE_MARGIN = 10.0
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(Record):
     """Everything observed while checking one parameter assignment."""
 
-    index: int
-    seed: int
-    assignment: sc.ParamAssignment
-    claim_residual: float
-    # every point the steps read has rational coordinates here
-    exact: bool = True
-    redraws: int = 0  # always 0, nothing is redrawn; perfbench/spans.py reads it
+    __slots__ = ("index", "seed", "assignment", "claim_residual", "exact",
+                 "redraws")
+
+    def __init__(self, index: int, seed: int, assignment: sc.ParamAssignment,
+                 claim_residual: float, exact: bool = True, redraws: int = 0):
+        s = self._set
+        s[0](self, index)
+        s[1](self, seed)
+        s[2](self, assignment)
+        s[3](self, claim_residual)
+        s[4](self, exact)  # every point the steps read has rational coordinates here
+        s[5](self, redraws)  # always 0, nothing is redrawn; perfbench/spans.py reads it
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Identity-testing pedigree attached to a PROVED verdict."""
+class Certificate(Record):
+    """Identity-testing pedigree attached to a PROVED verdict.  `kind`
+    is "exact-identity" or "numerically-certified"."""
 
-    kind: str  # "exact-identity" | "numerically-certified"
-    degree_bound: int
-    sample_space: int
-    points: int
-    log10_failure_bound: Optional[float]
-    certified: bool
-    note: str
+    __slots__ = ("kind", "degree_bound", "sample_space", "points",
+                 "log10_failure_bound", "certified", "note")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    samples: tuple[SampleReport, ...]
-    reason: str
-    schedule: Optional[tuple[ScheduleStep, ...]] = None
-    certificate: Optional[Certificate] = None
+class Verdict(Record):
+    __slots__ = ("status", "samples", "reason", "schedule", "certificate")
+    _defaults = (None, None)
 
 
 def param_names(scene_: sc.Scene) -> dict[Dim, str]:

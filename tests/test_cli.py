@@ -107,6 +107,21 @@ def test_oversized_file_is_refused_at_the_limit(tmp_path, capsys):
         prove_file(big)
 
 
+@pytest.mark.parametrize("command", ["prove", "graph", "check"])
+def test_samples_past_the_limit_exit_three_before_reading(command, capsys):
+    code, out, err = run(capsys, command, "no_such_file.gthm",
+                         "--samples", str(dsl.MAX_SAMPLES + 1))
+    assert (code, out) == (3, "")
+    assert err == f"gthm: --samples must be at most {dsl.MAX_SAMPLES}\n"
+
+
+def test_samples_at_the_limit_run(capsys):
+    code, out, err = run(capsys, "check", fx("parallelogram.gthm"),
+                         "--samples", str(dsl.MAX_SAMPLES))
+    assert (code, err) == (0, "")
+    assert f"at {dsl.MAX_SAMPLES} coordinate samples" in out
+
+
 _READ_ENDLESS = """\
 import resource, sys
 cap = 256 << 20

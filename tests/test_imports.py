@@ -15,12 +15,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 GTHM = {"gthm", "gthm.cli", "gthm.dsl", "gthm.emit", "gthm.exactnum",
-        "gthm.graph", "gthm.rules", "gthm.scene", "gthm.verify"}
+        "gthm.graph", "gthm.record", "gthm.rules", "gthm.scene", "gthm.verify"}
 
 # the standard library the import adds to a bare `python -I` start
-STDLIB = {"__future__", "argparse", "ast", "copy", "dataclasses", "decimal",
-          "dis", "fractions", "gettext", "importlib", "inspect", "json",
-          "linecache", "numbers", "opcode", "token", "tokenize"}
+STDLIB = {"__future__", "argparse", "decimal", "fractions", "gettext", "json",
+          "numbers"}
 
 PROBE = f"""
 import sys

@@ -176,6 +176,30 @@ def test_sampler_hits_every_value_uniformly(monkeypatch):
         assert all(abs(c - 100) <= 47 for c in per_value.values()), per_value
 
 
+# one parameter, drawn with no rejection
+ONE_FREE = """param x
+point O = origin
+point A = baseline(O, x)
+claim len(O,A) = len(A,O)
+"""
+
+
+def test_sampler_hits_a_four_value_set_uniformly_at_the_shipped_denominator():
+    """(1, 1 + 3/2^40) holds |S| = 4 values n/2^40.  Over 2,000 seeded
+    draws each value's count is binomial with mean 500 and standard
+    deviation 19.4, so five deviations, 97, bound every count."""
+    scn = sc.build_scene(dsl.validate(dsl.parse(ONE_FREE)))
+    d = sc.SAMPLE_DENOMINATOR
+    rng_range = (F(1), 1 + F(3, d))
+    assert d == 2**40 and sc.sample_space(rng_range) == 4
+    counts = {F(d + i, d): 0 for i in range(4)}
+    for seed in range(2000):
+        (_, value), = sc.sample_params(scn, seed, rng_range).items
+        counts[value] += 1
+    assert sum(counts.values()) == 2000
+    assert all(abs(c - 500) <= 97 for c in counts.values()), counts
+
+
 def test_range_narrower_than_a_sample_step_is_inconclusive():
     lo = F(1, 3)  # no n / 2**40 lies between lo and lo + 2**-42
     narrow = (lo, lo + F(1, 4 * sc.SAMPLE_DENOMINATOR))
@@ -301,9 +325,9 @@ def met_lines(scene, ev):
         out.append(line)
         return line
 
-    for step in scene.plan:
-        payload = step.statement.payload
-        if step.kind == "line":
+    for stmt in scene.plan:
+        payload = stmt.payload
+        if stmt.kind == "line-construction":
             walk(payload)
             continue
         for attr in ("line", "l1", "l2"):  # the order _eval_point reads them

@@ -1,7 +1,6 @@
 """Schedule execution, validation of the proof's steps, and the
 sampled verdict."""
 
-import dataclasses
 import math
 import struct
 from fractions import Fraction
@@ -29,6 +28,14 @@ def pipeline(name, seed=42):
     g = gr.grow_detailed(model, scn, witness, seed=seed)
     assert not g.pending
     return model, scn, g, gr.focus(g, gr.topo_order(g))
+
+
+def edge_with(edge, **changes):
+    """A new hyperedge with the fields of `edge`, some changed."""
+    fields = ("sources", "target", "rule", "justification", "recipe",
+              "subpriority")
+    return rules.Hyperedge(**{f: changes.get(f, getattr(edge, f))
+                              for f in fields})
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +89,7 @@ def test_execute_propagates_numeric_failure(para):
     broken = list(focused)
     last = broken[-1]
     broken[-1] = gr.ScheduleStep(
-        last.dim, dataclasses.replace(last.edge, recipe=("sub", ao, go)))
+        last.dim, edge_with(last.edge, recipe=("sub", ao, go)))
     with pytest.raises(NumericFailure):
         vf.execute_schedule(scn, broken, assign(x=4, y=1, z=2))
 
@@ -200,7 +207,7 @@ def test_cross_check_fails_on_a_corrupted_rule(para):
     idx = next(i for i, s in enumerate(broken) if s.dim.display == "CG")
     step = broken[idx]
     broken[idx] = gr.ScheduleStep(
-        step.dim, dataclasses.replace(step.edge, recipe=("add", be, be)))
+        step.dim, edge_with(step.edge, recipe=("add", be, be)))
     a = sc.sample_params(scn, 99)
     vals = vf.execute_schedule(scn, broken, a)
     ev = sc.evaluate(scn, a)
@@ -216,9 +223,9 @@ def _corrupted(focused, kind):
     be, ao, go = length("B", "E"), length("A", "O"), length("G", "O")
     if kind == "disagrees":
         step = next(s for s in focused if s.dim.display == "CG")
-        return dataclasses.replace(step.edge, recipe=("add", be, be))
-    return dataclasses.replace(focused[-1].edge, sources=(ao, go),
-                               recipe=("sub", ao, go))
+        return edge_with(step.edge, recipe=("add", be, be))
+    return edge_with(focused[-1].edge, sources=(ao, go),
+                     recipe=("sub", ao, go))
 
 
 @pytest.mark.parametrize("kind", ["disagrees", "cannot-run"])
