@@ -11,7 +11,7 @@ fixture for each ending.
 
 from pathlib import Path
 
-from gthm import emit, prove_file, verify
+from gthm import emit, prove_file, scene, verify
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # the figures that validate a proof's steps and judge its claim
@@ -29,8 +29,9 @@ def run(name):
     elif result.graph.pending:
         print("claim dimensions never reached:",
               ", ".join(d.display for d in result.graph.pending))
-        ok = verify.oracle_verdict(result.model, result.scene,
-                                   num_samples=SAMPLES, seed=42)
+        stream = scene.SampleStream(result.scene, 42, scene.DEFAULT_RANGE,
+                                    SAMPLES)
+        ok = verify.oracle_verdict(result.model, stream)
         print(f"coordinates alone say the claim is {ok.status}, "
               f"but there is no derivation to certify it")
     else:

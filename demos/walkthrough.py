@@ -12,8 +12,6 @@ from pathlib import Path
 from gthm import dsl, emit, graph, rules, scene, verify
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "parallelogram.gthm"
-# the figures that validate the proof's steps and then judge its claim
-SAMPLES = rules.VALIDATION_SAMPLES
 
 
 def stage(title):
@@ -52,8 +50,12 @@ print(f"{len(pool)} candidate hyperedges:")
 for rule_name in sorted(by_rule):
     print(f"    {by_rule[rule_name]:4d}  {rule_name}")
 
-stage(f"grow the graph, validating its proof at {SAMPLES} random figures")
-g = graph.grow_detailed(model, scn, witness, seed=42, samples=SAMPLES)
+# the figures that validate the proof's steps and then judge its claim
+stream = scene.SampleStream(scn, 42, scene.DEFAULT_RANGE,
+                            rules.VALIDATION_SAMPLES)
+
+stage(f"grow the graph, validating its proof at {stream.count} random figures")
+g = graph.grow_detailed(model, witness, stream)
 assert not g.pending
 print(f"{len(g.nodes)} nodes reached, {len(g.edges)} edges admitted at the witness")
 alternatives = sum(1 for d in g.nodes if len(g.in_edges(d)) > 1)
@@ -75,8 +77,8 @@ for step in focused:
     how = "parameter" if step.edge is None else step.edge.rule
     print(f"    {step.dim.display:>12} = {str(v):>10}   ({how})")
 
-stage(f"verdict on the claim at the same {SAMPLES} figures")
-v = verify.verdict(model, scn, focused, num_samples=SAMPLES, seed=42)
+stage(f"verdict on the claim at the same {stream.count} figures")
+v = verify.verdict(model, focused, stream)
 print(f"status       {v.status}")
 print(f"reason       {v.reason}")
 print(f"certificate  {v.certificate.note}")

@@ -57,17 +57,16 @@ def prove_model(model: dsl.HypothesisModel, theorem: Optional[str] = None,
                 ) -> ProofResult:
     """Derive and judge the claim of a validated model: sample a
     witness, grow the graph with the focused schedule it validated at
-    `samples` samples, and take the verdict at the same samples.  A
-    figure that cannot be drawn comes back INCONCLUSIVE."""
+    the `samples` samples of one stream, and take the verdict on that
+    stream.  A figure that cannot be drawn comes back INCONCLUSIVE."""
     scene_ = scene.build_scene(model)
+    stream = scene.SampleStream(scene_, seed, rng_range, samples)
     try:
         witness = scene.sample_params(scene_, seed, rng_range)
-        g = graph.grow_detailed(model, scene_, witness, seed=seed,
-                                rng_range=rng_range, samples=samples)
+        g = graph.grow_detailed(model, witness, stream)
         focused = g.focused
         schedule = focused if not g.pending else None
-        v = verify.verdict(model, scene_, schedule, num_samples=samples,
-                           seed=seed, rng_range=rng_range)
+        v = verify.verdict(model, schedule, stream)
     except scene.DegenerateModel as err:
         witness = g = focused = schedule = None
         v = verify.degenerate_verdict(err)

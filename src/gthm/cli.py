@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -58,14 +59,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# a --range bound: an integer, a decimal or p/q with q > 0.  No
+# exponent: Fraction("1e300000") takes time that grows with it
+_RANGE_BOUND = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+|\d+/0*[1-9]\d*)")
+
+
 def _parse_range(text: str) -> tuple[Fraction, Fraction]:
     lo_text, sep, hi_text = text.partition(":")
     if not sep:
         raise UsageError(f"--range wants LO:HI, got {text!r}")
-    try:
-        lo, hi = Fraction(lo_text), Fraction(hi_text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"--range bounds must be rational, got {text!r}")
+    for bound in (lo_text, hi_text):
+        if len(bound) > dsl.MAX_RANGE_CHARS or not _RANGE_BOUND.fullmatch(bound):
+            raise UsageError(
+                f"--range bounds must be integers, decimals or p/q of at "
+                f"most {dsl.MAX_RANGE_CHARS} characters, got {text!r}")
+    lo, hi = Fraction(lo_text), Fraction(hi_text)
     if not 0 < lo < hi:
         raise UsageError(f"--range wants 0 < LO < HI, got {text!r}")
     return lo, hi
@@ -161,10 +169,10 @@ def cmd_graph(cfg: RunConfig) -> int:
 def cmd_check(cfg: RunConfig) -> int:
     model = _load_model(cfg)
     theorem = cfg.input_path.stem
-    scene_ = sc.build_scene(model)
+    stream = sc.SampleStream(sc.build_scene(model), cfg.seed, cfg.rng_range,
+                             cfg.samples)
     try:
-        v = vf.oracle_verdict(model, scene_, num_samples=cfg.samples,
-                              seed=cfg.seed, rng_range=cfg.rng_range)
+        v = vf.oracle_verdict(model, stream)
     except sc.DegenerateModel as err:
         v = vf.degenerate_verdict(err)
     if cfg.emit_format == "json":

@@ -29,6 +29,9 @@ MAX_LINE_CHARS = 1000
 MAX_POINTS = 32
 # each sample is evaluated and kept for the run; past this, --samples is refused
 MAX_SAMPLES = 1000
+# a --range bound longer than this is refused: parsing it and drawing
+# from it costs time that grows with its digits
+MAX_RANGE_CHARS = 40
 
 
 class Span(Record):

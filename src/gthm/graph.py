@@ -7,21 +7,19 @@ sourced entirely in earlier rings, and each node is numbered when
 first reached.  A goal the closure never reaches is pending.  Growth
 alone decides the order of nodes: the schedule lists them by number,
 each derived by its first in-edge in pool order from lower numbers.
-The verdict's samples validate the edges of the schedule focused on
-the goals, and after a failure the edges that number the nodes; the
-other admitted edges may hold only at the witness, and no output shows
-them.
+The run's scene.SampleStream, the verdict's samples, validates the
+edges of the schedule focused on the goals, and after a failure the
+edges that number the nodes; the other admitted edges may hold only at
+the witness, and no output shows them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Optional
 
 from . import dsl, scene as sc
 from .record import Record
-from .rules import (VALIDATION_SAMPLES, Dim, Hyperedge, discover, length,
-                    validate_edges)
+from .rules import Dim, Hyperedge, discover, length, validate_edges
 
 
 class Node(Record):
@@ -114,13 +112,11 @@ def grow(pool: list[Hyperedge], params: tuple[Dim, ...],
                            goals=goals, pending=pending)
 
 
-def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
-                  witness: sc.ParamAssignment, seed: int = 42,
-                  rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
-                  samples: int = VALIDATION_SAMPLES) -> DerivationGraph:
-    """Grow the closure of the rules discovered at `witness`, where each
-    one holds, and validate the edges of its focused schedule at the
-    first `samples` samples of the run's stream, the verdict's.  An
+def grow_detailed(model: dsl.HypothesisModel, witness: sc.ParamAssignment,
+                  stream: sc.SampleStream) -> DerivationGraph:
+    """Grow the closure of the rules discovered at `witness` of
+    `stream.scene`, where each one holds, and validate the edges of its
+    focused schedule at each sample of `stream`, the verdict's.  An
     edge that fails leaves the pool and the closure grows again: a
     counterexample-guided refinement.  A failure shows the witness has
     coincidences, so from then on growth also validates the first edge
@@ -128,6 +124,7 @@ def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
     Each further round removes an edge, so the loop ends, and no edge
     is validated twice.  The graph comes back with the focused schedule
     it validated as `focused`."""
+    scene_ = stream.scene
     discovered = discover(model, scene_, witness)
     params = tuple(length(*pair) for _, pair in scene_.param_dims)
     goals = goal_dims(model)
@@ -135,8 +132,7 @@ def grow_detailed(model: dsl.HypothesisModel, scene_: sc.Scene,
     holds: dict[int, bool] = {}
 
     def check(edges: list[Hyperedge]) -> None:
-        kept = {id(e) for e in validate_edges(edges, model, scene_, seed,
-                                              rng_range, samples)}
+        kept = {id(e) for e in validate_edges(edges, stream)}
         for e in edges:
             holds[id(e)] = id(e) in kept
 

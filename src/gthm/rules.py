@@ -12,12 +12,13 @@ a pair of perpendicular classes at a corner; only differences with a
 radical or float component are compared one by one with the scene's
 predicates.  Relations are detected at a single witness sample;
 spurious coincidences are culled by replaying the edges a proof uses
-at the head of the run's sample stream: those of the focused schedule,
-and after a failure those that number the nodes (validate_edges,
-called from graph.grow_detailed).  A replay whose values are all exact and
-positive first checks the edge's relation on squared values by
-integer cross-multiplication; every other replay, and every one that
-check does not confirm, recomputes the target on the Scalar arithmetic.
+at every sample of the run's scene.SampleStream, the verdict's: those
+of the focused schedule, and after a failure those that number the
+nodes (validate_edges, called from graph.grow_detailed).  A replay
+whose values are all exact and positive first checks the edge's
+relation on squared values by integer cross-multiplication; every
+other replay, and every one that check does not confirm, recomputes
+the target on the Scalar arithmetic.
 
 Positions along the reference axis are always measured from the
 origin point; feet are declared points, never invented ones.
@@ -29,8 +30,8 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterator, Optional
-from weakref import WeakKeyDictionary, WeakValueDictionary
+from typing import Optional
+from weakref import WeakValueDictionary
 
 from . import dsl, scene as sc
 from .exactnum import Scalar, add, as_float, div, mul, rel_err, sqrt_scalar, sub
@@ -818,12 +819,7 @@ def _apply_line_circle(recipe: tuple, v: dict[Dim, Scalar]) -> Scalar:
     disc = sub(mul(qb, qb), mul(mul(Fraction(4), qa), qc))
     if as_float(disc) < 0:
         raise NumericFailure("line misses the circle at this sample")
-    root = sqrt_scalar(disc)
-    two_a = mul(Fraction(2), qa)
-    t1 = div(sub(sub(Fraction(0), qb), root), two_a)
-    t2 = div(add(sub(Fraction(0), qb), root), two_a)
-    if as_float(t1) > as_float(t2):
-        t1, t2 = t2, t1
+    t1, t2 = sc.quadratic_roots(qa, qb, disc)
     if mode == "first":
         t = t1
     elif mode == "second":
@@ -890,50 +886,21 @@ def _with_values(w: _Witness, dims) -> list[tuple[Dim, Scalar]]:
 VALIDATION_SAMPLES = 20
 VALIDATION_TOL = 1e-9
 
-SAMPLE_STRIDE = 1_000_003
 
-# per scene, the samples of the last (seed, range) stream read
-_SAMPLES: "WeakKeyDictionary[sc.Scene, tuple[tuple, list]]" = WeakKeyDictionary()
-
-
-def validate_edges(edges: list[Hyperedge], model: dsl.HypothesisModel,
-                   scene_: sc.Scene, seed: int,
-                   rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
-                   samples: int = VALIDATION_SAMPLES,
+def validate_edges(edges: list[Hyperedge], stream: sc.SampleStream
                    ) -> list[Hyperedge]:
-    """Replay every edge at the first `samples` samples of the run's
-    stream (sample_stream), the ones the verdict reads, and drop any
-    whose residual exceeds VALIDATION_TOL; this is what catches
-    relations that only held by coincidence at the witness.  Growth
-    hands it the focused schedule's edges, and after a failure the
-    first edge to reach each node, never one edge twice.  Each
-    dimension is valued and squared once per sample, so validating
-    edges piece by piece costs no more than all at once."""
+    """Replay every edge at each sample of the run's stream, the ones
+    the verdict reads, and drop any whose residual exceeds
+    VALIDATION_TOL; this is what catches relations that only held by
+    coincidence at the witness.  Growth hands it the focused schedule's
+    edges, and after a failure the first edge to reach each node, never
+    one edge twice.  Each dimension is valued and squared once per
+    sample, so validating edges piece by piece costs no more than all
+    at once."""
     kept = list(edges)
-    for _, _, ev in sample_stream(scene_, seed, rng_range, samples):
+    for _, _, ev in stream:
         kept = [e for e in kept if _replays(e, ev)]
     return kept
-
-
-def sample_stream(scene_: sc.Scene, seed: int,
-                  rng_range: tuple[Fraction, Fraction], count: int,
-                  ) -> Iterator[tuple[int, sc.ParamAssignment, sc.Evaluation]]:
-    """The first `count` samples of the run's stream, as (seed,
-    assignment, evaluation), sample i drawn at seed*SAMPLE_STRIDE + i.
-    Validation and the verdict read it, each sample drawn once per
-    scene, seed and range, so the verdict reuses validation's
-    evaluations and the values memoized on them."""
-    key = (seed, rng_range)
-    last = _SAMPLES.get(scene_)
-    if last is None or last[0] != key:
-        last = _SAMPLES[scene_] = (key, [])
-    kept = last[1]
-    for i in range(count):
-        if i == len(kept):
-            s_seed = seed * SAMPLE_STRIDE + i
-            a = sc.sample_params(scene_, s_seed, rng_range)
-            kept.append((s_seed, a, sc.evaluate(scene_, a)))
-        yield kept[i]
 
 
 # recipe ops whose relation between exact positive values is one

@@ -699,8 +699,9 @@ def _bare_param_anchor(pe: dsl.PointExpr) -> Optional[tuple[str, str]]:
 # evaluation
 
 
-# the last evaluation per scene: callers evaluate a sample right after
-# sample_params has, and every discovery rule evaluates the same witness
+# the last evaluation per scene: it hands the figure sample_params
+# accepted to the caller that evaluates it next, the witness to
+# discovery and each sample to its SampleStream
 _LAST_EVAL: "WeakKeyDictionary[Scene, tuple[ParamAssignment, Evaluation]]" = WeakKeyDictionary()
 
 
@@ -946,17 +947,24 @@ def line_circle_meet(l: Line, center: Coord, radius: Scalar, pick) -> Coord:
 def _circle_cut(l: Line, qa: Scalar, qb: Scalar, disc: Scalar, pick) -> Coord:
     """The picked root of qa t^2 + qb t + qc = 0, disc its discriminant,
     as the point anchor + t direction of l."""
-    fdisc = as_float(disc)
-    if fdisc < 0:
+    if as_float(disc) < 0:
         raise NoIntersection("the line misses the circle")
+    t1, t2 = quadratic_roots(qa, qb, disc)
+    t = _pick_root(t1, t2, pick, lambda p: as_float(_line_param(l, p)))
+    return vadd(l.anchor, vscale(t, l.direction))
+
+
+def quadratic_roots(qa: Scalar, qb: Scalar, disc: Scalar
+                    ) -> tuple[Scalar, Scalar]:
+    """The roots t1 <= t2 of qa t^2 + qb t + qc = 0, from its
+    discriminant disc >= 0; the caller checks the sign of disc."""
     root = sqrt_scalar(disc)
     two_a = mul(Fraction(2), qa)
     t1 = div(sub(sub(Fraction(0), qb), root), two_a)
     t2 = div(add(sub(Fraction(0), qb), root), two_a)
     if as_float(t1) > as_float(t2):
         t1, t2 = t2, t1
-    t = _pick_root(t1, t2, pick, lambda p: as_float(_line_param(l, p)))
-    return vadd(l.anchor, vscale(t, l.direction))
+    return t1, t2
 
 
 def _line_param(l: Line, p: Coord) -> Scalar:
@@ -1045,6 +1053,35 @@ def sample_params(scene: Scene, seed: int,
         return a
     raise DegenerateModel(
         f"no valid assignment in {RETRY_CAP} draws; last failure: {last_err}")
+
+
+SAMPLE_STRIDE = 1_000_003
+
+
+class SampleStream:
+    """The figures one run reads: sample i of `count` is drawn by
+    sample_params at seed * SAMPLE_STRIDE + i from `rng_range`, and
+    evaluated.  Iterating yields (seed, assignment, evaluation) per
+    sample.  Each sample is drawn on first read and kept, so growth's
+    validation and the verdict read the same figures, and the verdict
+    reuses the values memoized on them."""
+
+    __slots__ = ("scene", "seed", "rng_range", "count", "_drawn")
+
+    def __init__(self, scene: Scene, seed: int,
+                 rng_range: tuple[Fraction, Fraction], count: int) -> None:
+        self.scene, self.seed, self.rng_range, self.count = (
+            scene, seed, rng_range, count)
+        self._drawn: list[tuple[int, ParamAssignment, Evaluation]] = []
+
+    def __iter__(self):
+        drawn = self._drawn
+        for i in range(self.count):
+            if i == len(drawn):
+                s_seed = self.seed * SAMPLE_STRIDE + i
+                a = sample_params(self.scene, s_seed, self.rng_range)
+                drawn.append((s_seed, a, evaluate(self.scene, a)))
+            yield drawn[i]
 
 
 _NO_VALUE = object()  # memo entry of a ratio whose denominator is zero

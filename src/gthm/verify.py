@@ -1,10 +1,10 @@
 """Randomized verification of a derivation's claim.
 
-The verdict reads the first `num_samples` samples of the run's stream
-(rules.sample_stream).  Growth validated every edge of the focused
-schedule at those same samples (rules.validate_edges), so every step
-has passed rules.residual at every verdict sample, and the verdict
-checks only the claim, on oracle values:
+The verdict reads the run's scene.SampleStream.  Growth validated
+every edge of the focused schedule at the samples of that same stream
+(rules.validate_edges), so every step has passed rules.residual at
+every verdict sample, and the verdict checks only the claim, on oracle
+values:
 
 * PROVED       every sample meets the claim within VALIDATION_TOL;
 * REFUTED      some sample misses the claim by at least REFUTE_MARGIN
@@ -31,8 +31,7 @@ from .dsl import MeetCircle
 from .exactnum import Scalar, add, as_float, exact_eq, mul
 from .graph import ScheduleStep, goal_dims
 from .record import Record
-from .rules import (VALIDATION_SAMPLES, VALIDATION_TOL, Dim, apply_edge, length,
-                    sample_stream)
+from .rules import VALIDATION_TOL, Dim, apply_edge, length
 
 STATUS_PROVED = "PROVED"
 STATUS_REFUTED = "REFUTED"
@@ -72,11 +71,6 @@ class Verdict(Record):
     _defaults = (None, None)
 
 
-def param_names(scene_: sc.Scene) -> dict[Dim, str]:
-    """The parameter each parameter dim of the scene measures."""
-    return {length(p, q): name for name, (p, q) in scene_.param_dims}
-
-
 def execute_schedule(scene_: sc.Scene, schedule: list[ScheduleStep],
                      assignment: sc.ParamAssignment) -> dict[Dim, Scalar]:
     """Run the schedule under one assignment, without the oracle: the
@@ -87,7 +81,7 @@ def execute_schedule(scene_: sc.Scene, schedule: list[ScheduleStep],
     values.  Raises NumericFailure when a recipe cannot produce a value
     (division by zero, negative leg, no usable intersection root).
     """
-    params = param_names(scene_)
+    params = {length(p, q): name for name, (p, q) in scene_.param_dims}
     by_name = dict(assignment.items)
     values: dict[Dim, Scalar] = {}
     for step in schedule:
@@ -149,18 +143,15 @@ def _equal_on_squares(lhs, rhs, ev: sc.Evaluation) -> bool:
     return an * an * sa[0] * bd * bd * sb[1] == bn * bn * sb[0] * ad * ad * sa[1]
 
 
-def _check_samples(model, scene_: sc.Scene, steps, num_samples: int,
-                   seed: int, rng_range: tuple[Fraction, Fraction],
+def _check_samples(model, steps, stream: sc.SampleStream
                    ) -> list[SampleReport]:
-    """Check the claim at each of the first `num_samples` samples of
-    the run's stream, noting whether the points the steps read are
-    rational there."""
+    """Check the claim at each sample of the run's stream, noting
+    whether the points the steps read are rational there."""
     read = set().union(*(_dim_points(step.dim) for step in steps))
     return [SampleReport(index=i, seed=s_seed, assignment=assignment,
                          claim_residual=_claim_check(model, ev),
                          exact=all(ev.hom[p] for p in read))
-            for i, (s_seed, assignment, ev) in enumerate(
-                sample_stream(scene_, seed, rng_range, num_samples))]
+            for i, (s_seed, assignment, ev) in enumerate(stream)]
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +188,11 @@ def _dim_points(dim: Dim) -> set[str]:
     return _dim_points(dim.num) | _dim_points(dim.den)
 
 
-def _certificate(model, schedule, exact: bool, num_samples: int,
-                 rng_range: tuple[Fraction, Fraction]) -> Certificate:
-    """The certificate of a PROVED verdict over `num_samples` samples;
-    `exact` says every point the schedule reads was rational at each.
+def _certificate(model, schedule, exact: bool, stream: sc.SampleStream
+                 ) -> Certificate:
+    """The certificate of a PROVED verdict over the samples of
+    `stream`; `exact` says every point the schedule reads was rational
+    at each.
 
     The bound rests on the sampler: each parameter is drawn uniformly
     from the same set S of |S| = scene.sample_space values, so any one
@@ -219,24 +211,24 @@ def _certificate(model, schedule, exact: bool, num_samples: int,
     which conditions the rest.
     """
     degree = _degree_bound(model, schedule)
-    space = sc.sample_space(rng_range)
+    space = sc.sample_space(stream.rng_range)
     if not exact:
         cut = any(isinstance(s.payload, MeetCircle) for s in model.constructions)
         return Certificate(
             kind="numerically-certified", degree_bound=degree,
-            sample_space=space, points=num_samples,
+            sample_space=space, points=stream.count,
             log10_failure_bound=None, certified=False,
             note=(f"irrational {'circle intersections' if cut else 'coordinates'} "
                   f"present; agreement is numerical, not an exact identity test"))
     log10_bound = None
     if 0 < degree < space:
-        log10_bound = num_samples * (math.log10(degree) - math.log10(space))
-    note = (f"exact agreement at {num_samples} rational points; "
+        log10_bound = stream.count * (math.log10(degree) - math.log10(space))
+    note = (f"exact agreement at {stream.count} rational points; "
             f"squared-claim degree bound {degree}, per-slot sample space "
             f"{space}; Schwartz-Zippel failure bound "
             f"(degree/space)^samples under uniform slot sampling")
     return Certificate(kind="exact-identity", degree_bound=degree,
-                       sample_space=space, points=num_samples,
+                       sample_space=space, points=stream.count,
                        log10_failure_bound=log10_bound,
                        certified=degree < space, note=note)
 
@@ -245,30 +237,27 @@ def _certificate(model, schedule, exact: bool, num_samples: int,
 # the verdict
 
 
-def verdict(model, scene_: sc.Scene, schedule: Optional[list[ScheduleStep]],
-            num_samples: int = VALIDATION_SAMPLES, seed: int = 42,
-            rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
-            ) -> Verdict:
-    """Judge the claim of a validated schedule on the oracle at the
-    first `num_samples` samples of the run's stream, the samples
-    validation replayed the schedule's edges at.
+def verdict(model, schedule: Optional[list[ScheduleStep]],
+            stream: sc.SampleStream) -> Verdict:
+    """Judge the claim of a validated schedule on the oracle at each
+    sample of the run's stream, the samples validation replayed the
+    schedule's edges at.
 
     Degenerate models propagate DegenerateModel from the sampler."""
     if schedule is None:
         return Verdict(status=STATUS_INCONCLUSIVE, samples=(),
                        reason="no derivation schedule")
-    reports = _check_samples(model, scene_, schedule, num_samples, seed,
-                             rng_range)
+    reports = _check_samples(model, schedule, stream)
     failure = _failure(reports)
     if failure is None:
         cert = _certificate(model, schedule, all(r.exact for r in reports),
-                            num_samples, rng_range)
+                            stream)
         if cert.kind == "exact-identity":
-            reason = (f"claim holds exactly at {num_samples} rational "
+            reason = (f"claim holds exactly at {stream.count} rational "
                       f"samples")
         else:
             reason = (f"claim holds within {VALIDATION_TOL:g} at "
-                      f"{num_samples} samples (numerically certified)")
+                      f"{stream.count} samples (numerically certified)")
         return Verdict(status=STATUS_PROVED, samples=tuple(reports),
                        reason=reason, schedule=tuple(schedule),
                        certificate=cert)
@@ -301,22 +290,18 @@ def degenerate_verdict(err: sc.DegenerateModel) -> Verdict:
                    reason=f"degenerate hypotheses: {err}")
 
 
-def oracle_verdict(model, scene_: sc.Scene,
-                   num_samples: int = VALIDATION_SAMPLES, seed: int = 42,
-                   rng_range: tuple[Fraction, Fraction] = sc.DEFAULT_RANGE,
-                   ) -> Verdict:
+def oracle_verdict(model, stream: sc.SampleStream) -> Verdict:
     """Judge the claim from coordinates alone, with no derivation.
 
     Reads the samples verdict would and evaluates the claim sides
     straight from the figure, so a claim can be tested even when no
     schedule exists.
     """
-    reports = _check_samples(model, scene_, (), num_samples, seed,
-                             rng_range)
+    reports = _check_samples(model, (), stream)
     failure = _failure(reports)
     if failure is None:
         return Verdict(status=STATUS_PROVED, samples=tuple(reports),
-                       reason=(f"claim holds at {num_samples} coordinate "
+                       reason=(f"claim holds at {stream.count} coordinate "
                                f"samples (oracle only, no derivation)"))
     status, reason = failure
     return Verdict(status=status, samples=tuple(reports), reason=reason)

@@ -17,7 +17,7 @@ import pytest
 
 from gthm import cli, dsl, emit, graph as gr, scene as sc, verify as vf
 from gthm.exactnum import as_float, mul, rel_err
-from gthm.rules import composite, length, make_ratio
+from gthm.rules import VALIDATION_SAMPLES, composite, length, make_ratio
 from test_graph import (forward_closure, kahn_reference, random_hypergraph,
                         random_tree, validate_schedule)
 
@@ -33,11 +33,12 @@ def load(name):
 def pipeline(name, seed=42, samples=100):
     model, scn = load(name)
     witness = sc.sample_params(scn, seed)
-    g = gr.grow_detailed(model, scn, witness, seed=seed, samples=samples)
+    stream = sc.SampleStream(scn, seed, sc.DEFAULT_RANGE, samples)
+    g = gr.grow_detailed(model, witness, stream)
     assert not g.pending, f"{name}: goals left pending"
     schedule = gr.topo_order(g)
     focused = gr.focus(g, schedule)
-    v = vf.verdict(model, scn, focused, num_samples=samples, seed=seed)
+    v = vf.verdict(model, focused, stream)
     return model, scn, g, focused, v
 
 
@@ -102,7 +103,8 @@ def test_04_wrong_claim_refuted_with_margin_at_every_sample():
 def test_05_underivable_claim_is_absent_and_inconclusive(capsys):
     model, scn = load("unreachable.gthm")
     witness = sc.sample_params(scn, 42)
-    assert gr.grow_detailed(model, scn, witness, seed=42).pending
+    stream = sc.SampleStream(scn, 42, sc.DEFAULT_RANGE, VALIDATION_SAMPLES)
+    assert gr.grow_detailed(model, witness, stream).pending
     code = cli.main(["prove", str(FIXTURES / "unreachable.gthm"),
                      "--samples", "5"])
     capsys.readouterr()

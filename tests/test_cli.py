@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,31 @@ def test_samples_past_the_limit_exit_three_before_reading(command, capsys):
                          "--samples", str(dsl.MAX_SAMPLES + 1))
     assert (code, out) == (3, "")
     assert err == f"gthm: --samples must be at most {dsl.MAX_SAMPLES}\n"
+
+
+@pytest.mark.parametrize("bounds", ["1:1e3000", "1:1e300000", "1e-300000:2",
+                                    "1:1E30", "1:" + "9" * 41, "1: 10",
+                                    "1:1_000"])
+@pytest.mark.parametrize("command", ["prove", "check"])
+def test_a_range_bound_past_the_limit_exits_three_before_reading(
+        command, bounds, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "no_such_file.gthm",
+                         "--range", bounds)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (f"gthm: --range bounds must be integers, decimals or p/q "
+                   f"of at most {dsl.MAX_RANGE_CHARS} characters, got "
+                   f"{bounds!r}\n")
+
+
+@pytest.mark.parametrize("bounds", ["1:1000000000000", "1/2:" + "9" * 38,
+                                    "0.5:2.25", ".5:7/3", "+1:10."])
+def test_a_range_bound_within_the_limit_runs(bounds, capsys):
+    assert len(bounds.split(":")[1]) <= dsl.MAX_RANGE_CHARS
+    code, out, err = run(capsys, "check", fx("parallelogram.gthm"),
+                         "--samples", "5", "--range", bounds)
+    assert (code, err) == (0, "")
 
 
 def test_samples_at_the_limit_run(capsys):
@@ -302,6 +328,7 @@ def test_bad_env_seed_is_an_input_error(capsys, monkeypatch):
                                    ("--range", "5:1"),
                                    ("--range", "0:4"),
                                    ("--range", "nonsense"),
+                                   ("--range", "1/0:3"),
                                    ("--max-pairs", "1000000"),  # retired
                                    ("--max-edges", "4096"),  # retired
                                    # retired: it let a false claim pass

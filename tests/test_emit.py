@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gthm import dsl, emit, graph as gr, scene as sc, verify as vf
+from gthm import dsl, emit, graph as gr, rules, scene as sc, verify as vf
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -21,20 +21,22 @@ def load(name):
 def para():
     model, scn = load("parallelogram.gthm")
     witness = sc.sample_params(scn, 42)
-    g = gr.grow_detailed(model, scn, witness, seed=42)
+    stream = sc.SampleStream(scn, 42, sc.DEFAULT_RANGE, 100)
+    g = gr.grow_detailed(model, witness, stream)
     assert not g.pending
     focused = gr.focus(g, gr.topo_order(g))
-    v = vf.verdict(model, scn, focused, num_samples=100, seed=42)
+    v = vf.verdict(model, focused, stream)
     return model, scn, g, focused, v
 
 
 def render(name, samples=100, seed=42):
     model, scn = load(name)
     witness = sc.sample_params(scn, seed)
-    g = gr.grow_detailed(model, scn, witness, seed=seed)
+    stream = sc.SampleStream(scn, seed, sc.DEFAULT_RANGE, samples)
+    g = gr.grow_detailed(model, witness, stream)
     schedule = gr.topo_order(g) if not g.pending else None
     focused = gr.focus(g, schedule) if schedule else None
-    v = vf.verdict(model, scn, focused, num_samples=samples, seed=seed)
+    v = vf.verdict(model, focused, stream)
     stem = name.rsplit(".", 1)[0]
     return model, focused, v, stem
 
@@ -94,8 +96,10 @@ def test_refuted_script_footer():
 def test_missing_schedule_renders_header_and_reason_only():
     model, scn = load("unreachable.gthm")
     witness = sc.sample_params(scn, 42)
-    assert gr.grow_detailed(model, scn, witness, seed=42).pending
-    v = vf.verdict(model, scn, None)
+    stream = sc.SampleStream(scn, 42, sc.DEFAULT_RANGE,
+                             rules.VALIDATION_SAMPLES)
+    assert gr.grow_detailed(model, witness, stream).pending
+    v = vf.verdict(model, None, stream)
     text = emit.render_text(model, None, v, theorem="unreachable")
     assert text == ("Theorem: unreachable\n"
                     "Claim: BZ = AB\n"

@@ -44,10 +44,14 @@ def validate_schedule(graph, schedule):
     return all(g in seen for g in graph.goals if g not in graph.pending)
 
 
+def stream_of(scn, seed=42, rng_range=sc.DEFAULT_RANGE):
+    return sc.SampleStream(scn, seed, rng_range, rules.VALIDATION_SAMPLES)
+
+
 def pipeline(name, seed=42):
     model, scn = load(name)
     witness = sc.sample_params(scn, seed)
-    g = gr.grow_detailed(model, scn, witness, seed=seed)
+    g = gr.grow_detailed(model, witness, stream_of(scn, seed))
     assert not g.pending
     schedule = gr.topo_order(g)
     return g, schedule, gr.focus(g, schedule)
@@ -120,7 +124,7 @@ def test_imo_uses_line_circle_for_the_cut_points():
 def test_unreachable_goal_returns_absent():
     model, scn = load("unreachable.gthm")
     witness = sc.sample_params(scn, 42)
-    g = gr.grow_detailed(model, scn, witness)
+    g = gr.grow_detailed(model, witness, stream_of(scn))
     assert [d.display for d in g.pending] == ["BZ"]
     schedule = gr.topo_order(g)
     assert validate_schedule(g, schedule)  # pending goals are excused
@@ -139,7 +143,7 @@ def test_edge_validation_samples_from_the_run_range(monkeypatch):
         return draws[-1]
 
     monkeypatch.setattr(sc, "sample_params", spy)
-    gr.grow_detailed(model, scn, witness, rng_range=(lo, hi))
+    gr.grow_detailed(model, witness, stream_of(scn, 42, (lo, hi)))
     assert draws
     assert all(lo <= v <= hi for a in draws for _, v in a.items)
 
@@ -152,7 +156,7 @@ def grow_reference(model, scn, witness, seed=42):
     each ring admits every edge sourced in earlier rings.  The edges
     come back in pool order."""
     pool = rules.discover(model, scn, witness)
-    pool = rules.validate_edges(pool, model, scn, seed)
+    pool = rules.validate_edges(pool, stream_of(scn, seed))
     params = [rules.length(*pair) for _, pair in scn.param_dims]
     goals = gr.goal_dims(model)
     nodes = {d: gr.Node(dim=d, index=i, is_param=True, is_goal=d in goals)
@@ -199,13 +203,15 @@ def figure(name):
     return model, scn, sc.sample_params(scn, 42)
 
 
-def grow_ring_validated(model, scn, witness, seed=42, admit=None):
+def grow_ring_validated(model, scn, witness, stream=None, admit=None):
     """The reference growth: the closure of the discovered pool with
     each BFS ring's edges validated when reached (`admit`, by default
-    rules.validate_edges at `seed`)."""
+    rules.validate_edges on `stream`, or on a stream of its own)."""
     if admit is None:
+        stream = stream or stream_of(scn)
+
         def admit(ring):
-            return rules.validate_edges(ring, model, scn, seed)
+            return rules.validate_edges(ring, stream)
     return gr.grow(rules.discover(model, scn, witness), params_of(scn),
                    gr.goal_dims(model), admit)
 
@@ -217,16 +223,16 @@ def params_of(scn):
 @pytest.mark.parametrize("name", ["parallelogram", "imo2012", "thirteen"])
 def test_admission_time_validation_matches_validate_then_grow(name):
     model, scn, witness = figure(name)
-    # the reference gets a scene of its own, so it shares no samples
+    # the reference gets a stream of its own, so it shares no samples
     nodes, edges, known = grow_reference(*figure(name))
     pool = rules.discover(model, scn, witness)
-    validated = rules.validate_edges(pool, model, scn, 42)
+    validated = rules.validate_edges(pool, stream_of(scn))
     g = grow_ring_validated(model, scn, witness)
     assert edges
     assert g.edges == edges
     assert gr.grow(validated, params_of(scn), gr.goal_dims(model), list).edges \
         == edges
-    assert gr.grow_detailed(model, scn, witness, seed=42).reports == []
+    assert gr.grow_detailed(model, witness, stream_of(scn)).reports == []
     assert g.pending == tuple(d for d in g.goals if d not in known)
     assert {d: n for d, n in g.nodes.items() if d not in g.pending} == nodes
     if name == "parallelogram":
@@ -243,11 +249,12 @@ def test_growth_validates_each_reached_edge_once(monkeypatch):
     pool = rules.discover(model, scn, witness)
     passed, calls, draws = [], [], []
     real_sample = sc.sample_params
+    stream = stream_of(scn)
 
     def spy_validate(ring):
         calls.append(len(ring))
         passed.extend(ring)
-        return rules.validate_edges(ring, model, scn, 42)
+        return rules.validate_edges(ring, stream)
 
     def spy_sample(*args, **kwargs):
         draws.append(args)
@@ -298,7 +305,7 @@ def test_topo_order_matches_quadratic_sweep(name, seed):
     else:
         model, scn = load(f"{name}.gthm")
     witness = sc.sample_params(scn, seed)
-    g = gr.grow_detailed(model, scn, witness, seed=seed)
+    g = gr.grow_detailed(model, witness, stream_of(scn, seed))
     position = {e: i for i, e in enumerate(rules.discover(model, scn, witness))}
     got, want = gr.topo_order(g), topo_reference(g, position.__getitem__)
     assert got is not None and want is not None
@@ -331,7 +338,7 @@ def test_dot_structure():
 def test_dot_pending_goal_is_dashed():
     model, scn = load("unreachable.gthm")
     witness = sc.sample_params(scn, 42)
-    g = gr.grow_detailed(model, scn, witness)
+    g = gr.grow_detailed(model, witness, stream_of(scn))
     dot = gr.to_dot(g, g.focused)
     assert 'style=dashed, color=red' in dot
     assert '"BZ"' in dot
@@ -371,9 +378,8 @@ def test_every_derived_node_has_an_in_edge_from_lower_indices(figure, seed):
     # must keep it
     model = grown_model(figure)
     scn = sc.build_scene(model)
-    check_index_invariant(gr.grow_detailed(model, scn,
-                                           sc.sample_params(scn, seed),
-                                           seed=seed))
+    check_index_invariant(gr.grow_detailed(model, sc.sample_params(scn, seed),
+                                           stream_of(scn, seed)))
 
 
 @pytest.mark.parametrize("figure,seed", INVARIANT)
@@ -383,7 +389,8 @@ def test_each_node_takes_its_least_sort_key_in_edge_from_lower_indices(
     # is the least by a key each edge has alone
     model = grown_model(figure)
     scn = sc.build_scene(model)
-    g = gr.grow_detailed(model, scn, sc.sample_params(scn, seed), seed=seed)
+    g = gr.grow_detailed(model, sc.sample_params(scn, seed),
+                         stream_of(scn, seed))
     index = {d: n.index for d, n in g.nodes.items()}
     derived = [s for s in gr.topo_order(g) if s.edge is not None]
     assert derived
@@ -451,16 +458,17 @@ def assert_same_numbering(g, ref):
 
 @pytest.mark.parametrize("figure,seed", INVARIANT)
 def test_schedule_validation_matches_ring_validation(figure, seed):
-    # the reference gets a scene of its own, so it shares no samples
+    # the reference gets a stream of its own, so it shares no samples
     model = grown_model(figure)
-    scn, ref_scn = sc.build_scene(model), sc.build_scene(model)
+    scn = sc.build_scene(model)
     witness = sc.sample_params(scn, seed)
-    ref = grow_ring_validated(model, ref_scn, witness, seed)
-    g = gr.grow_detailed(model, scn, witness, seed=seed)
+    streams = (stream_of(scn, seed), stream_of(scn, seed))
+    ref = grow_ring_validated(model, scn, witness, streams[1])
+    g = gr.grow_detailed(model, witness, streams[0])
     assert_same_proof(g, ref)
     schedules = [None if h.pending else tuple(focused_of(h)) for h in (g, ref)]
-    verdicts = [vf.verdict(model, s, schedule, seed=seed)
-                for s, schedule in zip((scn, ref_scn), schedules)]
+    verdicts = [vf.verdict(model, schedule, stream)
+                for stream, schedule in zip(streams, schedules)]
     assert verdicts[0] == verdicts[1]
 
 
@@ -481,7 +489,7 @@ def test_without_a_failure_only_the_focused_steps_are_validated(monkeypatch):
     model, scn = load("parallelogram.gthm")
     witness = sc.sample_params(scn, 42)
     calls = spy_validation(monkeypatch)
-    g = gr.grow_detailed(model, scn, witness, seed=42)
+    g = gr.grow_detailed(model, witness, stream_of(scn, 42))
     assert calls == [[s.edge for s in focused_of(g) if s.edge is not None]]
     assert len(calls[0]) == 12
     assert g.edges == gr.grow(rules.discover(model, scn, witness),
@@ -493,7 +501,7 @@ def test_the_witness_closure_admits_a_coincidence_no_schedule_uses():
     # other samples: growth at the witness admits it, validation never
     # meets it, and ring validation drops it
     model, scn, witness = figure("parallelogram")
-    g = gr.grow_detailed(model, scn, witness, seed=42)
+    g = gr.grow_detailed(model, witness, stream_of(scn, 42))
     ref = grow_ring_validated(*figure("parallelogram"))
     bogus = [e for e in rules.discover(model, scn, witness)
              if e.rule == "pythagoras" and e.target.display == "BG"
@@ -510,7 +518,7 @@ def test_a_failed_schedule_edge_is_dropped_and_growth_runs_again(
     model, scn = load("parallelogram.gthm")
     witness = sc.sample_params(scn, 42)
     pool = rules.discover(model, scn, witness)
-    first = gr.grow_detailed(model, scn, witness, seed=42)
+    first = gr.grow_detailed(model, witness, stream_of(scn, 42))
     bad = next(s.edge for s in focused_of(first) if s.dim.display == dim)
     grown = []
     real_grow = gr.grow
@@ -521,17 +529,17 @@ def test_a_failed_schedule_edge_is_dropped_and_growth_runs_again(
 
     monkeypatch.setattr(gr, "grow", grow)
     calls = spy_validation(monkeypatch, lambda e: e == bad)
-    g = gr.grow_detailed(model, scn, witness, seed=42)
+    g = gr.grow_detailed(model, witness, stream_of(scn, 42))
     tested = [e for c in calls for e in c]
     assert len(grown) == 2 and g is grown[1]  # a second round runs
     assert calls[0] == [s.edge for s in focused_of(grown[0]) if s.edge]
     assert bad in calls[0]
     assert len(set(tested)) == len(tested)  # no edge validated twice
     monkeypatch.setattr(gr, "grow", real_grow)
-    ref_scn = sc.build_scene(model)
-    ref = gr.grow([e for e in pool if e != bad], params_of(ref_scn),
+    ref_stream = stream_of(scn)
+    ref = gr.grow([e for e in pool if e != bad], params_of(scn),
                   gr.goal_dims(model),
-                  lambda ring: rules.validate_edges(ring, model, ref_scn, 42))
+                  lambda ring: rules.validate_edges(ring, ref_stream))
     assert bad not in g.edges
     assert_same_numbering(g, ref)
     assert steps(focused_of(g)) != steps(focused_of(first))
@@ -556,12 +564,13 @@ def test_after_a_failure_growth_gives_the_ring_validated_proof(
         return e == victim or position[e] % every == 0
 
     ref_model, ref_scn, _ = figure(name)
+    ref_stream = stream_of(ref_scn)
     ref = grow_ring_validated(
         ref_model, ref_scn, witness,
         admit=lambda ring: [e for e in rules.validate_edges(
-            ring, ref_model, ref_scn, 42) if not rejected(e)])
+            ring, ref_stream) if not rejected(e)])
     calls = spy_validation(monkeypatch, rejected)
-    g = gr.grow_detailed(model, scn, witness, seed=42)
+    g = gr.grow_detailed(model, witness, stream_of(scn, 42))
     tested = [e for c in calls for e in c]
     assert len(set(tested)) == len(tested)
     assert_same_numbering(g, ref)
@@ -581,16 +590,17 @@ def test_a_coincidence_rich_witness_costs_no_more_than_ring_validation(
     witness = sc.ParamAssignment((("a", Fraction(9)), ("h", Fraction(9)),
                                   ("q", Fraction(15, 2))))
     reached = []
+    ref_stream = stream_of(ref_scn)
     ref = grow_ring_validated(
         model, ref_scn, witness,
         admit=lambda ring: reached.extend(ring) or rules.validate_edges(
-            ring, model, ref_scn, 42))
+            ring, ref_stream))
     grown = []
     real_grow = gr.grow
     monkeypatch.setattr(gr, "grow",
                         lambda *args: grown.append(1) or real_grow(*args))
     calls = spy_validation(monkeypatch)
-    g = gr.grow_detailed(model, scn, witness, seed=42)
+    g = gr.grow_detailed(model, witness, stream_of(scn, 42))
     tested = [e for c in calls for e in c]
     assert len(grown) <= 3
     assert len(set(tested)) == len(tested) < len(reached)
@@ -602,7 +612,7 @@ def test_refinement_ends_when_validation_rejects_everything(monkeypatch):
     model, scn = load("parallelogram.gthm")
     witness = sc.sample_params(scn, 42)
     calls = spy_validation(monkeypatch, lambda e: True)
-    g = gr.grow_detailed(model, scn, witness, seed=42)
+    g = gr.grow_detailed(model, witness, stream_of(scn, 42))
     tested = [e for c in calls for e in c]
     assert all(calls) and len(set(tested)) == len(tested)
     assert g.edges == []  # the regrown first ring admits nothing

@@ -230,6 +230,12 @@ def _scene(text):
     return sc.build_scene(dsl.validate(dsl.parse(text)))
 
 
+def _stream(text, seed):
+    """A stream of a fresh scene, whose samples are drawn when read."""
+    return sc.SampleStream(_scene(text), seed, sc.DEFAULT_RANGE,
+                           rules.VALIDATION_SAMPLES)
+
+
 # raw draws of these fail in each way a kernel step decides: E leaves
 # its segment when y >= x, the circle about B misses the axis when
 # y < z, and E and H coincide when y = z.  T is offset from a slanted
@@ -521,9 +527,9 @@ def test_float_kernel_matches_scalar_path(monkeypatch, name):
         assert same(got, want), (name, seed, got, want)
     model = dsl.validate(dsl.parse(text))
     for seed in (1, 42):
-        got = vf.oracle_verdict(model, _scene(text), seed=seed)
-        want = scalar_only(monkeypatch, vf.oracle_verdict, model, _scene(text),
-                           vf.VALIDATION_SAMPLES, seed)
+        got = vf.oracle_verdict(model, _stream(text, seed))
+        want = scalar_only(monkeypatch, vf.oracle_verdict, model,
+                           _stream(text, seed))
         assert claim_bits(got) == claim_bits(want)
 
 

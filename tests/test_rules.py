@@ -438,12 +438,17 @@ def test_thirteen_point_parallelogram_proved_at_defaults(aux):
     assert result.verdict.status == "PROVED"
 
 
+def stream_of(scn, seed=42):
+    return sc.SampleStream(scn, seed, sc.DEFAULT_RANGE,
+                           rules.VALIDATION_SAMPLES)
+
+
 def test_validate_edges_keeps_sound_and_drops_special_case(para):
     # x=4, y=1, z=2 is a pretty figure with extra coincidences (the
     # angle OBG happens to be right there); replay at fresh samples must
     # drop those while keeping the genuinely forced relations
     model, scn, a, pool = para
-    kept = rules.validate_edges(pool, model, scn, seed=42)
+    kept = rules.validate_edges(pool, stream_of(scn))
     assert 0 < len(kept) < len(pool)
     kept_keys = {e.key() for e in kept}
     assert has_edge(kept, ["BE"], "CG", "parallel-transfer") is not None
@@ -454,7 +459,7 @@ def test_validate_edges_keeps_sound_and_drops_special_case(para):
     # generic witnesses carry no such coincidences: everything validates
     generic = sc.sample_params(scn, 42)
     pool_g = rules.discover(model, scn, generic)
-    assert rules.validate_edges(pool_g, model, scn, seed=42) == pool_g
+    assert rules.validate_edges(pool_g, stream_of(scn)) == pool_g
 
 
 def test_validate_edges_drops_coincidences(para):
@@ -464,7 +469,7 @@ def test_validate_edges_drops_coincidences(para):
         sources=(rules.length("A", "E"),), target=rules.length("C", "G"),
         rule="parallel-transfer", justification="made up",
         recipe=("copy", rules.length("A", "E")))
-    kept = rules.validate_edges([bogus], model, scn, seed=42)
+    kept = rules.validate_edges([bogus], stream_of(scn))
     assert kept == []
 
 
@@ -570,9 +575,9 @@ def test_replays_match_the_scalar_reference_on_every_grown_edge(
     model, scn = result.model, result.scene
     pool = rules.discover(model, scn, result.witness)
     assert set(tested) <= set(pool)
-    kept = rules.validate_edges(pool, model, scn, seed)
-    samples = [ev for _, _, ev in rules.sample_stream(
-        scn, seed, sc.DEFAULT_RANGE, rules.VALIDATION_SAMPLES)]
+    stream = stream_of(scn, seed)
+    kept = rules.validate_edges(pool, stream)
+    samples = [ev for _, _, ev in stream]
     answered = 0
     for ev in samples:
         answered += sum(check_replays(e, ev) for e in pool)
@@ -697,8 +702,7 @@ def test_exact_ratio_edges_never_reach_the_scalar_replay(monkeypatch):
         return real_apply(e, values)
 
     monkeypatch.setattr(rules, "apply_edge", spy_apply)
-    assert rules.validate_edges(closure, result.model, result.scene,
-                                42) == closure
+    assert rules.validate_edges(closure, stream_of(result.scene)) == closure
     assert {"copy", "div", "mul"} <= set(tested)
     assert ops and not {"copy", "div", "mul"} & set(ops)
 

@@ -222,8 +222,8 @@ def test_param_dims_measure_their_parameters_at_every_sample(figure):
     every sample of the stream: the parameter steps of a proof need no
     check of their own."""
     scn = sc.build_scene(dsl.validate(dsl.parse(figure.read_text())))
-    for _, a, ev in rules.sample_stream(scn, 42, sc.DEFAULT_RANGE,
-                                        rules.VALIDATION_SAMPLES):
+    for _, a, ev in sc.SampleStream(scn, 42, sc.DEFAULT_RANGE,
+                                    rules.VALIDATION_SAMPLES):
         for name, pair in scn.param_dims:
             got = sc.dim_value(ev, length(*pair))
             assert rel_err(got, a.values[name]) <= rules.VALIDATION_TOL

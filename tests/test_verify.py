@@ -3,13 +3,15 @@ sampled verdict."""
 
 import math
 import struct
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gthm import cli, dsl, graph as gr, prove_file, rules, scene as sc, verify as vf
+from gthm import (cli, dsl, graph as gr, prove_file, prove_model, rules,
+                  scene as sc, verify as vf)
 from gthm.exactnum import Rad, as_float, mul, square
 from gthm.rules import NumericFailure, length, make_ratio
 
@@ -22,12 +24,19 @@ def load(name):
     return model, sc.build_scene(model)
 
 
-def pipeline(name, seed=42):
+def stream_of(scn, seed=42, count=rules.VALIDATION_SAMPLES):
+    return sc.SampleStream(scn, seed, sc.DEFAULT_RANGE, count)
+
+
+def pipeline(name, seed=42, samples=100):
+    """Grow at the witness of `seed`, validating on the stream that
+    the verdict then reads."""
     model, scn = load(name)
     witness = sc.sample_params(scn, seed)
-    g = gr.grow_detailed(model, scn, witness, seed=seed)
+    stream = stream_of(scn, seed, samples)
+    g = gr.grow_detailed(model, witness, stream)
     assert not g.pending
-    return model, scn, g, gr.focus(g, gr.topo_order(g))
+    return model, scn, g, gr.focus(g, gr.topo_order(g)), stream
 
 
 def edge_with(edge, **changes):
@@ -60,7 +69,7 @@ def by_display(values):
 
 
 def test_execute_parallelogram_worked_figure(para):
-    model, scn, g, focused = para
+    model, scn, g, focused, _ = para
     vals = by_display(vf.execute_schedule(scn, focused, assign(x=4, y=1, z=2)))
     assert vals["CG"] == 2
     assert vals["AG/CG"] == Fraction(1, 2)
@@ -77,13 +86,13 @@ def test_execute_parallelogram_worked_figure(para):
 
 
 def test_execute_covers_every_scheduled_node(para):
-    model, scn, g, focused = para
+    model, scn, g, focused, _ = para
     vals = vf.execute_schedule(scn, focused, assign(x=4, y=1, z=2))
     assert set(vals) == {s.dim for s in focused}
 
 
 def test_execute_propagates_numeric_failure(para):
-    model, scn, g, focused = para
+    model, scn, g, focused, _ = para
     ao, go = length("A", "O"), length("G", "O")
     # AO < GO always, so this difference is negative at every assignment
     broken = list(focused)
@@ -98,7 +107,7 @@ def test_execute_propagates_numeric_failure(para):
 @given(k=st.fractions(min_value=Fraction(1, 5), max_value=Fraction(8),
                       max_denominator=32))
 def test_execute_is_homogeneous_of_degree_one(para, k):
-    model, scn, g, focused = para
+    model, scn, g, focused, _ = para
     base = assign(x=4, y=1, z=2)
     scaled = sc.ParamAssignment(tuple((n, v * k) for n, v in base.items))
     v1 = vf.execute_schedule(scn, focused, base)
@@ -116,22 +125,22 @@ def test_execute_is_homogeneous_of_degree_one(para, k):
 
 
 def test_sample_report_fields_and_invariants(para):
-    model, scn, g, focused = para
-    v = vf.verdict(model, scn, focused, num_samples=3, seed=7)
+    model, scn, g, focused, _ = para
+    v = vf.verdict(model, focused, stream_of(scn, 7, 3))
     assert len(v.samples) == 3
     for i, r in enumerate(v.samples):
         assert r.index == i
-        assert r.seed == 7 * rules.SAMPLE_STRIDE + i
+        assert r.seed == 7 * sc.SAMPLE_STRIDE + i
         assert r.assignment == sc.sample_params(scn, r.seed)
         assert r.redraws == 0
         assert r.claim_residual == 0.0
 
 
 def test_sample_report_measures_each_length_once(monkeypatch, para):
-    model, scn, g, focused = para
+    model, scn, g, focused, _ = para
     # a fresh evaluation, nothing memoized, which the stream's first
     # sample at seed 123_457 then reads
-    a = sc.sample_params(scn, 123_457 * rules.SAMPLE_STRIDE)
+    a = sc.sample_params(scn, 123_457 * sc.SAMPLE_STRIDE)
     measured = []
     real = sc._squared_distance
 
@@ -141,8 +150,7 @@ def test_sample_report_measures_each_length_once(monkeypatch, para):
         return real(ev, pair)
 
     monkeypatch.setattr(sc, "_squared_distance", spy)
-    report, = vf._check_samples(model, scn, focused, 1, 123_457,
-                                sc.DEFAULT_RANGE)
+    report, = vf._check_samples(model, focused, stream_of(scn, 123_457, 1))
     assert report.assignment == a
     assert report.claim_residual == 0.0
     assert len(measured) == len(set(measured))  # no length measured twice
@@ -179,8 +187,54 @@ def test_prove_draws_the_verdict_samples_once_and_validates_at_each(
     assert draws[1:] == [(True, r.assignment) for r in samples]
 
 
+def _replayed_at(monkeypatch):
+    """Spy on validation: per edge id, the assignments of the figures
+    it was replayed at, in order."""
+    figures, replays = {}, defaultdict(list)
+    real_evaluate, real_replays = sc.evaluate, rules._replays
+
+    def evaluate(scene_, a):
+        ev = real_evaluate(scene_, a)
+        figures[id(ev)] = (ev, a)  # holding ev keeps its id unique
+        return ev
+
+    def replay(e, ev):
+        replays[id(e)].append(figures[id(ev)][1])
+        return real_replays(e, ev)
+
+    monkeypatch.setattr(sc, "evaluate", evaluate)
+    monkeypatch.setattr(rules, "_replays", replay)
+    return replays
+
+
+@pytest.mark.parametrize("run", ["prove_model", "library"])
+def test_every_focused_edge_is_validated_at_the_verdict_samples(
+        monkeypatch, run):
+    model, scn = load("parallelogram.gthm")
+    replays = _replayed_at(monkeypatch)
+    if run == "prove_model":
+        count = 7
+        result = prove_model(model, samples=count)
+        focused, v = result.focused, result.verdict
+    else:
+        count = 100
+        stream = stream_of(scn, 42, count)
+        g = gr.grow_detailed(model, sc.sample_params(scn, 42), stream)
+        focused, v = g.focused, vf.verdict(model, g.focused, stream)
+    monkeypatch.undo()
+    assert v.status == vf.STATUS_PROVED
+    seeds = [r.seed for r in v.samples]
+    assert len(seeds) == count
+    seed_of = {r.assignment: r.seed for r in v.samples}
+    edges = [s.edge for s in focused if s.edge is not None]
+    assert edges
+    for e in edges:
+        assert [seed_of[a] for a in replays[id(e)]] == seeds
+    assert v.certificate.points == count
+
+
 def test_oracle_and_verdict_leave_carriers_alone(monkeypatch, capsys, para):
-    model, scn, g, focused = para
+    model, scn, g, focused, _ = para
     calls = []
     real = sc._same_carrier
 
@@ -192,7 +246,7 @@ def test_oracle_and_verdict_leave_carriers_alone(monkeypatch, capsys, para):
     for name in ("parallelogram.gthm", "imo2012.gthm"):
         assert cli.main(["check", str(FIXTURES / name), "--samples", "20"]) == 0
     capsys.readouterr()
-    v = vf.verdict(model, scn, focused, num_samples=20, seed=7)
+    v = vf.verdict(model, focused, stream_of(scn, 7, 20))
     assert v.status == vf.STATUS_PROVED
     assert calls == []
     # reading the carriers is what deduplicates them
@@ -200,7 +254,7 @@ def test_oracle_and_verdict_leave_carriers_alone(monkeypatch, capsys, para):
 
 
 def test_cross_check_fails_on_a_corrupted_rule(para):
-    model, scn, g, focused = para
+    model, scn, g, focused, _ = para
     be = length("B", "E")
     # CG is a parallel transfer of BE; doubling it breaks the oracle match
     broken = list(focused)
@@ -231,14 +285,13 @@ def _corrupted(focused, kind):
 @pytest.mark.parametrize("kind", ["disagrees", "cannot-run"])
 def test_validation_keeps_a_corrupted_step_out_of_the_proof(
         monkeypatch, para, kind):
-    model, scn, g, focused = para
+    model, scn, g, focused, _ = para
     broken = _corrupted(focused, kind)
-    stream = rules.sample_stream(scn, 42, sc.DEFAULT_RANGE,
-                                 rules.VALIDATION_SAMPLES)
+    stream = stream_of(scn)
     want = math.inf if kind == "cannot-run" else 0.5
     assert all(rules.residual(broken, ev) == pytest.approx(want)
                for _, _, ev in stream)
-    assert rules.validate_edges([broken], model, scn, 42) == []
+    assert rules.validate_edges([broken], stream) == []
     # first in the pool, growth reaches for it first, and validation
     # drops it before the verdict sees the schedule
     real = gr.discover
@@ -277,7 +330,7 @@ def test_claim_on_squares_gives_the_scalar_residual(name, text):
     scn = sc.build_scene(model)
     eq = model.claim.payload
     decided = 0
-    for _, a, ev in rules.sample_stream(scn, 9, sc.DEFAULT_RANGE, 20):
+    for _, a, ev in stream_of(scn, 9, 20):
         got = vf._claim_check(model, ev)
         fresh = sc._evaluate(scn, a)
         want = vf._claim_residual(vf._claim_side(eq.lhs, fresh),
@@ -289,8 +342,8 @@ def test_claim_on_squares_gives_the_scalar_residual(name, text):
 
 
 def test_parallelogram_proved_with_exactly_zero_residuals(para):
-    model, scn, g, focused = para
-    v = vf.verdict(model, scn, focused, num_samples=100, seed=42)
+    model, scn, g, focused, stream = para
+    v = vf.verdict(model, focused, stream)
     assert v.status == vf.STATUS_PROVED
     assert len(v.samples) == 100
     assert all(r.claim_residual == 0.0 for r in v.samples)
@@ -310,15 +363,15 @@ def test_parallelogram_certificate_is_an_exact_identity():
 
 
 def test_second_claim_fixture_proved():
-    model, scn, g, focused = pipeline("parallelogram_bd.gthm")
-    v = vf.verdict(model, scn, focused, num_samples=100, seed=42)
+    model, scn, g, focused, stream = pipeline("parallelogram_bd.gthm")
+    v = vf.verdict(model, focused, stream)
     assert v.status == vf.STATUS_PROVED
     assert all(r.claim_residual == 0.0 for r in v.samples)
 
 
 def test_imo_proved_numerically(imo):
-    model, scn, g, focused = imo
-    v = vf.verdict(model, scn, focused, num_samples=100, seed=42)
+    model, scn, g, focused, stream = imo
+    v = vf.verdict(model, focused, stream)
     assert v.status == vf.STATUS_PROVED
     assert max(r.claim_residual for r in v.samples) <= rules.VALIDATION_TOL
     assert v.certificate.kind == "numerically-certified"
@@ -362,8 +415,8 @@ def test_exact_identity_iff_every_read_coordinate_is_rational(figure, seed):
 
 
 def test_bad_claim_refuted_with_margin_at_every_sample():
-    model, scn, g, focused = pipeline("parallelogram_bad.gthm")
-    v = vf.verdict(model, scn, focused, num_samples=100, seed=42)
+    model, scn, g, focused, stream = pipeline("parallelogram_bad.gthm")
+    v = vf.verdict(model, focused, stream)
     assert v.status == vf.STATUS_REFUTED
     assert len(v.samples) == 100
     # OD = CD, so claiming OD = 2 CD misses by the whole smaller side
@@ -374,7 +427,7 @@ def test_bad_claim_refuted_with_margin_at_every_sample():
 
 
 def test_missing_schedule_is_inconclusive():
-    v = vf.verdict(None, None, None, num_samples=5, seed=1)
+    v = vf.verdict(None, None, None)
     assert v.status == vf.STATUS_INCONCLUSIVE
     assert v.reason == "no derivation schedule"
     assert v.samples == ()
@@ -384,9 +437,10 @@ def test_missing_schedule_is_inconclusive():
 def test_unreachable_fixture_reaches_no_verdict():
     model, scn = load("unreachable.gthm")
     witness = sc.sample_params(scn, 42)
-    g = gr.grow_detailed(model, scn, witness, seed=42)
+    stream = stream_of(scn, 42, 5)
+    g = gr.grow_detailed(model, witness, stream)
     assert g.pending
-    v = vf.verdict(model, scn, None, num_samples=5, seed=42)
+    v = vf.verdict(model, None, stream)
     assert v.status == vf.STATUS_INCONCLUSIVE
 
 
@@ -400,15 +454,15 @@ def test_degenerate_model_propagates_from_sampler():
 def test_verdict_status_is_seed_stable(seed):
     for name, want in (("parallelogram.gthm", vf.STATUS_PROVED),
                        ("imo2012.gthm", vf.STATUS_PROVED)):
-        model, scn, g, focused = pipeline(name, seed=seed)
-        v = vf.verdict(model, scn, focused, num_samples=20, seed=seed)
+        model, scn, g, focused, stream = pipeline(name, seed=seed, samples=20)
+        v = vf.verdict(model, focused, stream)
         assert v.status == want, name
 
 
 def test_same_seed_reproduces_the_same_samples(para):
-    model, scn, g, focused = para
-    v1 = vf.verdict(model, scn, focused, num_samples=10, seed=5)
-    v2 = vf.verdict(model, scn, focused, num_samples=10, seed=5)
+    model, scn, g, focused, _ = para
+    v1 = vf.verdict(model, focused, stream_of(scn, 5, 10))
+    v2 = vf.verdict(model, focused, stream_of(scn, 5, 10))
     assert [r.assignment for r in v1.samples] == [
         r.assignment for r in v2.samples]
     assert [r.seed for r in v1.samples] == [r.seed for r in v2.samples]
@@ -456,15 +510,15 @@ def test_sample_space_shrinks_with_the_range():
 
 
 def test_degree_bound_grows_through_products(para):
-    model, scn, g, focused = para
+    model, scn, g, focused, _ = para
     deg = vf._degree_bound(model, focused)
     # two pythagoras-style goals built from solve2 and products
     assert deg == 44
 
 
 def test_verdict_summary_shape(para):
-    model, scn, g, focused = para
-    v = vf.verdict(model, scn, focused, num_samples=5, seed=42)
+    model, scn, g, focused, _ = para
+    v = vf.verdict(model, focused, stream_of(scn, 42, 5))
     out = vf.verdict_summary(v)
     assert out["status"] == "PROVED"
     assert out["samples"]["count"] == 5
