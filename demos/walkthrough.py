@@ -34,7 +34,11 @@ print(f"claim           {emit.claim_text(model)}")
 
 stage("build the scene and sample a witness figure")
 scn = scene.build_scene(model)
-witness = scene.sample_params(scn, seed=42)
+# the figures that validate the proof's steps and then judge its claim,
+# and the witness the rules are discovered at, all drawn at seed 42
+stream = scene.SampleStream(scn, 42, scene.DEFAULT_RANGE,
+                            rules.VALIDATION_SAMPLES)
+witness = stream.witness
 print("witness assignment:", ", ".join(f"{n}={v}" for n, v in witness.items))
 ev = scene.evaluate(scn, witness)
 for name in model.points:
@@ -49,10 +53,6 @@ for e in pool:
 print(f"{len(pool)} candidate hyperedges:")
 for rule_name in sorted(by_rule):
     print(f"    {by_rule[rule_name]:4d}  {rule_name}")
-
-# the figures that validate the proof's steps and then judge its claim
-stream = scene.SampleStream(scn, 42, scene.DEFAULT_RANGE,
-                            rules.VALIDATION_SAMPLES)
 
 stage(f"grow the graph, validating its proof at {stream.count} random figures")
 g = graph.grow_detailed(model, witness, stream)

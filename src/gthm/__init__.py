@@ -55,14 +55,15 @@ def prove_model(model: dsl.HypothesisModel, theorem: Optional[str] = None,
                 *, seed: int = 42, samples: int = rules.VALIDATION_SAMPLES,
                 rng_range: tuple[Fraction, Fraction] = scene.DEFAULT_RANGE,
                 ) -> ProofResult:
-    """Derive and judge the claim of a validated model: sample a
-    witness, grow the graph with the focused schedule it validated at
-    the `samples` samples of one stream, and take the verdict on that
-    stream.  A figure that cannot be drawn comes back INCONCLUSIVE."""
+    """Derive and judge the claim of a validated model: draw one
+    stream's witness, grow the graph with the focused schedule it
+    validated at the stream's `samples` samples, and take the verdict
+    on that stream.  A figure that cannot be drawn comes back
+    INCONCLUSIVE."""
     scene_ = scene.build_scene(model)
     stream = scene.SampleStream(scene_, seed, rng_range, samples)
     try:
-        witness = scene.sample_params(scene_, seed, rng_range)
+        witness = stream.witness
         g = graph.grow_detailed(model, witness, stream)
         focused = g.focused
         schedule = focused if not g.pending else None

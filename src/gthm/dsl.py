@@ -366,7 +366,7 @@ class _LineParser:
         while self.at_punct("+") or self.at_punct("-"):
             op = self.advance().value
             right = self.parse_term()
-            left = BinOp(span=left.span, op=op, left=left, right=right)
+            left = BinOp(left.span, op, left, right)
         return left
 
     def parse_term(self) -> Expr:
@@ -374,14 +374,14 @@ class _LineParser:
         while self.at_punct("*") or self.at_punct("/"):
             op = self.advance().value
             right = self.parse_factor()
-            left = BinOp(span=left.span, op=op, left=left, right=right)
+            left = BinOp(left.span, op, left, right)
         return left
 
     def parse_factor(self) -> Expr:
         t = self.cur
         if self.at_punct("-"):
             self.advance()
-            return Neg(span=t.span, arg=self.parse_factor())
+            return Neg(t.span, self.parse_factor())
         if self.at_punct("("):
             self.advance()
             inner = self.parse_dist()
@@ -389,14 +389,14 @@ class _LineParser:
             return inner
         if t.kind == "NUMBER":
             self.advance()
-            return NumLit(span=t.span, value=Fraction(t.value))
+            return NumLit(t.span, Fraction(t.value))
         if t.kind == "IDENT" and t.value == "len":
             self.advance()
             p, q = self.parse_args(ARGS[LenExpr])
-            return LenExpr(span=t.span, p=p, q=q)
+            return LenExpr(t.span, p, q)
         if t.kind == "IDENT":
             self.advance()
-            return NameRef(span=t.span, name=t.value)
+            return NameRef(t.span, t.value)
         raise ParseFailure("expected expression", t.span)
 
     # -- line expressions --------------------------------------------------
@@ -407,10 +407,10 @@ class _LineParser:
             return self.parse_through()
         if t.kind == "IDENT" and t.value == "extend_ray":
             self.advance()
-            return ExtendRay(*self.parse_args(ARGS[ExtendRay]), span=t.span)
+            return ExtendRay(*self.parse_args(ARGS[ExtendRay]), t.span)
         if t.kind == "IDENT":
             self.advance()
-            return LineRef(name=t.value, span=t.span)
+            return LineRef(t.value, t.span)
         raise ParseFailure("expected a line", t.span)
 
     def parse_through(self) -> LineArg:
@@ -421,7 +421,7 @@ class _LineParser:
             self.advance()
             q = self.expect_ident("point name")
             self.expect_punct(")")
-            return ThroughPoints(p=p.value, q=q.value, span=t.span)
+            return ThroughPoints(p.value, q.value, t.span)
         self.expect_punct(")")
         kw = self.expect_ident("'parallel'")
         if kw.value != "parallel":
@@ -429,7 +429,7 @@ class _LineParser:
         self.expect_punct("(")
         base = self.parse_line_arg()
         self.expect_punct(")")
-        return ThroughParallel(p=p.value, base=base, span=t.span)
+        return ThroughParallel(p.value, base, t.span)
 
     # -- point expressions -------------------------------------------------
 
@@ -442,8 +442,8 @@ class _LineParser:
             raise ParseFailure(f"unknown point construction {t.value!r}", t.span)
         self.advance()
         if cls is Origin and not self.at_punct("("):
-            return Origin(span=t.span)  # the parentheses are optional
-        return cls(*self.parse_args(ARGS[cls]), span=t.span)
+            return Origin(t.span)  # the parentheses are optional
+        return cls(*self.parse_args(ARGS[cls]), t.span)
 
     def parse_pick(self) -> Pick:
         t = self.expect_ident("root pick policy")
@@ -451,7 +451,7 @@ class _LineParser:
         if cls is None:
             raise ParseFailure(f"unknown pick policy {t.value!r}", t.span)
         kinds = ARGS[cls]
-        return cls(*(self.parse_args(kinds) if kinds else ()), span=t.span)
+        return cls(*(self.parse_args(kinds) if kinds else ()), t.span)
 
     # -- claims --------------------------------------------------------
 
@@ -480,7 +480,7 @@ class _LineParser:
         if kw.value != "len":
             raise ParseFailure("claims may only mention len(P,Q) terms", kw.span)
         p, q = self.parse_args(("point", "point"))
-        return ClaimTerm(coef=coef, p=p, q=q, span=t.span)
+        return ClaimTerm(coef, p, q, t.span)
 
 
 def read_source(path, filename: str) -> str:
@@ -523,14 +523,13 @@ def _parse_statement(lp: _LineParser) -> Statement:
     if head.value == "param":
         name = lp.expect_ident("parameter name")
         lp.expect_eol()
-        return Statement(kind="param-decl", name=name.value, payload=None, span=head.span)
+        return Statement("param-decl", name.value, None, False, head.span)
     if head.value == "point":
         name = lp.expect_ident("point name")
         lp.expect_punct("=")
         payload = lp.parse_point_expr()
         lp.expect_eol()
-        return Statement(kind="point-construction", name=name.value, payload=payload,
-                         aux=aux, span=head.span)
+        return Statement("point-construction", name.value, payload, aux, head.span)
     if head.value == "line":
         name = lp.expect_ident("line name")
         lp.expect_punct("=")
@@ -538,14 +537,13 @@ def _parse_statement(lp: _LineParser) -> Statement:
         if isinstance(payload, LineRef):
             raise ParseFailure("a line must be constructed, not aliased", payload.span)
         lp.expect_eol()
-        return Statement(kind="line-construction", name=name.value, payload=payload, span=head.span)
+        return Statement("line-construction", name.value, payload, False, head.span)
     if head.value == "claim":
         lhs = lp.parse_claim_side()
         lp.expect_punct("=")
         rhs = lp.parse_claim_side()
         lp.expect_eol()
-        return Statement(kind="claim", name="", payload=ClaimEq(lhs=lhs, rhs=rhs, span=head.span),
-                         span=head.span)
+        return Statement("claim", "", ClaimEq(lhs, rhs, head.span), False, head.span)
     raise ParseFailure(f"unknown statement keyword {head.value!r}", head.span)
 
 

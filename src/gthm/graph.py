@@ -80,20 +80,33 @@ def grow(pool: list[Hyperedge], params: tuple[Dim, ...],
     the untried edges sourced entirely in earlier rings, in pool order,
     and admits what it returns; an edge it drops is never tried again.
     The graph lists the admitted edges in pool order.  A goal never
-    reached is listed in `pending` and numbered last."""
+    reached is listed in `pending` and numbered last.
+
+    Each untried edge keeps a count of its sources not yet reached,
+    and each unreached dimension the edges waiting on it (Dowling and
+    Gallier's linear-time closure), so a ring costs the edges its new
+    nodes release rather than a scan of every untried edge."""
     goal_set = set(goals)
     nodes = {d: Node(dim=d, index=i, is_param=True, is_goal=d in goal_set)
              for i, d in enumerate(params)}
     known: set[Dim] = set(params)
-    untried = [e for e in pool if e.target not in known]
+    missing: list[int] = []  # per pool position: sources not yet reached
+    waiting: dict[Dim, list[int]] = {}  # unreached dim -> positions
+    ready: list[int] = []  # positions sourced entirely in known dims
+    for pos, e in enumerate(pool):
+        unknown = 0
+        if e.target not in known:  # an edge onto a parameter is never tried
+            for d in e.sources:
+                if d not in known:
+                    unknown += 1
+                    waiting.setdefault(d, []).append(pos)
+            if not unknown:
+                ready.append(pos)
+        missing.append(unknown)
     admitted: set[int] = set()  # edge ids
     while True:
-        reached: list[Hyperedge] = []
-        rest: list[Hyperedge] = []
-        for e in untried:
-            (reached if known.issuperset(e.sources) else rest).append(e)
-        untried = rest
-        ring = admit(reached)
+        ring = admit([pool[pos] for pos in sorted(ready)])
+        ready = []
         admitted.update(map(id, ring))
         for e in ring:
             if e.target not in known:
@@ -101,6 +114,10 @@ def grow(pool: list[Hyperedge], params: tuple[Dim, ...],
                 nodes[e.target] = Node(dim=e.target, index=len(nodes),
                                        is_goal=e.target in goal_set)
                 known.add(e.target)
+                for pos in waiting.pop(e.target, ()):
+                    missing[pos] -= 1
+                    if not missing[pos]:
+                        ready.append(pos)
         if not ring or goal_set <= known:
             break
 

@@ -10,15 +10,23 @@ direction class of their difference when it is rational.  A line is
 then the set of points sharing a class at an anchor, and a right angle
 a pair of perpendicular classes at a corner; only differences with a
 radical or float component are compared one by one with the scene's
-predicates.  Relations are detected at a single witness sample;
-spurious coincidences are culled by replaying the edges a proof uses
-at every sample of the run's scene.SampleStream, the verdict's: those
-of the focused schedule, and after a failure those that number the
-nodes (validate_edges, called from graph.grow_detailed).  A replay
-whose values are all exact and positive first checks the edge's
-relation on squared values by integer cross-multiplication; every
-other replay, and every one that check does not confirm, recomputes
-the target on the Scalar arithmetic.
+predicates, and a predicate on rational points reads their integer
+triples.  Similar triangles are found the same way: a triangle with
+rational squared sides joins the exact class of its shape, and only a
+triangle with a radical or float side is compared, on floats, with the
+triangles of neighbouring shape buckets.  A ratio is valued at the
+witness only where a rule reads its value.  The pool is sorted once,
+on one string key per edge (`finalize`).
+
+Relations are detected at a single witness sample; spurious
+coincidences are culled by replaying the edges a proof uses at every
+sample of the run's scene.SampleStream, the verdict's: those of the
+focused schedule, and after a failure those that number the nodes
+(validate_edges, called from graph.grow_detailed).  A replay whose
+values are all exact and positive first checks the edge's relation on
+squared values by integer cross-multiplication; every other replay,
+and every one that check does not confirm, recomputes the target on
+the Scalar arithmetic.
 
 Positions along the reference axis are always measured from the
 origin point; feet are declared points, never invented ones.
@@ -26,12 +34,14 @@ origin point; feet are declared points, never invented ones.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+import weakref
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
-from weakref import WeakValueDictionary
 
 from . import dsl, scene as sc
 from .exactnum import Scalar, add, as_float, div, mul, rel_err, sqrt_scalar, sub
@@ -58,18 +68,39 @@ class Dim(Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
+    def __init__(self, kind: str, points: tuple[str, str] = (),
+                 num: Optional[Dim] = None, den: Optional[Dim] = None,
+                 far: tuple[str, str] = (), near: tuple[str, str] = (),
+                 display: str = ""):
+        s = self._set
+        s[0](self, kind)
+        s[1](self, points)
+        s[2](self, num)
+        s[3](self, den)
+        s[4](self, far)
+        s[5](self, near)
+        s[6](self, display)
+
     def __repr__(self) -> str:
         return f"Dim({self.display})"
 
 
-_DIMS: "WeakValueDictionary[tuple, Dim]" = WeakValueDictionary()
+# every live dim by its fields, held weakly: a dim no edge or caller
+# holds any more is freed, and its entry goes with it
+_DIMS: dict[tuple, "weakref.ref[Dim]"] = {}
+
+
+def _forget(key: tuple, ref: "weakref.ref[Dim]") -> None:
+    if _DIMS.get(key) is ref:  # not a dim interned since under the key
+        del _DIMS[key]
 
 
 def _intern(kind: str, points: tuple[str, str] = (), num: Optional[Dim] = None,
             den: Optional[Dim] = None, far: tuple[str, str] = (),
             near: tuple[str, str] = ()) -> Dim:
     key = (kind, points, num, den, far, near)
-    d = _DIMS.get(key)
+    ref = _DIMS.get(key)
+    d = ref() if ref is not None else None
     if d is None:
         if kind == "length":
             display = "".join(points)
@@ -77,18 +108,19 @@ def _intern(kind: str, points: tuple[str, str] = (), num: Optional[Dim] = None,
             display = f"{num.display}/{den.display}"
         else:
             display = f"({''.join(far)}-{''.join(near)})"
-        d = _DIMS[key] = Dim(kind, points, num, den, far, near, display)
+        d = Dim(kind, points, num, den, far, near, display)
+        _DIMS[key] = weakref.ref(d, functools.partial(_forget, key))
     return d
 
 
 def length(p: str, q: str) -> Dim:
     if p == q:
         raise ValueError(f"length needs two distinct points, got {p!r} twice")
-    return _intern("length", points=(p, q) if p < q else (q, p))
+    return _intern("length", (p, q) if p < q else (q, p))
 
 
 def composite(far: tuple[str, str], near: tuple[str, str]) -> Dim:
-    return _intern("composite", far=tuple(sorted(far)), near=tuple(sorted(near)))
+    return _intern("composite", (), None, None, tuple(sorted(far)), tuple(sorted(near)))
 
 
 def make_ratio(a: Dim, b: Dim) -> Dim:
@@ -97,8 +129,8 @@ def make_ratio(a: Dim, b: Dim) -> Dim:
     if a.display == b.display:
         raise ValueError("ratio of a dimension with itself")
     if a.display < b.display:
-        return _intern("ratio", num=a, den=b)
-    return _intern("ratio", num=b, den=a)
+        return _intern("ratio", (), a, b)
+    return _intern("ratio", (), b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +167,39 @@ PRIORITY = {
 
 
 _display = operator.attrgetter("display")
+_target = operator.attrgetter("target")
+_sources = operator.attrgetter("sources")
+
+
+def _canonical(d: Dim) -> tuple:
+    """d's display, then its structure: an order in which no two dims
+    tie, which agrees with the order by display."""
+    return (d.display, d.kind, d.points, d.far, d.near,
+            _canonical(d.num) if d.num else (), _canonical(d.den) if d.den else ())
+
+
+def _ordered(dims) -> tuple[Dim, ...]:
+    """The distinct dims sorted by display, dims of one display (points
+    A and BC beside AB and C) by `_canonical`: one tuple per set."""
+    if len(dims) == 2:
+        a, b = dims
+        if a.display < b.display:
+            return a, b
+        if b.display < a.display:
+            return b, a
+    out = sorted(set(dims), key=_display)
+    for a, b in zip(out, out[1:]):
+        if a.display == b.display:
+            out.sort(key=_canonical)
+            break
+    return tuple(out)
 
 
 def _edge(sources, target, rule, justification, recipe, subpriority=0):
-    srcs = tuple(sorted(set(sources), key=_display))
+    srcs = _ordered(sources)
     if target in srcs or not srcs:
         return None
-    return Hyperedge(sources=srcs, target=target, rule=rule,
-                     justification=justification, recipe=recipe,
-                     subpriority=subpriority)
+    return Hyperedge(srcs, target, rule, justification, recipe, subpriority)
 
 
 def _recipe_key(recipe: tuple) -> tuple:
@@ -158,19 +214,34 @@ def _sort_key(e: Hyperedge):
             tuple(map(_display, e.sources)), _recipe_key(e.recipe))
 
 
+# `finalize` sorts on one string per edge: its priority and subpriority
+# as one character each, its target's display, and its sources' displays
+# after _SOURCE_SEP each, with its recipe's strings after _RECIPE_SEP
+# only where an equal key needs them.  Both characters sort below any
+# character of a display, so two strings compare as their `_sort_key`
+# tuples do, a shorter list of sources first.
+_SOURCE_SEP, _RECIPE_SEP = "\x01", "\x00"
+
+
 def finalize(edges: list[Hyperedge]) -> list[Hyperedge]:
     """The edges in `_sort_key` order, the first of each `key()` kept.
     This pool order is the only order between edges: growth lists the
-    edges it admits in it, and the schedule takes each node's first."""
-    ordered = sorted((e for e in edges if e is not None), key=_sort_key)
-    seen: set = set()
-    out: list[Hyperedge] = []
-    for e in ordered:
-        k = e.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(e)
-    return out
+    edges it admits in it, and the schedule takes each node's first.
+    Sources come in `_ordered` order, one tuple per set, so the tuple
+    stands for the set in `key()`."""
+    edges = [e for e in edges if e is not None]
+    join = _SOURCE_SEP.join
+    keys = [f"{chr(48 + PRIORITY[e.rule])}{chr(48 + e.subpriority)}{e.target.display}"
+            f"{_SOURCE_SEP}{join(map(_display, e.sources))}" for e in edges]
+    counts = Counter(keys)
+    if len(counts) < len(keys):
+        keys = [k + _RECIPE_SEP + join(_recipe_key(e.recipe)) if counts[k] > 1 else k
+                for k, e in zip(keys, edges)]
+    first: dict = {}
+    for i in sorted(range(len(edges)), key=keys.__getitem__):
+        e = edges[i]
+        first.setdefault((e.sources, e.target, e.rule), e)
+    return list(first.values())
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +253,11 @@ class _Witness:
     discover call reads.
 
     Points are indexed in declaration order.  For each pair i < j the
-    index holds whether the points are distinct (`apart`, one
-    scene.coincident call per pair), the squared distance (`sq`: its
-    numerator and denominator in lowest terms when rational, and its
-    float) and the direction class of the difference (`klass`): its
+    index holds whether the points are distinct (`apart`: a nonzero
+    difference of two rational points, else one scene.coincident call
+    per pair), the squared distance (`sq[i][j]`:
+    its numerator and denominator in lowest terms when rational, and
+    its float) and the direction class of the difference (`klass`): its
     integer components over their gcd, sign-normalised, when both
     components are Fractions; (0, 0) for a zero difference; None when a
     component is a Rad or a float.  Classes are exact, so they decide
@@ -204,32 +276,40 @@ class _Witness:
                  witness: sc.ParamAssignment):
         self.model = model
         self.scene = scene_
-        self.ev = sc.evaluate(scene_, witness)
-        self.names: list[str] = list(self.ev.points)
-        self.coords = self.ev.points
+        self.ev = ev = sc.evaluate(scene_, witness)
+        self.names: list[str] = list(ev.points)
+        self.coords = ev.points
+        self.hom = ev.hom
         origin = self.coords[model.origin]
         base = self.coords[model.base_point]
-        self.axis = sc.Line(origin, sc.vsub(base, origin))
-        self.on_axis = [n for n in self.names if sc.on_line(self.coords[n], self.axis)]
+        # with the anchor and direction triples where they are rational
+        self.axis = sc.Line(origin, sc.vsub(base, origin), ev.hom[model.origin],
+                            sc.exact_difference(ev, model.origin, model.base_point))
+        self.on_axis = [n for n in self.names if self.on_line(n, self.axis)]
         self.off_axis = [n for n in self.names if n not in set(self.on_axis)]
         self.pos = {name: i for i, name in enumerate(self.names)}
         self.points = pts = [self.coords[name] for name in self.names]
         n = len(pts)
         self.apart = [[False] * n for _ in range(n)]
         self.klass: list[list[Optional[tuple[int, int]]]] = [[None] * n for _ in range(n)]
-        self.sq: dict[tuple[int, int], tuple[Optional[tuple[int, int]], float]] = {}
+        self.sq: list[list[Optional[tuple[Optional[tuple[int, int]], float]]]] = \
+            [[None] * n for _ in range(n)]
         self.screens: list[list[Optional[tuple]]] = [[None] * n for _ in range(n)]
         screen = sc.screen
         names = self.names
+        hom = [self.hom[name] for name in names]
         for i, j in itertools.combinations(range(n), 2):
             p, q = pts[i], pts[j]
-            self.apart[i][j] = self.apart[j][i] = not sc.coincident(p, q)
             diff = sc.exact_difference(self.ev, names[i], names[j])
+            if hom[i] and hom[j]:  # rational points coincide when equal
+                self.apart[i][j] = self.apart[j][i] = bool(diff[0] or diff[1])
+            else:
+                self.apart[i][j] = self.apart[j][i] = not sc.coincident(p, q)
             if diff is None:
                 v = sc.vsub(p, q)
                 s = sc.sq_norm(v)
                 exact = s.as_integer_ratio() if type(s) is Fraction else None
-                self.sq[i, j] = (exact, as_float(s))
+                self.sq[i][j] = (exact, as_float(s))
                 x, y = as_float(v[0]), as_float(v[1])
                 self.screens[j][i] = screen((x, y))
                 self.screens[i][j] = screen((0.0 - x, 0.0 - y))
@@ -237,10 +317,12 @@ class _Witness:
             x, y, d = diff
             num, den = x * x + y * y, d * d
             g = math.gcd(num, den)
-            self.sq[i, j] = ((num // g, den // g), num / den)
+            self.sq[i][j] = ((num // g, den // g), num / den)
             self.klass[i][j] = self.klass[j][i] = _direction(x, y)
-            self.screens[i][j] = screen((x / d, y / d))
-            self.screens[j][i] = screen((-x / d, -y / d))
+            fx, fy = x / d, y / d
+            scale = max(abs(fx), abs(fy), 1.0)
+            self.screens[i][j] = (fx, fy, scale)
+            self.screens[j][i] = (-x / d, -y / d, scale)
         self.collinear_triples = self._collinear_triples()
 
     def _collinear_triples(self) -> list[tuple[int, int, int]]:
@@ -276,37 +358,77 @@ class _Witness:
             out.extend((i, j, k) for j, k in sorted(found))
         return out
 
+    # The predicates read a rational point's triple, as the scene's
+    # rational branches do, and hand any other point to the scene
+    # predicate on its coordinates.
+
     def collinear(self, a: str, b: str, c: str) -> bool:
+        ha, hb, hc = self.hom[a], self.hom[b], self.hom[c]
+        if ha and hb and hc:
+            return sc.hom_collinear(ha, hb, hc)
         return sc.points_collinear(self.coords[a], self.coords[b], self.coords[c])
 
     def between(self, a: str, m: str, b: str) -> bool:
+        ha, hm, hb = self.hom[a], self.hom[m], self.hom[b]
+        if ha and hm and hb:
+            return sc.hom_between(ha, hm, hb)
         return sc.strictly_between(self.coords[a], self.coords[m], self.coords[b])
 
     def distinct(self, a: str, b: str) -> bool:
         return self.apart[self.pos[a]][self.pos[b]]
 
+    def on_line(self, p: str, line: sc.Line) -> bool:
+        hp = self.hom[p]
+        if hp and line.ha and line.hd:
+            return sc.hom_on_line(hp, line.ha, line.hd)
+        return sc.on_line(self.coords[p], line)
+
+    def perpendicular(self, p: str, q: str, line: sc.Line) -> bool:
+        """Is p - q perpendicular to `line`?"""
+        d = line.hd
+        v = sc.exact_difference(self.ev, q, p) if d else None
+        if v:
+            return v[0] * d[0] + v[1] * d[1] == 0
+        return sc.perpendicular(sc.vsub(self.coords[p], self.coords[q]), line.direction)
+
     def axis_feet(self, p: str) -> list[str]:
         """Declared points on the axis that are the perpendicular foot
         of p, judged at the witness."""
-        pc = self.coords[p]
-        out = []
-        for v in self.on_axis:
-            if not self.distinct(p, v):
-                continue
-            if sc.perpendicular(sc.vsub(pc, self.coords[v]), self.axis.direction):
-                out.append(v)
-        return out
+        return [v for v in self.on_axis
+                if self.distinct(p, v) and self.perpendicular(p, v, self.axis)]
+
+    def _axis_product(self, p: str, ref: str, dot: bool) -> float:
+        """The dot (else cross) product of the axis direction and p -
+        ref, as a float: from the triples, rounded once as float() of
+        the exact value is, when both vectors are rational."""
+        d, v = self.axis.hd, sc.exact_difference(self.ev, ref, p)
+        if d and v:
+            n = d[0] * v[0] + d[1] * v[1] if dot else d[0] * v[1] - d[1] * v[0]
+            return n / (d[2] * v[2])
+        u, v = self.axis.direction, sc.vsub(self.coords[p], self.coords[ref])
+        return as_float(sc.dot(u, v) if dot else sc.cross(u, v))
 
     def axis_side(self, p: str) -> int:
-        c = sc.cross(self.axis.direction, sc.vsub(self.coords[p], self.axis.anchor))
-        return 1 if as_float(c) > 0 else -1
+        return 1 if self._axis_product(p, self.model.origin, False) > 0 else -1
 
     def axis_pos_sign(self, p: str, ref: str) -> int:
-        d = sc.dot(self.axis.direction, sc.vsub(self.coords[p], self.coords[ref]))
-        return 1 if as_float(d) > 0 else -1
+        return 1 if self._axis_product(p, ref, True) > 0 else -1
 
-    def value(self, dim: Dim) -> Scalar:
-        return sc.dim_value(self.ev, dim)
+    def ratio_value(self, r: Dim) -> Optional[Scalar]:
+        """The ratio's value at the witness; None over a zero length."""
+        try:
+            return sc.dim_value(self.ev, r)
+        except (sc.DivisionByZero, ZeroDivisionError):
+            return None
+
+
+def _parallel(l1: sc.Line, l2: sc.Line) -> bool:
+    """scene.lines_parallel, on the direction triples when both are
+    rational."""
+    u, v = l1.hd, l2.hd
+    if u and v:
+        return u[0] * v[1] == u[1] * v[0]
+    return sc.lines_parallel(l1, l2)
 
 
 def _direction(x: int, y: int) -> tuple[int, int]:
@@ -380,7 +502,8 @@ def segment_chain_rule(w: _Witness, ratio_dims: tuple[Dim, ...] = ()) -> list[Hy
     (P, M, Q) emit the three add/subtract edges.  When ratio dimensions
     are supplied, also copy each onto the ratio whose numerator is
     rewritten as an origin-anchored difference (AF becomes OA - OF),
-    which prepares ratio solving."""
+    which prepares ratio solving; a ratio over a zero length at the
+    witness is left out."""
     edges: list[Optional[Hyperedge]] = []
     for a, m, b in _chain_triples(w):
         am, mb, ab = length(a, m), length(m, b), length(a, b)
@@ -405,6 +528,8 @@ def segment_chain_rule(w: _Witness, ratio_dims: tuple[Dim, ...] = ()) -> list[Hy
             near, far = p2, p1
         else:
             continue  # origin lies inside the segment; no difference form
+        if w.ratio_value(r) is None:
+            continue
         comp = composite((origin, far), (origin, near))
         # the composite's display opens with "(", so it is the numerator
         just = (f"{r.num.display} equals {''.join(comp.far)} minus "
@@ -418,21 +543,14 @@ def parallel_transfer_rule(w: _Witness) -> list[Hyperedge]:
     """Perpendicular offsets between the same two parallel carriers are
     equal, so either transfers to the other."""
     carriers = w.ev.carriers
+    on = [[u for u in w.names if w.on_line(u, line)] for line in carriers]
     edges: list[Optional[Hyperedge]] = []
-    for l1, l2 in itertools.combinations(carriers, 2):
-        if not sc.lines_parallel(l1, l2):
+    for (i1, l1), (i2, l2) in itertools.combinations(enumerate(carriers), 2):
+        if not _parallel(l1, l2):
             continue
-        offsets = []
-        for u in w.names:
-            cu = w.coords[u]
-            if not sc.on_line(cu, l1):
-                continue
-            for v in w.names:
-                cv = w.coords[v]
-                if u == v or not sc.on_line(cv, l2) or not w.distinct(u, v):
-                    continue
-                if sc.perpendicular(sc.vsub(cu, cv), l1.direction):
-                    offsets.append((u, v))
+        offsets = [(u, v) for u in on[i1] for v in on[i2]
+                   if u != v and w.distinct(u, v)
+                   and w.perpendicular(u, v, l1)]
         for (u1, v1), (u2, v2) in itertools.combinations(offsets, 2):
             d1, d2 = length(u1, v1), length(u2, v2)
             if d1 == d2:
@@ -467,10 +585,11 @@ def _distance_formula(w: _Witness) -> list[Optional[Hyperedge]]:
     origin = w.model.origin
     edges: list[Optional[Hyperedge]] = []
     feet = {u: w.axis_feet(u) for u in w.off_axis}
+    side = {u: w.axis_side(u) for u in w.off_axis}
     for u1, u2 in itertools.combinations(w.off_axis, 2):
         if not w.distinct(u1, u2):
             continue
-        if w.axis_side(u1) != w.axis_side(u2):
+        if side[u1] != side[u2]:
             continue
         for v1 in feet[u1]:
             for v2 in feet[u2]:
@@ -492,117 +611,199 @@ def _distance_formula(w: _Witness) -> list[Optional[Hyperedge]]:
     return edges
 
 
-# a triangle's shape bucket bins the ratios of its two smaller squared
-# sides to the largest at this width
-_SHAPE_BIN = 1e-6
-
 _PERMS = tuple(itertools.permutations(range(3)))
+
+# side k of a triangle joins its corners _SIDES[k]
+_SIDES = tuple(itertools.combinations(range(3), 2))
+
+# a triangle with a side that is not rational is compared by its shape
+# bucket, which bins the ratios of its two smaller squared sides to the
+# largest at this width, with the triangles in its own and the
+# neighbouring buckets
+_SHAPE_BIN = 1e-6
+_NEIGHBOURS = tuple(itertools.product((-1, 0, 1), repeat=2))
 
 
 def similar_triangles_rule(w: _Witness) -> list[Hyperedge]:
-    """Triangle pairs whose sides are proportional at the witness, each
-    triangle compared only with those in its own or a neighbouring shape
-    bucket.  Per corresponding side pair the rule emits the fused edges
-    (the sides of one triangle give the other's ratio directly) and,
-    once per ratio, the multiply-through edges that turn the ratio plus
-    one side into the other side.  No edge builds a ratio from its own triangle's sides or
-    copies one triangle's ratio onto the other's: the fused edge reaches
-    each ratio in one step from sides as basic, and no proof took those
-    edges.  Pairs are emitted in point-triple scan order, which picks
-    the justification finalize keeps among tied edges."""
-    sq, names = w.sq, w.names
+    """Triangle pairs whose sides are proportional at the witness.  A
+    triangle whose three squared sides are rational falls into the
+    exact class of its shape (`_shape`): every two triangles of a class
+    are similar, under each correspondence that maps equal sides.  Any
+    other triangle is compared, on floats, with the triangles of its
+    own and the neighbouring shape buckets.
+
+    Per corresponding side pair the rule emits the fused edges (the
+    sides of one triangle give the other's ratio directly) and, once
+    per ratio, the multiply-through edges that turn the ratio plus one
+    side into the other side.  No edge builds a ratio from its own
+    triangle's sides or copies one triangle's ratio onto the other's:
+    the fused edge reaches each ratio in one step from sides as basic,
+    and no proof took those edges.  Pairs are emitted in point-triple
+    scan order, which picks the justification finalize keeps among
+    tied edges."""
+    sq = w.sq
     flat = set(w.collinear_triples)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    tris: list[tuple[tuple[str, str, str], tuple, Optional[tuple]]] = []
-    matches = []
-    for t in itertools.combinations(range(len(names)), 3):
+    # (corner indices, floats of the squared sides facing them, shape)
+    tris: list[tuple[tuple[int, int, int], tuple, Optional[tuple]]] = []
+    classes: dict[tuple[int, int, int], list[int]] = {}
+    loose: list[int] = []
+    for t in itertools.combinations(range(len(w.names)), 3):
         if t in flat:
             continue
         a, b, c = t
-        opposite = (sq[b, c], sq[a, c], sq[a, b])  # side facing each corner
-        tri = ((names[a], names[b], names[c]), tuple(s[1] for s in opposite),
-               _shape([s[0] for s in opposite]))
-        lo, mid, hi = sorted(tri[1])
-        kx, ky = int(lo / hi // _SHAPE_BIN), int(mid / hi // _SHAPE_BIN)
-        for dx, dy in itertools.product((-1, 0, 1), repeat=2):
-            for other in buckets.get((kx + dx, ky + dy), ()):
-                matches.extend((other, len(tris), perm) for perm in _PERMS
-                               if _proportional(tris[other], tri, perm))
-        buckets.setdefault((kx, ky), []).append(len(tris))
-        tris.append(tri)
+        (ea, fa), (eb, fb), (ec, fc) = sq[b][c], sq[a][c], sq[a][b]
+        if ea and eb and ec:
+            shape = _shape(ea, eb, ec)
+            classes.setdefault(tuple(sorted(shape)), []).append(len(tris))
+        else:
+            shape = None
+            loose.append(len(tris))
+        tris.append((t, (fa, fb, fc), shape))
+    matches = []
+    for members in classes.values():
+        for i, j in itertools.combinations(members, 2):
+            s1, s2 = tris[i][2], tris[j][2]
+            matches.extend((i, j, p) for p in _PERMS if s1[0] == s2[p[0]]
+                           and s1[1] == s2[p[1]] and s1[2] == s2[p[2]])
+    if loose:
+        matches.extend(_bucket_matches(tris, loose))
+    matches.sort()
     edges: list[Hyperedge] = []
-    emitted: set = set()
     ratios: set[Dim] = set()
-    for i, j, perm in sorted(matches):
-        for e in _similarity_edges(tris[i][0], tris[j][0], perm, ratios):
-            if e is None:
-                continue
+    sides: dict[int, _TriangleSides] = {}
+    for (i, j), group in itertools.groupby(matches, key=operator.itemgetter(0, 1)):
+        for k in (i, j):
+            if k not in sides:
+                sides[k] = _TriangleSides([w.names[c] for c in tris[k][0]])
+        perms = [m[2] for m in group]
+        if len(perms) == 1:
+            _similarity_edges(sides[i], sides[j], perms[0], ratios, edges)
+            continue
+        # a pair similar under several correspondences may give one
+        # fused edge twice, and finalize would keep only the first; no
+        # other pair gives it, as its sources name one triangle and its
+        # target the other
+        found: list[Hyperedge] = []
+        for perm in perms:
+            _similarity_edges(sides[i], sides[j], perm, ratios, found)
+        emitted: set = set()
+        for e in found:
             k = (e.sources, e.target, e.recipe, e.subpriority)
-            if k not in emitted:  # finalize would keep only the first
+            if k not in emitted:
                 emitted.add(k)
                 edges.append(e)
     return edges
 
 
-def _shape(sides: list) -> Optional[tuple[int, int, int]]:
-    """Three positive rational squared sides, as (numerator,
-    denominator) pairs, scaled to the coprime integers proportional to
-    them; None when a side is not rational.  Two triangles' sides are
-    proportional exactly when their shapes are equal."""
-    if not all(sides):
-        return None
-    lcm = math.lcm(*(d for _, d in sides))
-    scaled = [n * (lcm // d) for n, d in sides]
-    g = math.gcd(*scaled)
-    return tuple(x // g for x in scaled)
+def _shape(s1: tuple[int, int], s2: tuple[int, int], s3: tuple[int, int]
+           ) -> tuple[int, int, int]:
+    """Three rational squared sides, each a (numerator, denominator)
+    pair, scaled to the coprime integers proportional to them.  Two
+    triangles' sides are proportional exactly when their shapes are
+    equal."""
+    (n1, d1), (n2, d2), (n3, d3) = s1, s2, s3
+    lcm = math.lcm(d1, d2, d3)
+    x1, x2, x3 = n1 * (lcm // d1), n2 * (lcm // d2), n3 * (lcm // d3)
+    g = math.gcd(x1, x2, x3)
+    return x1 // g, x2 // g, x3 // g
+
+
+def _bucket_matches(tris: list, loose: list[int]) -> list[tuple[int, int, tuple]]:
+    """(i, j, perm), i < j, for each pair with a triangle of `loose`
+    whose sides are proportional under perm by `_proportional`, the
+    pair taken when their shape buckets are neighbours."""
+    buckets: dict[tuple[int, int], list[int]] = {}
+    keys = []
+    for i, (_, floats, _) in enumerate(tris):
+        lo, mid, hi = sorted(floats)
+        key = (int(lo / hi // _SHAPE_BIN), int(mid / hi // _SHAPE_BIN))
+        buckets.setdefault(key, []).append(i)
+        keys.append(key)
+    out = []
+    for j in loose:
+        kx, ky = keys[j]
+        for dx, dy in _NEIGHBOURS:
+            for i in buckets.get((kx + dx, ky + dy), ()):
+                # a pair of loose triangles is taken from its later one
+                if i == j or (i > j and not tris[i][2]):
+                    continue
+                lo, hi = (i, j) if i < j else (j, i)
+                out.extend((lo, hi, perm) for perm in _PERMS
+                           if _proportional(tris[lo], tris[hi], perm))
+    return out
 
 
 def _proportional(tri1: tuple, tri2: tuple, perm: tuple[int, int, int]) -> bool:
     """Is side i of tri1 to side perm[i] of tri2 the same ratio for
-    every i?  Exact, on the shapes, when all six squared sides are
-    rational; else on their floats within a relative 1e-9."""
-    (_, f1, shape1), (_, f2, shape2) = tri1, tri2
-    if shape1 and shape2:
-        return all(shape1[i] == shape2[perm[i]] for i in range(3))
-    b0 = f2[perm[0]]
-    return all(math.isclose(f1[i] * b0, f1[0] * f2[perm[i]], rel_tol=1e-9)
-               for i in (1, 2))
+    every i, on the floats of the squared sides within a relative 1e-9?"""
+    f1, f2 = tri1[1], tri2[1]
+    a0, b0 = f1[0], f2[perm[0]]
+    return (math.isclose(f1[1] * b0, a0 * f2[perm[1]], rel_tol=1e-9)
+            and math.isclose(f1[2] * b0, a0 * f2[perm[2]], rel_tol=1e-9))
 
 
-def _similarity_edges(t1: tuple[str, str, str], t2: tuple[str, str, str],
+class _TriangleSides:
+    """A matched triangle's side dims, in `_SIDES` order, and for each
+    two sides, in `_SIDES` order of side indices, their ratio and their
+    `_ordered` pair: interned once per triangle, not once per edge."""
+
+    __slots__ = ("name", "dims", "ratio", "pair")
+
+    def __init__(self, t: list[str]):
+        self.name = "".join(t)
+        self.dims = dims = tuple(length(t[a], t[b]) for a, b in _SIDES)
+        self.ratio = tuple(make_ratio(dims[k], dims[l]) for k, l in _SIDES)
+        self.pair = tuple(_ordered((dims[k], dims[l])) for k, l in _SIDES)
+
+
+def _facing(perm: tuple[int, int, int]) -> tuple:
+    """For each two sides (k, l) of one triangle, in `_SIDES` order,
+    under the vertex correspondence perm: the sides (m, n) of the other
+    triangle they face, and the index of {m, n} in `_SIDES`."""
+    side = [_SIDES.index(tuple(sorted((perm[a], perm[b])))) for a, b in _SIDES]
+    return tuple((k, l, side[k], side[l], _SIDES.index(tuple(sorted((side[k], side[l])))))
+                 for k, l in _SIDES)
+
+
+_FACING = {perm: _facing(perm) for perm in _PERMS}
+
+
+def _similarity_edges(t1: _TriangleSides, t2: _TriangleSides,
                       perm: tuple[int, int, int], ratios: set[Dim],
-                      ) -> list[Optional[Hyperedge]]:
-    """A matched pair's fused edges, and the mul-through edges, which
-    depend on the ratio alone, of each ratio not yet in `ratios`."""
-    just = f"triangle {''.join(t1)} is similar to triangle {''.join(t2)}"
-    sides1, sides2 = [], []
-    for i, j in itertools.combinations(range(3), 2):
-        sides1.append(length(t1[i], t1[j]))
-        sides2.append(length(t2[perm[i]], t2[perm[j]]))
-    corr12 = dict(zip(sides1, sides2))
-    corr21 = dict(zip(sides2, sides1))
-    out: list[Optional[Hyperedge]] = []
-    for (s1, s2), (u1, u2) in itertools.combinations(zip(sides1, sides2), 2):
-        r1, r2 = make_ratio(s1, u1), make_ratio(s2, u2)
-        if r1 != r2:
+                      out: list[Hyperedge]) -> None:
+    """Append a matched pair's fused edges, and the mul-through edges,
+    which depend on the ratio alone, of each ratio not yet in `ratios`."""
+    just = f"triangle {t1.name} is similar to triangle {t2.name}"
+    d1, d2 = t1.dims, t2.dims
+    for q1, (k, l, m, n, q2) in enumerate(_FACING[perm]):
+        r1, r2 = t1.ratio[q1], t2.ratio[q2]
+        if r1 is not r2:
             # fused: one triangle's sides give the other's ratio
-            out.append(_edge([s1, u1], r2, "similar-triangles", just,
-                             ("div", corr21[r2.num], corr21[r2.den])))
-            out.append(_edge([s2, u2], r1, "similar-triangles", just,
-                             ("div", corr12[r1.num], corr12[r1.den])))
-        for r in (r1, r2):
-            if r in ratios:
-                continue
-            ratios.add(r)
-            out.append(_edge([r, r.den], r.num, "similar-triangles",
-                             f"the ratio {r.display} and the side "
-                             f"{r.den.display} determine {r.num.display}",
-                             ("mul", r, r.den), subpriority=1))
-            out.append(_edge([r, r.num], r.den, "similar-triangles",
-                             f"the ratio {r.display} and the side "
-                             f"{r.num.display} determine {r.den.display}",
-                             ("div", r.num, r), subpriority=1))
-    return out
+            s1, u1, s2, u2 = d1[k], d1[l], d2[m], d2[n]
+            out.append(Hyperedge(t1.pair[q1], r2, "similar-triangles", just,
+                                 ("div", s1, u1) if r2.num is s2 else ("div", u1, s1)))
+            out.append(Hyperedge(t2.pair[q2], r1, "similar-triangles", just,
+                                 ("div", s2, u2) if r1.num is s1 else ("div", u2, s2)))
+        if r1 not in ratios:
+            _mul_through(r1, ratios, out)
+        if r2 not in ratios:
+            _mul_through(r2, ratios, out)
+
+
+def _mul_through(r: Dim, ratios: set[Dim], out: list[Hyperedge]) -> None:
+    """The two edges that turn the ratio of two sides plus one of them
+    into the other.  A ratio's display holds a slash and a length's
+    none, so the two never tie in display order."""
+    ratios.add(r)
+    num, den = r.num, r.den
+    out.append(Hyperedge((r, den) if r.display < den.display else (den, r), num,
+                         "similar-triangles",
+                         f"the ratio {r.display} and the side {den.display} "
+                         f"determine {num.display}", ("mul", r, den), 1))
+    out.append(Hyperedge((r, num) if r.display < num.display else (num, r), den,
+                         "similar-triangles",
+                         f"the ratio {r.display} and the side {num.display} "
+                         f"determine {den.display}", ("div", num, r), 1))
 
 
 def line_circle_rule(w: _Witness) -> list[Hyperedge]:
@@ -697,31 +898,41 @@ def _pick_mode(pick: dsl.Pick, p: str, q: str) -> Optional[str]:
     return None
 
 
-def ratio_solve_rule(known_ratios: list[tuple[Dim, Scalar]],
-                     known_lengths: set[Dim]) -> list[Hyperedge]:
+def ratio_solve_rule(w: _Witness, ratio_dims: tuple[Dim, ...],
+                     known: set[Dim]) -> list[Hyperedge]:
     """A plain/composite ratio pair that is linear in two unknown
     lengths solves for both (2x2 elimination).  Every plain ratio comes
     from similar_triangles_rule, which already emits the edges that
-    turn the ratio plus one side into the other side."""
+    turn the ratio plus one side into the other side.  Ratios are read
+    in the order given; only a matched pair is valued at the witness,
+    and a ratio over a zero length there is left out.  A pair solves
+    only for a sum whose length `known`, the pool's dimensions, holds."""
     edges: list[Optional[Hyperedge]] = []
-    plain: dict[frozenset, list[tuple[Dim, Scalar]]] = {}  # by {num, den}
+    plain: dict[frozenset, list[Dim]] = {}  # by {num, den}
     comps = []
-    for r, val in known_ratios:
+    for r in ratio_dims:
         if r.kind != "ratio" or r.den.kind != "length":
             continue
         if r.num.kind == "length":
-            plain.setdefault(frozenset((r.num, r.den)), []).append((r, val))
+            plain.setdefault(frozenset((r.num, r.den)), []).append(r)
         elif r.num.kind == "composite":
-            comps.append((r, val))
-    for (r2, v2) in comps:
+            comps.append(r)
+    for r2 in comps:
         m_dim = length(*r2.num.far)
         s_dim = length(*r2.num.near)
         z_dim = r2.den
-        if m_dim not in known_lengths:
+        if m_dim not in known:
             continue
         if s_dim == z_dim:
             continue
-        for (r1, v1) in plain.get(frozenset((s_dim, z_dim)), ()):
+        group = plain.get(frozenset((s_dim, z_dim)), ())
+        v2 = w.ratio_value(r2) if group else None
+        if v2 is None:
+            continue
+        for r1 in group:
+            v1 = w.ratio_value(r1)
+            if v1 is None:
+                continue
             r1_num_is_s = r1.num == s_dim
             # unknowns S and Z: S + r2*Z = M, and S = r1*Z or Z = r1*S
             det = add(v1, v2) if r1_num_is_s else add(Fraction(1), mul(v1, v2))
@@ -849,35 +1060,24 @@ def discover(model: dsl.HypothesisModel, scene_: sc.Scene,
     w = _Witness(model, scene_, witness)
     pool = [*parallel_transfer_rule(w), *pythagoras_rule(w),
             *similar_triangles_rule(w), *line_circle_rule(w)]
-    dims: dict[str, set[Dim]] = {"ratio": set(), "length": set(), "composite": set()}
-    _collect_dims(pool, dims)
-    ratios = _with_values(w, dims["ratio"])
-    chain = segment_chain_rule(w, ratio_dims=tuple(r for r, _ in ratios))
-    _collect_dims(chain, dims)
+    dims = _mentioned(pool)
+    chain = segment_chain_rule(w, ratio_dims=_ratios(dims))
+    dims |= _mentioned(chain)
     pool.extend(chain)
-    pool.extend(ratio_solve_rule(_with_values(w, dims["ratio"]),
-                                 dims["length"]))
+    pool.extend(ratio_solve_rule(w, _ratios(dims), dims))
     return finalize(pool)
 
 
-def _collect_dims(edges: list[Hyperedge], dims: dict[str, set[Dim]]) -> None:
-    """Add every dimension the edges mention to its kind's set."""
-    for e in edges:
-        dims[e.target.kind].add(e.target)
-        for d in e.sources:
-            dims[d.kind].add(d)
+def _mentioned(edges: list[Hyperedge]) -> set[Dim]:
+    """Every dimension the edges mention, as a source or a target."""
+    dims = set(map(_target, edges))
+    dims.update(*map(_sources, edges))
+    return dims
 
 
-def _with_values(w: _Witness, dims) -> list[tuple[Dim, Scalar]]:
-    """The dims by display name, each with its witness value; a ratio
-    over a zero length is left out."""
-    out = []
-    for d in sorted(dims, key=_display):
-        try:
-            out.append((d, w.value(d)))
-        except (sc.DivisionByZero, ZeroDivisionError):
-            continue
-    return out
+def _ratios(dims: set[Dim]) -> tuple[Dim, ...]:
+    """The ratios among the dims, by display."""
+    return tuple(sorted((d for d in dims if d.kind == "ratio"), key=_display))
 
 
 # how many samples of the run's stream a run reads by default: validation

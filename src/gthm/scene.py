@@ -583,33 +583,41 @@ def surely_not_parallel(u: tuple[float, float, float],
 
 def points_collinear(a: Coord, b: Coord, c: Coord) -> bool:
     if _rational(a) and _rational(b) and _rational(c):
-        ha = _hom(a)
-        ux, uy, _ = _hom_sub(_hom(b), ha)
-        vx, vy, _ = _hom_sub(_hom(c), ha)
-        return ux * vy == uy * vx
+        return hom_collinear(_hom(a), _hom(b), _hom(c))
     u, v = vsub(b, a), vsub(c, a)
     return _near_zero_across(cross(u, v), u, v)
+
+
+def hom_collinear(a: Hom, b: Hom, c: Hom) -> bool:
+    """points_collinear of three rational points, read as triples."""
+    ux, uy, _ = _hom_sub(b, a)
+    vx, vy, _ = _hom_sub(c, a)
+    return ux * vy == uy * vx
 
 
 def strictly_between(a: Coord, m: Coord, b: Coord) -> bool:
     """m strictly inside segment ab; assumes collinearity was checked."""
     if _rational(a) and _rational(m) and _rational(b):
-        ha = _hom(a)
-        ux, uy, uw = _hom_sub(_hom(m), ha)
-        vx, vy, vw = _hom_sub(_hom(b), ha)
-        t_den = vx * vx + vy * vy
-        if t_den == 0:
-            return False
-        # the two floats the Scalar path divides: each a correctly
-        # rounded quotient of integers, as float() of a Fraction is
-        t = ((ux * vx + uy * vy) / (uw * vw)) / (t_den / (vw * vw))
-        return PRED_TOL < t < 1 - PRED_TOL
+        return hom_between(_hom(a), _hom(m), _hom(b))
     u, v = vsub(m, a), vsub(b, a)
     t_num = dot(u, v)
     t_den = sq_norm(v)
     if near_zero(t_den, 1.0):
         return False
     t = as_float(t_num) / as_float(t_den)
+    return PRED_TOL < t < 1 - PRED_TOL
+
+
+def hom_between(a: Hom, m: Hom, b: Hom) -> bool:
+    """strictly_between of three rational points, read as triples."""
+    ux, uy, uw = _hom_sub(m, a)
+    vx, vy, vw = _hom_sub(b, a)
+    t_den = vx * vx + vy * vy
+    if t_den == 0:
+        return False
+    # the two floats the Scalar path divides: each a correctly rounded
+    # quotient of integers, as float() of a Fraction is
+    t = ((ux * vx + uy * vy) / (uw * vw)) / (t_den / (vw * vw))
     return PRED_TOL < t < 1 - PRED_TOL
 
 
@@ -633,11 +641,16 @@ def lines_parallel(l1: Line, l2: Line) -> bool:
 def on_line(p: Coord, l: Line) -> bool:
     a, v = l.anchor, l.direction
     if _rational(p) and _rational(a) and _rational(v):
-        ux, uy, _ = _hom_sub(_hom(p), _hom(a))
-        vx, vy, _ = _hom(v)
-        return ux * vy == uy * vx
+        return hom_on_line(_hom(p), _hom(a), _hom(v))
     u = vsub(p, a)
     return _near_zero_across(cross(u, v), u, v)
+
+
+def hom_on_line(p: Hom, a: Hom, v: Hom) -> bool:
+    """on_line of a rational point and the line a + t v, all three read
+    as triples."""
+    ux, uy, _ = _hom_sub(p, a)
+    return ux * v[1] == uy * v[0]
 
 
 def _same_carrier(l1: Line, l2: Line) -> bool:
@@ -1064,15 +1077,26 @@ class SampleStream:
     evaluated.  Iterating yields (seed, assignment, evaluation) per
     sample.  Each sample is drawn on first read and kept, so growth's
     validation and the verdict read the same figures, and the verdict
-    reuses the values memoized on them."""
+    reuses the values memoized on them.  The run's witness, the figure
+    rules are discovered at, is drawn at `seed` itself from the same
+    range, on first read of `witness`."""
 
-    __slots__ = ("scene", "seed", "rng_range", "count", "_drawn")
+    __slots__ = ("scene", "seed", "rng_range", "count", "_drawn", "_witness")
 
     def __init__(self, scene: Scene, seed: int,
                  rng_range: tuple[Fraction, Fraction], count: int) -> None:
         self.scene, self.seed, self.rng_range, self.count = (
             scene, seed, rng_range, count)
         self._drawn: list[tuple[int, ParamAssignment, Evaluation]] = []
+        self._witness: Optional[ParamAssignment] = None
+
+    @property
+    def witness(self) -> ParamAssignment:
+        """sample_params at the stream's seed and range, drawn once;
+        DegenerateModel when the figure cannot be drawn."""
+        if self._witness is None:
+            self._witness = sample_params(self.scene, self.seed, self.rng_range)
+        return self._witness
 
     def __iter__(self):
         drawn = self._drawn

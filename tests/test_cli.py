@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,9 @@ import pytest
 from gthm import cli, dsl, prove_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
+
+from gen import family_member  # noqa: E402
 
 
 def fx(name):
@@ -429,3 +433,39 @@ def test_output_bytes_independent_of_hash_seed():
     assert outs[0] == outs[1]
     assert outs[0].count(b"digraph derivation") == 2
     assert outs[0].count(b"... PROVED") == 2
+
+
+_PROOF_AND_POOL = """\
+import sys
+from gthm import cli, dsl, rules, scene
+name = sys.argv[1]
+print(cli.main(["prove", name, "--emit", "json", "--seed", "5"]), flush=True)
+model = dsl.validate(dsl.parse(open(name).read(), name), name)
+stream = scene.SampleStream(scene.build_scene(model), 5, scene.DEFAULT_RANGE, 1)
+for e in rules.discover(model, stream.scene, stream.witness):
+    print([d.display for d in e.sources], e.target.display, e.rule,
+          e.justification, [getattr(i, "display", i) for i in e.recipe],
+          e.subpriority)
+"""
+
+
+def test_proof_and_pool_independent_of_hash_seed(tmp_path):
+    # similarity classes, the pool order and growth's counters keep
+    # dicts and sets of dims, which hash by identity; a nested scaling
+    # member with a circle cut reads both the classes and the buckets
+    path = tmp_path / "parallelogram_k8.gthm"
+    path.write_text(family_member("parallelogram", 8, True, random.Random(0),
+                                  nested=True))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _PROOF_AND_POOL, str(path)],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert b'"status": "PROVED"' in outs[0]
+    assert outs[0].count(b"similar-triangles") > 1000

@@ -682,6 +682,60 @@ def test_topo_valid_and_absent_iff_unreachable(seed):
     assert not covers(schedule) & set(graph.pending)
 
 
+def grow_rescanning(pool, params, goals, admit):
+    """graph.grow as a rescan of every untried edge in every ring."""
+    goal_set = set(goals)
+    nodes = {d: gr.Node(dim=d, index=i, is_param=True, is_goal=d in goal_set)
+             for i, d in enumerate(params)}
+    known = set(params)
+    untried = [e for e in pool if e.target not in known]
+    admitted = set()
+    while True:
+        reached = [e for e in untried if known.issuperset(e.sources)]
+        untried = [e for e in untried if not known.issuperset(e.sources)]
+        ring = admit(reached)
+        admitted.update(map(id, ring))
+        for e in ring:
+            if e.target not in known:
+                nodes[e.target] = gr.Node(dim=e.target, index=len(nodes),
+                                          is_goal=e.target in goal_set)
+                known.add(e.target)
+        if not ring or goal_set <= known:
+            break
+    pending = tuple(g for g in goals if g not in known)
+    for g in pending:
+        nodes[g] = gr.Node(dim=g, index=len(nodes), is_goal=True)
+    return gr.DerivationGraph(nodes=nodes, edges=[e for e in pool if id(e) in admitted],
+                              goals=goals, pending=pending)
+
+
+def test_grow_matches_the_rescanning_closure_on_random_pools():
+    # every ring reaches admit in pool order, a dropped edge is never
+    # tried again, and the graph is the same; pools repeat edge objects,
+    # edges onto parameters and sources that are never reached
+    for seed in range(1000):
+        pool, params, goals = random_pool(seed)
+        rng = random.Random(seed)
+        pool += rng.sample(pool, len(pool) // 4)
+        onto_param = rules.Hyperedge(pool[0].sources, params[0], "segment-chain",
+                                     "onto a parameter", pool[0].recipe)
+        if onto_param.target not in onto_param.sources:
+            pool.insert(rng.randrange(len(pool) + 1), onto_param)
+        dropped = {id(e) for e in pool if rng.random() < 0.25}
+        rings = ([], [])
+
+        def admit_into(log):
+            def admit(ring):
+                log.append([id(e) for e in ring])
+                return [e for e in ring if id(e) not in dropped]
+            return admit
+        got = gr.grow(pool, params, goals, admit_into(rings[0]))
+        want = grow_rescanning(pool, params, goals, admit_into(rings[1]))
+        assert rings[0] == rings[1], f"seed {seed}"
+        assert [id(e) for e in got.edges] == [id(e) for e in want.edges]
+        assert got.nodes == want.nodes and got.pending == want.pending
+
+
 def test_topo_order_matches_quadratic_sweep_on_random_pools():
     for seed in range(1000):
         graph, _, kept = random_hypergraph(seed)

@@ -408,6 +408,15 @@ def brute_force_similar(model, scn, a):
     return out
 
 
+# 13 points again, two of them radical: a circle cut P6 on OC and its
+# foot P7, whose triangles are matched by float buckets, beside the
+# exact classes of the rational ones
+CIRCLE_AUX = THIRTEEN_AUX[:3] + (
+    "aux point P6 = meet_circle(through(O,C), O, len(O,A), second)",
+    "aux point P7 = foot(P6, base)",
+)
+
+
 def similar_fixture(name):
     if name == "para":
         model, scn = load("parallelogram.gthm")
@@ -415,17 +424,22 @@ def similar_fixture(name):
     if name == "imo":  # rational triangles similar to radical ones
         model, scn = load("imo2012.gthm")
         return model, scn, fixed(a=1, h=2, q="1/2")
-    model = dsl.validate(dsl.parse(thirteen_points(), "p13"), "p13")
+    aux = CIRCLE_AUX if name == "circle" else THIRTEEN_AUX
+    model = dsl.validate(dsl.parse(thirteen_points(aux), "p13"), "p13")
     scn = sc.build_scene(model)
     return model, scn, sc.sample_params(scn, 42)
 
 
-@pytest.mark.parametrize("figure", ["para", "imo", "thirteen"])
+@pytest.mark.parametrize("figure", ["para", "imo", "thirteen", "circle"])
 def test_similar_triangles_match_brute_force(figure):
     model, scn, a = similar_fixture(figure)
-    got = rules.similar_triangles_rule(rules._Witness(model, scn, a))
+    w = rules._Witness(model, scn, a)
+    got = rules.similar_triangles_rule(w)
     want = brute_force_similar(model, scn, a)
     assert got
+    if figure == "circle":
+        assert [n for n in w.names if not w.hom[n]] == ["P6", "P7"]
+        assert any("P6" in e.justification for e in got if e.subpriority == 0)
     assert {(e.sources, e.target, e.recipe, e.subpriority) for e in got} == \
         {(e.sources, e.target, e.recipe, e.subpriority) for e in want}
     assert rules.finalize(got) == rules.finalize(want)
@@ -902,6 +916,19 @@ def test_indexed_screens_are_the_fresh_screens_bit_for_bit(figure, seed):
     assert bits(w.screens) == bits(fresh_screens(w))
 
 
+def test_finalize_keeps_one_edge_per_source_set_when_displays_tie():
+    # points A and BC, AB and C: two lengths displayed "ABC"
+    a_bc, ab_c, ac = L("A", "BC"), L("AB", "C"), L("A", "C")
+    assert a_bc is not ab_c and a_bc.display == ab_c.display == "ABC"
+    e1 = rules._edge([a_bc, ab_c], ac, "segment-chain", "one", ("add", a_bc, ab_c))
+    e2 = rules._edge([ab_c, a_bc], ac, "segment-chain", "two", ("add", ab_c, a_bc))
+    e3 = rules._edge([ab_c, ac], a_bc, "segment-chain", "three", ("sub", ac, ab_c))
+    assert e1.sources == e2.sources  # one tuple per set of sources
+    assert e1.key() == e2.key() != e3.key()
+    assert rules.finalize([e1, e2, e3]) == [e3, e1]  # target ABC before AC
+    assert rules.finalize([e3, e2, e1]) == [e3, e2]
+
+
 @pytest.mark.parametrize("seed", [42, 5])
 @pytest.mark.parametrize("figure", INDEXED[:5])
 def test_finalize_of_a_subset_is_the_pool_filtered_to_it(figure, seed):
@@ -968,13 +995,19 @@ def test_ratio_solve_matches_the_nested_scan(figure, seed, monkeypatch):
     scn = sc.build_scene(model)
     calls, real = [], rules.ratio_solve_rule
 
-    def spy(known_ratios, known_lengths):
-        calls.append((known_ratios, known_lengths,
-                      real(known_ratios, known_lengths)))
-        return calls[-1][2]
+    def spy(w, ratio_dims, known):
+        calls.append((w, ratio_dims, known, real(w, ratio_dims, known)))
+        return calls[-1][3]
 
     monkeypatch.setattr(rules, "ratio_solve_rule", spy)
     rules.discover(model, scn, sc.sample_params(scn, seed))
-    (known_ratios, known_lengths, got), = calls
+    (w, ratio_dims, known, got), = calls
+    # every ratio valued at the witness, one over a zero length left out
+    known_ratios = []
+    for r in ratio_dims:
+        try:
+            known_ratios.append((r, sc.dim_value(w.ev, r)))
+        except sc.DivisionByZero:
+            continue
     assert got or figure == "unreachable"
-    assert got == nested_ratio_solve(known_ratios, known_lengths)
+    assert got == nested_ratio_solve(known_ratios, known)

@@ -145,6 +145,28 @@ def test_degenerate_fixture_exhausts_sampler():
     deg = load("degenerate.gthm")
     with pytest.raises(sc.DegenerateModel):
         sc.sample_params(deg, 42)
+    with pytest.raises(sc.DegenerateModel):
+        sc.SampleStream(deg, 42, sc.DEFAULT_RANGE, 5).witness
+
+
+@pytest.mark.parametrize("seed,rng_range", [(42, sc.DEFAULT_RANGE),
+                                            (7, (F(1), F(10_000)))])
+def test_stream_witness_is_drawn_once_at_its_seed_and_range(seed, rng_range,
+                                                            monkeypatch):
+    para = load("parallelogram.gthm")
+    want = sc.sample_params(para, seed, rng_range)
+    draws, real = [], sc.sample_params
+
+    def spy(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sc, "sample_params", spy)
+    stream = sc.SampleStream(para, seed, rng_range, 3)
+    assert draws == []  # drawn on first read
+    assert stream.witness == want
+    assert stream.witness is stream.witness
+    assert draws == [(para, seed, rng_range)]
 
 
 # two parameters that every draw can construct, so no draw is rejected
