@@ -31,7 +31,7 @@ def run(name):
               ", ".join(d.display for d in result.graph.pending))
         stream = scene.SampleStream(result.scene, 42, scene.DEFAULT_RANGE,
                                     SAMPLES)
-        ok = verify.oracle_verdict(result.model, stream)
+        ok = verify.oracle_verdict(stream)
         print(f"coordinates alone say the claim is {ok.status}, "
               f"but there is no derivation to certify it")
     else:

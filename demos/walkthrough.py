@@ -38,15 +38,15 @@ scn = scene.build_scene(model)
 # and the witness the rules are discovered at, all drawn at seed 42
 stream = scene.SampleStream(scn, 42, scene.DEFAULT_RANGE,
                             rules.VALIDATION_SAMPLES)
-witness = stream.witness
+# the witness is the drawn assignment with its evaluated figure
+witness, figure = stream.witness
 print("witness assignment:", ", ".join(f"{n}={v}" for n, v in witness.items))
-ev = scene.evaluate(scn, witness)
 for name in model.points:
-    x, y = ev.points[name]
+    x, y = figure.points[name]
     print(f"    {name} = ({x}, {y})")
 
 stage("discover arithmetic rules at the witness")
-pool = rules.discover(model, scn, witness)
+pool = rules.discover(scn, figure)
 by_rule = {}
 for e in pool:
     by_rule[e.rule] = by_rule.get(e.rule, 0) + 1
@@ -55,7 +55,7 @@ for rule_name in sorted(by_rule):
     print(f"    {by_rule[rule_name]:4d}  {rule_name}")
 
 stage(f"grow the graph, validating its proof at {stream.count} random figures")
-g = graph.grow_detailed(model, witness, stream)
+g = graph.grow_detailed(figure, stream)
 assert not g.pending
 print(f"{len(g.nodes)} nodes reached, {len(g.edges)} edges admitted at the witness")
 alternatives = sum(1 for d in g.nodes if len(g.in_edges(d)) > 1)
@@ -78,10 +78,10 @@ for step in focused:
     print(f"    {step.dim.display:>12} = {str(v):>10}   ({how})")
 
 stage(f"verdict on the claim at the same {stream.count} figures")
-v = verify.verdict(model, focused, stream)
+v = verify.verdict(focused, stream)
 print(f"status       {v.status}")
 print(f"reason       {v.reason}")
 print(f"certificate  {v.certificate.note}")
 
 stage("the rendered proof")
-print(emit.render_text(model, focused, v, theorem="parallelogram"), end="")
+print(emit.render_text(model, v, theorem="parallelogram"), end="")

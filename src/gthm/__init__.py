@@ -36,10 +36,11 @@ __version__ = "0.1.0"
 class ProofResult(Record):
     """Everything the pipeline produced for one theorem file.
 
-    A degenerate figure leaves witness and graph None.  `schedule` is
-    the proof, present only when every goal was derived; `focused` is
-    the goals' part of the schedule even when some goal stays pending,
-    which is what the DOT view draws."""
+    `witness` is the stream's (assignment, evaluation) pair that rules
+    were discovered at; a degenerate figure leaves it and graph None.
+    `schedule` is the proof, present only when every goal was derived;
+    `focused` is the goals' part of the schedule even when some goal
+    stays pending, which is what the DOT view draws."""
 
     __slots__ = ("model", "theorem", "scene", "witness", "graph", "focused",
                  "schedule", "verdict")
@@ -47,8 +48,7 @@ class ProofResult(Record):
     @property
     def text(self) -> str:
         """The proof script, or the verdict line when there is none."""
-        return emit.render_text(self.model, self.schedule, self.verdict,
-                                self.theorem)
+        return emit.render_text(self.model, self.verdict, self.theorem)
 
 
 def prove_model(model: dsl.HypothesisModel, theorem: Optional[str] = None,
@@ -64,10 +64,10 @@ def prove_model(model: dsl.HypothesisModel, theorem: Optional[str] = None,
     stream = scene.SampleStream(scene_, seed, rng_range, samples)
     try:
         witness = stream.witness
-        g = graph.grow_detailed(model, witness, stream)
+        g = graph.grow_detailed(witness[1], stream)
         focused = g.focused
         schedule = focused if not g.pending else None
-        v = verify.verdict(model, schedule, stream)
+        v = verify.verdict(schedule, stream)
     except scene.DegenerateModel as err:
         witness = g = focused = schedule = None
         v = verify.degenerate_verdict(err)

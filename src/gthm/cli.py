@@ -145,14 +145,14 @@ def _prove(cfg: RunConfig) -> ProofResult:
 def cmd_prove(cfg: RunConfig) -> int:
     r = _prove(cfg)
     if cfg.emit_format == "json":
-        out = emit.render_json(r.model, r.schedule, r.verdict, r.theorem)
+        out = emit.render_json(r.model, r.verdict, r.theorem)
     elif cfg.emit_format == "text" or r.graph is None:
         # a degenerate figure has no graph or witness to draw
         out = r.text
     elif cfg.emit_format == "dot":
         out = emit.render_dot(r.graph, r.focused)
     else:
-        out = emit.render_scene(r.model, r.scene, r.witness, r.theorem)
+        out = emit.render_scene(r.model, r.witness, r.theorem)
     sys.stdout.write(out)
     return _STATUS_EXIT[r.verdict.status]
 
@@ -172,13 +172,13 @@ def cmd_check(cfg: RunConfig) -> int:
     stream = sc.SampleStream(sc.build_scene(model), cfg.seed, cfg.rng_range,
                              cfg.samples)
     try:
-        v = vf.oracle_verdict(model, stream)
+        v = vf.oracle_verdict(stream)
     except sc.DegenerateModel as err:
         v = vf.degenerate_verdict(err)
     if cfg.emit_format == "json":
-        out = emit.render_json(model, None, v, theorem)
+        out = emit.render_json(model, v, theorem)
     else:
-        out = emit.render_text(model, None, v, theorem)
+        out = emit.render_text(model, v, theorem)
     sys.stdout.write(out)
     return _STATUS_EXIT[v.status]
 

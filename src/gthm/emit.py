@@ -19,20 +19,24 @@ from .exactnum import as_float
 from .verify import Verdict, verdict_summary
 
 
-def _term_text(term) -> str:
+def _term_text(coef, term) -> str:
     # claim terms keep the author's point order, not the sorted form
     pair = f"{term.p}{term.q}"
-    if term.coef == 1:
-        return pair
-    return f"{term.coef}*{pair}"
+    return pair if coef == 1 else f"{coef}*{pair}"
+
+
+def _side_text(terms) -> str:
+    """A claim side; a subtracted term as " - " and its magnitude."""
+    first, *rest = terms
+    return _term_text(first.coef, first) + "".join(
+        (f" - {_term_text(-t.coef, t)}" if t.coef < 0
+         else f" + {_term_text(t.coef, t)}") for t in rest)
 
 
 def claim_text(model) -> str:
     """The claim, rendered the way the input file spelled it."""
     eq = model.claim.payload
-    lhs = " + ".join(_term_text(t) for t in eq.lhs)
-    rhs = " + ".join(_term_text(t) for t in eq.rhs)
-    return f"{lhs} = {rhs}"
+    return f"{_side_text(eq.lhs)} = {_side_text(eq.rhs)}"
 
 
 def _header(model, theorem: Optional[str]) -> list[str]:
@@ -41,9 +45,10 @@ def _header(model, theorem: Optional[str]) -> list[str]:
             ""]
 
 
-def render_text(model, schedule, v: Verdict,
-                theorem: Optional[str] = None) -> str:
-    """Proof script; line count is len(schedule) plus four frame lines."""
+def render_text(model, v: Verdict, theorem: Optional[str] = None) -> str:
+    """Proof script of the verdict's schedule; line count is
+    len(v.schedule) plus four frame lines."""
+    schedule = v.schedule
     lines = _header(model, theorem)
     if schedule is None:
         lines.append(f"{v.status}: {v.reason}")
@@ -64,11 +69,11 @@ def render_text(model, schedule, v: Verdict,
     return "\n".join(lines) + "\n"
 
 
-def render_json(model, schedule, v: Verdict,
-                theorem: Optional[str] = None) -> str:
-    """Stable-order JSON with theorem, status, steps, and sample summary."""
+def render_json(model, v: Verdict, theorem: Optional[str] = None) -> str:
+    """Stable-order JSON with theorem, status, the verdict's schedule as
+    steps, and sample summary."""
     steps = []
-    for step in schedule or ():
+    for step in v.schedule or ():
         if step.edge is None:
             steps.append({"find": step.dim.display, "rule": "parameter",
                           "using": [],
@@ -102,10 +107,11 @@ def _coord_text(value) -> str:
     return repr(as_float(value))
 
 
-def render_scene(model, scene_: sc.Scene, assignment: sc.ParamAssignment,
+def render_scene(model, figure: tuple[sc.ParamAssignment, sc.Evaluation],
                  theorem: Optional[str] = None) -> str:
-    """Coordinates of every constructed point under one assignment."""
-    ev = sc.evaluate(scene_, assignment)
+    """Coordinates of every constructed point of one figure, an
+    (assignment, evaluation) pair as scene.sample_params returns it."""
+    assignment, ev = figure
     lines = _header(model, theorem)
     for name, value in assignment.items:
         lines.append(f"param {name} = {value}")

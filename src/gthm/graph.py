@@ -129,22 +129,23 @@ def grow(pool: list[Hyperedge], params: tuple[Dim, ...],
                            goals=goals, pending=pending)
 
 
-def grow_detailed(model: dsl.HypothesisModel, witness: sc.ParamAssignment,
-                  stream: sc.SampleStream) -> DerivationGraph:
-    """Grow the closure of the rules discovered at `witness` of
-    `stream.scene`, where each one holds, and validate the edges of its
-    focused schedule at each sample of `stream`, the verdict's.  An
-    edge that fails leaves the pool and the closure grows again: a
-    counterexample-guided refinement.  A failure shows the witness has
+def grow_detailed(figure: sc.Evaluation, stream: sc.SampleStream
+                  ) -> DerivationGraph:
+    """Grow the closure of the rules discovered at `figure`, an
+    evaluation of `stream.scene` (a run's is `stream.witness[1]`),
+    where each one holds, and validate the edges of its focused
+    schedule at each sample of `stream`, the verdict's.  An edge that
+    fails leaves the pool and the closure grows again: a
+    counterexample-guided refinement.  A failure shows the figure has
     coincidences, so from then on growth also validates the first edge
     to reach each node, which numbers it, and on failure the next one.
     Each further round removes an edge, so the loop ends, and no edge
     is validated twice.  The graph comes back with the focused schedule
     it validated as `focused`."""
     scene_ = stream.scene
-    discovered = discover(model, scene_, witness)
+    discovered = discover(scene_, figure)
     params = tuple(length(*pair) for _, pair in scene_.param_dims)
-    goals = goal_dims(model)
+    goals = goal_dims(scene_.model)
     # validation verdicts by edge id; `discovered` keeps every edge alive
     holds: dict[int, bool] = {}
 

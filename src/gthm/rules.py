@@ -272,11 +272,10 @@ class _Witness:
     taken once per pair and negated for the other orientation, which
     float subtraction does exactly."""
 
-    def __init__(self, model: dsl.HypothesisModel, scene_: sc.Scene,
-                 witness: sc.ParamAssignment):
-        self.model = model
+    def __init__(self, scene_: sc.Scene, figure: sc.Evaluation):
+        self.model = model = scene_.model
         self.scene = scene_
-        self.ev = ev = sc.evaluate(scene_, witness)
+        self.ev = ev = figure
         self.names: list[str] = list(ev.points)
         self.coords = ev.points
         self.hom = ev.hom
@@ -1049,15 +1048,14 @@ def _apply_line_circle(recipe: tuple, v: dict[Dim, Scalar]) -> Scalar:
 # discovery and cross-sample validation
 
 
-def discover(model: dsl.HypothesisModel, scene_: sc.Scene,
-             witness: sc.ParamAssignment) -> list[Hyperedge]:
-    """Union of all rule outputs, deduplicated and in the pool order of
-    `finalize`.
+def discover(scene_: sc.Scene, figure: sc.Evaluation) -> list[Hyperedge]:
+    """Union of all rule outputs at `figure`, an evaluation of
+    `scene_`, deduplicated and in the pool order of `finalize`.
 
     One pass suffices: the segment chains rewrite the plain ratios the
     other rules produced, ratio solving then reads those rewrites, and
     it only targets lengths, which feed neither step again."""
-    w = _Witness(model, scene_, witness)
+    w = _Witness(scene_, figure)
     pool = [*parallel_transfer_rule(w), *pythagoras_rule(w),
             *similar_triangles_rule(w), *line_circle_rule(w)]
     dims = _mentioned(pool)

@@ -4,9 +4,11 @@ A Scene fixes the evaluation plan for a validated model.  Given a
 parameter assignment it computes coordinates for every point, keeping
 exact rationals wherever the construction never needs an irrational
 length or a line-circle intersection, and it can evaluate any dimension
-expression directly from coordinates.  Everything downstream (rule
-discovery, schedule execution, the verdict) checks itself against this
-module.
+expression directly from coordinates.  `sample_params` draws an
+assignment and returns it with its evaluation, a figure, and a run's
+`SampleStream` keeps the figures it drew, so each is evaluated once.
+Everything downstream (rule discovery, schedule execution, the
+verdict) checks itself against this module.
 
 Each construction step and distance chooses its arithmetic from what it
 reads, on one of three paths:
@@ -43,7 +45,6 @@ import math
 import random
 from fractions import Fraction
 from typing import Optional
-from weakref import WeakKeyDictionary
 
 from . import dsl
 from .exactnum import (Rad, Scalar, add, as_float, div, is_exact, mul, square,
@@ -582,8 +583,6 @@ def surely_not_parallel(u: tuple[float, float, float],
 
 
 def points_collinear(a: Coord, b: Coord, c: Coord) -> bool:
-    if _rational(a) and _rational(b) and _rational(c):
-        return hom_collinear(_hom(a), _hom(b), _hom(c))
     u, v = vsub(b, a), vsub(c, a)
     return _near_zero_across(cross(u, v), u, v)
 
@@ -597,8 +596,6 @@ def hom_collinear(a: Hom, b: Hom, c: Hom) -> bool:
 
 def strictly_between(a: Coord, m: Coord, b: Coord) -> bool:
     """m strictly inside segment ab; assumes collinearity was checked."""
-    if _rational(a) and _rational(m) and _rational(b):
-        return hom_between(_hom(a), _hom(m), _hom(b))
     u, v = vsub(m, a), vsub(b, a)
     t_num = dot(u, v)
     t_den = sq_norm(v)
@@ -622,26 +619,16 @@ def hom_between(a: Hom, m: Hom, b: Hom) -> bool:
 
 
 def perpendicular(u: Coord, v: Coord) -> bool:
-    if _rational(u) and _rational(v):
-        ux, uy, _ = _hom(u)
-        vx, vy, _ = _hom(v)
-        return ux * vx + uy * vy == 0
     return _near_zero_across(dot(u, v), u, v)
 
 
 def lines_parallel(l1: Line, l2: Line) -> bool:
     u, v = l1.direction, l2.direction
-    if _rational(u) and _rational(v):
-        ux, uy, _ = _hom(u)
-        vx, vy, _ = _hom(v)
-        return ux * vy == uy * vx
     return _near_zero_across(cross(u, v), u, v)
 
 
 def on_line(p: Coord, l: Line) -> bool:
     a, v = l.anchor, l.direction
-    if _rational(p) and _rational(a) and _rational(v):
-        return hom_on_line(_hom(p), _hom(a), _hom(v))
     u = vsub(p, a)
     return _near_zero_across(cross(u, v), u, v)
 
@@ -654,15 +641,15 @@ def hom_on_line(p: Hom, a: Hom, v: Hom) -> bool:
 
 
 def _same_carrier(l1: Line, l2: Line) -> bool:
+    u, v = l1.hd, l2.hd
+    if u and v and l1.ha and l2.ha:
+        return u[0] * v[1] == u[1] * v[0] and hom_on_line(l2.ha, l1.ha, u)
     return lines_parallel(l1, l2) and on_line(l2.anchor, l1)
 
 
 def coincident(a: Coord, b: Coord) -> bool:
     """Do a and b coincide?  Symmetric in its arguments: a component
     whose difference is exact in either order is judged exactly."""
-    if _rational(a) and _rational(b):
-        return (a[0].as_integer_ratio() == b[0].as_integer_ratio()
-                and a[1].as_integer_ratio() == b[1].as_integer_ratio())
     dx, dy = _either_way(a[0], b[0]), _either_way(a[1], b[1])
     if is_exact(dx) and is_exact(dy):
         return near_zero(dx, 1.0) and near_zero(dy, 1.0)
@@ -712,20 +699,9 @@ def _bare_param_anchor(pe: dsl.PointExpr) -> Optional[tuple[str, str]]:
 # evaluation
 
 
-# the last evaluation per scene: it hands the figure sample_params
-# accepted to the caller that evaluates it next, the witness to
-# discovery and each sample to its SampleStream
-_LAST_EVAL: "WeakKeyDictionary[Scene, tuple[ParamAssignment, Evaluation]]" = WeakKeyDictionary()
-
-
 def evaluate(scene: Scene, a: ParamAssignment) -> Evaluation:
-    last = _LAST_EVAL.get(scene)
-    if last is None or last[0] != a:
-        last = _LAST_EVAL[scene] = (a, _evaluate(scene, a))
-    return last[1]
-
-
-def _evaluate(scene: Scene, a: ParamAssignment) -> Evaluation:
+    """A new evaluation of the plan under `a`; GeometryError when a
+    step cannot be constructed."""
     ev = Evaluation()
     params = a.values
     model = scene.model
@@ -1043,10 +1019,11 @@ def sample_space(rng_range: tuple[Fraction, Fraction]) -> int:
 
 def sample_params(scene: Scene, seed: int,
                   rng_range: tuple[Fraction, Fraction] = DEFAULT_RANGE,
-                  ) -> ParamAssignment:
+                  ) -> tuple[ParamAssignment, Evaluation]:
     """Draw every parameter uniformly from the sample space of
     `rng_range`, and draw again, up to RETRY_CAP times, while the
-    figure cannot be constructed."""
+    figure cannot be constructed.  Returns the accepted assignment with
+    its evaluation, the figure the draw was tested on."""
     rng = random.Random(seed)
     lo, hi = rng_range
     space = sample_space(rng_range)
@@ -1059,11 +1036,9 @@ def sample_params(scene: Scene, seed: int,
             (name, Fraction(first + rng.randrange(space), SAMPLE_DENOMINATOR))
             for name in scene.model.params))
         try:
-            evaluate(scene, a)
+            return a, evaluate(scene, a)
         except (GeometryError, ZeroDivisionError) as err:
             last_err = err
-            continue
-        return a
     raise DegenerateModel(
         f"no valid assignment in {RETRY_CAP} draws; last failure: {last_err}")
 
@@ -1072,14 +1047,14 @@ SAMPLE_STRIDE = 1_000_003
 
 
 class SampleStream:
-    """The figures one run reads: sample i of `count` is drawn by
-    sample_params at seed * SAMPLE_STRIDE + i from `rng_range`, and
-    evaluated.  Iterating yields (seed, assignment, evaluation) per
-    sample.  Each sample is drawn on first read and kept, so growth's
-    validation and the verdict read the same figures, and the verdict
-    reuses the values memoized on them.  The run's witness, the figure
-    rules are discovered at, is drawn at `seed` itself from the same
-    range, on first read of `witness`."""
+    """The figures one run reads, each an (assignment, evaluation) pair
+    that sample_params drew from `rng_range`.  Sample i of `count` is
+    drawn at seed * SAMPLE_STRIDE + i; iterating yields (seed,
+    assignment, evaluation) per sample.  Each sample is drawn on first
+    read and kept, so growth's validation and the verdict read the same
+    figures, and the verdict reuses the values memoized on them.  The
+    run's witness, the figure rules are discovered at, is drawn at
+    `seed` itself, on first read of `witness`."""
 
     __slots__ = ("scene", "seed", "rng_range", "count", "_drawn", "_witness")
 
@@ -1088,10 +1063,10 @@ class SampleStream:
         self.scene, self.seed, self.rng_range, self.count = (
             scene, seed, rng_range, count)
         self._drawn: list[tuple[int, ParamAssignment, Evaluation]] = []
-        self._witness: Optional[ParamAssignment] = None
+        self._witness: Optional[tuple[ParamAssignment, Evaluation]] = None
 
     @property
-    def witness(self) -> ParamAssignment:
+    def witness(self) -> tuple[ParamAssignment, Evaluation]:
         """sample_params at the stream's seed and range, drawn once;
         DegenerateModel when the figure cannot be drawn."""
         if self._witness is None:
@@ -1103,8 +1078,8 @@ class SampleStream:
         for i in range(self.count):
             if i == len(drawn):
                 s_seed = self.seed * SAMPLE_STRIDE + i
-                a = sample_params(self.scene, s_seed, self.rng_range)
-                drawn.append((s_seed, a, evaluate(self.scene, a)))
+                drawn.append((s_seed, *sample_params(self.scene, s_seed,
+                                                     self.rng_range)))
             yield drawn[i]
 
 

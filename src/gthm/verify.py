@@ -143,10 +143,10 @@ def _equal_on_squares(lhs, rhs, ev: sc.Evaluation) -> bool:
     return an * an * sa[0] * bd * bd * sb[1] == bn * bn * sb[0] * ad * ad * sa[1]
 
 
-def _check_samples(model, steps, stream: sc.SampleStream
-                   ) -> list[SampleReport]:
+def _check_samples(steps, stream: sc.SampleStream) -> list[SampleReport]:
     """Check the claim at each sample of the run's stream, noting
     whether the points the steps read are rational there."""
+    model = stream.scene.model
     read = set().union(*(_dim_points(step.dim) for step in steps))
     return [SampleReport(index=i, seed=s_seed, assignment=assignment,
                          claim_residual=_claim_check(model, ev),
@@ -188,7 +188,7 @@ def _dim_points(dim: Dim) -> set[str]:
     return _dim_points(dim.num) | _dim_points(dim.den)
 
 
-def _certificate(model, schedule, exact: bool, stream: sc.SampleStream
+def _certificate(schedule, exact: bool, stream: sc.SampleStream
                  ) -> Certificate:
     """The certificate of a PROVED verdict over the samples of
     `stream`; `exact` says every point the schedule reads was rational
@@ -210,6 +210,7 @@ def _certificate(model, schedule, exact: bool, stream: sc.SampleStream
     the samples are uniform over the constructible part of S^n only,
     which conditions the rest.
     """
+    model = stream.scene.model
     degree = _degree_bound(model, schedule)
     space = sc.sample_space(stream.rng_range)
     if not exact:
@@ -237,7 +238,7 @@ def _certificate(model, schedule, exact: bool, stream: sc.SampleStream
 # the verdict
 
 
-def verdict(model, schedule: Optional[list[ScheduleStep]],
+def verdict(schedule: Optional[list[ScheduleStep]],
             stream: sc.SampleStream) -> Verdict:
     """Judge the claim of a validated schedule on the oracle at each
     sample of the run's stream, the samples validation replayed the
@@ -247,11 +248,10 @@ def verdict(model, schedule: Optional[list[ScheduleStep]],
     if schedule is None:
         return Verdict(status=STATUS_INCONCLUSIVE, samples=(),
                        reason="no derivation schedule")
-    reports = _check_samples(model, schedule, stream)
+    reports = _check_samples(schedule, stream)
     failure = _failure(reports)
     if failure is None:
-        cert = _certificate(model, schedule, all(r.exact for r in reports),
-                            stream)
+        cert = _certificate(schedule, all(r.exact for r in reports), stream)
         if cert.kind == "exact-identity":
             reason = (f"claim holds exactly at {stream.count} rational "
                       f"samples")
@@ -290,14 +290,14 @@ def degenerate_verdict(err: sc.DegenerateModel) -> Verdict:
                    reason=f"degenerate hypotheses: {err}")
 
 
-def oracle_verdict(model, stream: sc.SampleStream) -> Verdict:
+def oracle_verdict(stream: sc.SampleStream) -> Verdict:
     """Judge the claim from coordinates alone, with no derivation.
 
     Reads the samples verdict would and evaluates the claim sides
     straight from the figure, so a claim can be tested even when no
     schedule exists.
     """
-    reports = _check_samples(model, (), stream)
+    reports = _check_samples((), stream)
     failure = _failure(reports)
     if failure is None:
         return Verdict(status=STATUS_PROVED, samples=tuple(reports),

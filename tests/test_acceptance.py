@@ -32,13 +32,12 @@ def load(name):
 
 def pipeline(name, seed=42, samples=100):
     model, scn = load(name)
-    witness = sc.sample_params(scn, seed)
     stream = sc.SampleStream(scn, seed, sc.DEFAULT_RANGE, samples)
-    g = gr.grow_detailed(model, witness, stream)
+    g = gr.grow_detailed(stream.witness[1], stream)
     assert not g.pending, f"{name}: goals left pending"
     schedule = gr.topo_order(g)
     focused = gr.focus(g, schedule)
-    v = vf.verdict(model, focused, stream)
+    v = vf.verdict(focused, stream)
     return model, scn, g, focused, v
 
 
@@ -102,9 +101,8 @@ def test_04_wrong_claim_refuted_with_margin_at_every_sample():
 
 def test_05_underivable_claim_is_absent_and_inconclusive(capsys):
     model, scn = load("unreachable.gthm")
-    witness = sc.sample_params(scn, 42)
     stream = sc.SampleStream(scn, 42, sc.DEFAULT_RANGE, VALIDATION_SAMPLES)
-    assert gr.grow_detailed(model, witness, stream).pending
+    assert gr.grow_detailed(stream.witness[1], stream).pending
     code = cli.main(["prove", str(FIXTURES / "unreachable.gthm"),
                      "--samples", "5"])
     capsys.readouterr()
@@ -184,7 +182,7 @@ def test_08_scaling_parameters_scales_lengths_and_fixes_ratios(para, imo):
           Fraction(1, 3)]
     for model, scn, g, focused, v in (para, imo):
         for i in range(20):
-            base = sc.sample_params(scn, 9000 + i)
+            base, _ = sc.sample_params(scn, 9000 + i)
             k = ks[i % len(ks)]
             scaled = sc.ParamAssignment(
                 tuple((n, val * k) for n, val in base.items))

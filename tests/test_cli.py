@@ -6,11 +6,12 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from gthm import cli, dsl, prove_file
+from gthm import cli, dsl, prove_file, scene as sc
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
@@ -218,6 +219,24 @@ def test_prove_emits_scene(capsys):
                          "--samples", "5", "--emit", "scene")
     assert code == 0
     assert "point O = (0, 0)" in out
+
+
+@pytest.mark.parametrize("name", ["parallelogram.gthm", "imo2012.gthm"])
+def test_prove_emit_scene_evaluates_each_drawn_figure_once(monkeypatch, capsys,
+                                                           name):
+    # the witness the scene view prints is the figure sampling drew
+    evaluated = Counter()
+    real = sc.evaluate
+
+    def spy(scene_, a):
+        evaluated[a] += 1
+        return real(scene_, a)
+
+    monkeypatch.setattr(sc, "evaluate", spy)
+    code, out, err = run(capsys, "prove", fx(name), "--emit", "scene")
+    assert code == 0 and out.startswith(f"Theorem: {name[:-5]}")
+    assert len(evaluated) > 20  # the witness and the stream's 20 figures
+    assert set(evaluated.values()) == {1}, evaluated.most_common(1)
 
 
 def test_graph_emits_dot_with_goals(capsys):
@@ -442,7 +461,7 @@ name = sys.argv[1]
 print(cli.main(["prove", name, "--emit", "json", "--seed", "5"]), flush=True)
 model = dsl.validate(dsl.parse(open(name).read(), name), name)
 stream = scene.SampleStream(scene.build_scene(model), 5, scene.DEFAULT_RANGE, 1)
-for e in rules.discover(model, stream.scene, stream.witness):
+for e in rules.discover(stream.scene, stream.witness[1]):
     print([d.display for d in e.sources], e.target.display, e.rule,
           e.justification, [getattr(i, "display", i) for i in e.recipe],
           e.subpriority)

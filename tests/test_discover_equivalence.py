@@ -43,8 +43,8 @@ class CoordinateWitness(rules._Witness):
     """The witness with every predicate a scene call on coordinates,
     and every pair's distinctness one scene.coincident call."""
 
-    def __init__(self, model, scn, a):
-        super().__init__(model, scn, a)
+    def __init__(self, scn, figure):
+        super().__init__(scn, figure)
         pts = self.points
         for i, j in itertools.combinations(range(len(pts)), 2):
             self.apart[i][j] = self.apart[j][i] = not sc.coincident(pts[i], pts[j])
@@ -240,8 +240,8 @@ def ref_finalize(edges):
     return out
 
 
-def reference_discover(model, scn, witness):
-    w = CoordinateWitness(model, scn, witness)
+def reference_discover(scn, figure):
+    w = CoordinateWitness(scn, figure)
     pool = [*ref_parallel_transfer(w), *rules.pythagoras_rule(w),
             *ref_similar_triangles(w), *rules.line_circle_rule(w)]
     dims = {"ratio": set(), "length": set(), "composite": set()}
@@ -276,9 +276,9 @@ def figure_text(figure):
 def assert_same_pool(figure, seed=None, witness=None):
     model = dsl.validate(dsl.parse(figure_text(figure), figure), figure)
     scn = sc.build_scene(model)
-    a = witness or sc.sample_params(scn, seed)
-    got = rules.discover(model, scn, a)
-    want = reference_discover(model, scn, a)
+    a = witness or sc.sample_params(scn, seed)[0]
+    got = rules.discover(scn, sc.evaluate(scn, a))
+    want = reference_discover(scn, sc.evaluate(scn, a))
     assert got
     assert len(got) == len(want)
     for i, (e, f) in enumerate(zip(got, want)):

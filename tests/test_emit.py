@@ -20,23 +20,21 @@ def load(name):
 @pytest.fixture(scope="module")
 def para():
     model, scn = load("parallelogram.gthm")
-    witness = sc.sample_params(scn, 42)
     stream = sc.SampleStream(scn, 42, sc.DEFAULT_RANGE, 100)
-    g = gr.grow_detailed(model, witness, stream)
+    g = gr.grow_detailed(stream.witness[1], stream)
     assert not g.pending
     focused = gr.focus(g, gr.topo_order(g))
-    v = vf.verdict(model, focused, stream)
+    v = vf.verdict(focused, stream)
     return model, scn, g, focused, v
 
 
 def render(name, samples=100, seed=42):
     model, scn = load(name)
-    witness = sc.sample_params(scn, seed)
     stream = sc.SampleStream(scn, seed, sc.DEFAULT_RANGE, samples)
-    g = gr.grow_detailed(model, witness, stream)
+    g = gr.grow_detailed(stream.witness[1], stream)
     schedule = gr.topo_order(g) if not g.pending else None
     focused = gr.focus(g, schedule) if schedule else None
-    v = vf.verdict(model, focused, stream)
+    v = vf.verdict(focused, stream)
     stem = name.rsplit(".", 1)[0]
     return model, focused, v, stem
 
@@ -46,7 +44,7 @@ def render(name, samples=100, seed=42):
 
 def test_parallelogram_script_shape(para):
     model, scn, g, focused, v = para
-    text = emit.render_text(model, focused, v, theorem="parallelogram")
+    text = emit.render_text(model, v, theorem="parallelogram")
     lines = text.rstrip("\n").split("\n")
     assert lines[0] == "Theorem: parallelogram"
     assert lines[1] == "Claim: OD = CD"
@@ -62,14 +60,14 @@ def test_parallelogram_script_shape(para):
 
 def test_line_count_is_schedule_plus_frame(para):
     model, scn, g, focused, v = para
-    text = emit.render_text(model, focused, v, theorem="parallelogram")
+    text = emit.render_text(model, v, theorem="parallelogram")
     assert len(text.rstrip("\n").split("\n")) == len(focused) + 4
     assert text.endswith("\n") and not text.endswith("\n\n")
 
 
 def test_every_step_names_rule_and_sources(para):
     model, scn, g, focused, v = para
-    text = emit.render_text(model, focused, v, theorem="parallelogram")
+    text = emit.render_text(model, v, theorem="parallelogram")
     for step in focused:
         if step.edge is None:
             assert f"Given {step.dim.display} (parameter)" in text
@@ -81,26 +79,25 @@ def test_every_step_names_rule_and_sources(para):
 
 def test_imo_script_footer_and_claim_order():
     model, focused, v, stem = render("imo2012.gthm")
-    text = emit.render_text(model, focused, v, theorem=stem)
+    text = emit.render_text(model, v, theorem=stem)
     assert text.rstrip("\n").split("\n")[-1] == (
         "Check whether KM = ML ... PROVED")
 
 
 def test_refuted_script_footer():
     model, focused, v, stem = render("parallelogram_bad.gthm")
-    text = emit.render_text(model, focused, v, theorem=stem)
+    text = emit.render_text(model, v, theorem=stem)
     assert text.rstrip("\n").split("\n")[-1] == (
         "Check whether OD = 2*CD ... REFUTED")
 
 
 def test_missing_schedule_renders_header_and_reason_only():
     model, scn = load("unreachable.gthm")
-    witness = sc.sample_params(scn, 42)
     stream = sc.SampleStream(scn, 42, sc.DEFAULT_RANGE,
                              rules.VALIDATION_SAMPLES)
-    assert gr.grow_detailed(model, witness, stream).pending
-    v = vf.verdict(model, None, stream)
-    text = emit.render_text(model, None, v, theorem="unreachable")
+    assert gr.grow_detailed(stream.witness[1], stream).pending
+    v = vf.verdict(None, stream)
+    text = emit.render_text(model, v, theorem="unreachable")
     assert text == ("Theorem: unreachable\n"
                     "Claim: BZ = AB\n"
                     "\n"
@@ -109,7 +106,7 @@ def test_missing_schedule_renders_header_and_reason_only():
 
 def test_script_is_plain_ascii(para):
     model, scn, g, focused, v = para
-    text = emit.render_text(model, focused, v, theorem="parallelogram")
+    text = emit.render_text(model, v, theorem="parallelogram")
     assert text == text.encode("ascii", "strict").decode("ascii")
     assert chr(0x2014) not in text and chr(0x2026) not in text
 
@@ -119,7 +116,7 @@ def test_script_is_plain_ascii(para):
 
 def test_json_round_trips_with_expected_keys(para):
     model, scn, g, focused, v = para
-    out = json.loads(emit.render_json(model, focused, v,
+    out = json.loads(emit.render_json(model, v,
                                       theorem="parallelogram"))
     assert {"theorem", "status", "steps", "samples"} <= set(out)
     assert out["theorem"] == "parallelogram"
@@ -132,7 +129,7 @@ def test_json_round_trips_with_expected_keys(para):
 
 def test_json_steps_carry_rules_and_sources(para):
     model, scn, g, focused, v = para
-    out = json.loads(emit.render_json(model, focused, v))
+    out = json.loads(emit.render_json(model, v))
     first = out["steps"][0]
     assert first == {"find": "AO", "rule": "parameter", "using": [],
                      "justification": "given as a parameter"}
@@ -143,16 +140,16 @@ def test_json_steps_carry_rules_and_sources(para):
 
 def test_json_refuted_reports_worst_residual():
     model, focused, v, stem = render("parallelogram_bad.gthm")
-    out = json.loads(emit.render_json(model, focused, v, theorem=stem))
+    out = json.loads(emit.render_json(model, v, theorem=stem))
     assert out["status"] == "REFUTED"
     assert out["samples"]["max_claim_residual"] == 1.0
 
 
 def test_json_bytes_stable_across_runs():
-    a = emit.render_json(*render("parallelogram.gthm", samples=20)[:3],
-                         theorem="parallelogram")
-    b = emit.render_json(*render("parallelogram.gthm", samples=20)[:3],
-                         theorem="parallelogram")
+    model, _, v, _ = render("parallelogram.gthm", samples=20)
+    a = emit.render_json(model, v, theorem="parallelogram")
+    model, _, v, _ = render("parallelogram.gthm", samples=20)
+    b = emit.render_json(model, v, theorem="parallelogram")
     assert a == b
     assert a.endswith("\n")
 
@@ -170,7 +167,8 @@ def test_scene_lists_exact_coordinates(para):
     model, scn, g, focused, v = para
     a = sc.ParamAssignment((("x", Fraction(4)), ("y", Fraction(1)),
                             ("z", Fraction(2))))
-    text = emit.render_scene(model, scn, a, theorem="parallelogram")
+    text = emit.render_scene(model, (a, sc.evaluate(scn, a)),
+                             theorem="parallelogram")
     assert "param x = 4" in text
     assert "point O = (0, 0)" in text
     assert "point D = (5/2, 1)" in text
@@ -181,3 +179,21 @@ def test_claim_text_keeps_author_point_order(para):
     model = para[0]
     # the canonical node display sorts the pair as DO; the claim does not
     assert emit.claim_text(model) == "OD = CD"
+
+
+@pytest.mark.parametrize("claim,want", [
+    ("len(O,A) - len(O,E) = len(A,E)", "OA - OE = AE"),
+    ("len(O,A) - 2*len(O,E) + len(A,E) = len(A,E) - 1/2*len(O,A)",
+     "OA - 2*OE + AE = AE - 1/2*OA"),
+])
+def test_claim_text_spells_a_subtracted_term_with_a_minus(claim, want):
+    text = "\n".join(["param x", "param y", "point O = origin",
+                      "point A = baseline(O, x)", "point E = baseline(O, y)",
+                      f"claim {claim}"]) + "\n"
+    model = dsl.validate(dsl.parse(text, "minus"), "minus")
+    assert emit.claim_text(model) == want
+    v = vf.Verdict(status="INCONCLUSIVE", samples=(), reason="",
+                   schedule=())
+    lines = emit.render_text(model, v).splitlines()
+    assert lines[1] == f"Claim: {want}"
+    assert lines[-1] == f"Check whether {want} ... INCONCLUSIVE"

@@ -50,8 +50,8 @@ def stream_of(scn, seed=42, rng_range=sc.DEFAULT_RANGE):
 
 def pipeline(name, seed=42):
     model, scn = load(name)
-    witness = sc.sample_params(scn, seed)
-    g = gr.grow_detailed(model, witness, stream_of(scn, seed))
+    stream = stream_of(scn, seed)
+    g = gr.grow_detailed(stream.witness[1], stream)
     assert not g.pending
     schedule = gr.topo_order(g)
     return g, schedule, gr.focus(g, schedule)
@@ -123,8 +123,8 @@ def test_imo_uses_line_circle_for_the_cut_points():
 
 def test_unreachable_goal_returns_absent():
     model, scn = load("unreachable.gthm")
-    witness = sc.sample_params(scn, 42)
-    g = gr.grow_detailed(model, witness, stream_of(scn))
+    _, witness = sc.sample_params(scn, 42)
+    g = gr.grow_detailed(witness, stream_of(scn))
     assert [d.display for d in g.pending] == ["BZ"]
     schedule = gr.topo_order(g)
     assert validate_schedule(g, schedule)  # pending goals are excused
@@ -134,7 +134,7 @@ def test_unreachable_goal_returns_absent():
 def test_edge_validation_samples_from_the_run_range(monkeypatch):
     model, scn = load("parallelogram.gthm")
     lo, hi = Fraction(100), Fraction(200)
-    witness = sc.sample_params(scn, 42, (lo, hi))
+    _, witness = sc.sample_params(scn, 42, (lo, hi))
     real = sc.sample_params
     draws = []
 
@@ -143,9 +143,9 @@ def test_edge_validation_samples_from_the_run_range(monkeypatch):
         return draws[-1]
 
     monkeypatch.setattr(sc, "sample_params", spy)
-    gr.grow_detailed(model, witness, stream_of(scn, 42, (lo, hi)))
+    gr.grow_detailed(witness, stream_of(scn, 42, (lo, hi)))
     assert draws
-    assert all(lo <= v <= hi for a in draws for _, v in a.items)
+    assert all(lo <= v <= hi for a, _ in draws for _, v in a.items)
 
 
 # --- admission-time validation ------------------------------------------------
@@ -155,7 +155,7 @@ def grow_reference(model, scn, witness, seed=42):
     """Validate the whole discovered pool, then grow by plain BFS rings:
     each ring admits every edge sourced in earlier rings.  The edges
     come back in pool order."""
-    pool = rules.discover(model, scn, witness)
+    pool = rules.discover(scn, witness)
     pool = rules.validate_edges(pool, stream_of(scn, seed))
     params = [rules.length(*pair) for _, pair in scn.param_dims]
     goals = gr.goal_dims(model)
@@ -190,17 +190,18 @@ def thirteen_points():
 
 
 def figure(name):
-    """Model, a scene and a witness; each call builds a fresh scene."""
+    """Model, a scene and a witness figure; each call builds a fresh
+    scene and evaluates the figure afresh."""
     if name == "thirteen":
         model = dsl.validate(dsl.parse(thirteen_points(), "p13"), "p13")
         scn = sc.build_scene(model)
-        return model, scn, sc.sample_params(scn, 42)
+        return model, scn, sc.sample_params(scn, 42)[1]
     model, scn = load(f"{name}.gthm")
     if name == "parallelogram":
         # x=4, y=1, z=2 carries coincidences that validation must drop
-        return model, scn, sc.ParamAssignment(
-            (("x", Fraction(4)), ("y", Fraction(1)), ("z", Fraction(2))))
-    return model, scn, sc.sample_params(scn, 42)
+        return model, scn, sc.evaluate(scn, sc.ParamAssignment(
+            (("x", Fraction(4)), ("y", Fraction(1)), ("z", Fraction(2)))))
+    return model, scn, sc.sample_params(scn, 42)[1]
 
 
 def grow_ring_validated(model, scn, witness, stream=None, admit=None):
@@ -212,7 +213,7 @@ def grow_ring_validated(model, scn, witness, stream=None, admit=None):
 
         def admit(ring):
             return rules.validate_edges(ring, stream)
-    return gr.grow(rules.discover(model, scn, witness), params_of(scn),
+    return gr.grow(rules.discover(scn, witness), params_of(scn),
                    gr.goal_dims(model), admit)
 
 
@@ -225,14 +226,14 @@ def test_admission_time_validation_matches_validate_then_grow(name):
     model, scn, witness = figure(name)
     # the reference gets a stream of its own, so it shares no samples
     nodes, edges, known = grow_reference(*figure(name))
-    pool = rules.discover(model, scn, witness)
+    pool = rules.discover(scn, witness)
     validated = rules.validate_edges(pool, stream_of(scn))
     g = grow_ring_validated(model, scn, witness)
     assert edges
     assert g.edges == edges
     assert gr.grow(validated, params_of(scn), gr.goal_dims(model), list).edges \
         == edges
-    assert gr.grow_detailed(model, witness, stream_of(scn)).reports == []
+    assert gr.grow_detailed(witness, stream_of(scn)).reports == []
     assert g.pending == tuple(d for d in g.goals if d not in known)
     assert {d: n for d, n in g.nodes.items() if d not in g.pending} == nodes
     if name == "parallelogram":
@@ -245,8 +246,8 @@ def test_admission_time_validation_matches_validate_then_grow(name):
 
 def test_growth_validates_each_reached_edge_once(monkeypatch):
     model, scn = load("parallelogram.gthm")
-    witness = sc.sample_params(scn, 42)
-    pool = rules.discover(model, scn, witness)
+    _, witness = sc.sample_params(scn, 42)
+    pool = rules.discover(scn, witness)
     passed, calls, draws = [], [], []
     real_sample = sc.sample_params
     stream = stream_of(scn)
@@ -304,9 +305,9 @@ def test_topo_order_matches_quadratic_sweep(name, seed):
         scn = sc.build_scene(model)
     else:
         model, scn = load(f"{name}.gthm")
-    witness = sc.sample_params(scn, seed)
-    g = gr.grow_detailed(model, witness, stream_of(scn, seed))
-    position = {e: i for i, e in enumerate(rules.discover(model, scn, witness))}
+    _, witness = sc.sample_params(scn, seed)
+    g = gr.grow_detailed(witness, stream_of(scn, seed))
+    position = {e: i for i, e in enumerate(rules.discover(scn, witness))}
     got, want = gr.topo_order(g), topo_reference(g, position.__getitem__)
     assert got is not None and want is not None
     assert [s.dim for s in got] == [s.dim for s in want]
@@ -337,8 +338,8 @@ def test_dot_structure():
 
 def test_dot_pending_goal_is_dashed():
     model, scn = load("unreachable.gthm")
-    witness = sc.sample_params(scn, 42)
-    g = gr.grow_detailed(model, witness, stream_of(scn))
+    _, witness = sc.sample_params(scn, 42)
+    g = gr.grow_detailed(witness, stream_of(scn))
     dot = gr.to_dot(g, g.focused)
     assert 'style=dashed, color=red' in dot
     assert '"BZ"' in dot
@@ -378,8 +379,8 @@ def test_every_derived_node_has_an_in_edge_from_lower_indices(figure, seed):
     # must keep it
     model = grown_model(figure)
     scn = sc.build_scene(model)
-    check_index_invariant(gr.grow_detailed(model, sc.sample_params(scn, seed),
-                                           stream_of(scn, seed)))
+    stream = stream_of(scn, seed)
+    check_index_invariant(gr.grow_detailed(stream.witness[1], stream))
 
 
 @pytest.mark.parametrize("figure,seed", INVARIANT)
@@ -389,8 +390,8 @@ def test_each_node_takes_its_least_sort_key_in_edge_from_lower_indices(
     # is the least by a key each edge has alone
     model = grown_model(figure)
     scn = sc.build_scene(model)
-    g = gr.grow_detailed(model, sc.sample_params(scn, seed),
-                         stream_of(scn, seed))
+    stream = stream_of(scn, seed)
+    g = gr.grow_detailed(stream.witness[1], stream)
     index = {d: n.index for d, n in g.nodes.items()}
     derived = [s for s in gr.topo_order(g) if s.edge is not None]
     assert derived
@@ -461,13 +462,13 @@ def test_schedule_validation_matches_ring_validation(figure, seed):
     # the reference gets a stream of its own, so it shares no samples
     model = grown_model(figure)
     scn = sc.build_scene(model)
-    witness = sc.sample_params(scn, seed)
+    _, witness = sc.sample_params(scn, seed)
     streams = (stream_of(scn, seed), stream_of(scn, seed))
     ref = grow_ring_validated(model, scn, witness, streams[1])
-    g = gr.grow_detailed(model, witness, streams[0])
+    g = gr.grow_detailed(witness, streams[0])
     assert_same_proof(g, ref)
     schedules = [None if h.pending else tuple(focused_of(h)) for h in (g, ref)]
-    verdicts = [vf.verdict(model, schedule, stream)
+    verdicts = [vf.verdict(schedule, stream)
                 for stream, schedule in zip(streams, schedules)]
     assert verdicts[0] == verdicts[1]
 
@@ -487,12 +488,12 @@ def spy_validation(monkeypatch, rejected=lambda e: False):
 
 def test_without_a_failure_only_the_focused_steps_are_validated(monkeypatch):
     model, scn = load("parallelogram.gthm")
-    witness = sc.sample_params(scn, 42)
+    _, witness = sc.sample_params(scn, 42)
     calls = spy_validation(monkeypatch)
-    g = gr.grow_detailed(model, witness, stream_of(scn, 42))
+    g = gr.grow_detailed(witness, stream_of(scn, 42))
     assert calls == [[s.edge for s in focused_of(g) if s.edge is not None]]
     assert len(calls[0]) == 12
-    assert g.edges == gr.grow(rules.discover(model, scn, witness),
+    assert g.edges == gr.grow(rules.discover(scn, witness),
                               params_of(scn), gr.goal_dims(model), list).edges
 
 
@@ -501,9 +502,9 @@ def test_the_witness_closure_admits_a_coincidence_no_schedule_uses():
     # other samples: growth at the witness admits it, validation never
     # meets it, and ring validation drops it
     model, scn, witness = figure("parallelogram")
-    g = gr.grow_detailed(model, witness, stream_of(scn, 42))
+    g = gr.grow_detailed(witness, stream_of(scn, 42))
     ref = grow_ring_validated(*figure("parallelogram"))
-    bogus = [e for e in rules.discover(model, scn, witness)
+    bogus = [e for e in rules.discover(scn, witness)
              if e.rule == "pythagoras" and e.target.display == "BG"
              and sorted(s.display for s in e.sources) == ["BO", "GO"]]
     assert bogus and bogus[0] in g.edges and bogus[0] not in ref.edges
@@ -516,9 +517,9 @@ def test_the_witness_closure_admits_a_coincidence_no_schedule_uses():
 def test_a_failed_schedule_edge_is_dropped_and_growth_runs_again(
         dim, monkeypatch):
     model, scn = load("parallelogram.gthm")
-    witness = sc.sample_params(scn, 42)
-    pool = rules.discover(model, scn, witness)
-    first = gr.grow_detailed(model, witness, stream_of(scn, 42))
+    _, witness = sc.sample_params(scn, 42)
+    pool = rules.discover(scn, witness)
+    first = gr.grow_detailed(witness, stream_of(scn, 42))
     bad = next(s.edge for s in focused_of(first) if s.dim.display == dim)
     grown = []
     real_grow = gr.grow
@@ -529,7 +530,7 @@ def test_a_failed_schedule_edge_is_dropped_and_growth_runs_again(
 
     monkeypatch.setattr(gr, "grow", grow)
     calls = spy_validation(monkeypatch, lambda e: e == bad)
-    g = gr.grow_detailed(model, witness, stream_of(scn, 42))
+    g = gr.grow_detailed(witness, stream_of(scn, 42))
     tested = [e for c in calls for e in c]
     assert len(grown) == 2 and g is grown[1]  # a second round runs
     assert calls[0] == [s.edge for s in focused_of(grown[0]) if s.edge]
@@ -555,7 +556,7 @@ def test_after_a_failure_growth_gives_the_ring_validated_proof(
     # witness closure, and every `every`-th edge of the pool besides,
     # failing numbering edges and schedule edges alike, round after round
     model, scn, witness = figure(name)
-    pool = rules.discover(model, scn, witness)
+    pool = rules.discover(scn, witness)
     position = {e: i for i, e in enumerate(pool, 1)}
     closure = gr.grow(pool, params_of(scn), gr.goal_dims(model), list)
     victim = next(s.edge for s in focused_of(closure) if s.edge is not None)
@@ -563,14 +564,14 @@ def test_after_a_failure_growth_gives_the_ring_validated_proof(
     def rejected(e):
         return e == victim or position[e] % every == 0
 
-    ref_model, ref_scn, _ = figure(name)
+    ref_model, ref_scn, ref_witness = figure(name)
     ref_stream = stream_of(ref_scn)
     ref = grow_ring_validated(
-        ref_model, ref_scn, witness,
+        ref_model, ref_scn, ref_witness,
         admit=lambda ring: [e for e in rules.validate_edges(
             ring, ref_stream) if not rejected(e)])
     calls = spy_validation(monkeypatch, rejected)
-    g = gr.grow_detailed(model, witness, stream_of(scn, 42))
+    g = gr.grow_detailed(witness, stream_of(scn, 42))
     tested = [e for c in calls for e in c]
     assert len(set(tested)) == len(tested)
     assert_same_numbering(g, ref)
@@ -592,7 +593,7 @@ def test_a_coincidence_rich_witness_costs_no_more_than_ring_validation(
     reached = []
     ref_stream = stream_of(ref_scn)
     ref = grow_ring_validated(
-        model, ref_scn, witness,
+        model, ref_scn, sc.evaluate(ref_scn, witness),
         admit=lambda ring: reached.extend(ring) or rules.validate_edges(
             ring, ref_stream))
     grown = []
@@ -600,7 +601,7 @@ def test_a_coincidence_rich_witness_costs_no_more_than_ring_validation(
     monkeypatch.setattr(gr, "grow",
                         lambda *args: grown.append(1) or real_grow(*args))
     calls = spy_validation(monkeypatch)
-    g = gr.grow_detailed(model, witness, stream_of(scn, 42))
+    g = gr.grow_detailed(sc.evaluate(scn, witness), stream_of(scn, 42))
     tested = [e for c in calls for e in c]
     assert len(grown) <= 3
     assert len(set(tested)) == len(tested) < len(reached)
@@ -610,9 +611,9 @@ def test_a_coincidence_rich_witness_costs_no_more_than_ring_validation(
 
 def test_refinement_ends_when_validation_rejects_everything(monkeypatch):
     model, scn = load("parallelogram.gthm")
-    witness = sc.sample_params(scn, 42)
+    _, witness = sc.sample_params(scn, 42)
     calls = spy_validation(monkeypatch, lambda e: True)
-    g = gr.grow_detailed(model, witness, stream_of(scn, 42))
+    g = gr.grow_detailed(witness, stream_of(scn, 42))
     tested = [e for c in calls for e in c]
     assert all(calls) and len(set(tested)) == len(tested)
     assert g.edges == []  # the regrown first ring admits nothing

@@ -67,7 +67,7 @@ def confirmed_claims(body, name):
     at every oracle sample, neither length ever zero."""
     model = dsl.validate(dsl.parse(body + "claim len(A,B) = len(A,B)\n", name), name)
     scn = sc.build_scene(model)
-    evs = [sc.evaluate(scn, sc.sample_params(scn, s)) for s in ORACLE_SAMPLES]
+    evs = [sc.sample_params(scn, s)[1] for s in ORACLE_SAMPLES]
     segments = list(itertools.combinations(evs[0].points, 2))
     lengths = {seg: [sc.distance(ev.points[seg[0]], ev.points[seg[1]])
                      for ev in evs] for seg in segments}

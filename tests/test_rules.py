@@ -41,14 +41,14 @@ def fixed(**kwargs):
 def para():
     model, scn = load("parallelogram.gthm")
     a = fixed(x=4, y=1, z=2)
-    return model, scn, a, rules.discover(model, scn, a)
+    return model, scn, a, rules.discover(scn, sc.evaluate(scn, a))
 
 
 @pytest.fixture(scope="module")
 def imo():
     model, scn = load("imo2012.gthm")
     a = fixed(a=1, h=2, q="1/2")
-    return model, scn, a, rules.discover(model, scn, a)
+    return model, scn, a, rules.discover(scn, sc.evaluate(scn, a))
 
 
 def edges_to(pool, display, rule=None):
@@ -149,10 +149,10 @@ def test_every_recipe_op_is_emitted_by_a_rule():
     for path in sorted(FIXTURES.glob("*.gthm")):
         model, scn = load(path.name)
         try:
-            witness = sc.sample_params(scn, 42)
+            _, witness = sc.sample_params(scn, 42)
         except sc.DegenerateModel:
             continue
-        emitted |= {e.recipe[0] for e in rules.discover(model, scn, witness)}
+        emitted |= {e.recipe[0] for e in rules.discover(scn, witness)}
     assert executed == emitted == {"copy", "add", "sub", "mul", "div", "pyth_hyp",
                                    "pyth_leg", "dist4", "solve2", "lc"}
 
@@ -285,7 +285,7 @@ def test_line_circle_reproduces_oracle(imo):
 def test_no_line_circle_for_on_axis_cut():
     model, scn = load("unreachable.gthm")
     a = fixed(x=4, y=3)
-    pool = rules.discover(model, scn, a)
+    pool = rules.discover(scn, sc.evaluate(scn, a))
     assert not [e for e in pool if e.rule == "line-circle"]
 
 
@@ -294,7 +294,7 @@ def test_no_line_circle_for_on_axis_cut():
 
 def test_discovery_is_deterministic(para):
     model, scn, a, pool = para
-    again = rules.discover(model, scn, a)
+    again = rules.discover(scn, sc.evaluate(scn, a))
     assert [(i, e.sources, e.target, e.rule) for i, e in enumerate(pool)] == \
         [(i, e.sources, e.target, e.rule) for i, e in enumerate(again)]
 
@@ -427,13 +427,13 @@ def similar_fixture(name):
     aux = CIRCLE_AUX if name == "circle" else THIRTEEN_AUX
     model = dsl.validate(dsl.parse(thirteen_points(aux), "p13"), "p13")
     scn = sc.build_scene(model)
-    return model, scn, sc.sample_params(scn, 42)
+    return model, scn, sc.sample_params(scn, 42)[0]
 
 
 @pytest.mark.parametrize("figure", ["para", "imo", "thirteen", "circle"])
 def test_similar_triangles_match_brute_force(figure):
     model, scn, a = similar_fixture(figure)
-    w = rules._Witness(model, scn, a)
+    w = rules._Witness(scn, sc.evaluate(scn, a))
     got = rules.similar_triangles_rule(w)
     want = brute_force_similar(model, scn, a)
     assert got
@@ -471,8 +471,8 @@ def test_validate_edges_keeps_sound_and_drops_special_case(para):
     bogus = has_edge(pool, ["BO", "GO"], "BG", "pythagoras")
     assert bogus is not None and bogus.key() not in kept_keys
     # generic witnesses carry no such coincidences: everything validates
-    generic = sc.sample_params(scn, 42)
-    pool_g = rules.discover(model, scn, generic)
+    _, generic = sc.sample_params(scn, 42)
+    pool_g = rules.discover(scn, generic)
     assert rules.validate_edges(pool_g, stream_of(scn)) == pool_g
 
 
@@ -587,7 +587,7 @@ def test_replays_match_the_scalar_reference_on_every_grown_edge(
         assert tested == []  # no figure, so no growth
         return
     model, scn = result.model, result.scene
-    pool = rules.discover(model, scn, result.witness)
+    pool = rules.discover(scn, result.witness[1])
     assert set(tested) <= set(pool)
     stream = stream_of(scn, seed)
     kept = rules.validate_edges(pool, stream)
@@ -725,9 +725,8 @@ def test_exact_ratio_edges_never_reach_the_scalar_replay(monkeypatch):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_every_edge_reproduces_oracle_at_random_samples(seed):
     model, scn = load("parallelogram.gthm")
-    a = sc.sample_params(scn, seed)
-    pool = rules.discover(model, scn, a)
-    ev = sc.evaluate(scn, a)
+    _, ev = sc.sample_params(scn, seed)
+    pool = rules.discover(scn, ev)
     for e in pool[:80]:
         vals = {d: sc.dim_value(ev, d) for d in e.sources}
         got = rules.apply_edge(e, vals)
@@ -850,8 +849,8 @@ INDEXED = ["parallelogram", "parallelogram_bd", "parallelogram_bad", "imo2012",
 def test_indexed_rules_match_all_triples_scans(figure, seed):
     model = dsl.validate(dsl.parse(grown_text(figure), figure), figure)
     scn = sc.build_scene(model)
-    a = sc.sample_params(scn, seed)
-    w, ref = rules._Witness(model, scn, a), ScanWitness(model, scn, a)
+    a, ev = sc.sample_params(scn, seed)
+    w, ref = rules._Witness(scn, ev), ScanWitness(model, scn, a)
     chain = rules.segment_chain_rule(w)
     pyth = rules.pythagoras_rule(w)
     assert chain and pyth
@@ -864,7 +863,7 @@ def test_indexed_rules_match_all_triples_scans(figure, seed):
 def test_discover_builds_one_witness_and_one_coincidence_test_per_pair(monkeypatch):
     model = dsl.validate(dsl.parse(para_plus(14), "para+14"), "para+14")
     scn = sc.build_scene(model)
-    a = sc.sample_params(scn, 42)
+    _, figure = sc.sample_params(scn, 42)
     pairs, witnesses = [], []
     real_coincident, real_init = sc.coincident, rules._Witness.__init__
 
@@ -878,7 +877,7 @@ def test_discover_builds_one_witness_and_one_coincidence_test_per_pair(monkeypat
 
     monkeypatch.setattr(sc, "coincident", spy_coincident)
     monkeypatch.setattr(rules._Witness, "__init__", spy_init)
-    assert rules.discover(model, scn, a)
+    assert rules.discover(scn, figure)
     assert len(witnesses) == 1
     n = len(witnesses[0].names)
     assert n == 22
@@ -912,7 +911,7 @@ def bits(screens):
 def test_indexed_screens_are_the_fresh_screens_bit_for_bit(figure, seed):
     model = dsl.validate(dsl.parse(grown_text(figure), figure), figure)
     scn = sc.build_scene(model)
-    w = rules._Witness(model, scn, sc.sample_params(scn, seed))
+    w = rules._Witness(scn, sc.sample_params(scn, seed)[1])
     assert bits(w.screens) == bits(fresh_screens(w))
 
 
@@ -936,7 +935,7 @@ def test_finalize_of_a_subset_is_the_pool_filtered_to_it(figure, seed):
     # others: finalize hands back the very edges it is given, each once
     model = dsl.validate(dsl.parse(grown_text(figure), figure), figure)
     scn = sc.build_scene(model)
-    pool = rules.discover(model, scn, sc.sample_params(scn, seed))
+    pool = rules.discover(scn, sc.sample_params(scn, seed)[1])
     rng = random.Random(seed)
     for _ in range(5):
         subset = rng.sample(pool, rng.randrange(len(pool) + 1))
@@ -954,10 +953,10 @@ def test_discover_reads_the_same_edges_off_indexed_screens(figure, seed,
                                                            monkeypatch):
     model = dsl.validate(dsl.parse(grown_text(figure), figure), figure)
     scn = sc.build_scene(model)
-    a = sc.sample_params(scn, seed)
-    got = rules.discover(model, scn, a)
+    _, figure = sc.sample_params(scn, seed)
+    got = rules.discover(scn, figure)
     monkeypatch.setattr(rules, "_Witness", FreshScreenWitness)
-    assert got == rules.discover(model, scn, a)
+    assert got == rules.discover(scn, figure)
 
 
 def nested_ratio_solve(known_ratios, known_lengths):
@@ -1000,7 +999,7 @@ def test_ratio_solve_matches_the_nested_scan(figure, seed, monkeypatch):
         return calls[-1][3]
 
     monkeypatch.setattr(rules, "ratio_solve_rule", spy)
-    rules.discover(model, scn, sc.sample_params(scn, seed))
+    rules.discover(scn, sc.sample_params(scn, seed)[1])
     (w, ratio_dims, known, got), = calls
     # every ratio valued at the witness, one over a zero length left out
     known_ratios = []

@@ -99,8 +99,7 @@ def test_oracle_lengths_parallelogram():
 def test_imo_geometric_mean_exact():
     imo = load("imo2012.gthm")
     for seed in range(5):
-        a = sc.sample_params(imo, seed)
-        ev = sc.evaluate(imo, a)
+        _, ev = sc.sample_params(imo, seed)
         bd = sc.distance(ev.points["B"], ev.points["D"])
         ad = sc.distance(ev.points["A"], ev.points["D"])
         cd = sc.distance(ev.points["C"], ev.points["D"])
@@ -118,8 +117,7 @@ def test_imo_claim_agrees_numerically():
 def test_parallelogram_closure_property():
     para = load("parallelogram.gthm")
     for seed in range(10):
-        a = sc.sample_params(para, seed)
-        ev = sc.evaluate(para, a)
+        _, ev = sc.sample_params(para, seed)
         cx, cy = ev.points["C"]
         bx, by = ev.points["B"]
         ax, ay = ev.points["A"]
@@ -128,12 +126,12 @@ def test_parallelogram_closure_property():
 
 def test_sampler_deterministic_and_valid():
     para = load("parallelogram.gthm")
-    a1 = sc.sample_params(para, 42)
-    a2 = sc.sample_params(para, 42)
+    a1, _ = sc.sample_params(para, 42)
+    a2, _ = sc.sample_params(para, 42)
     assert a1 == a2
-    assert a1 != sc.sample_params(para, 43)
+    assert a1 != sc.sample_params(para, 43)[0]
     for seed in range(30):
-        a = sc.sample_params(para, seed)
+        a, _ = sc.sample_params(para, seed)
         vals = a.values
         assert vals["y"] < vals["x"]  # E strictly inside OA
         for v in vals.values():
@@ -154,7 +152,7 @@ def test_degenerate_fixture_exhausts_sampler():
 def test_stream_witness_is_drawn_once_at_its_seed_and_range(seed, rng_range,
                                                             monkeypatch):
     para = load("parallelogram.gthm")
-    want = sc.sample_params(para, seed, rng_range)
+    want, _ = sc.sample_params(para, seed, rng_range)
     draws, real = [], sc.sample_params
 
     def spy(*args):
@@ -164,7 +162,7 @@ def test_stream_witness_is_drawn_once_at_its_seed_and_range(seed, rng_range,
     monkeypatch.setattr(sc, "sample_params", spy)
     stream = sc.SampleStream(para, seed, rng_range, 3)
     assert draws == []  # drawn on first read
-    assert stream.witness == want
+    assert stream.witness[0] == want
     assert stream.witness is stream.witness
     assert draws == [(para, seed, rng_range)]
 
@@ -191,7 +189,7 @@ def test_sampler_hits_every_value_uniformly(monkeypatch):
     assert sc.sample_space(rng_range) == 9
     counts = {name: {F(n, 8): 0 for n in range(8, 17)} for name in "xy"}
     for seed in range(900):
-        for name, v in sc.sample_params(scn, seed, rng_range).items:
+        for name, v in sc.sample_params(scn, seed, rng_range)[0].items:
             counts[name][v] += 1
     for per_value in counts.values():
         assert sum(per_value.values()) == 900
@@ -216,7 +214,7 @@ def test_sampler_hits_a_four_value_set_uniformly_at_the_shipped_denominator():
     assert d == 2**40 and sc.sample_space(rng_range) == 4
     counts = {F(d + i, d): 0 for i in range(4)}
     for seed in range(2000):
-        (_, value), = sc.sample_params(scn, seed, rng_range).items
+        (_, value), = sc.sample_params(scn, seed, rng_range)[0].items
         counts[value] += 1
     assert sum(counts.values()) == 2000
     assert all(abs(c - 500) <= 97 for c in counts.values()), counts
@@ -259,7 +257,7 @@ def test_length_is_the_same_in_either_order(figure, seed):
     """A pair read backwards first, on a fresh evaluation, still gets
     the value and the type that its length dimension has."""
     scn = sc.build_scene(dsl.validate(dsl.parse(figure.read_text())))
-    ev = sc.evaluate(scn, sc.sample_params(scn, seed))
+    _, ev = sc.sample_params(scn, seed)
     for p, q in itertools.combinations(sorted(ev.points), 2):
         backwards = sc._length(ev, (q, p))
         forwards = sc._length(ev, (p, q))
@@ -390,7 +388,7 @@ def test_carriers_match_eager_deduplication(name):
     else:
         scn = load(f"{name}.gthm")
     for seed in (42, 1):
-        ev = sc.evaluate(scn, sc.sample_params(scn, seed))
+        _, ev = sc.sample_params(scn, seed)
         lines = met_lines(scn, ev)
         assert ev.lines == lines
         assert ev.carriers == eager_carriers(lines)
@@ -398,7 +396,8 @@ def test_carriers_match_eager_deduplication(name):
 
 def test_scene_view_shape():
     para = load("parallelogram.gthm")
-    text = emit.render_scene(para.model, para, PARA, theorem="parallelogram")
+    text = emit.render_scene(para.model, (PARA, sc.evaluate(para, PARA)),
+                             theorem="parallelogram")
     assert [ln for ln in text.splitlines() if ln.startswith("param ")] == [
         "param x = 4", "param y = 1", "param z = 2"]
     assert "point D = (5/2, 1)" in text
@@ -427,7 +426,7 @@ def test_parallelogram_invariants_random(x, y, z):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_imo_sampler_respects_interiority(seed):
     imo = load("imo2012.gthm")
-    a = sc.sample_params(imo, seed)
+    a, _ = sc.sample_params(imo, seed)
     vals = a.values
     assert vals["q"] < vals["h"]  # X strictly inside DC
 

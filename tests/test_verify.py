@@ -32,9 +32,8 @@ def pipeline(name, seed=42, samples=100):
     """Grow at the witness of `seed`, validating on the stream that
     the verdict then reads."""
     model, scn = load(name)
-    witness = sc.sample_params(scn, seed)
     stream = stream_of(scn, seed, samples)
-    g = gr.grow_detailed(model, witness, stream)
+    g = gr.grow_detailed(stream.witness[1], stream)
     assert not g.pending
     return model, scn, g, gr.focus(g, gr.topo_order(g)), stream
 
@@ -126,21 +125,21 @@ def test_execute_is_homogeneous_of_degree_one(para, k):
 
 def test_sample_report_fields_and_invariants(para):
     model, scn, g, focused, _ = para
-    v = vf.verdict(model, focused, stream_of(scn, 7, 3))
+    v = vf.verdict(focused, stream_of(scn, 7, 3))
     assert len(v.samples) == 3
     for i, r in enumerate(v.samples):
         assert r.index == i
         assert r.seed == 7 * sc.SAMPLE_STRIDE + i
-        assert r.assignment == sc.sample_params(scn, r.seed)
+        assert r.assignment == sc.sample_params(scn, r.seed)[0]
         assert r.redraws == 0
         assert r.claim_residual == 0.0
 
 
 def test_sample_report_measures_each_length_once(monkeypatch, para):
     model, scn, g, focused, _ = para
-    # a fresh evaluation, nothing memoized, which the stream's first
-    # sample at seed 123_457 then reads
-    a = sc.sample_params(scn, 123_457 * sc.SAMPLE_STRIDE)
+    # the stream's first sample at seed 123_457 draws this assignment
+    # in a fresh evaluation, nothing memoized
+    a, _ = sc.sample_params(scn, 123_457 * sc.SAMPLE_STRIDE)
     measured = []
     real = sc._squared_distance
 
@@ -150,7 +149,7 @@ def test_sample_report_measures_each_length_once(monkeypatch, para):
         return real(ev, pair)
 
     monkeypatch.setattr(sc, "_squared_distance", spy)
-    report, = vf._check_samples(model, focused, stream_of(scn, 123_457, 1))
+    report, = vf._check_samples(focused, stream_of(scn, 123_457, 1))
     assert report.assignment == a
     assert report.claim_residual == 0.0
     assert len(measured) == len(set(measured))  # no length measured twice
@@ -160,7 +159,7 @@ def test_sample_report_measures_each_length_once(monkeypatch, para):
 
 def test_prove_draws_the_verdict_samples_once_and_validates_at_each(
         monkeypatch):
-    draws = []  # (inside validation?, assignment)
+    draws = []  # (inside validation?, (assignment, evaluation))
     validating = []
     real_sample, real_validate = sc.sample_params, gr.validate_edges
 
@@ -184,7 +183,8 @@ def test_prove_draws_the_verdict_samples_once_and_validates_at_each(
     assert len(draws) == 1 + len(samples)  # the witness, then the stream
     assert draws[0] == (False, result.witness)
     # validation draws every sample the verdict reads
-    assert draws[1:] == [(True, r.assignment) for r in samples]
+    assert [(inside, a) for inside, (a, _) in draws[1:]] == [
+        (True, r.assignment) for r in samples]
 
 
 def _replayed_at(monkeypatch):
@@ -219,8 +219,8 @@ def test_every_focused_edge_is_validated_at_the_verdict_samples(
     else:
         count = 100
         stream = stream_of(scn, 42, count)
-        g = gr.grow_detailed(model, sc.sample_params(scn, 42), stream)
-        focused, v = g.focused, vf.verdict(model, g.focused, stream)
+        g = gr.grow_detailed(stream.witness[1], stream)
+        focused, v = g.focused, vf.verdict(g.focused, stream)
     monkeypatch.undo()
     assert v.status == vf.STATUS_PROVED
     seeds = [r.seed for r in v.samples]
@@ -246,7 +246,7 @@ def test_oracle_and_verdict_leave_carriers_alone(monkeypatch, capsys, para):
     for name in ("parallelogram.gthm", "imo2012.gthm"):
         assert cli.main(["check", str(FIXTURES / name), "--samples", "20"]) == 0
     capsys.readouterr()
-    v = vf.verdict(model, focused, stream_of(scn, 7, 20))
+    v = vf.verdict(focused, stream_of(scn, 7, 20))
     assert v.status == vf.STATUS_PROVED
     assert calls == []
     # reading the carriers is what deduplicates them
@@ -262,9 +262,8 @@ def test_cross_check_fails_on_a_corrupted_rule(para):
     step = broken[idx]
     broken[idx] = gr.ScheduleStep(
         step.dim, edge_with(step.edge, recipe=("add", be, be)))
-    a = sc.sample_params(scn, 99)
+    a, ev = sc.sample_params(scn, 99)
     vals = vf.execute_schedule(scn, broken, a)
-    ev = sc.evaluate(scn, a)
     cg = next(s.dim for s in focused if s.dim.display == "CG")
     assert as_float(vals[cg]) == pytest.approx(
         2 * as_float(sc.dim_value(ev, cg)))
@@ -332,7 +331,7 @@ def test_claim_on_squares_gives_the_scalar_residual(name, text):
     decided = 0
     for _, a, ev in stream_of(scn, 9, 20):
         got = vf._claim_check(model, ev)
-        fresh = sc._evaluate(scn, a)
+        fresh = sc.evaluate(scn, a)
         want = vf._claim_residual(vf._claim_side(eq.lhs, fresh),
                                   vf._claim_side(eq.rhs, fresh))
         assert struct.pack("<d", got) == struct.pack("<d", want)
@@ -343,7 +342,7 @@ def test_claim_on_squares_gives_the_scalar_residual(name, text):
 
 def test_parallelogram_proved_with_exactly_zero_residuals(para):
     model, scn, g, focused, stream = para
-    v = vf.verdict(model, focused, stream)
+    v = vf.verdict(focused, stream)
     assert v.status == vf.STATUS_PROVED
     assert len(v.samples) == 100
     assert all(r.claim_residual == 0.0 for r in v.samples)
@@ -364,14 +363,14 @@ def test_parallelogram_certificate_is_an_exact_identity():
 
 def test_second_claim_fixture_proved():
     model, scn, g, focused, stream = pipeline("parallelogram_bd.gthm")
-    v = vf.verdict(model, focused, stream)
+    v = vf.verdict(focused, stream)
     assert v.status == vf.STATUS_PROVED
     assert all(r.claim_residual == 0.0 for r in v.samples)
 
 
 def test_imo_proved_numerically(imo):
     model, scn, g, focused, stream = imo
-    v = vf.verdict(model, focused, stream)
+    v = vf.verdict(focused, stream)
     assert v.status == vf.STATUS_PROVED
     assert max(r.claim_residual for r in v.samples) <= rules.VALIDATION_TOL
     assert v.certificate.kind == "numerically-certified"
@@ -416,7 +415,7 @@ def test_exact_identity_iff_every_read_coordinate_is_rational(figure, seed):
 
 def test_bad_claim_refuted_with_margin_at_every_sample():
     model, scn, g, focused, stream = pipeline("parallelogram_bad.gthm")
-    v = vf.verdict(model, focused, stream)
+    v = vf.verdict(focused, stream)
     assert v.status == vf.STATUS_REFUTED
     assert len(v.samples) == 100
     # OD = CD, so claiming OD = 2 CD misses by the whole smaller side
@@ -427,7 +426,7 @@ def test_bad_claim_refuted_with_margin_at_every_sample():
 
 
 def test_missing_schedule_is_inconclusive():
-    v = vf.verdict(None, None, None)
+    v = vf.verdict(None, None)
     assert v.status == vf.STATUS_INCONCLUSIVE
     assert v.reason == "no derivation schedule"
     assert v.samples == ()
@@ -436,11 +435,10 @@ def test_missing_schedule_is_inconclusive():
 
 def test_unreachable_fixture_reaches_no_verdict():
     model, scn = load("unreachable.gthm")
-    witness = sc.sample_params(scn, 42)
     stream = stream_of(scn, 42, 5)
-    g = gr.grow_detailed(model, witness, stream)
+    g = gr.grow_detailed(stream.witness[1], stream)
     assert g.pending
-    v = vf.verdict(model, None, stream)
+    v = vf.verdict(None, stream)
     assert v.status == vf.STATUS_INCONCLUSIVE
 
 
@@ -455,14 +453,14 @@ def test_verdict_status_is_seed_stable(seed):
     for name, want in (("parallelogram.gthm", vf.STATUS_PROVED),
                        ("imo2012.gthm", vf.STATUS_PROVED)):
         model, scn, g, focused, stream = pipeline(name, seed=seed, samples=20)
-        v = vf.verdict(model, focused, stream)
+        v = vf.verdict(focused, stream)
         assert v.status == want, name
 
 
 def test_same_seed_reproduces_the_same_samples(para):
     model, scn, g, focused, _ = para
-    v1 = vf.verdict(model, focused, stream_of(scn, 5, 10))
-    v2 = vf.verdict(model, focused, stream_of(scn, 5, 10))
+    v1 = vf.verdict(focused, stream_of(scn, 5, 10))
+    v2 = vf.verdict(focused, stream_of(scn, 5, 10))
     assert [r.assignment for r in v1.samples] == [
         r.assignment for r in v2.samples]
     assert [r.seed for r in v1.samples] == [r.seed for r in v2.samples]
@@ -518,14 +516,14 @@ def test_degree_bound_grows_through_products(para):
 
 def test_verdict_summary_shape(para):
     model, scn, g, focused, _ = para
-    v = vf.verdict(model, focused, stream_of(scn, 42, 5))
+    v = vf.verdict(focused, stream_of(scn, 42, 5))
     out = vf.verdict_summary(v)
     assert out["status"] == "PROVED"
     assert out["samples"]["count"] == 5
     assert out["samples"] == {"count": 5, "max_claim_residual": 0.0}
     assert out["schedule"][-2:] == ["CD", "DO"]
     assert out["certificate"]["kind"] == "exact-identity"
-    empty = vf.verdict_summary(vf.verdict(None, None, None))
+    empty = vf.verdict_summary(vf.verdict(None, None))
     assert empty == {"status": "INCONCLUSIVE",
                      "reason": "no derivation schedule",
                      "samples": {"count": 0}}
